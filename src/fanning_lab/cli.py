@@ -218,16 +218,9 @@ def _run_invariants_along_orbit(cfg):
 def _default_submersion_flag(scn):
     x = scn.suggested_x
     g = np.array(scn.total.g(list(x)), dtype=float)
-    k = np.array(scn.fiber(list(x)), dtype=float)
-
-    def horizontalize(y):
-        y = np.asarray(y, dtype=float)
-        for col in k.T:
-            y = y - (y @ g @ col) / (col @ g @ col) * col
-        return y
-
-    v = horizontalize([1.0, 0.4, 0.0])
-    w = horizontalize([0.3, 1.0, 0.0])
+    k = scn.fiber(list(x))
+    v = rd.horizontal_part(g, k, [1.0, 0.4, 0.0])
+    w = rd.horizontal_part(g, k, [0.3, 1.0, 0.0])
     return mx.PhasePoint(x, v), w
 
 

@@ -6,8 +6,8 @@ changes the flag curvature by a Schwarzian-type correction built from the
 derivatives of phi = 1/(1 + theta) along the unperturbed spray; the
 correction is evaluated by two independent routes (stencil differentiation
 of phi along a short integrated orbit, and the Schwarzian of
-f(t) = t + h(gamma(t)) composed through a dual-number orbit jet) which must
-agree to 1e-8 before a value is returned.
+f(t) = t + h(gamma(t)) composed through a univariate Taylor jet of the
+orbit) which must agree to 1e-8 before a value is returned.
 
 Perturbing the dual norm of the round sphere by a multiple of the rotation
 generator produces the classical constant-curvature non-reversible metrics;
@@ -27,6 +27,7 @@ from . import jacobi as jb
 from . import metrics as mx
 from . import numkit as nk
 from .errors import InternalInconsistency, SmallnessViolation
+from .jets import Jet, jet_variables
 
 __all__ = [
     "ClosedOneForm",
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 
+def _jacobian(entries, m: int) -> np.ndarray:
+    """Rows of gradients of jet entries; constant entries give zero rows."""
+    return np.array([e.g if isinstance(e, Jet) else np.zeros(m)
+                     for e in entries])
+
+
 @dataclass(frozen=True)
 class ClosedOneForm:
     """A one-form given with an explicit primitive (theta = d potential)."""
@@ -52,15 +59,7 @@ class ClosedOneForm:
         """Max antisymmetry defect of the x-Jacobian of theta over samples."""
         worst = 0.0
         for x in xs:
-            n = len(x)
-            jac = np.zeros((n, n))
-            for j in range(n):
-                seed = [nk.Dual3(float(xi), 1.0 if i == j else 0.0)
-                        for i, xi in enumerate(x)]
-                th = self.theta(seed)
-                for i in range(n):
-                    v = th[i]
-                    jac[i, j] = v.d1 if isinstance(v, nk.Dual3) else 0.0
+            jac = _jacobian(self.theta(jet_variables(x, order=2)), len(x))
             worst = max(worst, float(np.max(np.abs(jac - jac.T))))
         return worst
 
@@ -68,14 +67,9 @@ class ClosedOneForm:
         """Max deviation between theta and the differential of the potential."""
         worst = 0.0
         for x in xs:
-            n = len(x)
             th = np.array([nk.scalar_value(v) for v in self.theta(list(x))])
-            grad = np.zeros(n)
-            for j in range(n):
-                seed = [nk.Dual3(float(xi), 1.0 if i == j else 0.0)
-                        for i, xi in enumerate(x)]
-                r = self.potential(seed)
-                grad[j] = r.d1 if isinstance(r, nk.Dual3) else 0.0
+            grad = _jacobian([self.potential(jet_variables(x, order=2))],
+                             len(x))[0]
             worst = max(worst, float(np.max(np.abs(grad - th))))
         return worst
 
@@ -104,7 +98,9 @@ def projective_deform(base: mx.MetricSpec, form: ClosedOneForm,
     """The deformed metric F = F0 + theta (Randers-type).
 
     Validates closedness of theta (1e-10 on samples) and the smallness
-    condition sup F0*(theta) < 1 on a grid of the chart box.
+    condition sup F0*(theta) < 1 on a grid of the chart box.  Bases outside
+    the Riemannian and Randers families get the jet of F^2 from the base's
+    energy jet, so a dual-norm base never sees jet arguments in its F.
     """
     points = (sample_points if sample_points is not None
               else _validation_points(base))
@@ -129,16 +125,25 @@ def projective_deform(base: mx.MetricSpec, form: ClosedOneForm,
         return mx.randers_metric(base.g, beta, base.n, base.domain,
                                  name=base.name + "+form")
 
-    F0 = base.F
+    n = base.n
 
-    def F(xs, ys):
+    def pairing(xs, ys):
         th = theta(xs)
         lin = th[0] * ys[0]
-        for i in range(1, base.n):
+        for i in range(1, n):
             lin = lin + th[i] * ys[i]
-        return F0(xs, ys) + lin
+        return lin
 
-    return mx.custom_metric(F, base.n, base.domain, name=base.name + "+form")
+    def F(xs, ys):
+        return base.F(xs, ys) + pairing(xs, ys)
+
+    def energy_jet_fn(x, y, order):
+        zs = jet_variables(list(x) + list(y), order=order)
+        f = mx.energy_jet(base, x, y, order).sqrt() + pairing(zs[:n], zs[n:])
+        return f * f
+
+    return mx.custom_metric(F, n, base.domain, name=base.name + "+form",
+                            energy_jet_fn=energy_jet_fn)
 
 
 def ambient_coordinate_form(scale: float = 0.2) -> ClosedOneForm:
@@ -164,21 +169,20 @@ def ambient_coordinate_form(scale: float = 0.2) -> ClosedOneForm:
 
 
 def _orbit_scalar_jet(base: mx.MetricSpec, x, y):
-    """Third-order t-Taylor seeds of the geodesic through (x, y).
+    """Third-order t-Taylor seeds of the geodesic position through (x, y).
 
-    x(t) to third order (the jerk uses the spray Jacobian), y(t) to second;
-    scalars composed with these seeds therefore carry two honest t-derivatives,
-    and three when they depend on x alone.
+    One univariate order-3 jet per coordinate, carrying velocity,
+    acceleration and jerk (the jerk uses the spray Jacobian); scalars that
+    depend on x alone composed with these seeds carry three honest
+    t-derivatives.
     """
     G, DS = mx.spray_data(base, x, y)
     field = np.concatenate([y, -2.0 * G])
     accel = -2.0 * G                      # xddot = ydot
     jerk = DS[base.n:, :] @ field         # xdddot = yddot = d/dt(-2G)
-    xs = [nk.Dual3(float(xi), float(yi), float(ai), float(ji))
-          for xi, yi, ai, ji in zip(x, y, accel, jerk)]
-    ys = [nk.Dual3(float(yi), float(ai), float(ji), 0.0)
-          for yi, ai, ji in zip(y, accel, jerk)]
-    return xs, ys
+    return [Jet(1, 3, xi, g=np.array([yi]), H=np.array([[ai]]),
+                T=np.array([[[ji]]]))
+            for xi, yi, ai, ji in zip(x, y, accel, jerk)]
 
 
 def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
@@ -235,13 +239,12 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     rhs_phi = phi0 * phi0 * K0 - 0.5 * (0.5 * Sphi * Sphi - phi0 * SSphi)
 
     # same prediction through the Schwarzian of f(t) = t + h(gamma(t))
-    xs, _ = _orbit_scalar_jet(base, x, u_psi)
-    fjet = form.potential(xs)
-    if not isinstance(fjet, nk.Dual3):
-        fjet = nk.Dual3(fjet)
-    fdot = 1.0 + fjet.d1
-    fddot = fjet.d2
-    fdddot = fjet.d3
+    fjet = form.potential(_orbit_scalar_jet(base, x, u_psi))
+    if not isinstance(fjet, Jet):
+        fjet = Jet.constant(fjet, 1, 3)
+    fdot = 1.0 + fjet.g[0]
+    fddot = fjet.H[0, 0]
+    fdddot = fjet.T[0, 0, 0]
     schw = fdddot / fdot - 1.5 * (fddot / fdot) ** 2
     rhs_f = (K0 - 0.5 * schw) / (fdot * fdot)
 
@@ -272,28 +275,19 @@ def killing_residual(g_callable, V: Callable, xs) -> float:
     """Max norm of the Lie derivative of g along V over sample points.
 
     (L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k, with all
-    derivatives taken by dual numbers.
+    derivatives taken from one jet pass per sample point.
     """
     worst = 0.0
     for x in xs:
         n = len(x)
-        Vx = np.array([nk.scalar_value(z) for z in V(list(x))])
-        G = np.array([[nk.scalar_value(e) for e in row]
-                      for row in g_callable(list(x))])
-        dg = np.zeros((n, n, n))
-        dV = np.zeros((n, n))
-        for k in range(n):
-            seed = [nk.Dual3(float(xi), 1.0 if i == k else 0.0)
-                    for i, xi in enumerate(x)]
-            Gs = g_callable(seed)
-            for i in range(n):
-                for j in range(n):
-                    e = Gs[i][j]
-                    dg[k, i, j] = e.d1 if isinstance(e, nk.Dual3) else 0.0
-            Vs = V(seed)
-            for i in range(n):
-                e = Vs[i]
-                dV[k, i] = e.d1 if isinstance(e, nk.Dual3) else 0.0
+        seed = jet_variables(x, order=2)
+        Vs = V(seed)
+        Gs = [e for row in g_callable(seed) for e in row]
+        Vx = np.array([nk.scalar_value(z) for z in Vs])
+        G = np.array([nk.scalar_value(e) for e in Gs]).reshape(n, n)
+        # dg[k, i, j] = d_k g_ij and dV[k, i] = d_k V^i
+        dg = _jacobian(Gs, n).T.reshape(n, n, n)
+        dV = _jacobian(Vs, n).T
         lie = (np.einsum("k,kij->ij", Vx, dg)
                + np.einsum("kj,ik->ij", G, dV)
                + np.einsum("ik,jk->ij", G, dV))

@@ -256,7 +256,7 @@ def christoffel_fd(g_callable, x, h: float = 1e-4) -> np.ndarray:
 def riemann_oracle(g_callable, x, v, u, h: float = 1e-4) -> float:
     """Sectional curvature of span(v, u) by nested finite differences of g.
 
-    Entirely independent of the dual-number machinery: Christoffel symbols
+    Entirely independent of the Taylor-jet machinery: Christoffel symbols
     come from central differences of g, their derivatives from central
     differences of the symbols.
     """

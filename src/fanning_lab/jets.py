@@ -2,10 +2,12 @@
 
 One jet evaluation of a scalar function in m variables yields its gradient,
 Hessian and (at order 3) full third-derivative tensor in a single forward
-pass.  This is the workhorse behind spray coefficients and their Jacobians:
-the geodesic field and the variational equation need derivatives of F^2 up to
-third order in all 2n phase variables at once, which would be wasteful to
-assemble direction by direction from Dual3 scalars.
+pass (the vector forward mode of Griewank & Walther, Evaluating
+Derivatives, 2008).  This is the package's only Taylor scalar: the spray
+and its Jacobian take one jet of F^2 in all 2n phase variables, the
+fundamental tensor and the support Newton take order-2 jets, and
+univariate jets (m = 1) seeded with t-derivatives carry Taylor expansions
+along a curve.
 
 The derivative tensors are stored unpacked (numpy arrays H: (m,m), T:
 (m,m,m)); m <= 16 in this package, so symmetry packing would buy nothing.
@@ -22,11 +24,12 @@ from .errors import DimensionMismatch, NonFiniteValue
 __all__ = ["Jet", "jet_variables"]
 
 
-def _sym3(g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Symmetrized tensor g_i H_jk + g_j H_ik + g_k H_ij."""
-    return (g[:, None, None] * H[None, :, :]
-            + g[None, :, None] * H[:, None, :]
-            + g[None, None, :] * H[:, :, None])
+def _sym3(X: np.ndarray) -> np.ndarray:
+    """Symmetrized tensor X_ijk + X_jik + X_kij.
+
+    For X_ijk = g_i H_jk this is g_i H_jk + g_j H_ik + g_k H_ij.
+    """
+    return X + X.transpose(1, 0, 2) + X.transpose(1, 2, 0)
 
 
 class Jet:
@@ -89,12 +92,12 @@ class Jet:
         a, b = self, other
         v = a.v * b.v
         g = a.v * b.g + b.v * a.g
-        H = (a.v * b.H + b.v * a.H
-             + np.outer(a.g, b.g) + np.outer(b.g, a.g))
+        gg = a.g[:, None] * b.g
+        H = a.v * b.H + b.v * a.H + gg + gg.T
         T = None
         if self.T is not None:
             T = (a.v * b.T + b.v * a.T
-                 + _sym3(a.g, b.H) + _sym3(b.g, a.H))
+                 + _sym3(a.g[:, None, None] * b.H + b.g[:, None, None] * a.H))
         return self._like(v, g, H, T)
 
     __rmul__ = __mul__
@@ -126,11 +129,11 @@ class Jet:
 
     def _compose(self, c0, c1, c2, c3):
         g = c1 * self.g
-        gg = np.outer(self.g, self.g)
+        gg = self.g[:, None] * self.g
         H = c1 * self.H + c2 * gg
         T = None
         if self.T is not None:
-            T = (c1 * self.T + c2 * _sym3(self.g, self.H)
+            T = (c1 * self.T + c2 * _sym3(self.g[:, None, None] * self.H)
                  + c3 * gg[:, :, None] * self.g[None, None, :])
         return self._like(c0, g, H, T)
 
@@ -166,10 +169,10 @@ class Jet:
         return self.v
 
     def check_finite(self):
-        ok = math.isfinite(self.v) and np.all(np.isfinite(self.g)) \
-            and np.all(np.isfinite(self.H))
+        ok = (math.isfinite(self.v) and np.isfinite(self.g).all()
+              and np.isfinite(self.H).all())
         if ok and self.T is not None:
-            ok = np.all(np.isfinite(self.T))
+            ok = np.isfinite(self.T).all()
         if not ok:
             raise NonFiniteValue("jet evaluation produced non-finite derivatives")
         return self

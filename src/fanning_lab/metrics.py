@@ -1,10 +1,11 @@
 """Finsler metrics on coordinate charts.
 
-A metric is an evaluator F(x, y) written in generic arithmetic (floats, Dual3
-or jets flow through unchanged), tagged by family.  From F alone the module
-derives the fundamental tensor, the Legendre transform, the geodesic spray
-with its linearization, and the pulled-back symplectic form in natural
-coordinates (x1..xn, y1..yn).
+A metric is an evaluator F(x, y) written in generic arithmetic (floats and
+jets flow through unchanged), tagged by family.  Every derivative the module
+needs comes from one route, the jet of F^2 in the phase variables
+(energy_jet): the fundamental tensor, the Legendre transform, the geodesic
+spray with its linearization, and the pulled-back symplectic form in
+natural coordinates (x1..xn, y1..yn).
 
 Sign convention for the symplectic form: with xi = Legendre(x, y), the matrix
 is [[D, g], [-g^T, 0]] where D_kl = d xi_k/dx_l - d xi_l/dx_k and g is the
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numkit as nk
-from .errors import (DimensionMismatch, NewtonDivergence,
+from .errors import (DimensionMismatch, NewtonDivergence, NonFiniteValue,
                      NotPositiveDefinite)
 from .jets import Jet, jet_variables
 
@@ -100,7 +101,8 @@ class MetricSpec:
     F takes sequences of scalar-like entries in both slots and must be
     positively 1-homogeneous in the second.  g/beta are present for the
     Riemannian and Randers families; energy_jet_fn, when set, shortcuts the
-    jet evaluation of F^2 (used by dual-norm backed metrics).
+    jet evaluation of F^2 (used by dual-norm backed metrics, whose F is a
+    float-only Newton solve, and by deformations of them).
     """
 
     n: int
@@ -122,13 +124,14 @@ class MetricSpec:
 # ---------------------------------------------------------------------------
 
 def _quadratic_form(G, y):
+    """y^T G y as sum_i y_i (G y)_i: n^2 + n products instead of 2 n^2."""
     n = len(y)
-    acc = G[0][0] * y[0] * y[0]
+    acc = 0.0
     for i in range(n):
-        for j in range(n):
-            if i == 0 and j == 0:
-                continue
-            acc = acc + G[i][j] * y[i] * y[j]
+        row = G[i][0] * y[0]
+        for j in range(1, n):
+            row = row + G[i][j] * y[j]
+        acc = acc + y[i] * row
     return acc
 
 
@@ -197,12 +200,9 @@ def _check_positive_samples(m: MetricSpec):
 
 def fundamental_tensor(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """Fundamental tensor: half the fiber Hessian of F^2, SPD at valid points."""
-
-    def energy(xs, ys):
-        f = m.F(xs, ys)
-        return f * f
-
-    g = 0.5 * nk.fiber_hessian(energy, p.x, p.y)
+    n = m.n
+    g = 0.5 * energy_jet(m, p.x, p.y, order=2).H[n:, n:]
+    g = 0.5 * (g + g.T)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -268,17 +268,25 @@ def conorm(m: MetricSpec, x, xi) -> float:
 # ---------------------------------------------------------------------------
 
 def energy_jet(m: MetricSpec, x, y, order: int = 3) -> Jet:
-    """Jet of E = F^2 in the 2n phase variables (x then y)."""
-    if m.energy_jet_fn is not None:
-        return m.energy_jet_fn(x, y, order)
-    n = m.n
-    zs = jet_variables(list(x) + list(y), order=order)
-    xs, ys = zs[:n], zs[n:]
-    if m.family == "riemannian":
-        E = _quadratic_form(m.g(xs), ys)
-    else:
-        f = m.F(xs, ys)
-        E = f * f
+    """Jet of E = F^2 in the 2n phase variables (x then y).
+
+    Domain errors raised while evaluating F (ValueError, ZeroDivisionError,
+    OverflowError) surface as NonFiniteValue, like non-finite derivatives.
+    """
+    try:
+        if m.energy_jet_fn is not None:
+            E = m.energy_jet_fn(x, y, order)
+        else:
+            n = m.n
+            zs = jet_variables(list(x) + list(y), order=order)
+            xs, ys = zs[:n], zs[n:]
+            if m.family == "riemannian":
+                E = _quadratic_form(m.g(xs), ys)
+            else:
+                f = m.F(xs, ys)
+                E = f * f
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise NonFiniteValue(f"evaluation failed at x={list(x)}, y={list(y)}: {exc}")
     return E.check_finite()
 
 
@@ -371,104 +379,50 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
 # metrics defined through a dual norm
 # ---------------------------------------------------------------------------
 
-def _generic_solve(A, b):
-    """Gaussian elimination with partial pivoting for scalar-like entries."""
-    n = len(b)
-    M = [row[:] + [bi] for row, bi in zip(A, b)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(nk.scalar_value(M[r][c])))
-        if abs(nk.scalar_value(M[piv][c])) == 0.0:
-            raise NewtonDivergence("singular system in Newton step")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1.0 / M[c][c]
-        for r in range(n):
-            if r == c:
-                continue
-            f = M[r][c] * inv
-            for k in range(c, n + 1):
-                M[r][k] = M[r][k] - f * M[c][k]
-    return [M[i][n] / M[i][i] for i in range(n)]
-
-
-def _costar_derivatives(costar, xs, xi):
-    """Value, xi-gradient and xi-Hessian of costar via dual seeds.
-
-    Differentiation in xi happens in a fresh outer dual layer, so it nests
-    cleanly when the arguments already carry dual parts of their own.
-    """
-    n = len(xi)
-    xs_l = [nk.Dual3(v) for v in xs]
-    grad = [None] * n
-    hess = [[None] * n for _ in range(n)]
-    diag = [None] * n
-    value = None
-
-    def eval_direction(active):
-        seed = [nk.Dual3(z, 1.0 if i in active else 0.0)
-                for i, z in enumerate(xi)]
-        return costar(xs_l, seed)
-
-    for i in range(n):
-        r = eval_direction({i})
-        value = r.value
-        grad[i] = r.d1
-        diag[i] = r.d2
-        hess[i][i] = r.d2
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = eval_direction({i, j})
-            hij = (r.d2 - diag[i] - diag[j]) * 0.5
-            hess[i][j] = hess[j][i] = hij
-    return value, grad, hess
-
-
-def _support_newton(costar, xs, vs, n, warm=None, tol=1e-12, max_iter=50):
+def _support_newton(costar, x, v, warm=None, tol=1e-12, max_iter=50):
     """Maximize xi . v over the unit level of costar(x, .) by damped Newton.
 
-    Works in generic arithmetic: when x or v carry dual parts, the iterates
-    do too, and two post-convergence iterations polish the derivative
-    coefficients.  Returns (F, xi) with F = xi . v the support value.
+    Float-only: one order-2 jet of costar in xi gives the value, gradient and
+    Hessian of each KKT residual, and np.linalg.solve takes the step.
+    Returns (F, xi) with F = xi . v the support value.
     """
-    if warm is not None:
-        xi = [w for w in warm]
-    else:
-        xi = [v for v in vs]
-    c0 = costar(xs, xi)
-    xi = [z / c0 for z in xi]
-    mu = sum(x * v for x, v in zip(xi, vs))
+    x = [float(a) for a in x]
+    v = np.asarray(v, dtype=float)
+    n = len(v)
+    xi = np.array(warm if warm is not None else v, dtype=float)
+    xi = xi / costar(x, list(xi))
+    mu = xi @ v
 
     def residual(xi, mu):
-        c, grad, hess = _costar_derivatives(costar, xs, xi)
-        R = [vs[i] - mu * grad[i] for i in range(n)] + [1.0 - c]
-        return R, grad, hess
+        c = costar(x, jet_variables(xi, order=2))
+        return np.append(v - mu * c.g, 1.0 - c.v), c
 
-    R, grad, hess = residual(xi, mu)
-    res_norm = math.sqrt(sum(nk.scalar_value(r) ** 2 for r in R))
-    polish = 2
+    R, c = residual(xi, mu)
+    res_norm = np.linalg.norm(R)
     for _ in range(max_iter):
         if res_norm < tol:
-            if polish == 0:
-                F = sum(x * v for x, v in zip(xi, vs))
-                return F, xi
-            polish -= 1
-        Jrows = [[-mu * hess[i][j] for j in range(n)] + [-1.0 * grad[i]]
-                 for i in range(n)]
-        Jrows.append([-1.0 * g for g in grad] + [0.0])
-        step = _generic_solve(Jrows, [-r for r in R])
+            return float(xi @ v), xi
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n] = -mu * c.H
+        J[:n, n] = J[n, :n] = -c.g
+        try:
+            step = np.linalg.solve(J, -R)
+        except np.linalg.LinAlgError:
+            raise NewtonDivergence("singular system in Newton step")
         lam = 1.0
         for _ in range(30):
-            xi_c = [xi[i] + lam * step[i] for i in range(n)]
+            xi_c = xi + lam * step[:n]
             mu_c = mu + lam * step[n]
-            Rc, gc, hc = residual(xi_c, mu_c)
-            rn = math.sqrt(sum(nk.scalar_value(r) ** 2 for r in Rc))
-            if rn < res_norm or res_norm < tol:
-                xi, mu, R, grad, hess, res_norm = xi_c, mu_c, Rc, gc, hc, rn
+            Rc, cc = residual(xi_c, mu_c)
+            rn = np.linalg.norm(Rc)
+            if rn < res_norm:
+                xi, mu, R, c, res_norm = xi_c, mu_c, Rc, cc, rn
                 break
             lam *= 0.5
         else:
             raise NewtonDivergence(
-                f"support solve stalled at x={xs}, v={vs} (residual {res_norm:.2e})")
-    raise NewtonDivergence(f"support solve did not converge at x={xs}, v={vs}")
+                f"support solve stalled at x={x}, v={v} (residual {res_norm:.2e})")
+    raise NewtonDivergence(f"support solve did not converge at x={x}, v={v}")
 
 
 def _dual_energy_jet(costar, warm_start, n, x, y, order):
@@ -482,9 +436,8 @@ def _dual_energy_jet(costar, warm_start, n, x, y, order):
     x = [float(v) for v in x]
     y = [float(v) for v in y]
     warm = warm_start(x, y) if warm_start is not None else None
-    F0, xi_unit = _support_newton(costar, x, y, n, warm=warm)
-    F0 = nk.scalar_value(F0)
-    p0 = F0 * np.array([nk.scalar_value(z) for z in xi_unit])
+    F0, xi_unit = _support_newton(costar, x, y, warm=warm)
+    p0 = F0 * xi_unit
 
     hvars = jet_variables(list(x) + list(p0), order=order)
     c = costar(hvars[:n], hvars[n:])
@@ -530,9 +483,8 @@ def _dual_energy_jet(costar, warm_start, n, x, y, order):
               + np.transpose(e3, (0, 2, 1)) + np.transpose(e3, (1, 0, 2))
               + np.transpose(e3, (2, 1, 0))) / 6.0
 
-    out = Jet(m2, order, 2.0 * e0, g=2.0 * e1, H=2.0 * e2,
-              T=None if e3 is None else 2.0 * e3)
-    return out.check_finite()
+    return Jet(m2, order, 2.0 * e0, g=2.0 * e1, H=2.0 * e2,
+               T=None if e3 is None else 2.0 * e3)
 
 
 def dual_metric(costar: Callable, n: int, domain: Box,
@@ -541,21 +493,15 @@ def dual_metric(costar: Callable, n: int, domain: Box,
     """Metric F(x, v) = max{ xi(v) : costar(x, xi) = 1 }.
 
     The evaluator runs a damped Newton on the stationarity system with a
-    Lagrange multiplier (max 50 iterations, KKT residual below 1e-12); the
-    jet of F^2 is produced by implicit differentiation at the Legendre point
-    so the spray and its Jacobian never nest Newton inside dual arithmetic.
+    Lagrange multiplier (max 50 iterations, KKT residual below 1e-12) and
+    takes floats only; the jet of F^2 is produced by implicit
+    differentiation at the Legendre point, so no derivative ever runs
+    through the Newton iteration.
     """
 
     def F(xs, ys):
-        warm = None
-        if warm_start is not None:
-            try:
-                warm = warm_start([nk.scalar_value(v) for v in xs],
-                                  [nk.scalar_value(v) for v in ys])
-            except Exception:
-                warm = None
-        val, _ = _support_newton(costar, xs, ys, n, warm=warm)
-        return val
+        warm = warm_start(xs, ys) if warm_start is not None else None
+        return _support_newton(costar, xs, ys, warm=warm)[0]
 
     def ejet(x, y, order):
         return _dual_energy_jet(costar, warm_start, n, x, y, order)

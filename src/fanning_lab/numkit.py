@@ -1,9 +1,9 @@
-"""Numerical substrate: third-order dual numbers, finite-difference stencils
-and a fixed-step Runge-Kutta integrator.
+"""Numerical substrate: generic smooth functions, finite-difference
+stencils, a fixed-step Runge-Kutta integrator and fiber Hessians.
 
-Dual numbers carry exact directional derivatives up to order three through
-arbitrary arithmetic; mixed partial derivatives are recovered from directional
-ones by polarization.  Finite differences are reserved for t-derivatives of
+Exact derivatives come from the truncated Taylor scalars of `jets`; the
+smooth functions below dispatch on the scalar type so one evaluator serves
+floats and jets.  Finite differences are reserved for t-derivatives of
 quantities defined only along numerically transported curves.
 
 All matrices are dense numpy arrays; the supported regime is chart dimension
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
+from .jets import Jet, jet_variables
 
 __all__ = [
-    "Dual3",
-    "variable",
     "sqrt",
     "exp",
     "log",
@@ -35,143 +34,16 @@ __all__ = [
     "rk_integrate",
     "rk4_step",
     "fiber_hessian",
-    "directional_derivatives",
-    "mixed_second",
 ]
 
 
-class Dual3:
-    """Truncated Taylor scalar: value plus first/second/third directional
-    derivative coefficients.
-
-    Arithmetic follows the Leibniz rule exactly to order three, so polynomial
-    identities hold to machine precision.  Coefficients are usually floats but
-    any commutative ring element works (the class is never coerced).
-    """
-
-    __slots__ = ("value", "d1", "d2", "d3")
-
-    def __init__(self, value, d1=0.0, d2=0.0, d3=0.0):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
-
-    def __repr__(self):
-        return f"Dual3({self.value}, {self.d1}, {self.d2}, {self.d3})"
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Dual3):
-            return Dual3(self.value + other.value, self.d1 + other.d1,
-                         self.d2 + other.d2, self.d3 + other.d3)
-        return Dual3(self.value + other, self.d1, self.d2, self.d3)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual3(-self.value, -self.d1, -self.d2, -self.d3)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Dual3) else -1.0 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Dual3):
-            return Dual3(
-                self.value * other.value,
-                self.d1 * other.value + self.value * other.d1,
-                self.d2 * other.value + 2.0 * self.d1 * other.d1 + self.value * other.d2,
-                (self.d3 * other.value + 3.0 * self.d2 * other.d1
-                 + 3.0 * self.d1 * other.d2 + self.value * other.d3),
-            )
-        return Dual3(self.value * other, self.d1 * other,
-                     self.d2 * other, self.d3 * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Dual3):
-            inv = 1.0 / other
-            return self * inv
-        u0 = self.value / other.value
-        u1 = (self.d1 - u0 * other.d1) / other.value
-        u2 = (self.d2 - 2.0 * u1 * other.d1 - u0 * other.d2) / other.value
-        u3 = (self.d3 - 3.0 * u2 * other.d1 - 3.0 * u1 * other.d2
-              - u0 * other.d3) / other.value
-        return Dual3(u0, u1, u2, u3)
-
-    def __rtruediv__(self, other):
-        return Dual3(other) / self
-
-    def __pow__(self, p):
-        if isinstance(p, int) and p >= 0:
-            out = Dual3(1.0)
-            base = self
-            k = p
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base
-                k >>= 1
-            return out
-        v = self.value
-        return self._lift(v ** p, p * v ** (p - 1),
-                          p * (p - 1) * v ** (p - 2),
-                          p * (p - 1) * (p - 2) * v ** (p - 3))
-
-    # -- composition with a smooth univariate function ---------------------
-
-    def _lift(self, g0, g1, g2, g3):
-        """Compose with g given its derivatives at self.value (Faa di Bruno)."""
-        f1, f2, f3 = self.d1, self.d2, self.d3
-        return Dual3(
-            g0,
-            g1 * f1,
-            g2 * (f1 * f1) + g1 * f2,
-            g3 * (f1 * f1 * f1) + 3.0 * g2 * (f1 * f2) + g1 * f3,
-        )
-
-    def sqrt(self):
-        s = sqrt(self.value)
-        inv = 1.0 / s
-        return self._lift(s, 0.5 * inv, -0.25 * inv / self.value,
-                          0.375 * inv / (self.value * self.value))
-
-    def exp(self):
-        e = exp(self.value)
-        return self._lift(e, e, e, e)
-
-    def log(self):
-        v = self.value
-        return self._lift(log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-
-    def sin(self):
-        s, c = sin(self.value), cos(self.value)
-        return self._lift(s, c, -s, -c)
-
-    def cos(self):
-        s, c = sin(self.value), cos(self.value)
-        return self._lift(c, -s, -c, s)
-
-
-def variable(value, direction=1.0):
-    """Seed a Dual3 moving along `direction` (d/dt of value + t*direction)."""
-    return Dual3(value, direction, 0.0, 0.0)
-
-
 def scalar_value(x):
-    """Float value of a plain number, Dual3 or jet (recursing through nesting)."""
-    while hasattr(x, "value"):
-        x = x.value
-    return float(x)
+    """Float value of a plain number or a jet."""
+    return float(x.value if isinstance(x, Jet) else x)
 
 
 # Smooth functions dispatching on scalar type, so metric evaluators can be
-# written once and run on floats, Dual3 and jets alike.
+# written once and run on floats and jets alike.
 
 def sqrt(x):
     return x.sqrt() if hasattr(x, "sqrt") else math.sqrt(x)
@@ -219,11 +91,6 @@ class Stencil:
     @property
     def nodes(self):
         return [self.t + k * self.h for k in self.offsets]
-
-    @staticmethod
-    def default(t: float, h: float = 1e-3) -> "Stencil":
-        """Default stencil at t: order 4 with half-width scaled by max(1, |t|)."""
-        return Stencil(t, h * max(1.0, abs(t)), 4)
 
 
 def fornberg_weights(z: float, nodes, m: int) -> np.ndarray:
@@ -323,80 +190,22 @@ def rk_integrate(field, y0, t0: float, t1: float, steps: int):
 
 
 # ---------------------------------------------------------------------------
-# fiber derivatives via dual numbers
+# fiber derivatives via jets
 # ---------------------------------------------------------------------------
-
-def directional_derivatives(f, x, y, direction, slot="y"):
-    """(f, Df, D2f, D3f) of t -> f(x, y + t*d) (or the x-slot analogue) at t=0."""
-    xs = list(x)
-    ys = list(y)
-    if slot == "y":
-        ys = [Dual3(float(yi), float(di)) for yi, di in zip(ys, direction)]
-    elif slot == "x":
-        xs = [Dual3(float(xi), float(di)) for xi, di in zip(xs, direction)]
-    else:
-        raise DimensionMismatch(f"unknown slot {slot!r}")
-    try:
-        r = f(xs, ys)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise NonFiniteValue(f"evaluation failed at x={list(x)}, y={list(y)}: {exc}")
-    if not isinstance(r, Dual3):
-        r = Dual3(r)
-    vals = (scalar_value(r.value), scalar_value(r.d1),
-            scalar_value(r.d2), scalar_value(r.d3))
-    if not all(math.isfinite(v) for v in vals):
-        raise NonFiniteValue("dual evaluation produced a non-finite derivative")
-    return vals
-
-
-def mixed_second(f, x, y, da, db, slot_a="y", slot_b="y"):
-    """Mixed second derivative along directions da, db by polarization.
-
-    For equal slots uses D^2_{a+b} - D^2_a - D^2_b; for mixed x/y slots seeds
-    both slots of a single joint direction.  Exact for C^2 integrands because
-    second directional derivatives are exact in the dual algebra.
-    """
-    if slot_a == slot_b:
-        dsum = [a + b for a, b in zip(da, db)]
-        _, _, dd_ab, _ = directional_derivatives(f, x, y, dsum, slot_a)
-        _, _, dd_a, _ = directional_derivatives(f, x, y, da, slot_a)
-        _, _, dd_b, _ = directional_derivatives(f, x, y, db, slot_a)
-        return 0.5 * (dd_ab - dd_a - dd_b)
-    if slot_a == "y":
-        da, db = db, da
-        slot_a, slot_b = slot_b, slot_a
-    # slot_a == "x", slot_b == "y": joint seed (x + t*da, y + t*db)
-    xs = [Dual3(float(xi), float(ai)) for xi, ai in zip(x, da)]
-    ys = [Dual3(float(yi), float(bi)) for yi, bi in zip(y, db)]
-    plus = f(xs, ys)
-    ys = [Dual3(float(yi), -float(bi)) for yi, bi in zip(y, db)]
-    minus = f(xs, ys)
-    # D^2_{(a,b)} - D^2_{(a,-b)} = 4 * d2f/da db
-    return 0.25 * (scalar_value(plus.d2) - scalar_value(minus.d2))
-
 
 def fiber_hessian(f, x, y) -> np.ndarray:
     """Hessian in the fiber slot of f(x, y), symmetrized.
 
-    f must accept sequences of scalar-like entries in both slots.  Raises
-    NonFiniteValue if f or any derivative is NaN/inf.
+    One order-2 jet pass in the y slot.  f must accept sequences of
+    scalar-like entries in both slots.  Raises NonFiniteValue if f fails or
+    any derivative is NaN/inf.
     """
     n = len(y)
-    H = np.zeros((n, n))
-    diag = []
-    for i in range(n):
-        d = [0.0] * n
-        d[i] = 1.0
-        _, _, dd, _ = directional_derivatives(f, x, y, d)
-        diag.append(dd)
-        H[i, i] = dd
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = [0.0] * n
-            d[i] = 1.0
-            d[j] = 1.0
-            _, _, dd, _ = directional_derivatives(f, x, y, d)
-            H[i, j] = H[j, i] = 0.5 * (dd - diag[i] - diag[j])
-    if not np.all(np.isfinite(H)):
-        raise NonFiniteValue("fiber hessian is not finite")
+    try:
+        r = f([float(v) for v in x], jet_variables(y, order=2))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise NonFiniteValue(f"evaluation failed at x={list(x)}, y={list(y)}: {exc}")
+    if not isinstance(r, Jet):
+        r = Jet.constant(r, n, 2)
+    H = r.check_finite().H
     return 0.5 * (H + H.T)

@@ -28,6 +28,7 @@ from . import numkit as nk
 from .errors import (DegenerateRestriction, DimensionMismatch,
                      HorizontalityViolation, RankDeficient,
                      TransversalityFailure)
+from .jets import jet_variables
 
 __all__ = [
     "CoisotropicSetup",
@@ -45,6 +46,7 @@ __all__ = [
     "submersion_scenario",
     "list_scenarios",
     "SubmersionResult",
+    "horizontal_part",
     "submersion_curvature",
 ]
 
@@ -484,8 +486,9 @@ class SubmersionScenario:
     """Isometric submersion in charts with closed-form fiber data.
 
     constraint_grad(x, y) returns the n_fib x 2n Jacobian of the horizontal
-    constraints c_a(x, y) = g(x)(y, k_a(x)); it is analytic by default, with
-    an optional dual-number fallback for cross-checking.
+    constraints c_a(x, y) = g(x)(y, k_a(x)) in closed form;
+    constraint_grad_numeric recomputes it from the metric and fiber data
+    alone, as a cross-check.
     """
 
     name: str
@@ -498,33 +501,20 @@ class SubmersionScenario:
     suggested_x: np.ndarray
 
     def constraint_grad_numeric(self, x, y):
-        """Dual-number linearization of the horizontal-cone conditions."""
+        """Jet linearization of the horizontal-cone conditions (one pass)."""
         n = self.total.n
-        k = np.asarray(self.fiber(list(x)), dtype=float)
-        n_fib = k.shape[1]
-        out = np.zeros((n_fib, 2 * n))
-
-        def c_fun(a):
-            def fun(xs, ys):
-                G = self.total.g(xs)
-                kk = self.fiber(xs)
-                acc = 0.0
-                for i in range(n):
-                    for j in range(n):
-                        acc = acc + G[i][j] * ys[i] * kk[j][a]
-                return acc
-            return fun
-
-        for a in range(n_fib):
-            for p in range(n):
-                d = [1.0 if q == p else 0.0 for q in range(n)]
-                _, d1, _, _ = nk.directional_derivatives(
-                    c_fun(a), x, y, d, slot="x")
-                out[a, p] = d1
-                _, d1, _, _ = nk.directional_derivatives(
-                    c_fun(a), x, y, d, slot="y")
-                out[a, n + p] = d1
-        return out
+        zs = jet_variables(list(x) + list(y), order=2)
+        xs, ys = zs[:n], zs[n:]
+        G = self.total.g(xs)
+        kk = self.fiber(xs)
+        rows = []
+        for a in range(len(kk[0])):
+            acc = 0.0
+            for i in range(n):
+                for j in range(n):
+                    acc = acc + G[i][j] * ys[i] * kk[j][a]
+            rows.append(acc.g)
+        return np.array(rows)
 
 
 _SCENARIOS = {}
@@ -624,18 +614,24 @@ class SubmersionResult:
         return abs(self.K_base - self.K_total - self.correction)
 
 
+def horizontal_part(g, fiber, w) -> np.ndarray:
+    """Project w off the fiber columns, g-orthogonally, one column at a time."""
+    w = np.asarray(w, dtype=float)
+    for col in np.asarray(fiber, dtype=float).T:
+        w = w - (w @ g @ col) / (col @ g @ col) * col
+    return w
+
+
 def submersion_curvature(scenario: SubmersionScenario, v, w,
                          resolution: int = jb.DEFAULT_RESOLUTION,
-                         h: float = 1e-2,
-                         numeric_cone: bool = False) -> SubmersionResult:
+                         h: float = 1e-2) -> SubmersionResult:
     """Curvature comparison along a horizontal flag of a submersion.
 
     v must lie in the horizontal cone (checked through the defining equality
     of norms); w is projected onto the horizontal tangent space orthogonal
     to v and normalized.  The coisotropic subspace is the tangent space of
     the horizontal-cone bundle at v, assembled from the scenario's
-    closed-form constraint linearization (or the dual-number path when
-    numeric_cone is set).
+    closed-form constraint linearization.
     """
     total = scenario.total
     n = total.n
@@ -649,17 +645,13 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
         raise HorizontalityViolation(
             f"F1(v) = {F1} but F2(f_* v) = {F2}: v is not horizontal")
 
-    grad_fn = (scenario.constraint_grad_numeric if numeric_cone
-               else scenario.constraint_grad)
-    dc = np.atleast_2d(np.asarray(grad_fn(x, y), dtype=float))
+    dc = np.atleast_2d(np.asarray(scenario.constraint_grad(x, y),
+                                  dtype=float))
     Wbasis = _nullspace(dc)
 
     g = mx.fundamental_tensor(total, v)
-    k = np.asarray(scenario.fiber(list(x)), dtype=float)
-    w = np.asarray(w, dtype=float)
     # project w onto the horizontal space, g-orthogonal to v, unit length
-    for col in k.T:
-        w = w - (w @ g @ col) / (col @ g @ col) * col
+    w = horizontal_part(g, scenario.fiber(list(x)), w)
     w = w - (w @ g @ y) / (y @ g @ y) * y
     norm = math.sqrt(w @ g @ w)
     if norm < 1e-10:

@@ -187,14 +187,10 @@ def test_criterion_09_oneill_formula():
     scn = rd.submersion_scenario("hopf")
     x = scn.suggested_x
     g = np.array(scn.total.g(list(x)), float)
-    k3 = np.array([0.0, 0.0, 1.0])
-
-    def horiz(y):
-        y = np.asarray(y, float)
-        return y - (y @ g @ k3) / (k3 @ g @ k3) * k3
-
-    res = rd.submersion_curvature(scn, pp(x, horiz([1.0, 0.4, 0.0])),
-                                  horiz([0.3, 1.0, 0.0]))
+    k = scn.fiber(list(x))
+    res = rd.submersion_curvature(
+        scn, pp(x, rd.horizontal_part(g, k, [1.0, 0.4, 0.0])),
+        rd.horizontal_part(g, k, [0.3, 1.0, 0.0]))
     worst_hopf = max(abs(res.K_base - 4.0), abs(res.K_total - 1.0),
                      abs(res.correction - 3.0))
 

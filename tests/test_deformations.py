@@ -203,6 +203,22 @@ def test_projective_formula_on_sphere(rng):
         assert abs(K_direct - K_formula) < 1e-3
 
 
+def test_projective_formula_on_dual_norm_base(rng):
+    # a katok base takes the generic branch: the deformed energy jet is built
+    # from the base's implicit-differentiation jet
+    katok = df.katok_metric(0.3)
+    form = exact_form(0.2)
+    deformed = df.projective_deform(katok, form)
+    assert deformed.family == "custom"
+    for _ in range(2):
+        x = rng.uniform(-0.5, 0.5, size=2)
+        y = rng.normal(size=2)
+        u = rng.normal(size=2)
+        K_direct = jb.flag_curvature(deformed, pp(x, y), u)
+        K_formula = df.projective_curvature_rhs(katok, form, pp(x, y), u)
+        assert abs(K_direct - K_formula) < 1e-6
+
+
 # -- rotational perturbation --------------------------------------------------------
 
 def test_rotation_field_is_killing(rng):

@@ -1,4 +1,5 @@
-"""Tests for multivariate Taylor jets against Dual3 and hand derivatives."""
+"""Tests for multivariate Taylor jets against finite differences and hand
+derivatives."""
 
 import math
 
@@ -26,19 +27,33 @@ def smooth(x, y):
     return nk.sqrt(1.0 + x * x + x * y) * nk.exp(y * 0.2) + nk.sin(x) / (2.0 + y)
 
 
-def test_jet_matches_dual_directional_derivatives():
+def test_jet_matches_finite_difference_line_derivatives():
+    # independent oracle: 7-point Fornberg stencils along t -> (x0, y0) + t d
     rng = np.random.default_rng(3)
     x0, y0 = 0.7, -0.4
     a, b = jet_variables([x0, y0], order=3)
     J = smooth(a, b)
+    stc = nk.Stencil(0.0, 2e-3, 6)
+    w1, w2, w3 = (nk.fornberg_weights(0.0, stc.nodes, k) for k in (1, 2, 3))
 
     for _ in range(10):
         d = rng.normal(size=2)
-        r = smooth(nk.Dual3(x0, d[0]), nk.Dual3(y0, d[1]))
-        assert J.g @ d == pytest.approx(r.d1, rel=1e-12, abs=1e-12)
-        assert d @ J.H @ d == pytest.approx(r.d2, rel=1e-11, abs=1e-11)
+        vals = np.array([smooth(x0 + t * d[0], y0 + t * d[1])
+                         for t in stc.nodes])
+        assert J.g @ d == pytest.approx(w1 @ vals, abs=1e-10)
+        assert d @ J.H @ d == pytest.approx(w2 @ vals, abs=1e-8)
         t3 = np.einsum("ijk,i,j,k->", J.T, d, d, d)
-        assert t3 == pytest.approx(r.d3, rel=1e-10, abs=1e-10)
+        assert t3 == pytest.approx(w3 @ vals, abs=1e-5)
+
+
+def test_jet_mixed_partials_match_analytic():
+    # f = (x1 y1 y2 + y1^2 x2) exp(x1/10) in the variables (x1, x2, y1, y2)
+    x0, y0 = [0.4, -0.3], [1.2, 0.5]
+    x1, x2, y1, y2 = jet_variables(x0 + y0, order=2)
+    f = (x1 * y1 * y2 + y1 * y1 * x2) * nk.exp(x1 * 0.1)
+    # d^2 f / dy1 dy2 and d^2 f / dx2 dy1
+    assert f.H[2, 3] == pytest.approx(x0[0] * math.exp(0.04), rel=1e-12)
+    assert f.H[1, 2] == pytest.approx(2 * y0[0] * math.exp(0.04), rel=1e-12)
 
 
 def test_jet_order2_skips_third_tensor():

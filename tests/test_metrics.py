@@ -7,12 +7,40 @@ import pytest
 
 from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
-from fanning_lab.errors import (DimensionMismatch, NotPositiveDefinite)
+from fanning_lab.errors import (DimensionMismatch, NonFiniteValue,
+                                NotPositiveDefinite)
 from fanning_lab.jets import jet_variables
 
 
 def pp(x, y):
     return mx.PhasePoint(np.asarray(x, float), np.asarray(y, float))
+
+
+def fd_energy_hessian(m, x, y):
+    """Hessian of F^2 in (x, y) from float evaluations of F only.
+
+    Diagonal entries use 7-point Fornberg second-derivative weights, mixed
+    entries the tensor product of the first-derivative weights.
+    """
+    z0 = np.concatenate([x, y]).astype(float)
+    n = len(x)
+
+    def E(z):
+        return m.F_value(z[:n], z[n:]) ** 2
+
+    stc = nk.Stencil(0.0, 1e-2, 6)
+    w1 = nk.fornberg_weights(0.0, stc.nodes, 1)
+    w2 = nk.fornberg_weights(0.0, stc.nodes, 2)
+    I = np.eye(2 * n)
+    H = np.zeros((2 * n, 2 * n))
+    for a in range(2 * n):
+        H[a, a] = sum(w * E(z0 + t * I[a]) for w, t in zip(w2, stc.nodes))
+        for b in range(a + 1, 2 * n):
+            H[a, b] = H[b, a] = sum(
+                wa * wb * E(z0 + s * I[a] + t * I[b])
+                for wa, s in zip(w1, stc.nodes)
+                for wb, t in zip(w1, stc.nodes))
+    return H
 
 
 # -- fundamental tensor -------------------------------------------------------
@@ -107,20 +135,8 @@ def test_legendre_fiber_jacobian_is_fundamental_tensor(rng):
     # the fiber derivative of the Legendre map equals g_F
     m = mx.zoo_metric("randers", b=(0.2, 0.1))
     x, y = np.array([0.1, 0.4]), np.array([0.9, -0.3])
-
-    def energy(xs, ys):
-        f = m.F(xs, ys)
-        return f * f
-
-    n = 2
-    jac = np.zeros((n, n))
-    for j in range(n):
-        d = [0.0] * n
-        d[j] = 1.0
-        for i in range(n):
-            # xi_i = d(E/2)/dy_i; directional derivative of xi_i along e_j
-            jac[i, j] = 0.5 * nk.mixed_second(
-                energy, x, y, [1.0 if k == i else 0.0 for k in range(n)], d)
+    # xi_i = d(E/2)/dy_i, so its y-Jacobian is half the yy block of E's Hessian
+    jac = 0.5 * fd_energy_hessian(m, x, y)[2:, 2:]
     g = mx.fundamental_tensor(m, pp(x, y))
     assert np.max(np.abs(jac - g)) < 1e-10
 
@@ -161,7 +177,7 @@ def test_spray_homogeneity(rng):
 
 
 def fd_christoffel(g_callable, x, h=1e-5):
-    """Finite-difference Christoffel symbols (independent of dual numbers)."""
+    """Finite-difference Christoffel symbols (independent of jets)."""
     x = np.asarray(x, float)
     n = len(x)
     G0 = np.array(g_callable(list(x)), float)
@@ -265,25 +281,14 @@ def test_omega_vertical_lagrangian_and_antisymmetric(rng):
         assert abs(np.linalg.det(O)) > 1e-8
 
 
-def test_omega_matches_dual_number_assembly(rng):
+def test_omega_matches_finite_difference_assembly(rng):
     # independent assembly: differentiate the one-form components
-    # alpha_i = d(F^2/2)/dy_i with dual numbers in x
+    # alpha_i = d(F^2/2)/dy_i in x by finite differences of F
     m = mx.zoo_metric("randers", b=(0.25, -0.1))
     x = rng.uniform(-0.5, 0.5, size=2)
     y = rng.normal(size=2)
-
-    def energy(xs, ys):
-        f = m.F(xs, ys)
-        return f * f
-
-    n = 2
-    dxi_dx = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            di = [1.0 if k == i else 0.0 for k in range(n)]
-            dj = [1.0 if k == j else 0.0 for k in range(n)]
-            dxi_dx[i, j] = 0.5 * nk.mixed_second(energy, x, y, dj, di,
-                                                 slot_a="x", slot_b="y")
+    # dxi_dx[i, j] = d alpha_i / dx_j
+    dxi_dx = 0.5 * fd_energy_hessian(m, x, y)[2:, :2]
     D = dxi_dx - dxi_dx.T
     g = mx.fundamental_tensor(m, pp(x, y))
     O = mx.omega_matrix(m, pp(x, y))
@@ -364,17 +369,36 @@ def test_dual_metric_spray_matches_closed_form():
     assert np.max(np.abs(DSd - DSr)) < 1e-6
 
 
-def test_dual_metric_works_on_dual_scalars():
-    # directional derivative of F through the Newton solve
-    m = mx.dual_metric(randers_costar((0.3, 0.0)), 2, mx.Box.cube(2, 2.0))
-    x = [0.0, 0.0]
-    v = np.array([1.0, 0.5])
-    d = np.array([0.2, -0.7])
-    r = m.F([nk.Dual3(a) for a in x],
-            [nk.Dual3(a, b) for a, b in zip(v, d)])
+def test_dual_metric_energy_jet_gradient_matches_central_difference():
+    # gradient of F^2 from the implicit-differentiation jet, against central
+    # differences of the Newton-solved F in all four phase directions
+    m = mx.dual_metric(sphere_costar, 2, mx.Box.cube(2, 3.0))
+    z = np.array([0.3, -0.2, 1.0, 0.5])
+    J = mx.energy_jet(m, z[:2], z[2:], order=2)
+
+    def E(z):
+        return m.F_value(z[:2], z[2:]) ** 2
+
     h = 1e-6
-    fd = (m.F_value(x, v + h * d) - m.F_value(x, v - h * d)) / (2 * h)
-    assert nk.scalar_value(r.d1) == pytest.approx(fd, abs=1e-8)
+    for d in np.eye(4):
+        fd = (E(z + h * d) - E(z - h * d)) / (2 * h)
+        assert J.g @ d == pytest.approx(fd, abs=1e-8)
+
+
+def test_domain_errors_surface_as_nonfinite():
+    # F = |y| sqrt(1 - x1) is undefined at x1 = 2; every energy-jet consumer
+    # reports the failed evaluation as NonFiniteValue
+    def F(x, y):
+        return nk.sqrt(y[0] * y[0] + y[1] * y[1]) * nk.sqrt(1.0 - x[0])
+
+    m = mx.custom_metric(F, 2, mx.Box.cube(2, 1.0), name="sqrt-domain")
+    p = pp([2.0, 0.0], [1.0, 0.5])
+    with pytest.raises(NonFiniteValue):
+        mx.fundamental_tensor(m, p)
+    with pytest.raises(NonFiniteValue):
+        mx.spray_data(m, p.x, p.y)
+    with pytest.raises(NonFiniteValue):
+        mx.omega_matrix(m, p)
 
 
 def test_legendre_inverse_divergence_reporting():

@@ -1,4 +1,5 @@
-"""Tests for dual numbers, stencils and the RK4 integrator."""
+"""Tests for univariate Taylor jets, stencils, fiber Hessians and the RK4
+integrator."""
 
 import math
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from fanning_lab import numkit as nk
 from fanning_lab.errors import DimensionMismatch, NonFiniteValue
+from fanning_lab.jets import jet_variables
 
 COEFF = st.integers(min_value=-4, max_value=4)
 
 
 def poly_eval(coeffs, x):
-    """Horner evaluation; works for floats and Dual3."""
+    """Horner evaluation; works for floats and jets."""
     acc = coeffs[-1] * (x * 0 + 1.0) if hasattr(x, "value") else coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
@@ -33,33 +35,31 @@ def poly_derivs(coeffs, x0):
     q=st.lists(COEFF, min_size=1, max_size=4),
     t0=st.integers(min_value=-3, max_value=3),
 )
-def test_dual3_chain_rule_matches_symbolic_composition(p, q, t0):
+def test_jet_chain_rule_matches_symbolic_composition(p, q, t0):
     # independent oracle: compose the polynomials symbolically, then differentiate
     comp = np.polynomial.Polynomial(p)(np.polynomial.Polynomial(q))
     expected = [comp(t0), comp.deriv(1)(t0), comp.deriv(2)(t0), comp.deriv(3)(t0)]
 
-    x = nk.variable(float(t0))
+    (x,) = jet_variables([float(t0)], order=3)
     r = poly_eval(p, poly_eval(q, x))
-    if not isinstance(r, nk.Dual3):
-        r = nk.Dual3(r)
-    got = [r.value, r.d1, r.d2, r.d3]
+    got = [r.v, r.g[0], r.H[0, 0], r.T[0, 0, 0]]
     assert got == pytest.approx(expected, abs=0.0)  # integer arithmetic is exact
 
 
-def test_dual3_division_and_transcendentals():
+def test_jet_division_and_transcendentals():
     # d/dt of exp(sin(t))/ (1+t^2) at t=0.3, against high-order finite differences
     def f(t):
         return nk.exp(nk.sin(t)) / (1.0 + t * t)
 
     t0 = 0.3
-    r = f(nk.variable(t0))
+    r = f(jet_variables([t0], order=3)[0])
     h = 1e-2
     vals = [f(t0 + k * h) for k in (-3, -2, -1, 0, 1, 2, 3)]
     st7 = nk.Stencil(t0, h, 6)
     d1 = nk.central_derivative([np.array([v]) for v in vals], st7)[0]
     d2 = nk.central_second_derivative([np.array([v]) for v in vals], st7)[0]
-    assert r.d1 == pytest.approx(d1, abs=1e-10)
-    assert r.d2 == pytest.approx(d2, abs=1e-8)
+    assert r.g[0] == pytest.approx(d1, abs=1e-10)
+    assert r.H[0, 0] == pytest.approx(d2, abs=1e-8)
 
 
 def test_fiber_hessian_euclidean_quadratic():
@@ -182,17 +182,3 @@ def test_second_derivative_stencil():
     stc = nk.Stencil(0.0, 1e-2, 4)
     samples = [np.array([math.cos(t)]) for t in stc.nodes]
     assert nk.central_second_derivative(samples, stc)[0] == pytest.approx(-1.0, abs=1e-8)
-
-
-def test_mixed_second_derivative_polarization():
-    def f(x, y):
-        return (x[0] * y[0] * y[1] + y[0] * y[0] * x[1]) * nk.exp(x[0] * 0.1)
-
-    x0, y0 = [0.4, -0.3], [1.2, 0.5]
-    # d^2 f / dy0 dy1, against the analytic value
-    got = nk.mixed_second(f, x0, y0, [1.0, 0.0], [0.0, 1.0])
-    assert got == pytest.approx(x0[0] * math.exp(0.04), rel=1e-12)
-    # d^2 f / dx1 dy0
-    got = nk.mixed_second(f, x0, y0, [0.0, 1.0], [1.0, 0.0],
-                          slot_a="x", slot_b="y")
-    assert got == pytest.approx(2 * y0[0] * math.exp(0.04), rel=1e-12)

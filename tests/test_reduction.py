@@ -328,11 +328,7 @@ def test_oneill_formula_product_both_sides_equal(rng):
 def horizontal_vector(scn, x, seed):
     """Project a seed onto the horizontal space at x and return it."""
     g = np.array(scn.total.g(list(x)), float)
-    k = np.array(scn.fiber(list(x)), float)
-    y = np.asarray(seed, float)
-    for col in k.T:
-        y = y - (y @ g @ col) / (col @ g @ col) * col
-    return y
+    return rd.horizontal_part(g, scn.fiber(list(x)), seed)
 
 
 def test_trivial_projection_is_flat():
@@ -345,12 +341,15 @@ def test_trivial_projection_is_flat():
     assert abs(res.correction) < 1e-8
 
 
-def test_trivial_projection_numeric_cone_matches():
-    scn = rd.submersion_scenario("trivial")
+@pytest.mark.parametrize("name", ["trivial", "hopf", "hopf-scaled"])
+def test_constraint_grad_numeric_matches_closed_form(name):
+    scn = rd.submersion_scenario(name)
     x = scn.suggested_x
-    v = mx.PhasePoint(x, horizontal_vector(scn, x, [1.0, 0.2, 0.0]))
-    res = rd.submersion_curvature(scn, v, [0.1, 1.0, 0.0], numeric_cone=True)
-    assert abs(res.K_base) < 1e-8 and abs(res.correction) < 1e-8
+    y = horizontal_vector(scn, x, [1.0, 0.4, 0.0])
+    closed = scn.constraint_grad(x, y)
+    numeric = scn.constraint_grad_numeric(x, y)
+    assert numeric.shape == closed.shape
+    assert np.max(np.abs(numeric - closed)) < 1e-12
 
 
 def test_submersion_rejects_non_horizontal():

@@ -1,0 +1,57 @@
+"""Guards for what the traced benchmark (perfbench/tracer.py) assumes about
+the package: every traced name exists, and each function is looked up only
+under the names the tracer wraps."""
+
+import importlib
+import pkgutil
+import types
+from pathlib import Path
+
+import fanning_lab
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    # executed from source into a fresh module, so no bytecode is written
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def package_modules():
+    return {name: importlib.import_module(f"fanning_lab.{name}")
+            for _, name, _ in pkgutil.iter_modules(fanning_lab.__path__)}
+
+
+def traced_functions(modules):
+    """(home module, dotted name, function object) for every traced name."""
+    out = []
+    for mod, names in load_tracer().LAYERS.items():
+        for name in names:
+            owner = modules[mod]
+            for attr in name.split("."):
+                owner = getattr(owner, attr)
+            out.append((mod, name, owner))
+    return out
+
+
+def test_traced_names_resolve():
+    modules = package_modules()
+    traced = traced_functions(modules)
+    assert traced
+    for mod, name, fn in traced:
+        assert callable(fn), f"{mod}.{name} is not callable"
+
+
+def test_traced_functions_not_bound_elsewhere():
+    modules = package_modules()
+    homes = {id(fn): (mod, name) for mod, name, fn in traced_functions(modules)}
+    for modname, module in modules.items():
+        for attr, value in vars(module).items():
+            home = homes.get(id(value))
+            if home is not None and home[0] != modname:
+                raise AssertionError(
+                    f"fanning_lab.{modname}.{attr} binds "
+                    f"{home[0]}.{home[1]}; the tracer would miss those calls")
