@@ -195,7 +195,7 @@ def _run_invariants_along_orbit(cfg):
     x = sample_in_ball(rng, n, radius)
     y = rng.normal(size=n)
     y = y / metric.F_value(x, y)
-    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + 5.0 * h,
+    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + jb.frame_reach(h),
                          resolution=resolution)
     header = (["t"] + [f"schwarzian_{i+1}{j+1}" for i in range(n)
                        for j in range(n)]

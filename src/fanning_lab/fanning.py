@@ -9,12 +9,14 @@ when a symplectic form is present, the Wronskian form W.
 
 The only genuinely numerical ingredient is the t-derivative of the frame
 coefficient P, which is always taken by finite differences over a stencil of
-frame triples; everything else is exact linear algebra on the inputs.
+frame triples; everything else is exact linear algebra on the inputs, which
+share one factorization of [A | Adot] per triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,9 +68,19 @@ class FrameTriple:
     def n(self) -> int:
         return self.A.shape[1]
 
-    def block(self) -> np.ndarray:
-        """The 2n x 2n matrix [A | Adot]."""
-        return np.hstack([self.A, self.Adot])
+    @cached_property
+    def fanning_data(self):
+        """(inverse of [A | Adot], P, Q), computed once; NotFanning if singular."""
+        B = np.hstack([self.A, self.Adot])
+        if np.linalg.cond(B) > FANNING_COND_LIMIT:
+            raise NotFanning(
+                f"[A | Adot] has condition number above {FANNING_COND_LIMIT:g}")
+        Binv = np.linalg.inv(B)
+        QP = Binv @ (-self.Addot)
+        # shared by every caller, so read-only like the triple itself
+        Binv.flags.writeable = QP.flags.writeable = False
+        n = self.n
+        return Binv, QP[n:, :], QP[:n, :]
 
 
 @dataclass(frozen=True)
@@ -116,31 +128,21 @@ class FanningInvariants:
     W: Optional[np.ndarray] = None
 
 
-def _fanning_inverse(ft: FrameTriple) -> np.ndarray:
-    B = ft.block()
-    if np.linalg.cond(B) > FANNING_COND_LIMIT:
-        raise NotFanning(
-            f"[A | Adot] has condition number above {FANNING_COND_LIMIT:g}")
-    return np.linalg.inv(B)
-
-
 def fundamental_endomorphism(ft: FrameTriple) -> np.ndarray:
     """The endomorphism F with F A = 0 and F Adot = A.
 
     Depends only on the plane curve, not on the frame chosen for it.
     """
     n = ft.n
-    Binv = _fanning_inverse(ft)
+    Binv, _, _ = ft.fanning_data
     target = np.hstack([np.zeros((2 * n, n)), ft.A])
     return target @ Binv
 
 
 def pq_coefficients(ft: FrameTriple):
     """Unique (P, Q) with Addot + Adot P + A Q = 0."""
-    Binv = _fanning_inverse(ft)
-    QP = Binv @ (-ft.Addot)
-    n = ft.n
-    return QP[n:, :], QP[:n, :]
+    _, P, Q = ft.fanning_data
+    return P, Q
 
 
 def schwarzian(ft: FrameTriple, Pdot: np.ndarray) -> np.ndarray:
@@ -160,8 +162,7 @@ def horizontal_data(ft: FrameTriple):
     numerically differentiating F(t); the horizontal frame is
     Hframe = Adot + (1/2) A P, and P_h = (I + Fdot)/2, P_ell = I - P_h.
     """
-    Binv = _fanning_inverse(ft)
-    P, _ = pq_coefficients(ft)
+    Binv, P, _ = ft.fanning_data
     Fdot = np.hstack([-ft.A, ft.Adot + ft.A @ P]) @ Binv
     Hframe = ft.Adot + 0.5 * ft.A @ P
     n2 = Fdot.shape[0]
@@ -175,17 +176,15 @@ def jacobi_endomorphism(ft: FrameTriple, Pdot: np.ndarray) -> np.ndarray:
 
     (1/2)Fddot has block matrix [[0, -(1/2)S], [-I, 0]] in the basis
     (A, Hframe) with S the Schwarzian; K is its square and is block diagonal
-    (1/2)S on both the plane and its horizontal complement.
+    (1/2)S on both the plane and its horizontal complement.  The basis
+    [A | Hframe] = [A | Adot] [[I, P/2], [0, I]] is inverted from the cache.
     """
     n = ft.n
-    S = schwarzian(ft, Pdot)
-    _, Hframe, _, _ = horizontal_data(ft)
-    basis = np.hstack([ft.A, Hframe])
-    half_fddot_frame = np.zeros((2 * n, 2 * n))
-    half_fddot_frame[:n, n:] = -0.5 * S
-    half_fddot_frame[n:, :n] = -np.eye(n)
-    half_fddot = basis @ half_fddot_frame @ np.linalg.inv(basis)
-    return half_fddot @ half_fddot
+    Binv, P, _ = ft.fanning_data
+    half_S = 0.5 * schwarzian(ft, Pdot)
+    Hframe = ft.Adot + 0.5 * ft.A @ P
+    return (ft.A @ half_S @ (Binv[:n] - 0.5 * P @ Binv[n:])
+            + Hframe @ half_S @ Binv[n:])
 
 
 def wronskian(ft: FrameTriple, omega: SymplecticForm,

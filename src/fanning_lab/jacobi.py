@@ -7,6 +7,9 @@ n-planes in the fixed tangent space at the base point; its fanning invariants,
 paired with the pulled-back symplectic form, yield the flag curvature and the
 curvature endomorphism.
 
+One `numkit.rk_integrate` field integrates the stored orbit and the off-grid
+hops; every transport window is sized by `frame_reach`, the stencil's reach.
+
 A finite-difference Riemann-tensor computation (Christoffel symbols from
 central differences of g, differentiated once more) serves as the independent
 oracle for all Riemannian instances.
@@ -36,6 +39,7 @@ __all__ = [
     "riemann_oracle",
     "ContactSplit",
     "contact_reduce",
+    "frame_reach",
     "DEFAULT_RESOLUTION",
     "DEFAULT_FRAME_H",
 ]
@@ -78,11 +82,9 @@ class OrbitData:
         if not (self.ts[0] - slack <= t <= self.ts[-1] + slack):
             raise OutOfChart(f"t={t} outside the transported interval")
         # nearest node not past t in integration direction, then a short hop
-        x, y, M = self.states[idx]
         delta = t - self.ts[idx]
         steps = max(1, int(math.ceil(abs(delta) * self.resolution * 2)))
-        x, y, M = _integrate(self.metric, x, y, M, delta, steps)
-        return x, y, M
+        return _flow(self.metric, self.states[idx], delta, steps)[-1]
 
     def frame_data(self, t: float):
         """Frame A(t) = M^{-1} Vert and its analytic derivative at time t."""
@@ -96,25 +98,32 @@ class OrbitData:
         return A, Adot
 
 
-def _integrate(metric, x, y, M, span, steps):
-    """RK4 for the joint system (x, y, M); span may be negative."""
+def _flow(metric, state, span, steps):
+    """RK4 states (x, y, M) on the grid of [0, span], start included.
+
+    Raises OutOfChart for a state outside the box before the metric is read
+    there; the field checks every state but the last.
+    """
     n = metric.n
-    z = np.concatenate([x, y, M.ravel()])
 
-    def field(zz):
-        xx, yy = zz[:n], zz[n:2 * n]
-        G, DS = mx.spray_data(metric, xx, yy)
-        MM = zz[2 * n:].reshape(2 * n, 2 * n)
-        return np.concatenate([yy, -2.0 * G, (DS @ MM).ravel()])
+    def field(z):
+        x, y = z[:n], z[n:2 * n]
+        _check_chart(metric, x)
+        G, DS = mx.spray_data(metric, x, y)
+        M = z[2 * n:].reshape(2 * n, 2 * n)
+        return np.concatenate([y, -2.0 * G, (DS @ M).ravel()])
 
-    h = span / steps
-    for _ in range(steps):
-        z = nk.rk4_step(field, z, h)
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteValue("transport blew up")
-        if not metric.domain.contains(z[:n]):
-            raise OutOfChart(f"orbit left the chart at x={z[:n]}")
-    return z[:n], z[n:2 * n], z[2 * n:].reshape(2 * n, 2 * n)
+    x, y, M = state
+    samples = nk.rk_integrate(field, np.concatenate([x, y, M.ravel()]),
+                              0.0, span, steps)
+    _check_chart(metric, samples[-1][1][:n])
+    return [(z[:n], z[n:2 * n], z[2 * n:].reshape(2 * n, 2 * n))
+            for _, z in samples]
+
+
+def _check_chart(metric, x):
+    if not metric.domain.contains(x):
+        raise OutOfChart(f"orbit left the chart at x={x}")
 
 
 def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
@@ -126,28 +135,23 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
     """
     if T <= 0.0:
         raise OutOfChart("transport window must be positive")
-    n = metric.n
     steps = max(1, int(math.ceil(T * resolution)))
     dt = T / steps
-    I = np.eye(2 * n)
-    fwd = [(0.0, (v0.x.copy(), v0.y.copy(), I.copy()))]
-    x, y, M = v0.x.copy(), v0.y.copy(), I.copy()
-    for k in range(steps):
-        x, y, M = _integrate(metric, x, y, M, dt, 1)
-        fwd.append(((k + 1) * dt, (x, y, M)))
-    bwd = []
-    x, y, M = v0.x.copy(), v0.y.copy(), I.copy()
-    for k in range(steps):
-        x, y, M = _integrate(metric, x, y, M, -dt, 1)
-        bwd.append((-(k + 1) * dt, (x, y, M)))
-    samples = sorted(bwd, key=lambda p: p[0]) + fwd
-    ts = np.array([t for t, _ in samples])
-    states = tuple(s for _, s in samples)
+    start = (v0.x, v0.y, np.eye(2 * metric.n))
+    fwd = _flow(metric, start, T, steps)
+    bwd = _flow(metric, start, -T, steps)
+    ts = dt * np.arange(-steps, steps + 1)
+    states = tuple(bwd[:0:-1] + fwd)
     omega = fc.SymplecticForm(mx.omega_matrix(metric, v0))
     G0, _ = mx.spray_data(metric, v0.x, v0.y, with_jacobian=False)
     spray_vec = np.concatenate([v0.y, -2.0 * G0])
     return OrbitData(metric=metric, v0=v0, resolution=resolution, ts=ts,
                      states=states, omega=omega, spray_at_base=spray_vec)
+
+
+def frame_reach(h: float, order: int = 4) -> float:
+    """How far `jacobi_frame(orbit, t, h, order)` reads the orbit from t."""
+    return nk.Stencil(0.0, h, order).nodes[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +225,7 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
     u_perp = _canonical_flag_vector(g, v.y, np.asarray(u, dtype=float))
     F = metric.F_value(v.x, v.y)
     if orbit is None:
-        orbit = transport(metric, v, T=5.0 * h, resolution=resolution)
+        orbit = transport(metric, v, T=frame_reach(h), resolution=resolution)
     sample = jacobi_frame(orbit, 0.0, h=h)
     inv = sample.invariants
     K_plane = 0.5 * inv.Schwarzian            # K on span(A) in the frame basis

@@ -101,8 +101,8 @@ class MetricSpec:
     F takes sequences of scalar-like entries in both slots and must be
     positively 1-homogeneous in the second.  g/beta are present for the
     Riemannian and Randers families; energy_jet_fn, when set, shortcuts the
-    jet evaluation of F^2 (used by dual-norm backed metrics, whose F is a
-    float-only Newton solve, and by deformations of them).
+    jet evaluation of F^2 (dual-norm metrics, whose F is a float-only Newton
+    solve, hold their dual norm only in it; so do deformations of them).
     """
 
     n: int
@@ -112,7 +112,6 @@ class MetricSpec:
     name: str = "custom"
     g: Optional[Callable] = None
     beta: Optional[Callable] = None
-    costar: Optional[Callable] = None
     energy_jet_fn: Optional[Callable] = None
 
     def F_value(self, x, y) -> float:
@@ -344,10 +343,6 @@ class SprayField:
     def value(self, x, y) -> np.ndarray:
         return np.concatenate([np.asarray(y, dtype=float), -2.0 * self.G(x, y)])
 
-    def value_and_jacobian(self, x, y):
-        G, DS = spray_data(self.metric, x, y, with_jacobian=True)
-        return np.concatenate([np.asarray(y, dtype=float), -2.0 * G]), DS
-
 
 def spray(m: MetricSpec) -> SprayField:
     return SprayField(m)
@@ -506,8 +501,7 @@ def dual_metric(costar: Callable, n: int, domain: Box,
     def ejet(x, y, order):
         return _dual_energy_jet(costar, warm_start, n, x, y, order)
 
-    return custom_metric(F, n, domain, name=name, costar=costar,
-                         energy_jet_fn=ejet)
+    return custom_metric(F, n, domain, name=name, energy_jet_fn=ejet)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Numerical substrate: generic smooth functions, finite-difference
-stencils, a fixed-step Runge-Kutta integrator and fiber Hessians.
+stencils, the package's only RK4 loop (`rk_integrate`) and fiber Hessians.
 
 Exact derivatives come from the truncated Taylor scalars of `jets`; the
 smooth functions below dispatch on the scalar type so one evaluator serves

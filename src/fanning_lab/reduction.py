@@ -302,15 +302,12 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     p = setup.quotient_dim // 2
     nodes = fs.stencil.nodes
     c_idx = len(nodes) // 2
-    beta_c, _ = _check_conditions(setup, fs.triples[c_idx], p)
-    U_c, _, _ = np.linalg.svd(fs.triples[c_idx].A @ beta_c,
-                              full_matrices=False)
-
     Us = []
     for ft in fs.triples:
         beta_j, _ = _check_conditions(setup, ft, p)
         Uj, _, _ = np.linalg.svd(ft.A @ beta_j, full_matrices=False)
         Us.append(Uj)
+    U_c = Us[c_idx]
     h_frames = _graph_frames(Us, c_idx, U_c)
 
     triples = []
@@ -453,19 +450,25 @@ def oneill_formula(setup: CoisotropicSetup, fs: fc.FrameStencil,
     if reduced.invariants.W is None:
         raise DegenerateRestriction("trivial quotient has no reduced Wronskian")
 
-    # reduced side: same coefficients in the projected frame
-    K_R = 0.5 * reduced.invariants.Schwarzian
-    W_R = reduced.invariants.W
-    lhs = float((K_R @ a_coeff) @ W_R @ a_coeff)
-
-    # full side
-    ft = fs.triples[c_idx]
-    inv = fc.invariants(fs, setup.omega)
-    K_full = 0.5 * inv.Schwarzian
-    W_full = inv.W
     a_amb = reduced.h_frames[c_idx] @ a_coeff
-    alpha, *_ = np.linalg.lstsq(ft.A, a_amb, rcond=None)
-    full_term = float((K_full @ alpha) @ W_full @ alpha)
+    alpha, *_ = np.linalg.lstsq(fs.triples[c_idx].A, a_amb, rcond=None)
+    lhs, full_term, corr = _oneill_pairings(
+        reduced, oneill, fc.invariants(fs, setup.omega), a_coeff, a_amb, alpha)
+    return lhs, full_term + corr
+
+
+def _oneill_pairings(reduced: ReducedCurve, oneill: OneillData,
+                     inv: fc.FanningInvariants, a_coeff, a_amb, alpha):
+    """Unnormalized pairings (W_R(K_R a, a), W(K a, a), 3 W(Aa, Aa)).
+
+    a is given three ways: a_coeff in the reduced frame, a_amb in the ambient
+    space and alpha in the full frame at the center; inv are the full
+    curve's invariants there.
+    """
+    K_R = 0.5 * reduced.invariants.Schwarzian
+    lhs = float((K_R @ a_coeff) @ reduced.invariants.W @ a_coeff)
+    K_full = 0.5 * inv.Schwarzian
+    full_term = float((K_full @ alpha) @ inv.W @ alpha)
 
     split = oneill.split
     # a in the (A_h, A_v) basis: express through the gauge-fixed frame
@@ -473,8 +476,8 @@ def oneill_formula(setup: CoisotropicSetup, fs: fc.FrameStencil,
                                            split.Vframe_frak]),
                                 a_amb, rcond=None)
     Aa = oneill.matrix @ coeff
-    corr = float(3.0 * Aa @ oneill.W_split @ Aa)
-    return lhs, full_term + corr
+    corr = float(3.0 * (Aa @ oneill.W_split @ Aa))
+    return lhs, full_term, corr
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +661,8 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
         raise HorizontalityViolation("w degenerates after horizontalization")
     w = w / norm
 
-    orbit = jb.transport(total, v, T=4.0 * h, resolution=resolution)
+    orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
+                         resolution=resolution)
     sample = jb.jacobi_frame(orbit, 0.0, h=h, order=6)
     setup = coisotropic_setup(orbit.omega, Wbasis)
     reduced = reduce_curve(setup, sample.frames)
@@ -671,23 +675,12 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
         raise HorizontalityViolation(
             "flag vector does not lie in the reduced part of the Jacobi plane")
 
-    inv = sample.invariants
     alpha = w  # coordinates of (0, w) in the vertical frame at t = 0
-    K_full = 0.5 * inv.Schwarzian
-    W_full = inv.W
-    K_total = float((K_full @ alpha) @ W_full @ alpha / (alpha @ W_full @ alpha))
-
-    K_R = 0.5 * reduced.invariants.Schwarzian
-    W_R = reduced.invariants.W
-    K_base = float((K_R @ a_coeff) @ W_R @ a_coeff
-                   / (a_coeff @ W_R @ a_coeff))
-
-    split = oneill.split
-    coeff, *_ = np.linalg.lstsq(np.hstack([split.Hframe_frak,
-                                           split.Vframe_frak]),
-                                a_amb, rcond=None)
-    Aa = oneill.matrix @ coeff
-    corr = float(3.0 * (Aa @ oneill.W_split @ Aa)
-                 / (alpha @ W_full @ alpha))
-    return SubmersionResult(scenario=scenario.name, K_base=K_base,
-                            K_total=K_total, correction=corr)
+    reduced_term, full_term, corr = _oneill_pairings(
+        reduced, oneill, sample.invariants, a_coeff, a_amb, alpha)
+    norm_full = float(alpha @ sample.invariants.W @ alpha)
+    norm_reduced = float(a_coeff @ reduced.invariants.W @ a_coeff)
+    return SubmersionResult(scenario=scenario.name,
+                            K_base=reduced_term / norm_reduced,
+                            K_total=full_term / norm_full,
+                            correction=corr / norm_full)

@@ -211,7 +211,7 @@ def run_selftest(seed: int = 20240811, stencil_h: float = 1e-3,
           1e-10)
 
     v0 = mx.PhasePoint(np.array([0.1, 0.2]), np.array([0.5, -0.1]))
-    orbit = jb.transport(sphere, v0, T=0.5 + 5.0 * stencil_h)
+    orbit = jb.transport(sphere, v0, T=0.5 + jb.frame_reach(stencil_h))
     f0 = sphere.F_value(v0.x, v0.y)
     drift = 0.0
     for t in (0.2, 0.5, -0.4):

@@ -182,6 +182,22 @@ def test_jacobi_endomorphism_dual_path_stencil(rng):
     assert np.max(np.abs(K_stencil - K_block)) < 1e-6
 
 
+def test_invariants_factor_each_block_once(rng, monkeypatch):
+    A, Adot, Addot = lagrangian_graph_curve(rng, 2)
+    fs = fc.stencil_triples(A, Adot, Addot, nk.Stencil(0.0, 1e-2, 4))
+    omega = fc.SymplecticForm.standard(2)
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    fc.invariants(fs, omega)
+    assert len(calls) == len(fs.triples) == 5
+
+
 # -- Wronskian ----------------------------------------------------------------
 
 def test_wronskian_standard_line():

@@ -7,6 +7,7 @@ import pytest
 
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
+from fanning_lab import numkit as nk
 from fanning_lab.errors import (DegenerateFlag, NotUnitSpeed, OutOfChart)
 
 
@@ -38,11 +39,26 @@ def test_transport_euclidean_flow_property():
     assert np.max(np.abs(M_ts - M_t_at @ M_s)) < 1e-12
 
 
-def test_transport_out_of_chart():
-    m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
-                             mx.Box.cube(2, 0.5))
+@pytest.mark.parametrize("s, half_width, T, resolution", [
+    (0.0, 0.5, 1.0, 100),
+    (0.0, 0.5, 0.505, 100),
+    # the last state crosses x1 = 0.2447, no point the metric is read at does
+    (-1.0, 0.2447, 0.25, 8),
+], ids=["midway", "last-step", "last-state-only"])
+def test_transport_out_of_chart(s, half_width, T, resolution):
+    # conformal factor 1 / (1 + s|x|^2)^2: Euclidean for s = 0, a scaled
+    # Poincare disk for s = -1; the metric must never be read outside the box
+    seen = []
+
+    def g(x):
+        seen.append([nk.scalar_value(c) for c in x])
+        c = 1.0 / (1.0 + s * (x[0] * x[0] + x[1] * x[1])) ** 2
+        return [[c, 0.0], [0.0, c]]
+
+    m = mx.riemannian_metric(g, 2, mx.Box.cube(2, half_width))
     with pytest.raises(OutOfChart):
-        jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=1.0, resolution=100)
+        jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=T, resolution=resolution)
+    assert np.max(np.abs(seen)) <= half_width
 
 
 def test_transport_symplecticity_drift_sphere():
@@ -168,6 +184,44 @@ def test_flag_curvature_scaled_sphere():
     m = mx.zoo_metric("sphere", radius=2.0)
     K = jb.flag_curvature(m, pp([0.2, 0.1], [1.0, 0.4]), [0.0, 1.0])
     assert abs(K - 0.25) < 1e-4
+
+
+def test_flag_curvature_default_window_is_frame_reach(monkeypatch):
+    m = mx.zoo_metric("sphere")
+    v, u = pp([0.2, -0.1], [0.6, 0.3]), [0.1, 1.0]
+    h = jb.DEFAULT_FRAME_H
+    transport = jb.transport
+    orbits = []
+
+    def spy(*args, **kwargs):
+        orbits.append(transport(*args, **kwargs))
+        return orbits[-1]
+
+    monkeypatch.setattr(jb, "transport", spy)
+    K = jb.flag_curvature(m, v, u)
+    (orbit,) = orbits
+    reach = jb.frame_reach(h)
+    assert orbit.ts[0] == -reach and orbit.ts[-1] == reach
+    for t in nk.Stencil(0.0, h).nodes:
+        idx = int(np.argmin(np.abs(orbit.ts - t)))
+        assert orbit.state(t) is orbit.states[idx]
+    wide = transport(m, v, T=5.0 * h)
+    assert jb.flag_curvature(m, v, u, orbit=wide) == K
+
+
+def test_flag_curvature_spray_evaluation_count(monkeypatch):
+    # 8 RK4 steps of 4 evaluations, 5 stencil frames, the spray at the base
+    calls = []
+    spray_data = mx.spray_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spray_data(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "spray_data", counted)
+    jb.flag_curvature(mx.zoo_metric("sphere"), pp([0.2, -0.1], [0.6, 0.3]),
+                      [0.1, 1.0])
+    assert len(calls) == 38
 
 
 # -- Riemann oracle ---------------------------------------------------------------
