@@ -195,8 +195,9 @@ def _run_invariants_along_orbit(cfg):
     x = sample_in_ball(rng, n, radius)
     y = rng.normal(size=n)
     y = y / metric.F_value(x, y)
-    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + jb.frame_reach(h),
-                         resolution=resolution)
+    reach = jb.frame_reach(h)
+    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + reach,
+                         resolution=resolution, back=reach)
     header = (["t"] + [f"schwarzian_{i+1}{j+1}" for i in range(n)
                        for j in range(n)]
               + [f"wronskian_{i+1}{j+1}" for i in range(n) for j in range(n)]

@@ -67,7 +67,6 @@ class OrbitData:
     ts: np.ndarray
     states: tuple
     omega: fc.SymplecticForm
-    spray_at_base: np.ndarray
 
     def state(self, t: float):
         """State at t: grid lookup, or re-integration from the nearest node."""
@@ -127,26 +126,28 @@ def _check_chart(metric, x):
 
 
 def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
-              resolution: int = DEFAULT_RESOLUTION) -> OrbitData:
-    """Transport the flow differential over [-T, T] from v0.
+              resolution: int = DEFAULT_RESOLUTION,
+              back: Optional[float] = None) -> OrbitData:
+    """Transport the flow differential over [-back, T] from v0 (back = T).
 
-    Deterministic fixed-step RK4; raises OutOfChart if the orbit leaves the
-    metric's box within the requested window.
+    Deterministic fixed-step RK4 on one grid of step dt = T / ceil(T *
+    resolution), so a given back is rounded up to whole steps; raises
+    OutOfChart if the orbit leaves the metric's box within the window.
     """
-    if T <= 0.0:
+    if T <= 0.0 or (back is not None and back <= 0.0):
         raise OutOfChart("transport window must be positive")
     steps = max(1, int(math.ceil(T * resolution)))
     dt = T / steps
+    back_steps = steps if back is None else int(math.ceil(back / dt))
+    back = T if back is None else dt * back_steps
     start = (v0.x, v0.y, np.eye(2 * metric.n))
     fwd = _flow(metric, start, T, steps)
-    bwd = _flow(metric, start, -T, steps)
-    ts = dt * np.arange(-steps, steps + 1)
+    bwd = _flow(metric, start, -back, back_steps)
+    ts = dt * np.arange(-back_steps, steps + 1)
     states = tuple(bwd[:0:-1] + fwd)
     omega = fc.SymplecticForm(mx.omega_matrix(metric, v0))
-    G0, _ = mx.spray_data(metric, v0.x, v0.y, with_jacobian=False)
-    spray_vec = np.concatenate([v0.y, -2.0 * G0])
     return OrbitData(metric=metric, v0=v0, resolution=resolution, ts=ts,
-                     states=states, omega=omega, spray_at_base=spray_vec)
+                     states=states, omega=omega)
 
 
 def frame_reach(h: float, order: int = 4) -> float:
@@ -335,7 +336,8 @@ def contact_reduce(orbit: OrbitData, t: float, h: float = 1e-2) -> ContactSplit:
 
     Omega = orbit.omega.Omega
     C = np.concatenate([np.zeros(n), v0.y])
-    S_vec = orbit.spray_at_base
+    G0, _ = mx.spray_data(metric, v0.x, v0.y, with_jacobian=False)
+    S_vec = np.concatenate([v0.y, -2.0 * G0])
 
     stc = nk.Stencil(t, h, 6)
     nodes = stc.nodes

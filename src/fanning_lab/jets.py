@@ -4,7 +4,8 @@ One jet evaluation of a scalar function in m variables yields its gradient,
 Hessian and (at order 3) full third-derivative tensor in a single forward
 pass (the vector forward mode of Griewank & Walther, Evaluating
 Derivatives, 2008).  This is the package's only Taylor scalar: the spray
-and its Jacobian take one jet of F^2 in all 2n phase variables, the
+and its Jacobian take one jet of F^2 in the 2n phase variables (built from
+n-variable jets of g and beta for Riemannian and Randers metrics), the
 fundamental tensor and the support Newton take order-2 jets, and
 univariate jets (m = 1) seeded with t-derivatives carry Taylor expansions
 along a curve.

@@ -2,10 +2,12 @@
 
 A metric is an evaluator F(x, y) written in generic arithmetic (floats and
 jets flow through unchanged), tagged by family.  Every derivative the module
-needs comes from one route, the jet of F^2 in the phase variables
+needs comes from one route, the jet of F^2 in the 2n phase variables
 (energy_jet): the fundamental tensor, the Legendre transform, the geodesic
 spray with its linearization, and the pulled-back symplectic form in
-natural coordinates (x1..xn, y1..yn).
+natural coordinates (x1..xn, y1..yn).  Riemannian and Randers jets are
+assembled from jets of g and beta in the n x-variables (y^T g y and
+beta . y are polynomials in y); a custom F sees jets in all 2n variables.
 
 Sign convention for the symplectic form: with xi = Legendre(x, y), the matrix
 is [[D, g], [-g^T, 0]] where D_kl = d xi_k/dx_l - d xi_l/dx_k and g is the
@@ -100,7 +102,8 @@ class MetricSpec:
 
     F takes sequences of scalar-like entries in both slots and must be
     positively 1-homogeneous in the second.  g/beta are present for the
-    Riemannian and Randers families; energy_jet_fn, when set, shortcuts the
+    Riemannian and Randers families and receive floats or jets in the n
+    x-variables; energy_jet_fn, when set, shortcuts the
     jet evaluation of F^2 (dual-norm metrics, whose F is a float-only Newton
     solve, hold their dual norm only in it; so do deformations of them).
     """
@@ -275,18 +278,86 @@ def energy_jet(m: MetricSpec, x, y, order: int = 3) -> Jet:
     try:
         if m.energy_jet_fn is not None:
             E = m.energy_jet_fn(x, y, order)
+        elif m.family in ("riemannian", "randers"):
+            E = _fiber_quadratic_energy_jet(m, x, y, order)
         else:
             n = m.n
             zs = jet_variables(list(x) + list(y), order=order)
-            xs, ys = zs[:n], zs[n:]
-            if m.family == "riemannian":
-                E = _quadratic_form(m.g(xs), ys)
-            else:
-                f = m.F(xs, ys)
-                E = f * f
+            f = m.F(zs[:n], zs[n:])
+            E = f * f
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise NonFiniteValue(f"evaluation failed at x={list(x)}, y={list(y)}: {exc}")
     return E.check_finite()
+
+
+def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
+    """Jet of F^2 for F = sqrt(y^T g(x) y) (+ beta(x) . y) from x-jets only.
+
+    y^T g y and beta . y are polynomials in y, so each of their phase
+    derivatives is an x-derivative of g or beta contracted with the float y:
+    g and beta see jets in the n x-variables, and only sqrt, + and the final
+    product of a Randers metric run in all 2n variables.
+    """
+    n = m.n
+    y = np.asarray(y, dtype=float)
+    xs = jet_variables(list(x), order=order)
+    yy = (y[:, None] * y).ravel()
+    S = _x_jet_stack([e for row in m.g(xs) for e in row], yy, n)
+    e = [_contract(yy, s) for s in S[:3]] + S[3:]
+    S = [s.reshape((n, n) + s.shape[1:]) for s in S[:3]]
+    Q = [s + s.swapaxes(0, 1) for s in S]   # x-derivatives of E_yy
+    P = [_contract(y, q) for q in Q]        # x-derivatives of E_y
+    E = _phase_jet(n, order, e, P, Q)
+    if m.family == "riemannian":
+        return E
+    B = _x_jet_stack(list(m.beta(xs)), y, n)
+    e = [_contract(y, b) for b in B[:3]] + B[3:]
+    zero = [np.zeros((n, n)), np.zeros((n, n, n))]
+    f = E.sqrt() + _phase_jet(n, order, e, B[:3], zero)
+    return f * f
+
+
+def _contract(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k w[k] a[k, ...] (one matrix-vector product)."""
+    return (w @ a.reshape(len(w), -1)).reshape(a.shape[1:])
+
+
+def _x_jet_stack(entries, w, n: int):
+    """Values, gradients and Hessians of n-variable jets stacked on a leading
+    axis, and their third derivatives contracted with w (no entries x n^3
+    array).  Float entries keep zero derivatives."""
+    out = [np.zeros((len(entries),) + (n,) * r) for r in range(3)]
+    out.append(np.zeros((n, n, n)))
+    for a, ent in enumerate(entries):
+        if not isinstance(ent, Jet):
+            out[0][a] = ent
+            continue
+        out[0][a], out[1][a], out[2][a] = ent.v, ent.g, ent.H
+        if ent.T is not None:
+            out[3] += w[a] * ent.T
+    return out
+
+
+def _phase_jet(n: int, order: int, e, P, Q) -> Jet:
+    """2n-variable jet of a function of (x, y) at most quadratic in y.
+
+    e[r], P[r] and Q[r] are the order-r x-derivatives of the function, of its
+    y-gradient (leading axis) and of its y-Hessian (two leading axes).
+    """
+    m2 = 2 * n
+    H = np.empty((m2, m2))
+    H[:n, :n], H[n:, :n], H[:n, n:], H[n:, n:] = e[2], P[1], P[1].T, Q[0]
+    T = None
+    if order >= 3:
+        T = np.zeros((m2, m2, m2))
+        T[:n, :n, :n] = e[3]
+        T[n:, :n, :n] = P[2]
+        T[:n, n:, :n] = P[2].transpose(1, 0, 2)
+        T[:n, :n, n:] = P[2].transpose(1, 2, 0)
+        T[n:, n:, :n] = Q[1]
+        T[n:, :n, n:] = Q[1].transpose(0, 2, 1)
+        T[:n, n:, n:] = Q[1].transpose(2, 0, 1)
+    return Jet(m2, order, e[0], g=np.concatenate([e[1], P[0]]), H=H, T=T)
 
 
 def spray_data(m: MetricSpec, x, y, with_jacobian: bool = True):

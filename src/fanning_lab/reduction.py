@@ -208,13 +208,20 @@ def _check_conditions(setup: CoisotropicSetup, ft: fc.FrameTriple,
         raise TransversalityFailure(
             f"intersection with W has dimension {beta_h.shape[1]}, "
             f"expected {expected_dim}")
+    _restricted_wronskian(setup, ft, beta_h)
+    return beta_h
+
+
+def _restricted_wronskian(setup: CoisotropicSetup, ft: fc.FrameTriple,
+                          beta_h: np.ndarray) -> np.ndarray:
+    """Wronskian of the triple, checked nondegenerate on span(A beta_h)."""
     Wmat = fc.wronskian(ft, setup.omega)
-    restricted = beta_h.T @ Wmat @ beta_h
-    s = np.linalg.svd(restricted, compute_uv=False)
-    if s[-1] <= 1e-9 * max(1.0, s[0]):
-        raise DegenerateRestriction(
-            "Wronskian degenerate on the intersection with W")
-    return beta_h, Wmat
+    if beta_h.shape[1]:
+        s = np.linalg.svd(beta_h.T @ Wmat @ beta_h, compute_uv=False)
+        if s[-1] <= 1e-9 * max(1.0, s[0]):
+            raise DegenerateRestriction(
+                "Wronskian degenerate on the intersection with W")
+    return Wmat
 
 
 def _graph_frames(Us, c_idx, H_c):
@@ -304,7 +311,7 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     c_idx = len(nodes) // 2
     Us = []
     for ft in fs.triples:
-        beta_j, _ = _check_conditions(setup, ft, p)
+        beta_j = _check_conditions(setup, ft, p)
         Uj, _, _ = np.linalg.svd(ft.A @ beta_j, full_matrices=False)
         Us.append(Uj)
     U_c = Us[c_idx]
@@ -346,13 +353,7 @@ def hv_split(setup: CoisotropicSetup, ft: fc.FrameTriple) -> HVSplit:
     plane itself (whole plane, trivial complement).
     """
     beta_h = _plane_meets(ft.A, setup.Wbasis)
-    Wmat = fc.wronskian(ft, setup.omega)
-    if beta_h.shape[1]:
-        restricted = beta_h.T @ Wmat @ beta_h
-        sv = np.linalg.svd(restricted, compute_uv=False)
-        if sv[-1] <= 1e-9 * max(1.0, sv[0]):
-            raise DegenerateRestriction(
-                "Wronskian degenerate on the intersection with W")
+    Wmat = _restricted_wronskian(setup, ft, beta_h)
     beta_v = _nullspace(beta_h.T @ Wmat)
     p = beta_h.shape[1]
     H = ft.A @ beta_h

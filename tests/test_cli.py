@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fanning_lab import cli
+from fanning_lab import jacobi as jb
 from fanning_lab.errors import ConfigError
 
 
@@ -85,6 +86,34 @@ def test_invariants_along_orbit_columns(tmp_path):
     assert "schwarzian_11" in head and "wronskian_22" in head
     assert "K_eig_4" in head
     assert len(lines) == 4
+
+
+def test_invariants_along_orbit_one_sided_window(tmp_path, monkeypatch):
+    # the orbit reaches back only as far as the t = 0 stencil reads, and the
+    # rows equal those of a run on the symmetric window
+    cfg = {"experiment": "invariants-along-orbit", "seed": 5,
+           "metric": {"id": "sphere"}, "orbit_time": 0.2, "orbit_samples": 3}
+    transport = jb.transport
+    orbits = []
+
+    def spy(*args, **kwargs):
+        orbits.append(transport(*args, **kwargs))
+        return orbits[-1]
+
+    monkeypatch.setattr(jb, "transport", spy)
+    one_sided, _, _ = run_cfg(cfg, tmp_path, "one-sided")
+    (orbit,) = orbits
+    reach = jb.frame_reach(jb.DEFAULT_FRAME_H)
+    assert orbit.ts[0] == -reach
+    assert orbit.ts[-1] == pytest.approx(0.2 + reach, abs=1e-15)
+
+    def symmetric(*args, back=None, **kwargs):
+        return transport(*args, **kwargs)
+
+    monkeypatch.setattr(jb, "transport", symmetric)
+    both, _, _ = run_cfg(cfg, tmp_path, "symmetric")
+    name = "invariants-along-orbit.csv"
+    assert (one_sided / name).read_bytes() == (both / name).read_bytes()
 
 
 def test_submersion_rows(tmp_path):

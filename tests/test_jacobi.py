@@ -210,7 +210,7 @@ def test_flag_curvature_default_window_is_frame_reach(monkeypatch):
 
 
 def test_flag_curvature_spray_evaluation_count(monkeypatch):
-    # 8 RK4 steps of 4 evaluations, 5 stencil frames, the spray at the base
+    # 8 RK4 steps of 4 evaluations, 5 stencil frames
     calls = []
     spray_data = mx.spray_data
 
@@ -221,7 +221,7 @@ def test_flag_curvature_spray_evaluation_count(monkeypatch):
     monkeypatch.setattr(mx, "spray_data", counted)
     jb.flag_curvature(mx.zoo_metric("sphere"), pp([0.2, -0.1], [0.6, 0.3]),
                       [0.1, 1.0])
-    assert len(calls) == 38
+    assert len(calls) == 37
 
 
 # -- Riemann oracle ---------------------------------------------------------------

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from fanning_lab import deformations as df
 from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
 from fanning_lab.errors import (DimensionMismatch, NonFiniteValue,
                                 NotPositiveDefinite)
-from fanning_lab.jets import jet_variables
+from fanning_lab.jets import Jet, jet_variables
 
 
 def pp(x, y):
@@ -399,6 +400,88 @@ def test_domain_errors_surface_as_nonfinite():
         mx.spray_data(m, p.x, p.y)
     with pytest.raises(NonFiniteValue):
         mx.omega_matrix(m, p)
+    # the Riemannian route evaluates g on x-jets only; at the rim of the
+    # Poincare disk its conformal factor divides by zero
+    hyp = mx.zoo_metric("hyperbolic")
+    p = pp([1.0, 0.0], [1.0, 0.5])
+    with pytest.raises(NonFiniteValue):
+        mx.fundamental_tensor(hyp, p)
+    with pytest.raises(NonFiniteValue):
+        mx.spray_data(hyp, p.x, p.y)
+    with pytest.raises(NonFiniteValue):
+        mx.omega_matrix(hyp, p)
+
+
+# -- energy jets of the Riemannian and Randers families -----------------------
+
+def reference_energy_jet(m, x, y, order):
+    """Jet of F^2 with F itself evaluated on jets in all 2n phase variables."""
+    zs = jet_variables(list(x) + list(y), order=order)
+    f = m.F(zs[:m.n], zs[m.n:])
+    return f * f
+
+
+def _sheared_metric():
+    # Riemannian g with x-dependent off-diagonal entries, stored with an
+    # antisymmetric part that F does not see
+    def g(x):
+        off = 0.3 * nk.sin(x[0] + 2.0 * x[1])
+        skew = 0.1 * x[2]
+        return [[2.0 + x[0] * x[1], off + skew, 0.1],
+                [off - skew, 1.5 + x[1] * x[1], 0.2 * x[2]],
+                [0.1, 0.2 * x[2], nk.exp(0.3 * x[0])]]
+
+    return mx.riemannian_metric(g, 3, mx.Box.cube(3, 1.0), name="sheared")
+
+
+ENERGY_JET_METRICS = {
+    "sphere": lambda: mx.zoo_metric("sphere"),
+    "hyperbolic": lambda: mx.zoo_metric("hyperbolic"),
+    "conformal-4": lambda: mx.zoo_metric("riemannian-conformal", a=0.5, n=4),
+    "conformal-8": lambda: mx.zoo_metric("riemannian-conformal", a=0.2, n=8),
+    "randers": lambda: mx.zoo_metric("randers", b=(0.25, 0.05)),
+    "projective-sphere": lambda: df.projective_deform(
+        mx.zoo_metric("sphere"), df.ambient_coordinate_form(0.2)),
+    "sheared": _sheared_metric,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENERGY_JET_METRICS))
+@pytest.mark.parametrize("order", [2, 3])
+def test_energy_jet_matches_full_phase_jet(name, order, rng):
+    m = ENERGY_JET_METRICS[name]()
+    assert m.family in ("riemannian", "randers")
+    for _ in range(3):
+        x = rng.uniform(-0.5, 0.5, size=m.n)
+        y = rng.normal(size=m.n)
+        J = mx.energy_jet(m, x, y, order=order)
+        R = reference_energy_jet(m, x, y, order)
+        assert abs(J.v - R.v) <= 1e-13 * abs(R.v)
+        parts = [(J.g, R.g), (J.H, R.H)]
+        if order == 3:
+            parts.append((J.T, R.T))
+        for got, want in parts:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_metric_fields_see_only_x_jets():
+    # variable counts of the jets that g and beta receive
+    seen = {"g": set(), "beta": set()}
+
+    def spied(name, field):
+        def wrapped(x):
+            seen[name].update(e.m for e in x if isinstance(e, Jet))
+            return field(x)
+        return wrapped
+
+    form = df.ambient_coordinate_form(0.2)
+    sphere = mx.zoo_metric("sphere")
+    m = mx.randers_metric(spied("g", sphere.g), spied("beta", form.theta), 2,
+                          sphere.domain)
+    mx.spray_data(m, [0.3, -0.2], [0.9, 0.4])
+    mx.fundamental_tensor(m, pp([0.3, -0.2], [0.9, 0.4]))
+    assert seen == {"g": {2}, "beta": {2}}
 
 
 def test_legendre_inverse_divergence_reporting():
