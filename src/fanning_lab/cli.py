@@ -66,9 +66,16 @@ def _fmt(v) -> str:
     return format(x, ".17g")
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+
+
 def _require_positive(cfg, key):
     v = cfg.get(key)
-    if v is not None and (not isinstance(v, (int, float)) or v <= 0):
+    if v is not None and (not _is_number(v) or v <= 0):
         raise ConfigError(f"config key {key!r} must be positive, got {v!r}")
 
 
@@ -88,7 +95,8 @@ def validate_config(cfg: dict) -> dict:
     for key in ("samples", "steps_per_unit", "stencil_h", "tolerance",
                 "orbit_time", "orbit_samples", "x_radius", "theta_scale"):
         _require_positive(cfg, key)
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    seed = cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("config key 'seed' must be an integer")
     metric = cfg.get("metric")
     if metric is not None:
@@ -101,7 +109,7 @@ def validate_config(cfg: dict) -> dict:
     if "epsilons" in cfg:
         eps = cfg["epsilons"]
         if (not isinstance(eps, list) or not eps
-                or not all(isinstance(e, (int, float)) and 0 <= e < 1
+                or not all(_is_number(e) and 0 <= e < 1
                            for e in eps)):
             raise ConfigError("'epsilons' must be a list of values in [0, 1)")
     if "scenarios" in cfg:
@@ -351,7 +359,7 @@ def run_config(cfg: dict, output_dir=None):
         "csv": os.path.basename(csv_path),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary, (EXIT_OK if passed else EXIT_TOLERANCE)
 

@@ -31,7 +31,6 @@ from .jets import Jet, jet_variables
 
 __all__ = [
     "ClosedOneForm",
-    "KillingField",
     "projective_deform",
     "projective_curvature_rhs",
     "rotation_field",
@@ -261,14 +260,6 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
 def rotation_field(x):
     """Generator of rotations about the chart center: (-x2, x1)."""
     return [-1.0 * x[1], x[0]]
-
-
-@dataclass(frozen=True)
-class KillingField:
-    """Vector field with a measured isometry defect for a given metric."""
-
-    V: Callable
-    residual: float
 
 
 def killing_residual(g_callable, V: Callable, xs) -> float:

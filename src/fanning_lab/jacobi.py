@@ -13,6 +13,9 @@ hops; every transport window is sized by `frame_reach`, the stencil's reach.
 A finite-difference Riemann-tensor computation (Christoffel symbols from
 central differences of g, differentiated once more) serves as the independent
 oracle for all Riemannian instances.
+
+Reductions of a Jacobi curve, the contact splitting by ker dF among them,
+live in `reduction`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from . import fanning as fc
 from . import metrics as mx
 from . import numkit as nk
 from .errors import (DegenerateFlag, InternalInconsistency, NonFiniteValue,
-                     NotUnitSpeed, OutOfChart)
+                     OutOfChart)
 
 __all__ = [
     "OrbitData",
@@ -37,8 +40,6 @@ __all__ = [
     "flag_curvature",
     "christoffel_fd",
     "riemann_oracle",
-    "ContactSplit",
-    "contact_reduce",
     "frame_reach",
     "DEFAULT_RESOLUTION",
     "DEFAULT_FRAME_H",
@@ -293,134 +294,3 @@ def riemann_oracle(g_callable, x, v, u, h: float = 1e-4) -> float:
     if not math.isfinite(out):
         raise NonFiniteValue("Riemann oracle produced a non-finite value")
     return float(out)
-
-
-# ---------------------------------------------------------------------------
-# contact reduction of the Jacobi curve
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ContactSplit:
-    """Splitting of a Jacobi frame into its contact part and span[C - tS].
-
-    frame_c spans the contact part inside ker(alpha) inter ker(dF); r is the
-    complementary vector C - tS; the residual fields quantify how well the
-    decomposition identities hold at this time.
-    """
-
-    t: float
-    frame_c: np.ndarray
-    r: np.ndarray
-    K_block: np.ndarray
-    Kc_block: np.ndarray
-    kr_residual: float
-    block_residual: float
-    w_residual: float
-    alpha_residual: float
-
-
-def contact_reduce(orbit: OrbitData, t: float, h: float = 1e-2) -> ContactSplit:
-    """Split the Jacobi frame W(t)-orthogonally against r(t) = C - t S.
-
-    Requires a unit-speed base point.  The contact part of the curve is
-    re-analyzed as a fanning curve inside the contact hyperplane; its
-    curvature block must agree with the corresponding block of the full
-    curve, and K(t) r(t) must vanish.
-    """
-    metric = orbit.metric
-    n = metric.n
-    v0 = orbit.v0
-    F0 = metric.F_value(v0.x, v0.y)
-    if abs(F0 - 1.0) > 1e-9:
-        raise NotUnitSpeed(f"contact reduction needs F(v0) = 1, got {F0}")
-
-    Omega = orbit.omega.Omega
-    C = np.concatenate([np.zeros(n), v0.y])
-    G0, _ = mx.spray_data(metric, v0.x, v0.y, with_jacobian=False)
-    S_vec = np.concatenate([v0.y, -2.0 * G0])
-
-    stc = nk.Stencil(t, h, 6)
-    nodes = stc.nodes
-
-    # smooth frames of the contact part: project a fixed complement of the
-    # center rho W-orthogonally at every node
-    As, Adots, rhos, Ws = [], [], [], []
-    for tn in nodes:
-        A, Adot = orbit.frame_data(tn)
-        W = A.T @ Omega @ Adot
-        W = 0.5 * (W + W.T)
-        r_amb = C - tn * S_vec
-        rho, res, *_ = np.linalg.lstsq(A, r_amb, rcond=None)
-        if np.linalg.norm(A @ rho - r_amb) > 1e-6 * max(1.0, np.linalg.norm(r_amb)):
-            raise InternalInconsistency(
-                f"C - tS left the Jacobi plane at t={tn}")
-        As.append(A)
-        Adots.append(Adot)
-        rhos.append(rho)
-        Ws.append(W)
-
-    c_idx = len(nodes) // 2
-    w_rho_c = Ws[c_idx] @ rhos[c_idx]
-    # fixed complement of rho at the center
-    _, _, Vt = np.linalg.svd(w_rho_c[None, :])
-    N0 = Vt[1:].T  # n x (n-1), orthonormal rows of the nullspace
-    Ns, frames_c = [], []
-    for j in range(len(nodes)):
-        rho, W = rhos[j], Ws[j]
-        denom = rho @ W @ rho
-        Nj = N0 - np.outer(rho, (rho @ W @ N0) / denom)
-        Ns.append(Nj)
-        frames_c.append(As[j] @ Nj)
-
-    # ambient basis of the contact hyperplane at the base point
-    xi0 = mx.legendre(metric, v0)
-    alpha_row = np.concatenate([xi0, np.zeros(n)])
-    Ej = mx.energy_jet(metric, v0.x, v0.y, order=2)
-    dF_row = Ej.g / (2.0 * F0)
-    _, _, Vt = np.linalg.svd(np.vstack([alpha_row, dF_row]))
-    B_E = Vt[2:].T  # 2n x (2n-2)
-    Omega_E = B_E.T @ Omega @ B_E
-
-    coords = []
-    alpha_res = 0.0
-    for Fc in frames_c:
-        cc, *_ = np.linalg.lstsq(B_E, Fc, rcond=None)
-        alpha_res = max(alpha_res,
-                        float(np.max(np.abs(B_E @ cc - Fc))))
-        coords.append(cc)
-    Cdots, Cddots = [], []
-    for j, tn in enumerate(nodes):
-        w1 = nk.fornberg_weights(tn, nodes, 1)
-        w2 = nk.fornberg_weights(tn, nodes, 2)
-        Cdots.append(sum(w * Ck for w, Ck in zip(w1, coords)))
-        Cddots.append(sum(w * Ck for w, Ck in zip(w2, coords)))
-    triples = tuple(fc.FrameTriple(coords[j], Cdots[j], Cddots[j])
-                    for j in range(len(nodes)))
-    inv_c = fc.invariants(fc.FrameStencil(stc, triples),
-                          fc.SymplecticForm(Omega_E))
-
-    # full-curve invariants at t and the block comparison
-    sample = jacobi_frame(orbit, t)
-    K_plane = 0.5 * sample.invariants.Schwarzian
-    rho_c, N_c = rhos[c_idx], Ns[c_idx]
-    adapted = np.hstack([N_c, rho_c[:, None]])
-    K_ad = np.linalg.solve(adapted, K_plane @ adapted)
-    K_block = K_ad[:n - 1, :n - 1]
-    Kc_block = 0.5 * inv_c.Schwarzian
-    block_residual = float(np.max(np.abs(K_block - Kc_block)))
-
-    r_amb = C - t * S_vec
-    K_amb = sample.invariants.K
-    kr_residual = float(np.linalg.norm(K_amb @ r_amb)
-                        / max(np.linalg.norm(r_amb), 1e-300))
-
-    # restriction of W to the contact part equals the reduced Wronskian
-    W_restr = N_c.T @ Ws[c_idx] @ N_c
-    w_residual = float(np.max(np.abs(W_restr - inv_c.W)))
-
-    return ContactSplit(t=t, frame_c=frames_c[c_idx], r=r_amb,
-                        K_block=K_block, Kc_block=Kc_block,
-                        kr_residual=kr_residual,
-                        block_residual=block_residual,
-                        w_residual=w_residual,
-                        alpha_residual=alpha_res)

@@ -389,8 +389,7 @@ def spray_data(m: MetricSpec, x, y, with_jacobian: bool = True):
     # dN[l, p] = E3[y_l, x_k, p] y^k - E2[x_l, p] + E2[y_l, x_{p-n}] for p >= n
     dN = np.einsum("lkp,k->lp", E3[n:, :n, :], y) - E2[:n, :]
     dN[:, n:] += E2[n:, :n]
-    dG = 0.25 * (np.einsum("il,ljp,jk,k->ip", -ginv, dg, ginv, N)
-                 + ginv @ dN)
+    dG = 0.25 * ginv @ (dN - np.einsum("ljp,j->lp", dg, ginv @ N))
     DS = np.zeros((2 * n, 2 * n))
     DS[:n, n:] = np.eye(n)
     DS[n:, :] = -2.0 * dG

@@ -7,10 +7,13 @@ restriction of the original one; the defect between the reduced and the
 original curvature pairings is measured by the O'Neill endomorphism, whose
 square enters with the famous factor 3.
 
-The submersion front-end instantiates this with W the tangent space of the
-horizontal-cone bundle of an isometric submersion; the shipped scenarios are
-the trivial product and the Hopf fibrations, whose closed-form horizontal
-distributions make W exact.
+Two front-ends instantiate this.  The contact splitting takes W = ker dF,
+the tangent space of the unit sphere bundle, whose annihilator is the spray
+S: the reduced curve is the contact part l(t) inter ker dF of the Jacobi
+curve, complementary to C - tS.  The submersion front-end takes W the
+tangent space of the horizontal-cone bundle of an isometric submersion; the
+shipped scenarios are the trivial product and the Hopf fibrations, whose
+closed-form horizontal distributions make W exact.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from . import jacobi as jb
 from . import metrics as mx
 from . import numkit as nk
 from .errors import (DegenerateRestriction, DimensionMismatch,
-                     HorizontalityViolation, RankDeficient,
-                     TransversalityFailure)
+                     HorizontalityViolation, InternalInconsistency,
+                     NotUnitSpeed, RankDeficient, TransversalityFailure)
 from .jets import jet_variables
 
 __all__ = [
@@ -48,6 +51,8 @@ __all__ = [
     "SubmersionResult",
     "horizontal_part",
     "submersion_curvature",
+    "ContactSplit",
+    "contact_reduce",
 ]
 
 _SV_REL_TOL = 1e-9   # singular-value threshold for joint nullspaces
@@ -479,6 +484,80 @@ def _oneill_pairings(reduced: ReducedCurve, oneill: OneillData,
     Aa = oneill.matrix @ coeff
     corr = float(3.0 * (Aa @ oneill.W_split @ Aa))
     return lhs, full_term, corr
+
+
+# ---------------------------------------------------------------------------
+# contact reduction: the coisotropic hyperplane ker dF
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ContactSplit:
+    """Splitting of a Jacobi frame into its contact part and span[C - tS].
+
+    frame_c spans the contact part l(t) inter ker(dF), which lies in
+    ker(alpha); r is the complementary vector C - tS; the residual fields
+    quantify how well the decomposition identities hold at this time.
+    """
+
+    t: float
+    frame_c: np.ndarray
+    r: np.ndarray
+    K_block: np.ndarray
+    Kc_block: np.ndarray
+    kr_residual: float
+    block_residual: float
+    w_residual: float
+    alpha_residual: float
+
+
+def contact_reduce(orbit: jb.OrbitData, t: float,
+                   h: float = 1e-2) -> ContactSplit:
+    """Split the Jacobi plane at t into l(t) inter ker(dF) and r(t) = C - tS.
+
+    Requires a unit-speed base point.  ker(dF) is coisotropic with
+    annihilator span(S), so the contact part is the reduction of the Jacobi
+    curve by it; its curvature block must agree with the corresponding block
+    of the full curve, and K(t) r(t) must vanish.
+    """
+    metric = orbit.metric
+    n = metric.n
+    v0 = orbit.v0
+    F0 = metric.F_value(v0.x, v0.y)
+    if abs(F0 - 1.0) > 1e-9:
+        raise NotUnitSpeed(f"contact reduction needs F(v0) = 1, got {F0}")
+
+    G0, _ = mx.spray_data(metric, v0.x, v0.y, with_jacobian=False)
+    r = (np.concatenate([np.zeros(n), v0.y])
+         - t * np.concatenate([v0.y, -2.0 * G0]))
+    dF_row = mx.energy_jet(metric, v0.x, v0.y, order=2).g / (2.0 * F0)
+    alpha_row = np.concatenate([mx.legendre(metric, v0), np.zeros(n)])
+
+    sample = jb.jacobi_frame(orbit, t, h=h, order=6)
+    setup = coisotropic_setup(orbit.omega, _nullspace(dF_row))
+    reduced = reduce_curve(setup, sample.frames)
+    c_idx = reduced.center_index
+    H_c = reduced.h_frames[c_idx]
+
+    # coefficients of [H_c | r] in the center frame
+    A_c = sample.frames.triples[c_idx].A
+    adapted, *_ = np.linalg.lstsq(A_c, np.column_stack([H_c, r]), rcond=None)
+    r_norm = np.linalg.norm(r)
+    if np.linalg.norm(A_c @ adapted[:, -1] - r) > 1e-6 * max(1.0, r_norm):
+        raise InternalInconsistency(f"C - tS left the Jacobi plane at t={t}")
+
+    inv = sample.invariants
+    K_ad = np.linalg.solve(adapted, 0.5 * inv.Schwarzian @ adapted)
+    K_block = K_ad[:n - 1, :n - 1]
+    Kc_block = 0.5 * reduced.invariants.Schwarzian
+    beta = adapted[:, :n - 1]
+    return ContactSplit(
+        t=t, frame_c=H_c, r=r, K_block=K_block, Kc_block=Kc_block,
+        kr_residual=float(np.linalg.norm(inv.K @ r) / max(r_norm, 1e-300)),
+        block_residual=float(np.max(np.abs(K_block - Kc_block))),
+        w_residual=float(np.max(np.abs(beta.T @ inv.W @ beta
+                                       - reduced.invariants.W))),
+        alpha_residual=max(float(np.max(np.abs(alpha_row @ H)))
+                           for H in reduced.h_frames))
 
 
 # ---------------------------------------------------------------------------

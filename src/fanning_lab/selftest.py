@@ -254,7 +254,7 @@ def run_selftest(seed: int = 20240811, stencil_h: float = 1e-3,
     ys = np.array([0.8, 0.25])
     ys = ys / sphere.F_value(xs, ys)
     orbit = jb.transport(sphere, mx.PhasePoint(xs, ys), T=0.45)
-    split = jb.contact_reduce(orbit, 0.3)
+    split = rd.contact_reduce(orbit, 0.3)
     check("contact-reduction-kernel", split.kr_residual, 1e-5)
     check("contact-reduction-block", split.block_residual, 1e-5)
 

@@ -176,7 +176,7 @@ def test_criterion_08_contact_reduction():
         y0 = y0 / metric.F_value(x0, y0)
         orbit = jb.transport(metric, pp(x0, y0), T=1.15)
         for t in (0.3, 0.7, 1.1):
-            split = jb.contact_reduce(orbit, t)
+            split = rd.contact_reduce(orbit, t)
             worst = max(worst, split.kr_residual, split.block_residual)
     report(8, "contact splitting: K kills C - tS and the blocks agree "
               "(sphere, perturbed sphere)", worst, 1e-5)

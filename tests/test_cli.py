@@ -163,6 +163,12 @@ def test_main_exit_codes(tmp_path):
          "output_dir": str(tmp_path / "out")}))
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_OK
 
+    def reject(token):
+        raise ValueError(f"summary.json holds the non-JSON constant {token}")
+
+    json.loads((tmp_path / "out" / "summary.json").read_text(),
+               parse_constant=reject)
+
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG
@@ -171,6 +177,27 @@ def test_main_exit_codes(tmp_path):
     unknown.write_text(json.dumps({"experiment": "curvature-grid",
                                    "nope": 1}))
     assert cli.main(["run", str(unknown)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("entries", [
+    '"samples": 2, "x_radius": Infinity',
+    '"samples": 2, "tolerance": NaN',
+    '"samples": true',
+    '"samples": 2, "stencil_h": true',
+    '"samples": 2, "seed": false',
+], ids=["x_radius-infinity", "tolerance-nan", "samples-true", "stencil_h-true",
+        "seed-false"])
+def test_main_rejects_non_numbers(tmp_path, capsys, entries):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"experiment": "curvature-grid", ' + entries
+                        + ', "output_dir": ' + json.dumps(str(tmp_path / "out"))
+                        + '}')
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_list_metrics(capsys):

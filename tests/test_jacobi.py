@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from fanning_lab import deformations as df
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
+from fanning_lab import reduction as rd
 from fanning_lab.errors import (DegenerateFlag, NotUnitSpeed, OutOfChart)
 
 
@@ -289,7 +291,7 @@ def test_contact_reduce_needs_unit_speed():
     m = mx.zoo_metric("sphere")
     orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.05)
     with pytest.raises(NotUnitSpeed):
-        jb.contact_reduce(orbit, 0.0)
+        rd.contact_reduce(orbit, 0.0)
 
 
 def test_contact_reduce_r_at_zero_is_canonical():
@@ -297,7 +299,7 @@ def test_contact_reduce_r_at_zero_is_canonical():
     x = np.array([0.2, 0.0])
     y = unit_vector(m, x, [1.0, 0.3])
     orbit = jb.transport(m, pp(x, y), T=0.08)
-    split = jb.contact_reduce(orbit, 0.0)
+    split = rd.contact_reduce(orbit, 0.0)
     assert np.allclose(split.r, np.concatenate([np.zeros(2), y]), atol=1e-12)
 
 
@@ -306,19 +308,34 @@ def test_contact_reduce_euclidean_exact():
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
     orbit = jb.transport(m, pp(x, y), T=0.6, resolution=500)
-    split = jb.contact_reduce(orbit, 0.5)
+    split = rd.contact_reduce(orbit, 0.5)
     assert split.kr_residual < 1e-8
     assert split.block_residual < 1e-8
     assert split.alpha_residual < 1e-10
 
 
-def test_contact_reduce_sphere_identities():
-    m = mx.zoo_metric("sphere")
-    x = np.array([0.15, -0.1])
-    y = unit_vector(m, x, [0.8, 0.25])
-    orbit = jb.transport(m, pp(x, y), T=0.45, resolution=2000)
-    split = jb.contact_reduce(orbit, 0.3)
-    assert split.kr_residual < 1e-5
-    assert split.block_residual < 1e-5
+@pytest.mark.parametrize("metric_fn, x, y, T, back, t, tol", [
+    # the original case: symmetric window, loose kernel and block bounds
+    (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
+     0.45, None, 0.3, 1e-5),
+    (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
+     0.75, 0.05, 0.7, 1e-10),
+    (lambda: df.katok_metric(0.3), [0.15, -0.1], [0.8, 0.25],
+     0.35, 0.05, 0.3, 1e-10),
+    # three dimensions: the contact part is a 2-plane
+    (lambda: mx.zoo_metric("riemannian-conformal", n=3), [0.1, -0.2, 0.15],
+     [0.6, 0.3, -0.5], 0.45, 0.05, 0.4, 1e-10),
+    (lambda: mx.zoo_metric("randers"), [0.1, -0.2], [0.6, 0.7],
+     0.45, 0.05, 0.4, 1e-10),
+], ids=["sphere", "sphere-tight", "katok", "conformal-3d", "randers"])
+def test_contact_reduce_sphere_identities(metric_fn, x, y, T, back, t, tol):
+    m = metric_fn()
+    x = np.array(x)
+    y = unit_vector(m, x, y)
+    orbit = jb.transport(m, pp(x, y), T=T, back=back, resolution=2000)
+    split = rd.contact_reduce(orbit, t)
+    assert split.K_block.shape == (len(x) - 1, len(x) - 1)
+    assert split.kr_residual < tol
+    assert split.block_residual < tol
     assert split.w_residual < 1e-6
     assert split.alpha_residual < 1e-7

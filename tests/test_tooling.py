@@ -1,6 +1,7 @@
-"""Guards for what the traced benchmark (perfbench/tracer.py) assumes about
-the package: every traced name exists, and each function is looked up only
-under the names the tracer wraps."""
+"""Guards for the package's public names and for what the traced benchmark
+(perfbench/tracer.py) assumes about the package: every exported and every
+traced name exists, and each function is looked up only under the names the
+tracer wraps."""
 
 import importlib
 import pkgutil
@@ -35,6 +36,13 @@ def traced_functions(modules):
                 owner = getattr(owner, attr)
             out.append((mod, name, owner))
     return out
+
+
+def test_exported_names_resolve():
+    for modname, module in package_modules().items():
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), \
+                f"fanning_lab.{modname}.__all__ lists missing {name!r}"
 
 
 def test_traced_names_resolve():
