@@ -2,7 +2,9 @@
 
 Configs are fail-closed (unknown keys are errors) and fully seeded, so a
 fixed config produces byte-identical output files.  Exit codes: 0 success,
-1 tolerance violation, 2 config error, 3 numeric failure.
+1 tolerance violation, 2 config error, 3 numeric failure (one line on
+stderr naming the failing flag where there is one).  The flags of a
+curvature-grid, katok or projective run go through one batched transport.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import deformations as df
 from . import jacobi as jb
 from . import metrics as mx
 from . import reduction as rd
-from .errors import ConfigError, FanningLabError
+from .errors import ConfigError, FanningLabError, flag_label, labelled
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -122,17 +124,37 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _build_metric(cfg, default_id="euclidean"):
-    spec = cfg.get("metric") or {"id": default_id}
+def _metric_params(spec) -> dict:
+    """The params of a metric spec; each must be a number or a nonempty
+    list of numbers."""
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("metric params must be an object")
+    for key, val in params.items():
+        vals = val if isinstance(val, list) else [val]
+        if not vals or not all(_is_number(v) for v in vals):
+            raise ConfigError(f"metric param {key!r} must be a finite number "
+                              f"or a list of them, got {val!r}")
+    return params
+
+
+def _zoo_metric(metric_id, params):
     try:
-        return mx.zoo_metric(spec["id"], **params)
+        return mx.zoo_metric(metric_id, **params)
     except TypeError as exc:
-        raise ConfigError(f"bad parameters for metric {spec['id']!r}: {exc}")
+        raise ConfigError(f"bad parameters for metric {metric_id!r}: {exc}")
     except FanningLabError as exc:
         raise ConfigError(str(exc))
+
+
+def _build_metric(cfg, default_id="euclidean"):
+    spec = cfg.get("metric") or {"id": default_id}
+    return _zoo_metric(spec["id"], _metric_params(spec))
+
+
+def _stack_flags(flags):
+    """Flag triples (x, y, u) as three arrays of shape (count, n)."""
+    return (np.array(a) for a in zip(*flags))
 
 
 def sample_in_ball(rng, n, radius):
@@ -175,13 +197,15 @@ def _run_curvature_grid(cfg):
               + ["K", "oracle_K", "abs_err"])
     rows = []
     worst = 0.0
-    for x, y, u in sample_flags(rng, n, samples, radius):
-        K = jb.flag_curvature(metric, mx.PhasePoint(x, y), u,
-                              resolution=resolution, h=h)
+    xs, ys, us = _stack_flags(sample_flags(rng, n, samples, radius))
+    Ks = jb.flag_curvature(metric, mx.PhasePoint(xs, ys), us,
+                           resolution=resolution, h=h)
+    for i, (x, y, u, K) in enumerate(zip(xs, ys, us, Ks)):
         oracle = None
         err = None
         if metric.family == "riemannian":
-            oracle = jb.riemann_oracle(metric.g, x, y, u)
+            with labelled(flag_label(i)):
+                oracle = jb.riemann_oracle(metric.g, x, y, u)
             err = abs(K - oracle)
             worst = max(worst, err)
         rows.append([metric.name] + list(x) + list(y) + list(u)
@@ -260,10 +284,10 @@ def _run_projective(cfg):
     tol = float(cfg.get("tolerance", _DEFAULT_TOL["projective"]))
 
     if spec.get("id") == "sphere":
-        base = mx.zoo_metric("sphere", **spec.get("params", {}))
+        base = _zoo_metric("sphere", _metric_params(spec))
         form = df.ambient_coordinate_form(scale)
     elif spec.get("id") == "euclidean":
-        base = mx.zoo_metric("euclidean", **spec.get("params", {}))
+        base = _zoo_metric("euclidean", _metric_params(spec))
         c = (scale, 0.0)
         form = df.ClosedOneForm(
             theta=lambda x: list(c),
@@ -277,12 +301,14 @@ def _run_projective(cfg):
     header = ["flag_id", "K_direct", "K_formula", "abs_err"]
     rows = []
     worst = 0.0
-    for i, (x, y, u) in enumerate(sample_flags(rng, base.n, samples, radius)):
-        K_direct = jb.flag_curvature(deformed, mx.PhasePoint(x, y), u,
-                                     resolution=resolution)
-        K_formula = df.projective_curvature_rhs(base, form,
-                                                mx.PhasePoint(x, y), u,
-                                                resolution=resolution)
+    xs, ys, us = _stack_flags(sample_flags(rng, base.n, samples, radius))
+    Ks = jb.flag_curvature(deformed, mx.PhasePoint(xs, ys), us,
+                           resolution=resolution)
+    for i, (x, y, u, K_direct) in enumerate(zip(xs, ys, us, Ks)):
+        with labelled(flag_label(i)):
+            K_formula = df.projective_curvature_rhs(base, form,
+                                                    mx.PhasePoint(x, y), u,
+                                                    resolution=resolution)
         err = abs(K_direct - K_formula)
         worst = max(worst, err)
         rows.append([i, K_direct, K_formula, err])
@@ -302,11 +328,12 @@ def _run_katok(cfg):
     worst = 0.0
     for eps in epsilons:
         metric = df.katok_metric(float(eps))
-        flags = sample_flags(rng, 2, samples, radius)
-        for i, (x, y, u) in enumerate(flags):
-            y = y / metric.F_value(x, y)
-            K = jb.flag_curvature(metric, mx.PhasePoint(x, y), u,
-                                  resolution=resolution)
+        xs, ys, us = _stack_flags(sample_flags(rng, 2, samples, radius))
+        with labelled(f"epsilon {eps}"):
+            ys = ys / metric.F_value(xs, ys)[:, None]
+            Ks = jb.flag_curvature(metric, mx.PhasePoint(xs, ys), us,
+                                   resolution=resolution)
+        for i, K in enumerate(Ks):
             dev = abs(K - 1.0)
             worst = max(worst, dev)
             rows.append([eps, i, K, dev])
@@ -364,6 +391,10 @@ def run_config(cfg: dict, output_dir=None):
     return summary, (EXIT_OK if passed else EXIT_TOLERANCE)
 
 
+def _one_line(exc) -> str:
+    return " ".join(str(exc).split())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fanning-lab",
@@ -407,12 +438,19 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        summary, code = run_config(cfg)
+        # a non-finite value inside a batch is reported by the finiteness
+        # checks that name its flag, not by numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            summary, code = run_config(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except FanningLabError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except Exception as exc:  # any other escape is a numeric failure too
+        print(f"numeric failure: {type(exc).__name__}: {_one_line(exc)}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     print(json.dumps(summary, indent=2, sort_keys=True))
     return code

@@ -2,8 +2,14 @@
 
 Numerical failures are always raised as subclasses of FanningLabError so
 callers (and the CLI) can distinguish bad input, degenerate geometry and
-genuine arithmetic blow-ups.
+genuine arithmetic blow-ups.  A failure inside a batch of flags names the
+failing flag ("flag 3: ..."), the lowest one when several fail at once, so
+the message is the same on every rerun.
 """
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class FanningLabError(Exception):
@@ -76,3 +82,39 @@ class SmallnessViolation(FanningLabError):
 
 class ConfigError(FanningLabError):
     """A scenario configuration does not validate."""
+
+
+def flag_label(i):
+    """'flag 3' for batch index (3,) or 3; None for () (a single point)."""
+    if isinstance(i, tuple):
+        if not i:
+            return None
+        i = i[0] if len(i) == 1 else i
+    return f"flag {i}"
+
+
+@contextmanager
+def labelled(label):
+    """Prefix the message of a FanningLabError raised in the block with
+    `label` (a flag label, an epsilon, ...); None adds nothing."""
+    try:
+        yield
+    except FanningLabError as exc:
+        if label is None:
+            raise
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
+def raise_at(error, bad, describe):
+    """Raise `error` for the lowest batch index at which `bad` holds.
+
+    bad is a boolean array over the batch axes (0-d for a single point);
+    describe(i) gives the message for index tuple i, and a batched message
+    is prefixed with the flag label.  Returns when no entry is bad.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    i = tuple(int(k) for k in np.argwhere(bad)[0]) if bad.ndim else ()
+    label = flag_label(i)
+    raise error(describe(i) if label is None else f"{label}: {describe(i)}")

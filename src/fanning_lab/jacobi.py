@@ -9,6 +9,15 @@ curvature endomorphism.
 
 One `numkit.rk_integrate` field integrates the stored orbit and the off-grid
 hops; every transport window is sized by `frame_reach`, the stencil's reach.
+The spray and its Jacobian at each grid state are kept with the state (the
+integrator's first stage, plus the two window ends), so frames on the grid
+evaluate nothing.
+
+`transport` and `flag_curvature` take a batch of phase points (x, y of
+shape S+(n,)) and integrate all of them in lockstep: one `spray_data` call
+per RK4 stage for the whole batch.  A single point is the case S = ().
+The Jacobi-frame linear algebra after transport runs per flag, on
+`OrbitData.flag(i)`; a failure names the flag.
 
 A finite-difference Riemann-tensor computation (Christoffel symbols from
 central differences of g, differentiated once more) serves as the independent
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,7 +40,7 @@ from . import fanning as fc
 from . import metrics as mx
 from . import numkit as nk
 from .errors import (DegenerateFlag, InternalInconsistency, NonFiniteValue,
-                     OutOfChart)
+                     OutOfChart, flag_label, labelled, raise_at)
 
 __all__ = [
     "OrbitData",
@@ -58,8 +68,11 @@ class OrbitData:
     """Geodesic orbit with the transported linearization.
 
     states maps grid times to (x, y, M) with M(t) the differential of the
-    time-t flow at v0; omega is the symplectic form at v0, the fixed ambient
-    form for every frame along this orbit.  Immutable after construction.
+    time-t flow at v0, and sprays to the spray data (G, DS) at each state;
+    omega_matrix is the symplectic form at v0, the fixed ambient form for
+    every frame along this orbit.  For a batch v0 every array carries its
+    batch axes first; `flag(i)` is the orbit of one point.  Immutable after
+    construction.
     """
 
     metric: mx.MetricSpec
@@ -67,30 +80,58 @@ class OrbitData:
     resolution: int
     ts: np.ndarray
     states: tuple
-    omega: fc.SymplecticForm
+    sprays: tuple
+    omega_matrix: np.ndarray
 
-    def state(self, t: float):
-        """State at t: grid lookup, or re-integration from the nearest node."""
+    @cached_property
+    def omega(self) -> fc.SymplecticForm:
+        """The symplectic form at v0 (orbits of a single point)."""
+        return fc.SymplecticForm(self.omega_matrix)
+
+    def flag(self, i) -> "OrbitData":
+        """Orbit of batch index i; an unbatched orbit is its own flag ()."""
+        if i == ():
+            return self
+        return OrbitData(
+            metric=self.metric, v0=mx.PhasePoint(self.v0.x[i], self.v0.y[i]),
+            resolution=self.resolution, ts=self.ts,
+            states=tuple((x[i], y[i], M[i]) for x, y, M in self.states),
+            sprays=tuple((G[i], DS[i]) for G, DS in self.sprays),
+            omega_matrix=self.omega_matrix[i])
+
+    def _nearest(self, t: float):
+        """Index of the grid node nearest t, and whether t is that node."""
         dt = self.ts[1] - self.ts[0] if len(self.ts) > 1 else 1.0
         idx = int(round((t - self.ts[0]) / dt))
         idx = min(max(idx, 0), len(self.ts) - 1)
-        if abs(self.ts[idx] - t) < 1e-12 * max(1.0, abs(t)):
+        return idx, abs(self.ts[idx] - t) < 1e-12 * max(1.0, abs(t))
+
+    def state(self, t: float):
+        """State at t: grid lookup, or re-integration from the nearest node."""
+        idx, on_grid = self._nearest(t)
+        if on_grid:
             return self.states[idx]
         # frame stencils may overhang the window by a few nodes; allow a
         # short re-integration slack, but refuse genuinely distant times
         slack = 0.05 * max(1.0, self.ts[-1]) + 8.0 / self.resolution
         if not (self.ts[0] - slack <= t <= self.ts[-1] + slack):
             raise OutOfChart(f"t={t} outside the transported interval")
-        # nearest node not past t in integration direction, then a short hop
+        # a short hop from the nearest node, whose spray data is stored
         delta = t - self.ts[idx]
         steps = max(1, int(math.ceil(abs(delta) * self.resolution * 2)))
-        return _flow(self.metric, self.states[idx], delta, steps)[-1]
+        states, _ = _flow(self.metric, self.states[idx], delta, steps,
+                          self.sprays[idx])
+        return states[-1]
 
     def frame_data(self, t: float):
         """Frame A(t) = M^{-1} Vert and its analytic derivative at time t."""
         n = self.metric.n
-        x, y, M = self.state(t)
-        _, DS = mx.spray_data(self.metric, x, y)
+        idx, on_grid = self._nearest(t)
+        if on_grid:
+            (_, _, M), (_, DS) = self.states[idx], self.sprays[idx]
+        else:
+            x, y, M = self.state(t)
+            _, DS = mx.spray_data(self.metric, x, y)
         vert = np.vstack([np.zeros((n, n)), np.eye(n)])
         Minv = np.linalg.inv(M)
         A = Minv @ vert
@@ -98,32 +139,50 @@ class OrbitData:
         return A, Adot
 
 
-def _flow(metric, state, span, steps):
-    """RK4 states (x, y, M) on the grid of [0, span], start included.
+def _spray(metric, x, y):
+    """spray_data at (x, y), refusing points outside the chart first."""
+    _check_chart(metric, x)
+    return mx.spray_data(metric, x, y)
 
-    Raises OutOfChart for a state outside the box before the metric is read
-    there; the field checks every state but the last.
+
+def _flow(metric, state, span, steps, spray=None):
+    """RK4 states (x, y, M) on the grid of [0, span], start included, and
+    the spray data (G, DS) at every state but the last.
+
+    spray, when given, is the spray data at the start and saves its
+    evaluation.  Raises OutOfChart, naming the flag of a batch, for a state
+    outside the box before the metric is read there; the field checks every
+    state but the last.
     """
     n = metric.n
+    x, y, M = state
+    lead = x.shape[:-1]
+    sprays = []
+
+    def rate(z, G, DS):
+        M = z[..., 2 * n:].reshape(lead + (2 * n, 2 * n))
+        return np.concatenate([z[..., n:2 * n], -2.0 * G,
+                               (DS @ M).reshape(lead + (-1,))], axis=-1)
 
     def field(z):
-        x, y = z[:n], z[n:2 * n]
-        _check_chart(metric, x)
-        G, DS = mx.spray_data(metric, x, y)
-        M = z[2 * n:].reshape(2 * n, 2 * n)
-        return np.concatenate([y, -2.0 * G, (DS @ M).ravel()])
+        sprays.append(_spray(metric, z[..., :n], z[..., n:2 * n]))
+        return rate(z, *sprays[-1])
 
-    x, y, M = state
-    samples = nk.rk_integrate(field, np.concatenate([x, y, M.ravel()]),
-                              0.0, span, steps)
-    _check_chart(metric, samples[-1][1][:n])
-    return [(z[:n], z[n:2 * n], z[2 * n:].reshape(2 * n, 2 * n))
-            for _, z in samples]
+    z0 = np.concatenate([x, y, M.reshape(lead + (-1,))], axis=-1)
+    k1 = None if spray is None else rate(z0, *spray)
+    samples = nk.rk_integrate(field, z0, 0.0, span, steps, k1=k1)
+    _check_chart(metric, samples[-1][1][..., :n])
+    # rk4_step evaluates a step's first stage, at the grid state, before
+    # the other three
+    stage1 = sprays[::4] if spray is None else [spray] + sprays[3::4]
+    return [(z[..., :n], z[..., n:2 * n],
+             z[..., 2 * n:].reshape(lead + (2 * n, 2 * n)))
+            for _, z in samples], stage1
 
 
 def _check_chart(metric, x):
-    if not metric.domain.contains(x):
-        raise OutOfChart(f"orbit left the chart at x={x}")
+    raise_at(OutOfChart, ~metric.domain.contains(x),
+             lambda i: f"orbit left the chart at x={x[i]}")
 
 
 def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
@@ -133,7 +192,9 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
 
     Deterministic fixed-step RK4 on one grid of step dt = T / ceil(T *
     resolution), so a given back is rounded up to whole steps; raises
-    OutOfChart if the orbit leaves the metric's box within the window.
+    OutOfChart if the orbit leaves the metric's box within the window.  A
+    batch v0 is integrated in lockstep, and an error names the lowest
+    failing flag.  The spray data at v0 serves both directions.
     """
     if T <= 0.0 or (back is not None and back <= 0.0):
         raise OutOfChart("transport window must be positive")
@@ -141,14 +202,19 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
     dt = T / steps
     back_steps = steps if back is None else int(math.ceil(back / dt))
     back = T if back is None else dt * back_steps
-    start = (v0.x, v0.y, np.eye(2 * metric.n))
-    fwd = _flow(metric, start, T, steps)
-    bwd = _flow(metric, start, -back, back_steps)
+    m2 = 2 * metric.n
+    eye = np.broadcast_to(np.eye(m2), v0.x.shape[:-1] + (m2, m2))
+    start = (v0.x, v0.y, eye)
+    spray0 = _spray(metric, v0.x, v0.y)
+    fwd, fwd_sprays = _flow(metric, start, T, steps, spray0)
+    bwd, bwd_sprays = _flow(metric, start, -back, back_steps, spray0)
+    fwd_sprays.append(mx.spray_data(metric, *fwd[-1][:2]))
+    bwd_sprays.append(mx.spray_data(metric, *bwd[-1][:2]))
     ts = dt * np.arange(-back_steps, steps + 1)
-    states = tuple(bwd[:0:-1] + fwd)
-    omega = fc.SymplecticForm(mx.omega_matrix(metric, v0))
     return OrbitData(metric=metric, v0=v0, resolution=resolution, ts=ts,
-                     states=states, omega=omega)
+                     states=tuple(bwd[:0:-1] + fwd),
+                     sprays=tuple(bwd_sprays[:0:-1] + fwd_sprays),
+                     omega_matrix=mx.omega_matrix(metric, v0))
 
 
 def frame_reach(h: float, order: int = 4) -> float:
@@ -204,37 +270,46 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
 
 def _canonical_flag_vector(g: np.ndarray, y: np.ndarray, u: np.ndarray):
     """Project u g-orthogonally to y; reject parallel pairs."""
-    u = np.asarray(u, dtype=float)
-    c = (y @ g @ u) / (y @ g @ y)
-    u_perp = u - c * y
-    if np.linalg.norm(u_perp) < 1e-10 * max(1.0, np.linalg.norm(u)):
-        raise DegenerateFlag("flag vectors are parallel")
+    c = (np.einsum("...i,...ij,...j->...", y, g, u)
+         / np.einsum("...i,...ij,...j->...", y, g, y))
+    u_perp = u - c[..., None] * y
+    raise_at(DegenerateFlag,
+             np.linalg.norm(u_perp, axis=-1)
+             < 1e-10 * np.maximum(1.0, np.linalg.norm(u, axis=-1)),
+             lambda i: "flag vectors are parallel")
     return u_perp
 
 
 def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
                    resolution: int = DEFAULT_RESOLUTION,
                    h: float = DEFAULT_FRAME_H,
-                   orbit: Optional[OrbitData] = None) -> float:
+                   orbit: Optional[OrbitData] = None):
     """Flag curvature of the flag (v, span[v, u]).
 
     u is g_F(v)-orthogonalized against v internally; the value is invariant
     under scaling of u, adding multiples of v to u, and scaling of v.  At
     time zero the frame basis is the vertical one, so the coordinates of the
     flag vector are just its components.
+
+    v and u may hold a batch of flags (shape S+(n,)): one batched transport
+    serves them all, then each flag reads its own Jacobi frame.  Returns a
+    float for a single flag and an array of shape S for a batch; an error
+    names the lowest failing flag.
     """
+    u = np.asarray(u, dtype=float)
     g = mx.fundamental_tensor(metric, v)
-    u_perp = _canonical_flag_vector(g, v.y, np.asarray(u, dtype=float))
-    F = metric.F_value(v.x, v.y)
+    u_perp = _canonical_flag_vector(g, v.y, u)
+    F = np.asarray(metric.F_value(v.x, v.y))
     if orbit is None:
         orbit = transport(metric, v, T=frame_reach(h), resolution=resolution)
-    sample = jacobi_frame(orbit, 0.0, h=h)
-    inv = sample.invariants
-    K_plane = 0.5 * inv.Schwarzian            # K on span(A) in the frame basis
-    W = inv.W
-    num = (K_plane @ u_perp) @ W @ u_perp
-    den = u_perp @ W @ u_perp
-    return float(num / den / (F * F))
+    K = np.empty(F.shape)
+    for i in np.ndindex(K.shape):
+        with labelled(flag_label(i)):
+            inv = jacobi_frame(orbit.flag(i), 0.0, h=h).invariants
+        K_plane = 0.5 * inv.Schwarzian        # K on span(A) in the frame basis
+        w = u_perp[i]
+        K[i] = (K_plane @ w) @ inv.W @ w / (w @ inv.W @ w) / (F[i] * F[i])
+    return float(K) if K.ndim == 0 else K
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Multivariate truncated Taylor scalars (order 2 or 3).
+"""Multivariate truncated Taylor scalars (order 2 or 3), optionally batched.
 
 One jet evaluation of a scalar function in m variables yields its gradient,
 Hessian and (at order 3) full third-derivative tensor in a single forward
@@ -10,6 +10,15 @@ fundamental tensor and the support Newton take order-2 jets, and
 univariate jets (m = 1) seeded with t-derivatives carry Taylor expansions
 along a curve.
 
+Batch axes.  A jet may carry leading batch axes S: v has shape S, g
+S+(m,), H S+(m,m) and T S+(m,m,m), and every operation broadcasts over
+them, so one evaluation of a metric differentiates it at a whole batch of
+points at once (the batched Taylor mode of Bettencourt, Johnson & Duvenaud,
+2019, without a tracing framework).  S = () is the scalar jet, whose value
+is a plain number.  Derivative arrays need only broadcast against S: seeds
+and constants keep unbatched gradients until arithmetic mixes them with
+batched values.
+
 The derivative tensors are stored unpacked (numpy arrays H: (m,m), T:
 (m,m,m)); m <= 16 in this package, so symmetry packing would buy nothing.
 """
@@ -20,24 +29,60 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue, raise_at
 
-__all__ = ["Jet", "jet_variables"]
+__all__ = ["Jet", "jet_variables", "components"]
+
+
+# index tuples that place a gradient or Hessian for an outer product over
+# the last axes, whatever the batch axes in front (prebuilt: indexing with a
+# constant tuple is as cheap as the unbatched g[:, None])
+_COL = (Ellipsis, slice(None), None)                  # g_i  -> [..., i, 1]
+_ROW = (Ellipsis, None, slice(None))                  # g_j  -> [..., 1, j]
+_COL2 = (Ellipsis, slice(None), None, None)           # g_i  -> [..., i, 1, 1]
+_LAYER = (Ellipsis, None, slice(None), slice(None))   # H_jk -> [..., 1, j, k]
+_ROW2 = (Ellipsis, None, None, slice(None))           # g_k  -> [..., 1, 1, k]
 
 
 def _sym3(X: np.ndarray) -> np.ndarray:
-    """Symmetrized tensor X_ijk + X_jik + X_kij.
+    """Symmetrized tensor X_ijk + X_jik + X_kij over the last three axes.
 
     For X_ijk = g_i H_jk this is g_i H_jk + g_j H_ik + g_k H_ij.
     """
-    return X + X.transpose(1, 0, 2) + X.transpose(1, 2, 0)
+    Y = X.swapaxes(-3, -2)
+    return X + Y + Y.swapaxes(-2, -1)
+
+
+def _lift(c):
+    """c ready to scale a gradient, a Hessian and a third-derivative tensor.
+
+    A plain number scales them as it is; a batch of values gets one, two
+    and three trailing unit axes.
+    """
+    if isinstance(c, np.ndarray):
+        return c[..., None], c[..., None, None], c[..., None, None, None]
+    return c, c, c
+
+
+def _elementwise(math_fn, np_fn):
+    """math_fn on a plain number, np_fn on a batch of values."""
+    return lambda v: np_fn(v) if isinstance(v, np.ndarray) else math_fn(v)
+
+
+_sqrt = _elementwise(math.sqrt, np.sqrt)
+_exp = _elementwise(math.exp, np.exp)
+_log = _elementwise(math.log, np.log)
+_sin = _elementwise(math.sin, np.sin)
+_cos = _elementwise(math.cos, np.cos)
+_isfinite = _elementwise(math.isfinite, lambda v: np.isfinite(v).all())
 
 
 class Jet:
     """Taylor polynomial of a scalar at a point, truncated at `order`.
 
     v is the value, g the gradient, H the Hessian and T (order 3 only) the
-    third-derivative tensor, all with respect to the m seeded variables.
+    third-derivative tensor, all with respect to the m seeded variables and
+    all with the same leading batch axes (none for a single point).
     """
 
     __slots__ = ("m", "order", "v", "g", "H", "T")
@@ -45,7 +90,7 @@ class Jet:
     def __init__(self, m, order, v, g=None, H=None, T=None):
         self.m = m
         self.order = order
-        self.v = float(v)
+        self.v = v
         self.g = np.zeros(m) if g is None else g
         self.H = np.zeros((m, m)) if H is None else H
         self.T = None
@@ -87,18 +132,20 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = float(other)
-            T = None if self.T is None else c * self.T
-            return self._like(c * self.v, c * self.g, c * self.H, T)
+            c1, c2, c3 = _lift(other)
+            T = None if self.T is None else c3 * self.T
+            return self._like(other * self.v, c1 * self.g, c2 * self.H, T)
         a, b = self, other
+        a1, a2, a3 = _lift(a.v)
+        b1, b2, b3 = _lift(b.v)
         v = a.v * b.v
-        g = a.v * b.g + b.v * a.g
-        gg = a.g[:, None] * b.g
-        H = a.v * b.H + b.v * a.H + gg + gg.T
+        g = a1 * b.g + b1 * a.g
+        gg = a.g[_COL] * b.g[_ROW]
+        H = a2 * b.H + b2 * a.H + gg + gg.mT
         T = None
         if self.T is not None:
-            T = (a.v * b.T + b.v * a.T
-                 + _sym3(a.g[:, None, None] * b.H + b.g[:, None, None] * a.H))
+            T = (a3 * b.T + b3 * a.T
+                 + _sym3(a.g[_COL2] * b.H[_LAYER] + b.g[_COL2] * a.H[_LAYER]))
         return self._like(v, g, H, T)
 
     __rmul__ = __mul__
@@ -106,7 +153,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        return self * (1.0 / float(other))
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
         return other * self._reciprocal()
@@ -129,13 +176,17 @@ class Jet:
     # -- composition with a smooth univariate function ------------------------
 
     def _compose(self, c0, c1, c2, c3):
-        g = c1 * self.g
-        gg = self.g[:, None] * self.g
-        H = c1 * self.H + c2 * gg
+        """Jet of f(self) from the value and derivatives c0..c3 of f at v."""
+        c1g, c1H, c1T = _lift(c1)
+        _, c2H, c2T = _lift(c2)
+        g = c1g * self.g
+        gg = self.g[_COL] * self.g[_ROW]
+        H = c1H * self.H + c2H * gg
         T = None
         if self.T is not None:
-            T = (c1 * self.T + c2 * _sym3(self.g[:, None, None] * self.H)
-                 + c3 * gg[:, :, None] * self.g[None, None, :])
+            T = (c1T * self.T
+                 + c2T * _sym3(self.g[_COL2] * self.H[_LAYER])
+                 + _lift(c3)[2] * gg[..., None] * self.g[_ROW2])
         return self._like(c0, g, H, T)
 
     def _reciprocal(self):
@@ -143,24 +194,24 @@ class Jet:
         return self._compose(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4)
 
     def sqrt(self):
-        s = math.sqrt(self.v)
+        s = _sqrt(self.v)
         return self._compose(s, 0.5 / s, -0.25 / (s * self.v),
                              0.375 / (s * self.v * self.v))
 
     def exp(self):
-        e = math.exp(self.v)
+        e = _exp(self.v)
         return self._compose(e, e, e, e)
 
     def log(self):
         v = self.v
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+        return self._compose(_log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
 
     def sin(self):
-        s, c = math.sin(self.v), math.cos(self.v)
+        s, c = _sin(self.v), _cos(self.v)
         return self._compose(s, c, -s, -c)
 
     def cos(self):
-        s, c = math.sin(self.v), math.cos(self.v)
+        s, c = _sin(self.v), _cos(self.v)
         return self._compose(c, -s, -c, s)
 
     # -- accessors -----------------------------------------------------------
@@ -170,18 +221,34 @@ class Jet:
         return self.v
 
     def check_finite(self):
-        ok = (math.isfinite(self.v) and np.isfinite(self.g).all()
-              and np.isfinite(self.H).all())
-        if ok and self.T is not None:
-            ok = np.isfinite(self.T).all()
-        if not ok:
-            raise NonFiniteValue("jet evaluation produced non-finite derivatives")
+        """Raise NonFiniteValue, naming the lowest failing batch index, if
+        the value or a derivative is NaN or infinite."""
+        if (_isfinite(self.v) and np.isfinite(self.g).all()
+                and np.isfinite(self.H).all()
+                and (self.T is None or np.isfinite(self.T).all())):
+            return self
+        parts = [self.v, self.g, self.H] + ([] if self.T is None else [self.T])
+        bad = np.zeros(np.shape(self.v), dtype=bool)
+        for r, p in enumerate(parts):
+            bad = bad | ~np.isfinite(p).all(axis=tuple(range(-r, 0)))
+        raise_at(NonFiniteValue, bad,
+                 lambda i: "jet evaluation produced non-finite derivatives")
         return self
 
 
+def components(a) -> list:
+    """Entries of a along its last axis: floats for one point, arrays over
+    the batch axes for a batch of points (the argument form of evaluators)."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        return a.tolist()
+    return [a[..., i] for i in range(a.shape[-1])]
+
+
 def jet_variables(values, order=3):
-    """Seed one jet per entry of `values`, each with a unit gradient slot."""
-    values = [float(v) for v in values]
+    """Seed one jet per entry of the last axis of `values`, each with a unit
+    gradient slot; leading axes of `values` become the jets' batch axes."""
+    values = components(values)
     m = len(values)
     if m == 0:
         raise DimensionMismatch("no variables to seed")

@@ -9,6 +9,12 @@ natural coordinates (x1..xn, y1..yn).  Riemannian and Randers jets are
 assembled from jets of g and beta in the n x-variables (y^T g y and
 beta . y are polynomials in y); a custom F sees jets in all 2n variables.
 
+Every evaluator takes a batch of phase points as well as a single one: x
+and y of shape S+(n,) give G of shape S+(n,), DS of shape S+(2n,2n) and a
+jet with batch axes S (see `jets`), from one pass of F, g or beta over the
+whole batch.  S = () is a single point.  A failure at one point of a batch
+names its index, the lowest one when several fail.
+
 Sign convention for the symplectic form: with xi = Legendre(x, y), the matrix
 is [[D, g], [-g^T, 0]] where D_kl = d xi_k/dx_l - d xi_l/dx_k and g is the
 fundamental tensor; the Euclidean metric then gives the canonical
@@ -26,8 +32,8 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import (DimensionMismatch, NewtonDivergence, NonFiniteValue,
-                     NotPositiveDefinite)
-from .jets import Jet, jet_variables
+                     NotPositiveDefinite, raise_at)
+from .jets import Jet, components, jet_variables
 
 __all__ = [
     "Box",
@@ -69,9 +75,10 @@ class Box:
     def cube(n: int, half_width: float) -> "Box":
         return Box(-half_width * np.ones(n), half_width * np.ones(n))
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether x lies in the box: a bool per point of a batch S+(n,)."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
     def grid(self, points_per_axis: int = 5) -> np.ndarray:
         axes = [np.linspace(l, h, points_per_axis)
@@ -82,7 +89,10 @@ class Box:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Point (x, y) of the slit tangent bundle in chart coordinates, y != 0."""
+    """Point (x, y) of the slit tangent bundle in chart coordinates, y != 0.
+
+    x and y of shape S+(n,) hold a batch of points with batch axes S.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -90,10 +100,11 @@ class PhasePoint:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
+        if self.x.shape != self.y.shape or self.x.ndim == 0:
             raise DimensionMismatch("x and y must be vectors of equal length")
-        if not np.linalg.norm(self.y) > 0.0:
-            raise DimensionMismatch("fiber coordinate must be nonzero")
+        raise_at(DimensionMismatch,
+                 ~(np.linalg.norm(self.y, axis=-1) > 0.0),
+                 lambda i: "fiber coordinate must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -117,8 +128,9 @@ class MetricSpec:
     beta: Optional[Callable] = None
     energy_jet_fn: Optional[Callable] = None
 
-    def F_value(self, x, y) -> float:
-        return nk.scalar_value(self.F(list(x), list(y)))
+    def F_value(self, x, y):
+        """F at one point (a float) or at a batch S+(n,) (an array S)."""
+        return nk.scalar_value(self.F(components(x), components(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +212,30 @@ def _check_positive_samples(m: MetricSpec):
 # tensors
 # ---------------------------------------------------------------------------
 
+def _sym(A: np.ndarray) -> np.ndarray:
+    """Symmetric part of a (stack of) square matrices."""
+    return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product A v over matching batch axes."""
+    # a single point takes numpy's matrix-vector product as it is
+    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
+
+
 def fundamental_tensor(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """Fundamental tensor: half the fiber Hessian of F^2, SPD at valid points."""
     n = m.n
-    g = 0.5 * energy_jet(m, p.x, p.y, order=2).H[n:, n:]
-    g = 0.5 * (g + g.T)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            f"fundamental tensor not positive definite at x={p.x}, y={p.y}")
+    g = _sym(0.5 * energy_jet(m, p.x, p.y, order=2).H[..., n:, n:])
+    nk.stacked(np.linalg.cholesky, NotPositiveDefinite,
+               lambda i: ("fundamental tensor not positive definite at "
+                          f"x={p.x[i]}, y={p.y[i]}"), g)
     return g
 
 
 def legendre(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """Legendre transform g_F(v)(v, .) as a covector."""
-    return fundamental_tensor(m, p) @ p.y
+    return _mv(fundamental_tensor(m, p), p.y)
 
 
 def legendre_inverse(m: MetricSpec, x, xi, warm=None,
@@ -272,9 +292,13 @@ def conorm(m: MetricSpec, x, xi) -> float:
 def energy_jet(m: MetricSpec, x, y, order: int = 3) -> Jet:
     """Jet of E = F^2 in the 2n phase variables (x then y).
 
-    Domain errors raised while evaluating F (ValueError, ZeroDivisionError,
-    OverflowError) surface as NonFiniteValue, like non-finite derivatives.
+    x and y of shape S+(n,) give a jet with batch axes S.  Domain errors
+    raised while evaluating F (ValueError, ZeroDivisionError, OverflowError)
+    surface as NonFiniteValue, like non-finite derivatives; in a batch they
+    show as non-finite entries, and the error names the lowest such index.
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     try:
         if m.energy_jet_fn is not None:
             E = m.energy_jet_fn(x, y, order)
@@ -282,11 +306,12 @@ def energy_jet(m: MetricSpec, x, y, order: int = 3) -> Jet:
             E = _fiber_quadratic_energy_jet(m, x, y, order)
         else:
             n = m.n
-            zs = jet_variables(list(x) + list(y), order=order)
+            zs = jet_variables(np.concatenate([x, y], axis=-1), order=order)
             f = m.F(zs[:n], zs[n:])
             E = f * f
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise NonFiniteValue(f"evaluation failed at x={list(x)}, y={list(y)}: {exc}")
+        raise NonFiniteValue(f"evaluation failed at x={x.tolist()}, "
+                             f"y={y.tolist()}: {exc}")
     return E.check_finite()
 
 
@@ -299,14 +324,14 @@ def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
     product of a Randers metric run in all 2n variables.
     """
     n = m.n
-    y = np.asarray(y, dtype=float)
-    xs = jet_variables(list(x), order=order)
-    yy = (y[:, None] * y).ravel()
+    nb = y.ndim - 1                         # number of batch axes
+    xs = jet_variables(x, order=order)
+    yy = (y[..., :, None] * y[..., None, :]).reshape(y.shape[:-1] + (n * n,))
     S = _x_jet_stack([e for row in m.g(xs) for e in row], yy, n)
     e = [_contract(yy, s) for s in S[:3]] + S[3:]
-    S = [s.reshape((n, n) + s.shape[1:]) for s in S[:3]]
-    Q = [s + s.swapaxes(0, 1) for s in S]   # x-derivatives of E_yy
-    P = [_contract(y, q) for q in Q]        # x-derivatives of E_y
+    S = [s.reshape(s.shape[:nb] + (n, n) + s.shape[nb + 1:]) for s in S[:3]]
+    Q = [s + s.swapaxes(nb, nb + 1) for s in S]   # x-derivatives of E_yy
+    P = [_contract(y, q) for q in Q]            # x-derivatives of E_y
     E = _phase_jet(n, order, e, P, Q)
     if m.family == "riemannian":
         return E
@@ -318,46 +343,68 @@ def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
 
 
 def _contract(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k w[k] a[k, ...] (one matrix-vector product)."""
-    return (w @ a.reshape(len(w), -1)).reshape(a.shape[1:])
+    """sum_k w[..., k] a[..., k, ...] over matching batch axes (one
+    vector-matrix product per point)."""
+    if w.ndim == 1:       # a single point: no batch axes to carry
+        return (w @ a.reshape(len(w), -1)).reshape(a.shape[1:])
+    lead = w.shape[:-1]
+    out = w[..., None, :] @ a.reshape(lead + (w.shape[-1], -1))
+    return out.reshape(lead + a.shape[len(lead) + 1:])
 
 
 def _x_jet_stack(entries, w, n: int):
-    """Values, gradients and Hessians of n-variable jets stacked on a leading
-    axis, and their third derivatives contracted with w (no entries x n^3
-    array).  Float entries keep zero derivatives."""
-    out = [np.zeros((len(entries),) + (n,) * r) for r in range(3)]
-    out.append(np.zeros((n, n, n)))
+    """Values, gradients and Hessians of n-variable jets stacked on an entry
+    axis after the batch axes, and their third derivatives contracted with
+    w (no entries x n^3 array).  Float entries keep zero derivatives."""
+    lead, count = w.shape[:-1], len(entries)
+    out = [np.zeros((count,) + lead + (n,) * r) for r in range(3)]
+    T = np.zeros(lead + (n, n, n))
     for a, ent in enumerate(entries):
         if not isinstance(ent, Jet):
             out[0][a] = ent
             continue
         out[0][a], out[1][a], out[2][a] = ent.v, ent.g, ent.H
         if ent.T is not None:
-            out[3] += w[a] * ent.T
-    return out
+            wa = w[..., a]
+            T += (wa[..., None, None, None] if w.ndim > 1 else wa) * ent.T
+    if lead:
+        # filled entry-first (one integer index per entry), then viewed
+        # with the entry axis after the batch axes
+        nb = len(lead)
+        out = [s.transpose(tuple(range(1, nb + 1)) + (0,)
+                           + tuple(range(nb + 1, s.ndim))) for s in out]
+    return out + [T]
 
 
 def _phase_jet(n: int, order: int, e, P, Q) -> Jet:
     """2n-variable jet of a function of (x, y) at most quadratic in y.
 
     e[r], P[r] and Q[r] are the order-r x-derivatives of the function, of its
-    y-gradient (leading axis) and of its y-Hessian (two leading axes).
+    y-gradient (leading axis after the batch axes) and of its y-Hessian (two
+    leading axes after the batch axes).
     """
     m2 = 2 * n
-    H = np.empty((m2, m2))
-    H[:n, :n], H[n:, :n], H[:n, n:], H[n:, n:] = e[2], P[1], P[1].T, Q[0]
+    lead = np.shape(e[0])
+    H = np.empty(lead + (m2, m2))
+    H[..., :n, :n] = e[2]
+    H[..., n:, :n] = P[1]
+    H[..., :n, n:] = P[1].swapaxes(-1, -2)
+    H[..., n:, n:] = Q[0]
     T = None
     if order >= 3:
-        T = np.zeros((m2, m2, m2))
-        T[:n, :n, :n] = e[3]
-        T[n:, :n, :n] = P[2]
-        T[:n, n:, :n] = P[2].transpose(1, 0, 2)
-        T[:n, :n, n:] = P[2].transpose(1, 2, 0)
-        T[n:, n:, :n] = Q[1]
-        T[n:, :n, n:] = Q[1].transpose(0, 2, 1)
-        T[:n, n:, n:] = Q[1].transpose(2, 0, 1)
-    return Jet(m2, order, e[0], g=np.concatenate([e[1], P[0]]), H=H, T=T)
+        T = np.zeros(lead + (m2, m2, m2))
+        P2 = P[2].swapaxes(-3, -2)            # P[2].transpose(1, 0, 2)
+        Q1 = Q[1].swapaxes(-2, -1)            # Q[1].transpose(0, 2, 1)
+        T[..., :n, :n, :n] = e[3]
+        T[..., n:, :n, :n] = P[2]
+        T[..., :n, n:, :n] = P2
+        T[..., :n, :n, n:] = P2.swapaxes(-2, -1)
+        T[..., n:, n:, :n] = Q[1]
+        T[..., n:, :n, n:] = Q1
+        T[..., :n, n:, n:] = Q1.swapaxes(-3, -2)
+    # e[0][()] is a number for a single point, the value array for a batch
+    return Jet(m2, order, e[0][()], g=np.concatenate([e[1], P[0]], axis=-1),
+               H=H, T=T)
 
 
 def spray_data(m: MetricSpec, x, y, with_jacobian: bool = True):
@@ -365,35 +412,41 @@ def spray_data(m: MetricSpec, x, y, with_jacobian: bool = True):
 
     G^i = (1/4) g^{il} (E_{y_l x_k} y^k - E_{x_l}) with E = F^2; DS is the
     Jacobian of the field (x, y) -> (y, -2G), assembled from the same jet.
+    x and y of shape S+(n,) give G of shape S+(n,) and DS of shape
+    S+(2n,2n) from one energy jet over the batch.
     """
     n = m.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     J = energy_jet(m, x, y, order=3 if with_jacobian else 2)
     E1, E2 = J.g, J.H
-    gmat = 0.5 * E2[n:, n:]
-    gmat = 0.5 * (gmat + gmat.T)
-    try:
-        ginv = np.linalg.inv(gmat)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"degenerate fundamental tensor at x={x}")
+    gmat = _sym(0.5 * E2[..., n:, n:])
+    ginv = nk.stacked(np.linalg.inv, NotPositiveDefinite,
+                      lambda i: f"degenerate fundamental tensor at x={x[i]}",
+                      gmat)
     # N_l = E_{y_l x_k} y^k - E_{x_l}
-    N = E2[n:, :n] @ y - E1[:n]
-    G = 0.25 * ginv @ N
+    N = _mv(E2[..., n:, :n], y) - E1[..., :n]
+    ginv_N = _mv(ginv, N)
+    G = 0.25 * ginv_N
     if not with_jacobian:
         return G, None
 
     E3 = J.T
     # dg[i, j, p] = (1/2) E3[y_i, y_j, z_p]
-    dg = 0.5 * E3[n:, n:, :]
+    dg = 0.5 * E3[..., n:, n:, :]
     # dN[l, p] = E3[y_l, x_k, p] y^k - E2[x_l, p] + E2[y_l, x_{p-n}] for p >= n
-    dN = np.einsum("lkp,k->lp", E3[n:, :n, :], y) - E2[:n, :]
-    dN[:, n:] += E2[n:, :n]
-    dG = 0.25 * ginv @ (dN - np.einsum("ljp,j->lp", dg, ginv @ N))
-    DS = np.zeros((2 * n, 2 * n))
-    DS[:n, n:] = np.eye(n)
-    DS[n:, :] = -2.0 * dG
+    dN = _middle(y, E3[..., n:, :n, :]) - E2[..., :n, :]
+    dN[..., :, n:] += E2[..., n:, :n]
+    dG = 0.25 * ginv @ (dN - _middle(ginv_N, dg))
+    DS = np.zeros(y.shape[:-1] + (2 * n, 2 * n))
+    DS[..., :n, n:] = np.eye(n)
+    DS[..., n:, :] = -2.0 * dG
     return G, DS
+
+
+def _middle(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_j w[..., j] X[..., l, j, p]: contraction of the middle axis."""
+    return (w[..., None, None, :] @ X)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -411,7 +464,8 @@ class SprayField:
         return G
 
     def value(self, x, y) -> np.ndarray:
-        return np.concatenate([np.asarray(y, dtype=float), -2.0 * self.G(x, y)])
+        y = np.asarray(y, dtype=float)
+        return np.concatenate([y, -2.0 * self.G(x, y)], axis=-1)
 
 
 def spray(m: MetricSpec) -> SprayField:
@@ -427,16 +481,15 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """
     n = m.n
     J = energy_jet(m, p.x, p.y, order=2)
-    g = 0.5 * J.H[n:, n:]
-    g = 0.5 * (g + g.T)
-    dxi_dx = 0.5 * J.H[n:, :n]
-    D = dxi_dx - dxi_dx.T
-    O = np.zeros((2 * n, 2 * n))
-    O[:n, :n] = D
-    O[:n, n:] = g
-    O[n:, :n] = -g.T
-    if abs(np.linalg.det(O)) < 1e-14:
-        raise NotPositiveDefinite(f"omega degenerate at x={p.x}, y={p.y}")
+    g = _sym(0.5 * J.H[..., n:, n:])
+    dxi_dx = 0.5 * J.H[..., n:, :n]
+    D = dxi_dx - dxi_dx.swapaxes(-1, -2)
+    O = np.zeros(p.x.shape[:-1] + (2 * n, 2 * n))
+    O[..., :n, :n] = D
+    O[..., :n, n:] = g
+    O[..., n:, :n] = -g.swapaxes(-1, -2)
+    raise_at(NotPositiveDefinite, np.abs(np.linalg.det(O)) < 1e-14,
+             lambda i: f"omega degenerate at x={p.x[i]}, y={p.y[i]}")
     return O
 
 
@@ -449,45 +502,68 @@ def _support_newton(costar, x, v, warm=None, tol=1e-12, max_iter=50):
 
     Float-only: one order-2 jet of costar in xi gives the value, gradient and
     Hessian of each KKT residual, and np.linalg.solve takes the step.
-    Returns (F, xi) with F = xi . v the support value.
+    x and v of shape S+(n,) solve a batch in lockstep: each point keeps its
+    own convergence mask and step-halving line search, so its iterates are
+    those of a solve on its own.  Returns (F, xi) with F = xi . v the
+    support value.
     """
-    x = [float(a) for a in x]
+    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = len(v)
+    n = v.shape[-1]
+    xc = components(x)
     xi = np.array(warm if warm is not None else v, dtype=float)
-    xi = xi / costar(x, list(xi))
-    mu = xi @ v
+    xi = xi / np.asarray(costar(xc, components(xi)))[..., None]
+    mu = (xi * v).sum(axis=-1)
 
     def residual(xi, mu):
-        c = costar(x, jet_variables(xi, order=2))
-        return np.append(v - mu * c.g, 1.0 - c.v), c
+        c = costar(xc, jet_variables(xi, order=2))
+        R = np.concatenate([v - mu[..., None] * c.g,
+                            np.asarray(1.0 - c.v)[..., None]], axis=-1)
+        return xi, mu, R, np.linalg.norm(R, axis=-1), c.g, c.H
 
-    R, c = residual(xi, mu)
-    res_norm = np.linalg.norm(R)
+    def merge(mask, new, old):
+        """Entries of `new` where mask holds, of `old` elsewhere."""
+        if mask.all():
+            return new
+        return tuple(np.where(mask[(...,) + (None,) * (a.ndim - mask.ndim)],
+                              a, b) for a, b in zip(new, old))
+
+    state = residual(xi, mu)          # (xi, mu, R, |R|, grad, Hessian)
     for _ in range(max_iter):
-        if res_norm < tol:
-            return float(xi @ v), xi
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = -mu * c.H
-        J[:n, n] = J[n, :n] = -c.g
-        try:
-            step = np.linalg.solve(J, -R)
-        except np.linalg.LinAlgError:
-            raise NewtonDivergence("singular system in Newton step")
-        lam = 1.0
+        xi, mu, R, res, cg, cH = state
+        todo = ~(res < tol)           # a NaN residual is not converged
+        if not todo.any():
+            break
+        J = np.zeros(R.shape + (n + 1,))
+        J[..., :n, :n] = -mu[..., None, None] * cH
+        J[..., :n, n] = J[..., n, :n] = -cg
+        rhs = -R
+        if not todo.all():
+            # converged points solve an identity system: they take no step
+            J, rhs = merge(todo, (J, rhs), (np.eye(n + 1), 0.0 * R))
+        step = nk.stacked(np.linalg.solve, NewtonDivergence,
+                          lambda i: "singular system in Newton step",
+                          J, rhs[..., None])[..., 0]
+        # every point still searching has halved its step equally often
+        lam, pending = 1.0, todo
         for _ in range(30):
-            xi_c = xi + lam * step[:n]
-            mu_c = mu + lam * step[n]
-            Rc, cc = residual(xi_c, mu_c)
-            rn = np.linalg.norm(Rc)
-            if rn < res_norm:
-                xi, mu, R, c, res_norm = xi_c, mu_c, Rc, cc, rn
+            scale = lam * pending
+            trial = residual(xi + scale[..., None] * step[..., :n],
+                             mu + scale * step[..., n])
+            take = pending & (trial[3] < res)
+            state = merge(take, trial, state)
+            pending = pending & ~take
+            if not pending.any():
                 break
             lam *= 0.5
         else:
-            raise NewtonDivergence(
-                f"support solve stalled at x={x}, v={v} (residual {res_norm:.2e})")
-    raise NewtonDivergence(f"support solve did not converge at x={x}, v={v}")
+            raise_at(NewtonDivergence, pending,
+                     lambda i: (f"support solve stalled at x={x[i]}, "
+                                f"v={v[i]} (residual {res[i]:.2e})"))
+    xi, res = state[0], state[3]
+    raise_at(NewtonDivergence, ~(res < tol),
+             lambda i: f"support solve did not converge at x={x[i]}, v={v[i]}")
+    return (xi * v).sum(axis=-1), xi
 
 
 def _dual_energy_jet(costar, warm_start, n, x, y, order):
@@ -496,57 +572,64 @@ def _dual_energy_jet(costar, warm_start, n, x, y, order):
     F^2/2 is the fiberwise Legendre conjugate of H = costar^2/2, so with p
     solving grad_xi H(x, p) = y one has  e_y = p  and  e_x = -H_x(x, p); all
     higher derivatives follow from one jet of H at (x, p) and the implicit
-    function theorem, no nested differentiation required.
+    function theorem, no nested differentiation required.  x and y of shape
+    S+(n,) run one batched support solve and one jet of H over the batch.
     """
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    warm = warm_start(x, y) if warm_start is not None else None
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    warm = None
+    if warm_start is not None:
+        warm = np.stack(warm_start(components(x), components(y)), axis=-1)
     F0, xi_unit = _support_newton(costar, x, y, warm=warm)
-    p0 = F0 * xi_unit
+    p0 = np.asarray(F0)[..., None] * xi_unit
 
-    hvars = jet_variables(list(x) + list(p0), order=order)
+    hvars = jet_variables(np.concatenate([x, p0], axis=-1), order=order)
     c = costar(hvars[:n], hvars[n:])
     H = (c * c * 0.5).check_finite()
 
     m2 = 2 * n
-    gx, gxi = H.g[:n], H.g[n:]
-    Hxx = H.H[:n, :n]
-    Hxxi = H.H[:n, n:]
-    B = H.H[n:, n:]
-    Binv = np.linalg.inv(0.5 * (B + B.T))
+    gx, gxi = H.g[..., :n], H.g[..., n:]
+    Hxx = H.H[..., :n, :n]
+    Hxxi = H.H[..., :n, n:]
+    Binv = nk.stacked(np.linalg.inv, NotPositiveDefinite,
+                      lambda i: f"dual norm degenerate at x={x[i]}",
+                      _sym(H.H[..., n:, n:]))
     # first derivatives of the implicit xi*(x, y)
-    Jmap = np.zeros((n, m2))
-    Jmap[:, :n] = -Binv @ Hxxi.T
-    Jmap[:, n:] = Binv
+    Jmap = np.zeros(y.shape[:-1] + (n, m2))
+    Jmap[..., :n] = -Binv @ Hxxi.swapaxes(-1, -2)
+    Jmap[..., n:] = Binv
     # check the Legendre point: grad_xi H must reproduce y
-    if np.max(np.abs(gxi - np.asarray(y))) > 1e-8 * max(1.0, F0 * F0):
-        raise NewtonDivergence(
-            f"Legendre point inconsistent at x={x}, y={y}")
+    raise_at(NewtonDivergence,
+             np.max(np.abs(gxi - y), axis=-1)
+             > 1e-8 * np.maximum(1.0, F0 * F0),
+             lambda i: f"Legendre point inconsistent at x={x[i]}, y={y[i]}")
 
-    e0 = p0 @ np.asarray(y) - H.v
-    e1 = np.concatenate([-gx, p0])
-    e2 = np.zeros((m2, m2))
-    e2[n:, :] = Jmap
-    e2[:n, :n] = -(Hxx + Hxxi @ Jmap[:, :n])
-    e2[:n, n:] = -(Hxxi @ Jmap[:, n:])
-    e2 = 0.5 * (e2 + e2.T)
+    e0 = (p0 * y).sum(axis=-1) - H.v
+    e1 = np.concatenate([-gx, p0], axis=-1)
+    e2 = np.zeros(y.shape[:-1] + (m2, m2))
+    e2[..., n:, :] = Jmap
+    e2[..., :n, :n] = -(Hxx + Hxxi @ Jmap[..., :n])
+    e2[..., :n, n:] = -(Hxxi @ Jmap[..., n:])
+    e2 = _sym(e2)
 
     e3 = None
     if order >= 3:
         # slot transport from (x, xi)-space to (x, y)-space
-        U = np.zeros((m2, m2))
-        U[:n, :n] = np.eye(n)
-        U[n:, :] = Jmap
+        U = np.zeros(y.shape[:-1] + (m2, m2))
+        U[..., :n, :n] = np.eye(n)
+        U[..., n:, :] = Jmap
         T = H.T
-        G2 = np.einsum("rp,ars,sq->apq", U, T[n:, :, :], U)
-        Xi2 = -np.einsum("ab,bpq->apq", Binv, G2)
-        e3 = np.zeros((m2, m2, m2))
-        e3[n:] = Xi2
-        e3[:n] = -(np.einsum("rp,jrs,sq->jpq", U, T[:n, :, :], U)
-                   + np.einsum("jb,bpq->jpq", Hxxi, Xi2))
-        e3 = (e3 + np.transpose(e3, (1, 2, 0)) + np.transpose(e3, (2, 0, 1))
-              + np.transpose(e3, (0, 2, 1)) + np.transpose(e3, (1, 0, 2))
-              + np.transpose(e3, (2, 1, 0))) / 6.0
+        G2 = np.einsum("...rp,...ars,...sq->...apq", U, T[..., n:, :, :], U)
+        Xi2 = -np.einsum("...ab,...bpq->...apq", Binv, G2)
+        e3 = np.zeros(y.shape[:-1] + (m2, m2, m2))
+        e3[..., n:, :, :] = Xi2
+        e3[..., :n, :, :] = -(
+            np.einsum("...rp,...jrs,...sq->...jpq", U, T[..., :n, :, :], U)
+            + np.einsum("...jb,...bpq->...jpq", Hxxi, Xi2))
+        # mean over the six permutations of the last three axes
+        s01, s12 = e3.swapaxes(-3, -2), e3.swapaxes(-2, -1)
+        e3 = (e3 + s01.swapaxes(-2, -1) + s12.swapaxes(-3, -2) + s12 + s01
+              + e3.swapaxes(-3, -1)) / 6.0
 
     return Jet(m2, order, 2.0 * e0, g=2.0 * e1, H=2.0 * e2,
                T=None if e3 is None else 2.0 * e3)
@@ -565,8 +648,11 @@ def dual_metric(costar: Callable, n: int, domain: Box,
     """
 
     def F(xs, ys):
-        warm = warm_start(xs, ys) if warm_start is not None else None
-        return _support_newton(costar, xs, ys, warm=warm)[0]
+        warm = None
+        if warm_start is not None:
+            warm = np.stack(warm_start(xs, ys), axis=-1)
+        return _support_newton(costar, np.stack(xs, axis=-1),
+                               np.stack(ys, axis=-1), warm=warm)[0]
 
     def ejet(x, y, order):
         return _dual_energy_jet(costar, warm_start, n, x, y, order)
@@ -598,7 +684,20 @@ def zoo_metric(metric_id: str, **params) -> MetricSpec:
     return builder(**params)
 
 
+MAX_ZOO_DIMENSION = 8   # the supported regime: chart dimension n <= 8
+
+
+def _check_dimension(n):
+    """Zoo dimensions are integers from 2 (a flag needs two directions) to
+    MAX_ZOO_DIMENSION."""
+    if not (isinstance(n, int) and 2 <= n <= MAX_ZOO_DIMENSION):
+        raise DimensionMismatch(
+            f"dimension must be an integer in [2, {MAX_ZOO_DIMENSION}], "
+            f"got {n!r}")
+
+
 def _euclidean(n: int = 2) -> MetricSpec:
+    _check_dimension(n)
     eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     return riemannian_metric(lambda x: eye, n, Box.cube(n, 50.0),
                              name="euclidean")
@@ -613,6 +712,10 @@ def sphere_conformal_factor(x, radius: float):
 
 
 def _sphere(radius: float = 1.0) -> MetricSpec:
+    if not radius > 0.0:
+        raise DimensionMismatch(
+            f"sphere radius must be positive, got {radius}")
+
     def g(x):
         c = sphere_conformal_factor(x, radius)
         zero = 0.0
@@ -631,6 +734,8 @@ def _hyperbolic() -> MetricSpec:
 
 
 def _conformal(a: float = 0.2, n: int = 3) -> MetricSpec:
+    _check_dimension(n)
+
     def g(x):
         c = nk.exp(2.0 * a * x[0])
         return [[c if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -642,6 +747,7 @@ def _conformal(a: float = 0.2, n: int = 3) -> MetricSpec:
 def _randers(b=(0.3, 0.0)) -> MetricSpec:
     b = tuple(float(v) for v in b)
     n = len(b)
+    _check_dimension(n)
     eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     return randers_metric(lambda x: eye, lambda x: list(b), n,
                           Box.cube(n, 50.0), name="randers")

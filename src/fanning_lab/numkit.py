@@ -2,9 +2,10 @@
 stencils, the package's only RK4 loop (`rk_integrate`) and fiber Hessians.
 
 Exact derivatives come from the truncated Taylor scalars of `jets`; the
-smooth functions below dispatch on the scalar type so one evaluator serves
-floats and jets.  Finite differences are reserved for t-derivatives of
-quantities defined only along numerically transported curves.
+smooth functions below dispatch on the argument type so one evaluator
+serves floats, batches of values and jets.  Finite differences are
+reserved for t-derivatives of quantities defined only along numerically
+transported curves.
 
 All matrices are dense numpy arrays; the supported regime is chart dimension
 n <= 8, so no sparse machinery exists anywhere.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue, raise_at
 from .jets import Jet, jet_variables
 
 __all__ = [
@@ -33,36 +34,57 @@ __all__ = [
     "central_second_derivative",
     "rk_integrate",
     "rk4_step",
+    "stacked",
     "fiber_hessian",
 ]
 
 
 def scalar_value(x):
-    """Float value of a plain number or a jet."""
-    return float(x.value if isinstance(x, Jet) else x)
+    """Value of a plain number or a jet: a float, or an array over the
+    batch axes of a batched jet."""
+    v = x.v if isinstance(x, Jet) else x
+    return np.asarray(v, dtype=float) if np.ndim(v) else float(v)
 
 
-# Smooth functions dispatching on scalar type, so metric evaluators can be
-# written once and run on floats and jets alike.
+def _smooth(name):
+    """Smooth function dispatching on the argument, so metric evaluators
+    are written once and run on floats, batches of values and jets alike."""
+    math_fn, np_fn = getattr(math, name), getattr(np, name)
 
-def sqrt(x):
-    return x.sqrt() if hasattr(x, "sqrt") else math.sqrt(x)
+    def f(x):
+        if isinstance(x, Jet):
+            return getattr(x, name)()
+        return np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
 
-
-def exp(x):
-    return x.exp() if hasattr(x, "exp") else math.exp(x)
-
-
-def log(x):
-    return x.log() if hasattr(x, "log") else math.log(x)
-
-
-def sin(x):
-    return x.sin() if hasattr(x, "sin") else math.sin(x)
+    f.__name__ = f.__qualname__ = name
+    return f
 
 
-def cos(x):
-    return x.cos() if hasattr(x, "cos") else math.cos(x)
+sqrt = _smooth("sqrt")
+exp = _smooth("exp")
+log = _smooth("log")
+sin = _smooth("sin")
+cos = _smooth("cos")
+
+
+def stacked(op, error, describe, A, *args):
+    """op(A, *args) for a stack of matrices A whose leading axes are a batch.
+
+    A LinAlgError raises `error` instead, naming the lowest batch index at
+    which op fails on its own (see errors.raise_at); describe(i) gives the
+    message for index i.
+    """
+    try:
+        return op(A, *args)
+    except np.linalg.LinAlgError:
+        bad = np.zeros(A.shape[:-2], dtype=bool)
+        for i in np.ndindex(bad.shape):
+            try:
+                op(A[i], *(a[i] for a in args))
+            except np.linalg.LinAlgError:
+                bad[i] = True
+        raise_at(error, bad, describe)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +183,28 @@ def central_second_derivative(samples, stencil: Stencil) -> np.ndarray:
 # ODE integration
 # ---------------------------------------------------------------------------
 
-def rk4_step(field, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step for an autonomous field."""
-    k1 = field(y)
+def rk4_step(field, y: np.ndarray, h: float, k1=None) -> np.ndarray:
+    """One classical Runge-Kutta step for an autonomous field.
+
+    The first stage is field(y), evaluated before the other three unless
+    the caller passes it as k1.
+    """
+    if k1 is None:
+        k1 = field(y)
     k2 = field(y + 0.5 * h * k1)
     k3 = field(y + 0.5 * h * k2)
     k4 = field(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk_integrate(field, y0, t0: float, t1: float, steps: int):
+def rk_integrate(field, y0, t0: float, t1: float, steps: int, k1=None):
     """Integrate dy/dt = field(y) on [t0, t1] with `steps` RK4 steps.
 
     Returns the list of (t, y) samples on the uniform grid, endpoints
-    included.  Deterministic for fixed inputs.
+    included.  Deterministic for fixed inputs.  k1, when given, is field(y0)
+    and saves that evaluation.  Leading axes of y0 are a batch of
+    independent states, integrated in lockstep (the field must accept the
+    batch); the state axis is the last one.
     """
     if steps < 1:
         raise DimensionMismatch("steps must be >= 1")
@@ -182,10 +212,11 @@ def rk_integrate(field, y0, t0: float, t1: float, steps: int):
     h = (t1 - t0) / steps
     out = [(t0, y.copy())]
     for k in range(steps):
-        y = rk4_step(field, y, h)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteValue(f"integration blew up at t={t0 + (k + 1) * h}")
-        out.append((t0 + (k + 1) * h, y.copy()))
+        y = rk4_step(field, y, h, k1 if k == 0 else None)
+        t = t0 + (k + 1) * h
+        raise_at(NonFiniteValue, ~np.isfinite(y).all(axis=-1),
+                 lambda i: f"integration blew up at t={t}")
+        out.append((t, y.copy()))
     return out
 
 

@@ -185,8 +185,15 @@ def test_main_exit_codes(tmp_path):
     '"samples": true',
     '"samples": 2, "stencil_h": true',
     '"samples": 2, "seed": false',
+    '"samples": 2, "metric": {"id": "sphere", "params": {"radius": true}}',
+    '"samples": 2, "metric": {"id": "sphere", "params": {"radius": NaN}}',
+    '"samples": 2, "metric": {"id": "randers", '
+    '"params": {"b": [Infinity, 0]}}',
+    '"samples": 2, "metric": {"id": "riemannian-conformal", '
+    '"params": {"n": 9}}',
 ], ids=["x_radius-infinity", "tolerance-nan", "samples-true", "stencil_h-true",
-        "seed-false"])
+        "seed-false", "radius-true", "radius-nan", "randers-b-infinity",
+        "conformal-n-9"])
 def test_main_rejects_non_numbers(tmp_path, capsys, entries):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"experiment": "curvature-grid", ' + entries
@@ -198,6 +205,43 @@ def test_main_rejects_non_numbers(tmp_path, capsys, entries):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_names_the_failing_flag(tmp_path, capsys):
+    # the Poincare chart is the box |x_i| <= 0.95; with x_radius 1.2, flags
+    # 1, 2 and 3 of seed 5 start outside it, and the error names flag 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment": "curvature-grid", "seed": 5, "samples": 6,
+         "metric": {"id": "hyperbolic"}, "x_radius": 1.2,
+         "output_dir": str(tmp_path / "out")}))
+    flags = cli.sample_flags(np.random.default_rng(5), 2, 6, 1.2)
+    outside = [i for i, (x, _, _) in enumerate(flags)
+               if np.max(np.abs(x)) > 0.95]
+    assert outside == [1, 2, 3]
+    errs = []
+    for _ in range(2):
+        assert cli.main(["run", str(cfg_path)]) == cli.EXIT_NUMERIC
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("numeric failure: flag 1: orbit left the chart")
+    assert len(errs[0].strip().splitlines()) == 1
+    assert "Traceback" not in errs[0]
+
+
+def test_main_maps_other_escapes_to_numeric_failure(tmp_path, capsys,
+                                                    monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "curvature-grid",
+                                    "output_dir": str(tmp_path / "out")}))
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(jb, "flag_curvature", singular)
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "numeric failure: LinAlgError: Singular matrix\n"
 
 
 def test_main_list_metrics(capsys):

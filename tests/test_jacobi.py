@@ -10,6 +10,7 @@ from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
 from fanning_lab import reduction as rd
+from fanning_lab.cli import sample_flags
 from fanning_lab.errors import (DegenerateFlag, NotUnitSpeed, OutOfChart)
 
 
@@ -211,8 +212,7 @@ def test_flag_curvature_default_window_is_frame_reach(monkeypatch):
     assert jb.flag_curvature(m, v, u, orbit=wide) == K
 
 
-def test_flag_curvature_spray_evaluation_count(monkeypatch):
-    # 8 RK4 steps of 4 evaluations, 5 stencil frames
+def spray_calls_of_flag_curvature(monkeypatch, x, y, u):
     calls = []
     spray_data = mx.spray_data
 
@@ -221,9 +221,62 @@ def test_flag_curvature_spray_evaluation_count(monkeypatch):
         return spray_data(*args, **kwargs)
 
     monkeypatch.setattr(mx, "spray_data", counted)
-    jb.flag_curvature(mx.zoo_metric("sphere"), pp([0.2, -0.1], [0.6, 0.3]),
-                      [0.1, 1.0])
-    assert len(calls) == 37
+    K = jb.flag_curvature(mx.zoo_metric("sphere"), pp(x, y), u)
+    return np.shape(K), len(calls)
+
+
+def test_flag_curvature_spray_evaluation_count(monkeypatch):
+    # 8 RK4 steps of 4 evaluations share the one at v0 (31 calls), and the
+    # two window ends complete the stored spray data (33); the 5 stencil
+    # frames read it
+    assert spray_calls_of_flag_curvature(
+        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0]) == ((), 33)
+
+
+def test_batched_flag_curvature_spray_evaluation_count(monkeypatch):
+    # a batch of flags takes the same 33 calls as one flag
+    x, y, u = (np.tile(a, (30, 1))
+               for a in ([0.2, -0.1], [0.6, 0.3], [0.1, 1.0]))
+    assert spray_calls_of_flag_curvature(monkeypatch, x, y, u) == ((30,), 33)
+
+
+BATCH_FAMILIES = {
+    "sphere": (lambda: mx.zoo_metric("sphere"), 1.5),
+    "hyperbolic": (lambda: mx.zoo_metric("hyperbolic"), 0.8),
+    "randers": (lambda: mx.zoo_metric("randers", b=(0.25, 0.05)), 1.0),
+    "conformal-3": (lambda: mx.zoo_metric("riemannian-conformal", a=0.5),
+                    0.8),
+    "katok": (lambda: df.katok_metric(0.3), 0.8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+def test_batched_flag_curvature_equals_per_flag_calls(family):
+    m, radius = BATCH_FAMILIES[family][0](), BATCH_FAMILIES[family][1]
+    flags = sample_flags(np.random.default_rng(30), m.n, 30, radius)
+    x, y, u = (np.array(a) for a in zip(*flags))
+    K = jb.flag_curvature(m, pp(x, y), u)
+    assert K.shape == (30,)
+    single = np.array([jb.flag_curvature(m, pp(*f[:2]), f[2]) for f in flags])
+    assert np.max(np.abs(K - single)) <= 1e-12
+
+
+def test_batched_transport_names_the_flag_that_leaves_the_box():
+    # flags 2, 3 and 4 reach the edge x1 = 0.5 within the frame window;
+    # 2 and 4 cross it at the same RK4 stage, 3 later, and the lowest
+    # index of the first crossing is named
+    m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
+                             mx.Box.cube(2, 0.5))
+    x = np.array([[0.0, 0.0], [0.1, 0.2], [0.4995, 0.0], [0.499, 0.1],
+                  [0.4995, 0.1]])
+    y = np.tile([1.0, 0.0], (5, 1))
+    u = np.tile([0.0, 1.0], (5, 1))
+    with pytest.raises(OutOfChart, match=r"^flag 2: orbit left the chart"):
+        jb.flag_curvature(m, pp(x, y), u)
+    # the batch without them runs
+    keep = [0, 1]
+    assert np.max(np.abs(jb.flag_curvature(m, pp(x[keep], y[keep]),
+                                           u[keep]))) < 1e-8
 
 
 # -- Riemann oracle ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fanning_lab import numkit as nk
+from fanning_lab.errors import NonFiniteValue
 from fanning_lab.jets import Jet, jet_variables
 
 
@@ -81,3 +82,37 @@ def test_jet_integer_power_matches_mul():
     assert f.g == pytest.approx(g.g)
     assert f.H == pytest.approx(g.H)
     assert f.T == pytest.approx(g.T)
+
+
+def every_operation(a, b):
+    """One jet per operation of Jet, on positive arguments."""
+    return [a + b, a - b, 1.5 - a, a + 2.0, a * b, 3.0 * b, a / b, 2.0 / b,
+            b / 4.0, -a, a ** 3, b ** 0, a ** 2.5, b ** -1.5, a.sqrt(),
+            nk.exp(a * b), nk.log(a + b), nk.sin(a - b), nk.cos(a * b)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_batched_jet_equals_stacked_scalar_jets(order):
+    # a jet with batch axes is the stack of the S = () jets of its points
+    rng = np.random.default_rng(8)
+    points = rng.uniform(0.2, 1.5, size=(7, 2))
+    batched = every_operation(*jet_variables(points, order=order))
+    single = [every_operation(*jet_variables(p, order=order)) for p in points]
+    for k, J in enumerate(batched):
+        parts = ["v", "g", "H"] + (["T"] if order == 3 else [])
+        for name in parts:
+            shape = (7,) + (2,) * parts.index(name)
+            got = np.broadcast_to(getattr(J, name), shape)
+            want = np.stack([getattr(s[k], name) for s in single])
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        assert (J.T is None) == (order == 2)
+
+
+def test_batched_jet_names_the_non_finite_point():
+    x = jet_variables(np.array([[0.5], [-1.0], [2.0], [-3.0]]), order=2)[0]
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NonFiniteValue, match=r"^flag 1: "):
+        x.log().check_finite()
+    (s,) = jet_variables([-1.0], order=2)
+    with pytest.raises(ValueError):
+        s.log()

@@ -8,8 +8,8 @@ import pytest
 from fanning_lab import deformations as df
 from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
-from fanning_lab.errors import (DimensionMismatch, NonFiniteValue,
-                                NotPositiveDefinite)
+from fanning_lab.errors import (DimensionMismatch, NewtonDivergence,
+                                NonFiniteValue, NotPositiveDefinite)
 from fanning_lab.jets import Jet, jet_variables
 
 
@@ -485,7 +485,6 @@ def test_metric_fields_see_only_x_jets():
 
 
 def test_legendre_inverse_divergence_reporting():
-    from fanning_lab.errors import NewtonDivergence
     m = mx.zoo_metric("euclidean")
     with pytest.raises(NewtonDivergence):
         mx.legendre_inverse(m, [0.0, 0.0], [1.0, 0.0], warm=[0.0, 0.0])
@@ -500,3 +499,55 @@ def test_zoo_listing_and_unknown():
         assert required in ids
     with pytest.raises(DimensionMismatch):
         mx.zoo_metric("no-such-metric")
+
+
+# -- batches of phase points --------------------------------------------------
+
+BATCH_METRICS = {
+    "sphere": lambda: mx.zoo_metric("sphere"),
+    "hyperbolic": lambda: mx.zoo_metric("hyperbolic"),
+    "randers": lambda: mx.zoo_metric("randers", b=(0.25, 0.05)),
+    "conformal-4": lambda: mx.zoo_metric("riemannian-conformal", a=0.5, n=4),
+    "katok": lambda: df.katok_metric(0.3),
+}
+
+
+def assert_rel_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+def test_batched_evaluators_equal_per_point_calls(name, rng):
+    m = BATCH_METRICS[name]()
+    x = rng.uniform(-0.5, 0.5, size=(6, m.n))
+    y = rng.normal(size=(6, m.n))
+    J = mx.energy_jet(m, x, y, order=3)
+    G, DS = mx.spray_data(m, x, y)
+    assert G.shape == (6, m.n) and DS.shape == (6, 2 * m.n, 2 * m.n)
+    for i in range(6):
+        Ji = mx.energy_jet(m, x[i], y[i], order=3)
+        for got, want in ((J.v[i], Ji.v), (J.g[i], Ji.g), (J.H[i], Ji.H),
+                          (J.T[i], Ji.T)):
+            assert_rel_close(np.asarray(got), np.asarray(want), 1e-14)
+        Gi, DSi = mx.spray_data(m, x[i], y[i])
+        assert_rel_close(G[i], Gi, 1e-14)
+        assert_rel_close(DS[i], DSi, 1e-14)
+    np.testing.assert_allclose(m.F_value(x, y),
+                               [m.F_value(a, b) for a, b in zip(x, y)],
+                               rtol=1e-14)
+
+
+def test_batched_support_newton_names_the_failing_point():
+    # costar vanishes at xi = 0 on the unit circle |x| = 1: the support
+    # value there is unbounded, and only the point at index 2 sits on it
+    def costar(xs, ys):
+        r = 1.0 - xs[0] * xs[0] - xs[1] * xs[1]
+        return nk.sqrt(ys[0] * ys[0] + ys[1] * ys[1]) * r
+
+    m = mx.dual_metric(costar, 2, mx.Box.cube(2, 2.0))
+    x = np.array([[0.1, 0.0], [0.0, 0.3], [1.0, 0.0], [0.2, 0.2]])
+    y = np.array([[1.0, 0.0]] * 4)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NewtonDivergence, match=r"^flag 2: "):
+        m.F_value(x, y)
