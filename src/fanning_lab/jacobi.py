@@ -145,14 +145,14 @@ def _spray(metric, x, y):
     return mx.spray_data(metric, x, y)
 
 
-def _flow(metric, state, span, steps, spray=None):
+def _flow(metric, state, span, steps, spray):
     """RK4 states (x, y, M) on the grid of [0, span], start included, and
     the spray data (G, DS) at every state but the last.
 
-    spray, when given, is the spray data at the start and saves its
-    evaluation.  Raises OutOfChart, naming the flag of a batch, for a state
-    outside the box before the metric is read there; the field checks every
-    state but the last.
+    spray is the spray data at the start, already evaluated by the caller.
+    Raises OutOfChart, naming the flag of a batch, for a state outside the
+    box before the metric is read there; the field checks every state but
+    the last.
     """
     n = metric.n
     x, y, M = state
@@ -169,12 +169,12 @@ def _flow(metric, state, span, steps, spray=None):
         return rate(z, *sprays[-1])
 
     z0 = np.concatenate([x, y, M.reshape(lead + (-1,))], axis=-1)
-    k1 = None if spray is None else rate(z0, *spray)
-    samples = nk.rk_integrate(field, z0, 0.0, span, steps, k1=k1)
+    samples = nk.rk_integrate(field, z0, 0.0, span, steps,
+                              k1=rate(z0, *spray))
     _check_chart(metric, samples[-1][1][..., :n])
     # rk4_step evaluates a step's first stage, at the grid state, before
-    # the other three
-    stage1 = sprays[::4] if spray is None else [spray] + sprays[3::4]
+    # the other three; the first step's comes from the caller
+    stage1 = [spray] + sprays[3::4]
     return [(z[..., :n], z[..., n:2 * n],
              z[..., 2 * n:].reshape(lead + (2 * n, 2 * n)))
             for _, z in samples], stage1

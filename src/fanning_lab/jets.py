@@ -74,6 +74,9 @@ _exp = _elementwise(math.exp, np.exp)
 _log = _elementwise(math.log, np.log)
 _sin = _elementwise(math.sin, np.sin)
 _cos = _elementwise(math.cos, np.cos)
+# the same five by name, for numkit's smooth functions on non-jet arguments
+ELEMENTWISE = {"sqrt": _sqrt, "exp": _exp, "log": _log, "sin": _sin,
+               "cos": _cos}
 _isfinite = _elementwise(math.isfinite, lambda v: np.isfinite(v).all())
 
 

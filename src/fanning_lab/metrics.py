@@ -219,8 +219,7 @@ def _sym(A: np.ndarray) -> np.ndarray:
 
 def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product A v over matching batch axes."""
-    # a single point takes numpy's matrix-vector product as it is
-    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
+    return (A @ v[..., None])[..., 0]
 
 
 def fundamental_tensor(m: MetricSpec, p: PhasePoint) -> np.ndarray:
@@ -345,8 +344,6 @@ def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
 def _contract(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """sum_k w[..., k] a[..., k, ...] over matching batch axes (one
     vector-matrix product per point)."""
-    if w.ndim == 1:       # a single point: no batch axes to carry
-        return (w @ a.reshape(len(w), -1)).reshape(a.shape[1:])
     lead = w.shape[:-1]
     out = w[..., None, :] @ a.reshape(lead + (w.shape[-1], -1))
     return out.reshape(lead + a.shape[len(lead) + 1:])
@@ -365,14 +362,12 @@ def _x_jet_stack(entries, w, n: int):
             continue
         out[0][a], out[1][a], out[2][a] = ent.v, ent.g, ent.H
         if ent.T is not None:
-            wa = w[..., a]
-            T += (wa[..., None, None, None] if w.ndim > 1 else wa) * ent.T
-    if lead:
-        # filled entry-first (one integer index per entry), then viewed
-        # with the entry axis after the batch axes
-        nb = len(lead)
-        out = [s.transpose(tuple(range(1, nb + 1)) + (0,)
-                           + tuple(range(nb + 1, s.ndim))) for s in out]
+            T += w[..., a, None, None, None] * ent.T
+    # filled entry-first (one integer index per entry), then viewed with
+    # the entry axis after the batch axes
+    nb = len(lead)
+    out = [s.transpose(tuple(range(1, nb + 1)) + (0,)
+                       + tuple(range(nb + 1, s.ndim))) for s in out]
     return out + [T]
 
 

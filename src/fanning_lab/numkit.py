@@ -13,13 +13,12 @@ n <= 8, so no sparse machinery exists anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, raise_at
-from .jets import Jet, jet_variables
+from .jets import ELEMENTWISE, Jet, jet_variables
 
 __all__ = [
     "sqrt",
@@ -49,12 +48,10 @@ def scalar_value(x):
 def _smooth(name):
     """Smooth function dispatching on the argument, so metric evaluators
     are written once and run on floats, batches of values and jets alike."""
-    math_fn, np_fn = getattr(math, name), getattr(np, name)
+    elementwise = ELEMENTWISE[name]
 
     def f(x):
-        if isinstance(x, Jet):
-            return getattr(x, name)()
-        return np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
+        return getattr(x, name)() if isinstance(x, Jet) else elementwise(x)
 
     f.__name__ = f.__qualname__ = name
     return f
