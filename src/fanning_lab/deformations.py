@@ -215,23 +215,16 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
                            resolution=resolution)
 
     # spray derivatives of phi by stencil over a short integrated orbit
-    S = mx.spray(base)
     h_phi = 3e-3
     stc = nk.Stencil(0.0, h_phi, 4)
 
-    def phi_at(t):
-        if t == 0.0:
-            z = np.concatenate([x, u_psi])
-        else:
-            steps = max(4, int(math.ceil(abs(t) * resolution)))
-            sol = nk.rk_integrate(lambda zz: S.value(zz[:base.n], zz[base.n:]),
-                                  np.concatenate([x, u_psi]), 0.0, t, steps)
-            z = sol[-1][1]
+    def phi_at(z):
         th_z = np.array([nk.scalar_value(q)
                          for q in form.theta(list(z[:base.n]))])
         return 1.0 / (1.0 + th_z @ z[base.n:])
 
-    samples = [np.array([phi_at(t)]) for t in stc.nodes]
+    states = jb.geodesic(base, mx.PhasePoint(x, u_psi), stc.nodes, resolution)
+    samples = [np.array([phi_at(z)]) for z in states]
     phi0 = samples[len(samples) // 2][0]
     Sphi = nk.central_derivative(samples, stc)[0]
     SSphi = nk.central_second_derivative(samples, stc)[0]

@@ -4,10 +4,12 @@ Numerical failures are always raised as subclasses of FanningLabError so
 callers (and the CLI) can distinguish bad input, degenerate geometry and
 genuine arithmetic blow-ups.  A failure inside a batch of flags names the
 failing flag ("flag 3: ..."), the lowest one when several fail at once, so
-the message is the same on every rerun.
+the message is the same on every rerun; `batch_labels` names the entries
+of a batch otherwise (by their sample time, say).
 """
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -84,13 +86,28 @@ class ConfigError(FanningLabError):
     """A scenario configuration does not validate."""
 
 
+_BATCH_LABEL = ContextVar("batch_label", default=lambda i: f"flag {i}")
+
+
 def flag_label(i):
-    """'flag 3' for batch index (3,) or 3; None for () (a single point)."""
+    """'flag 3' for batch index (3,) or 3, or what `batch_labels` names it;
+    None for () (a single point)."""
     if isinstance(i, tuple):
         if not i:
             return None
         i = i[0] if len(i) == 1 else i
-    return f"flag {i}"
+    return _BATCH_LABEL.get()(i)
+
+
+@contextmanager
+def batch_labels(label):
+    """Within the block, batch index i is named label(i) instead of
+    'flag i' (a batch of sample times names each by its t)."""
+    token = _BATCH_LABEL.set(label)
+    try:
+        yield
+    finally:
+        _BATCH_LABEL.reset(token)
 
 
 @contextmanager

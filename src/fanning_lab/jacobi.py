@@ -19,6 +19,13 @@ per RK4 stage for the whole batch.  A single point is the case S = ().
 The Jacobi-frame linear algebra after transport runs per flag, on
 `OrbitData.flag(i)`; a failure names the flag.
 
+`geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
+flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
+of an orbit's curve at time t are those of the curve of the point reached
+at t, read at 0.  Samples along one orbit therefore take one `geodesic`
+pass to their points and one batched frame window around all of them, not
+a linearization carried over the whole orbit.
+
 A finite-difference Riemann-tensor computation (Christoffel symbols from
 central differences of g, differentiated once more) serves as the independent
 oracle for all Riemannian instances.
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -46,6 +53,7 @@ __all__ = [
     "OrbitData",
     "JacobiCurveSample",
     "transport",
+    "geodesic",
     "jacobi_frame",
     "flag_curvature",
     "christoffel_fd",
@@ -180,9 +188,54 @@ def _flow(metric, state, span, steps, spray):
             for _, z in samples], stage1
 
 
-def _check_chart(metric, x):
-    raise_at(OutOfChart, ~metric.domain.contains(x),
-             lambda i: f"orbit left the chart at x={x[i]}")
+def _check_chart(metric, x, t=None):
+    """Refuse points outside the metric's box; t, when given, holds the
+    time of each point, and the message names it."""
+    def describe(i):
+        at = "" if t is None else f"t={t[i]:.6g}, "
+        return f"orbit left the chart at {at}x={x[i]}"
+
+    raise_at(OutOfChart, ~metric.domain.contains(x), describe)
+
+
+def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times,
+             resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
+    """Phase states (x, y) of the geodesic from v0 at the given times.
+
+    Only (x, y) is integrated, with the spray alone: one order-2 energy jet
+    per evaluation, no Jacobian.  RK4 runs outward from t = 0 through the
+    requested times of each sign, with ceil(|dt| * resolution) steps per
+    segment, so every requested time is a node.  Every point is checked
+    against the chart before the metric is read there; the time rides along
+    as a last coordinate, so an error names the absolute t.  A batch v0
+    (shape S+(n,)) is integrated in lockstep; returns an array of shape
+    (len(times),) + S + (2n,).
+    """
+    n = metric.n
+    lead = v0.x.shape[:-1]
+    times = np.asarray(times, dtype=float)
+    clock = np.ones(lead + (1,))
+
+    def field(z):
+        x, y = z[..., :n], z[..., n:2 * n]
+        _check_chart(metric, x, z[..., 2 * n])
+        G, _ = mx.spray_data(metric, x, y, with_jacobian=False)
+        return np.concatenate([y, -2.0 * G, clock], axis=-1)
+
+    z0 = np.concatenate([v0.x, v0.y, np.zeros_like(clock)], axis=-1)
+    out = np.empty(times.shape + lead + (2 * n,))
+    for sign in (1.0, -1.0):
+        z, t = z0, 0.0
+        for i in np.argsort(sign * times, kind="stable"):
+            if sign * times[i] < 0.0:
+                continue
+            if times[i] != t:
+                steps = max(1, int(math.ceil(abs(times[i] - t) * resolution)))
+                z = nk.rk_integrate(field, z, t, times[i], steps)[-1][1]
+                t = times[i]
+            out[i] = z[..., :2 * n]
+        _check_chart(metric, z[..., :n], z[..., 2 * n])
+    return out
 
 
 def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
@@ -235,6 +288,17 @@ class JacobiCurveSample:
     invariants: fc.FanningInvariants
 
 
+@lru_cache(maxsize=16)
+def _node_weights(h: float, order: int) -> np.ndarray:
+    """First-derivative weights at each node of a stencil, on its own
+    nodes: row j differentiates at node j.  They depend on the node
+    spacing alone, so one matrix, built at t = 0, serves every t."""
+    nodes = nk.Stencil(0.0, h, order).nodes
+    W = np.array([nk.fornberg_weights(z, nodes, 1) for z in nodes])
+    W.flags.writeable = False
+    return W
+
+
 def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
                  order: int = 4) -> JacobiCurveSample:
     """Sample the Jacobi curve around t.
@@ -245,15 +309,13 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
     curves; a failure here is an internal inconsistency, not user error.
     """
     stc = nk.Stencil(t, h, order)
-    nodes = stc.nodes
     As, Adots = [], []
-    for tn in nodes:
+    for tn in stc.nodes:
         A, Adot = orbit.frame_data(tn)
         As.append(A)
         Adots.append(Adot)
     triples = []
-    for j, tn in enumerate(nodes):
-        w = nk.fornberg_weights(tn, nodes, 1)
+    for j, w in enumerate(_node_weights(h, order)):
         Addot = sum(wk * Ak for wk, Ak in zip(w, Adots))
         triples.append(fc.FrameTriple(As[j], Adots[j], Addot))
     frames = fc.FrameStencil(stc, tuple(triples))

@@ -9,6 +9,7 @@ import pytest
 
 from fanning_lab import cli
 from fanning_lab import jacobi as jb
+from fanning_lab import metrics as mx
 from fanning_lab.errors import ConfigError
 
 
@@ -64,13 +65,19 @@ def test_curvature_grid_impossible_tolerance_fails(tmp_path):
     assert summary["passed"] is False
 
 
-def test_byte_identical_reruns(tmp_path):
-    cfg = {"experiment": "curvature-grid", "seed": 123, "samples": 5,
-           "metric": {"id": "sphere"}, "x_radius": 1.2}
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "curvature-grid", "seed": 123, "samples": 5,
+     "metric": {"id": "sphere"}, "x_radius": 1.2},
+    {"experiment": "invariants-along-orbit", "seed": 9,
+     "metric": {"id": "randers", "params": {"b": [0.25, 0.05]}},
+     "orbit_time": 0.2, "orbit_samples": 3},
+    {"experiment": "projective", "seed": 4, "samples": 2},
+], ids=lambda cfg: cfg["experiment"])
+def test_byte_identical_reruns(tmp_path, cfg):
     out1, _, _ = run_cfg(cfg, tmp_path, "a")
     out2, _, _ = run_cfg(cfg, tmp_path, "b")
-    assert (out1 / "curvature-grid.csv").read_bytes() == \
-        (out2 / "curvature-grid.csv").read_bytes()
+    name = cfg["experiment"] + ".csv"
+    assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert (out1 / "summary.json").read_bytes() == \
         (out2 / "summary.json").read_bytes()
 
@@ -88,11 +95,36 @@ def test_invariants_along_orbit_columns(tmp_path):
     assert len(lines) == 4
 
 
-def test_invariants_along_orbit_one_sided_window(tmp_path, monkeypatch):
-    # the orbit reaches back only as far as the t = 0 stencil reads, and the
-    # rows equal those of a run on the symmetric window
+def long_orbit_rows(cfg):
+    """Rows of the orbit experiment read off one long transported orbit:
+    the orbit from the start point over [-reach, T + reach], with the
+    Jacobi frame taken at each sample time."""
+    metric = cli._build_metric(cfg)
+    rng = np.random.default_rng(cfg["seed"])
+    x = cli.sample_in_ball(rng, metric.n, 0.5)
+    y = rng.normal(size=metric.n)
+    y = y / metric.F_value(x, y)
+    reach = jb.frame_reach(jb.DEFAULT_FRAME_H)
+    T = cfg["orbit_time"]
+    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + reach, back=reach)
+    rows = []
+    for t in np.linspace(0.0, T, cfg["orbit_samples"]):
+        inv = jb.jacobi_frame(orbit, float(t)).invariants
+        rows.append(np.concatenate([[t], inv.Schwarzian.ravel(),
+                                    inv.W.ravel(),
+                                    np.sort(np.linalg.eigvals(inv.K).real)]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("metric", [
+    {"id": "sphere"},
+    {"id": "randers", "params": {"b": [0.25, 0.05]}},
+], ids=["sphere", "randers"])
+def test_invariants_along_orbit_batched_window(tmp_path, monkeypatch, metric):
+    # the sample points go through one batched transport over the frame
+    # window [-reach, reach], and the rows agree with reading a long orbit
     cfg = {"experiment": "invariants-along-orbit", "seed": 5,
-           "metric": {"id": "sphere"}, "orbit_time": 0.2, "orbit_samples": 3}
+           "metric": metric, "orbit_time": 0.2, "orbit_samples": 3}
     transport = jb.transport
     orbits = []
 
@@ -101,19 +133,63 @@ def test_invariants_along_orbit_one_sided_window(tmp_path, monkeypatch):
         return orbits[-1]
 
     monkeypatch.setattr(jb, "transport", spy)
-    one_sided, _, _ = run_cfg(cfg, tmp_path, "one-sided")
+    out, _, code = run_cfg(cfg, tmp_path)
+    assert code == cli.EXIT_OK
     (orbit,) = orbits
     reach = jb.frame_reach(jb.DEFAULT_FRAME_H)
-    assert orbit.ts[0] == -reach
-    assert orbit.ts[-1] == pytest.approx(0.2 + reach, abs=1e-15)
+    assert orbit.v0.x.shape == (3, 2)
+    assert orbit.ts[0] == -reach and orbit.ts[-1] == reach
+    monkeypatch.setattr(jb, "transport", transport)
 
-    def symmetric(*args, back=None, **kwargs):
-        return transport(*args, **kwargs)
+    rows = np.loadtxt(out / "invariants-along-orbit.csv", delimiter=",",
+                      skiprows=1)
+    ref = long_orbit_rows(cfg)
+    assert np.array_equal(rows[:, 0], ref[:, 0])
+    assert np.max(np.abs(rows[:, 5:9] - ref[:, 5:9])) <= 1e-12   # W
+    assert np.max(np.abs(rows[:, 1:5] - ref[:, 1:5])) <= 1e-8    # Schwarzian
+    assert np.max(np.abs(rows[:, 9:] - ref[:, 9:])) <= 1e-8      # K_eig
 
-    monkeypatch.setattr(jb, "transport", symmetric)
-    both, _, _ = run_cfg(cfg, tmp_path, "symmetric")
-    name = "invariants-along-orbit.csv"
-    assert (one_sided / name).read_bytes() == (both / name).read_bytes()
+
+@pytest.mark.parametrize("orbit_time", [0.1, 0.6])
+def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
+                                                     orbit_time):
+    # the linearization is carried over the 33-call frame window only; the
+    # orbit between the samples is integrated with the spray alone
+    spray_data = mx.spray_data
+    jacobian_calls = []
+
+    def counted(m, x, y, with_jacobian=True):
+        jacobian_calls.append(with_jacobian)
+        return spray_data(m, x, y, with_jacobian)
+
+    monkeypatch.setattr(mx, "spray_data", counted)
+    cfg = {"experiment": "invariants-along-orbit", "seed": 2,
+           "metric": {"id": "sphere"}, "orbit_time": orbit_time}
+    _, _, code = run_cfg(cfg, tmp_path)
+    assert code == cli.EXIT_OK
+    assert sum(jacobian_calls) == 33
+    assert len(jacobian_calls) - 33 >= 4 * orbit_time * jb.DEFAULT_RESOLUTION
+
+
+@pytest.mark.parametrize("orbit_time, start", [
+    # the geodesic pass between the samples leaves the box
+    (6.0, "numeric failure: orbit left the chart at t=3.03525, "),
+    # the last sample is inside, but its frame window leaves the box
+    (3.034, "numeric failure: t=3.034: orbit left the chart at x="),
+], ids=["between-samples", "frame-window"])
+def test_main_names_the_failing_orbit_time(tmp_path, capsys, orbit_time,
+                                           start):
+    # the hyperbolic orbit of seed 4 crosses x1 = 0.95 at t = 3.035
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment": "invariants-along-orbit", "seed": 4,
+         "metric": {"id": "hyperbolic"}, "orbit_time": orbit_time,
+         "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith(start)
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_submersion_rows(tmp_path):

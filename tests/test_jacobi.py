@@ -279,6 +279,105 @@ def test_batched_transport_names_the_flag_that_leaves_the_box():
                                            u[keep]))) < 1e-8
 
 
+# -- geodesic -------------------------------------------------------------------
+
+def unit_sphere_great_circle(x0, y0, t):
+    """States (x, y) at t of the unit-speed great circle through (x0, y0),
+    in the stereographic chart of `zoo_metric('sphere')` (g = 4/(1+|x|^2)^2):
+    p(t) = cos t p0 + sin t v0 on the embedded sphere, projected back."""
+    def embed(x):
+        s = 1.0 + x @ x
+        return np.append(2.0 * x, x @ x - 1.0) / s
+
+    def d_embed(x, y):
+        s = 1.0 + x @ x
+        return (np.append(2.0 * y, 2.0 * (x @ y)) / s
+                - embed(x) * (2.0 * (x @ y)) / s)
+
+    p = math.cos(t) * embed(x0) + math.sin(t) * d_embed(x0, y0)
+    dp = -math.sin(t) * embed(x0) + math.cos(t) * d_embed(x0, y0)
+    x = p[:2] / (1.0 - p[2])
+    y = (dp[:2] * (1.0 - p[2]) + p[:2] * dp[2]) / (1.0 - p[2]) ** 2
+    return np.concatenate([x, y])
+
+
+# unsorted, both signs, and t = 0
+GEODESIC_TIMES = [0.4, -0.7, 0.0, 1.1, -0.25]
+
+
+def test_geodesic_great_circle_on_unit_sphere():
+    m = mx.zoo_metric("sphere")
+    x0 = np.array([0.3, -0.2])
+    y0 = np.array([0.4, 0.5])
+    y0 = y0 / m.F_value(x0, y0)
+    states = jb.geodesic(m, pp(x0, y0), GEODESIC_TIMES)
+    assert states.shape == (5, 4)
+    assert np.array_equal(states[2], np.concatenate([x0, y0]))
+    for t, z in zip(GEODESIC_TIMES, states):
+        assert np.max(np.abs(z - unit_sphere_great_circle(x0, y0, t))) < 1e-11
+        # and the fundamental tensor is (1 - p3)^2 I along it
+        p3 = (z[:2] @ z[:2] - 1.0) / (z[:2] @ z[:2] + 1.0)
+        g = mx.fundamental_tensor(m, pp(z[:2], z[2:]))
+        assert np.max(np.abs(g - (1.0 - p3) ** 2 * np.eye(2))) < 1e-12
+
+
+def test_geodesic_mixed_sign_times_match_single_time_calls():
+    m = mx.zoo_metric("randers", b=(0.25, 0.05))
+    v0 = pp([0.1, 0.2], [0.6, -0.3])
+    states = jb.geodesic(m, v0, GEODESIC_TIMES, resolution=500)
+    for t, z in zip(GEODESIC_TIMES, states):
+        (single,) = jb.geodesic(m, v0, [t], resolution=500)
+        assert np.max(np.abs(z - single)) < 1e-13
+
+
+@pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+def test_batched_geodesic_equals_per_point_calls(family):
+    # geodesic adds only elementwise work to spray_data; spray_data itself
+    # rounds a point inside a batch and on its own differently in the last
+    # bit for some families (the stacked matrix products), so the states
+    # agree to rounding rather than bit for bit
+    m, radius = BATCH_FAMILIES[family][0](), BATCH_FAMILIES[family][1]
+    flags = sample_flags(np.random.default_rng(31), m.n, 4, 0.5 * radius)
+    x, y = (np.array(a) for a in list(zip(*flags))[:2])
+    y = y / m.F_value(x, y)[:, None]
+    states = jb.geodesic(m, pp(x, y), GEODESIC_TIMES, resolution=200)
+    assert states.shape == (5, 4, 2 * m.n)
+    for i in range(4):
+        single = jb.geodesic(m, pp(x[i], y[i]), GEODESIC_TIMES,
+                             resolution=200)
+        assert np.max(np.abs(states[:, i] - single)) <= 1e-15
+
+
+def test_geodesic_agrees_with_transport_on_the_grid():
+    # the same steps as the transport grid (dt = 1/400): only the
+    # linearization carried along by transport differs
+    m = mx.zoo_metric("randers", b=(0.2, -0.1))
+    v0 = pp([0.0, 0.1], [0.8, 0.6])
+    orbit = jb.transport(m, v0, T=0.5, resolution=400)
+    times = [0.5, -0.2, 0.1, -0.5]
+    states = jb.geodesic(m, v0, times, resolution=400)
+    for t, z in zip(times, states):
+        x, y, _ = orbit.state(t)
+        assert np.max(np.abs(z - np.concatenate([x, y]))) < 1e-13
+
+
+def test_geodesic_names_the_absolute_time_it_leaves_the_box():
+    # x1(t) = t on the Euclidean plane, box edge 0.503: the first point read
+    # outside is the midpoint stage of the step from t = 0.5
+    seen = []
+
+    def g(x):
+        seen.append([nk.scalar_value(c) for c in x])
+        return [[1.0, 0.0], [0.0, 1.0]]
+
+    m = mx.riemannian_metric(g, 2, mx.Box.cube(2, 0.503))
+    with pytest.raises(OutOfChart,
+                       match=r"^orbit left the chart at t=0\.505, x="):
+        jb.geodesic(m, pp([0.0, 0.0], [1.0, 0.0]), [-0.1, 0.45, 0.8],
+                    resolution=100)
+    assert np.max(np.abs(seen)) <= 0.503
+
+
 # -- Riemann oracle ---------------------------------------------------------------
 
 def test_riemann_oracle_flat():
