@@ -1,12 +1,13 @@
 """Scenario runner: JSON config in, CSV rows and a JSON summary out.
 
-Configs are fail-closed (unknown keys are errors) and fully seeded, so a
-fixed config produces byte-identical output files.  Exit codes: 0 success,
-1 tolerance violation, 2 config error, 3 numeric failure (one line on
-stderr naming the failing flag, or the failing sample time along an orbit,
-where there is one).  The flags of a curvature-grid, katok or projective
-run go through one batched transport, and so do the sample points of an
-invariants-along-orbit run.
+Configs are fail-closed: `_SETTINGS` declares each key an experiment reads,
+with its check and its default, and any other key is an error.  Runs are
+fully seeded, so a fixed config produces byte-identical output files.  Exit
+codes: 0 success, 1 tolerance violation, 2 config error, 3 numeric failure
+(one line on stderr naming the failing flag, or the failing sample time
+along an orbit, where there is one).  The flags of a curvature-grid, katok
+or projective run go through one batched transport, and so do the sample
+points of an invariants-along-orbit run.
 """
 
 from __future__ import annotations
@@ -32,29 +33,6 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_COMMON_KEYS = {"experiment", "seed", "output_dir", "steps_per_unit",
-                "stencil_h", "tolerance"}
-
-_EXPERIMENTS = {
-    "curvature-grid": _COMMON_KEYS | {"metric", "samples", "x_radius"},
-    "invariants-along-orbit": _COMMON_KEYS | {"metric", "orbit_time",
-                                              "orbit_samples", "x_radius"},
-    "submersion": _COMMON_KEYS | {"scenarios"},
-    "projective": _COMMON_KEYS | {"metric", "samples", "theta_scale",
-                                  "x_radius"},
-    "katok": _COMMON_KEYS | {"epsilons", "samples", "x_radius"},
-    "selftest": _COMMON_KEYS,
-}
-
-_DEFAULT_TOL = {
-    "curvature-grid": 1e-4,
-    "invariants-along-orbit": 1e-6,
-    "submersion": 1e-3,
-    "projective": 1e-3,
-    "katok": 1e-3,
-    "selftest": 1.0,
-}
-
 
 def _fmt(v) -> str:
     if v is None:
@@ -72,59 +50,114 @@ def _fmt(v) -> str:
 
 
 def _is_number(v) -> bool:
-    """A finite JSON number; true and false are not numbers here."""
-    if isinstance(v, bool):
+    """A finite JSON number, one a float holds; true and false are not
+    numbers here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
-    return isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+    return abs(v) <= sys.float_info.max
 
 
-def _require_positive(cfg, key):
-    v = cfg.get(key)
-    if v is not None and (not _is_number(v) or v <= 0):
-        raise ConfigError(f"config key {key!r} must be positive, got {v!r}")
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check(ok, what, cast=None):
+    """The check of a setting: ok(value) tells a valid value, what says
+    which values are.  It returns the value the runner reads (cast, when
+    given) or raises ConfigError."""
+    def check(key, v):
+        if not ok(v):
+            raise ConfigError(f"config key {key!r} must be {what}, got {v!r}")
+        return v if cast is None else cast(v)
+    return check
+
+
+_count = _check(lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
+_positive = _check(lambda v: _is_number(v) and v > 0, "positive", float)
+_seed = _check(_is_integer, "an integer")
+_path = _check(lambda v: isinstance(v, str), "a string")
+_metric_spec = _check(
+    lambda v: isinstance(v, dict) and "id" in v and set(v) <= {"id", "params"},
+    "{'id': ..., 'params': {...}}")
+_epsilons = _check(
+    lambda v: isinstance(v, list) and v
+    and all(_is_number(e) and 0 <= e < 1 for e in v),
+    "a nonempty list of values in [0, 1)")
+_scenarios = _check(
+    lambda v: isinstance(v, list) and v
+    and all(s in rd.list_scenarios() for s in v),
+    f"a nonempty list from {rd.list_scenarios()}")
+
+
+# Every setting each experiment reads, as key: (check, default).  Every
+# experiment also takes the _COMMON settings; an entry of its own overrides
+# the common default.  Nothing else holds a default.
+_COMMON = {"seed": (_seed, 0), "output_dir": (_path, ".")}
+
+_SETTINGS = {
+    "curvature-grid": {
+        "metric": (_metric_spec, {"id": "euclidean"}),
+        "samples": (_count, 50),
+        "x_radius": (_positive, 1.0),
+        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
+        "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
+        "tolerance": (_positive, 1e-4),
+    },
+    "invariants-along-orbit": {
+        "metric": (_metric_spec, {"id": "sphere"}),
+        "orbit_time": (_positive, 1.0),
+        "orbit_samples": (_count, 9),
+        "x_radius": (_positive, 0.5),
+        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
+        "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
+        "tolerance": (_positive, 1e-6),
+    },
+    "submersion": {
+        "scenarios": (_scenarios, rd.list_scenarios()),
+        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
+        "tolerance": (_positive, 1e-3),
+    },
+    "projective": {
+        "metric": (_metric_spec, {"id": "sphere"}),
+        "samples": (_count, 10),
+        "theta_scale": (_positive, 0.2),
+        "x_radius": (_positive, 0.5),
+        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
+        "tolerance": (_positive, 1e-3),
+    },
+    "katok": {
+        "epsilons": (_epsilons, [0.1, 0.3]),
+        "samples": (_count, 30),
+        "x_radius": (_positive, 0.8),
+        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
+        "tolerance": (_positive, 1e-3),
+    },
+    "selftest": {
+        "seed": (_seed, 20240811),
+        "stencil_h": (_positive, 1e-3),
+    },
+}
 
 
 def validate_config(cfg: dict) -> dict:
+    """The settings of a config: every key its experiment reads, checked,
+    with the defaults of `_SETTINGS` filled in for the keys left out."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     exp = cfg.get("experiment")
-    if exp not in _EXPERIMENTS:
+    if not isinstance(exp, str) or exp not in _SETTINGS:
         raise ConfigError(
             f"unknown or missing experiment {exp!r}; choose one of "
-            + ", ".join(sorted(_EXPERIMENTS)))
-    allowed = _EXPERIMENTS[exp]
+            + ", ".join(sorted(_SETTINGS)))
+    table = {**_COMMON, **_SETTINGS[exp]}
     for key in cfg:
-        if key not in allowed:
+        if key != "experiment" and key not in table:
             raise ConfigError(
                 f"unknown config key {key!r} for experiment {exp!r}")
-    for key in ("samples", "steps_per_unit", "stencil_h", "tolerance",
-                "orbit_time", "orbit_samples", "x_radius", "theta_scale"):
-        _require_positive(cfg, key)
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("config key 'seed' must be an integer")
-    metric = cfg.get("metric")
-    if metric is not None:
-        if not isinstance(metric, dict) or "id" not in metric:
-            raise ConfigError("config key 'metric' must be {'id': ..., "
-                              "'params': {...}}")
-        for key in metric:
-            if key not in ("id", "params"):
-                raise ConfigError(f"unknown metric key {key!r}")
-    if "epsilons" in cfg:
-        eps = cfg["epsilons"]
-        if (not isinstance(eps, list) or not eps
-                or not all(_is_number(e) and 0 <= e < 1
-                           for e in eps)):
-            raise ConfigError("'epsilons' must be a list of values in [0, 1)")
-    if "scenarios" in cfg:
-        sc = cfg["scenarios"]
-        known = set(rd.list_scenarios())
-        if (not isinstance(sc, list) or not sc
-                or any(s not in known for s in sc)):
-            raise ConfigError(
-                f"'scenarios' must be a nonempty list from {sorted(known)}")
-    return cfg
+    settings = {"experiment": exp}
+    for key, (check, default) in table.items():
+        settings[key] = check(key, cfg[key]) if key in cfg else default
+    return settings
 
 
 def _metric_params(spec) -> dict:
@@ -150,8 +183,8 @@ def _zoo_metric(metric_id, params):
         raise ConfigError(str(exc))
 
 
-def _build_metric(cfg, default_id="euclidean"):
-    spec = cfg.get("metric") or {"id": default_id}
+def _build_metric(s):
+    spec = s["metric"]
     return _zoo_metric(spec["id"], _metric_params(spec))
 
 
@@ -185,24 +218,19 @@ def sample_flags(rng, n, count, radius):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _run_curvature_grid(cfg):
-    metric = _build_metric(cfg)
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 50))
-    radius = float(cfg.get("x_radius", 1.0))
-    resolution = int(cfg.get("steps_per_unit", jb.DEFAULT_RESOLUTION))
-    h = float(cfg.get("stencil_h", jb.DEFAULT_FRAME_H))
-    tol = float(cfg.get("tolerance", _DEFAULT_TOL["curvature-grid"]))
-
+def _run_curvature_grid(s):
+    metric = _build_metric(s)
+    rng = np.random.default_rng(s["seed"])
     n = metric.n
     header = (["metric"] + [f"x{i+1}" for i in range(n)]
               + [f"y{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(n)]
               + ["K", "oracle_K", "abs_err"])
     rows = []
     worst = 0.0
-    xs, ys, us = _stack_flags(sample_flags(rng, n, samples, radius))
+    xs, ys, us = _stack_flags(sample_flags(rng, n, s["samples"],
+                                           s["x_radius"]))
     Ks = jb.flag_curvature(metric, mx.PhasePoint(xs, ys), us,
-                           resolution=resolution, h=h)
+                           resolution=s["steps_per_unit"], h=s["stencil_h"])
     for i, (x, y, u, K) in enumerate(zip(xs, ys, us, Ks)):
         oracle = None
         err = None
@@ -213,21 +241,15 @@ def _run_curvature_grid(cfg):
             worst = max(worst, err)
         rows.append([metric.name] + list(x) + list(y) + list(u)
                     + [K, oracle, err])
-    return header, rows, worst, tol
+    return header, rows, worst, s["tolerance"]
 
 
-def _run_invariants_along_orbit(cfg):
-    metric = _build_metric(cfg, default_id="sphere")
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    radius = float(cfg.get("x_radius", 0.5))
-    T = float(cfg.get("orbit_time", 1.0))
-    count = int(cfg.get("orbit_samples", 9))
-    resolution = int(cfg.get("steps_per_unit", jb.DEFAULT_RESOLUTION))
-    h = float(cfg.get("stencil_h", jb.DEFAULT_FRAME_H))
-    tol = float(cfg.get("tolerance", _DEFAULT_TOL["invariants-along-orbit"]))
-
+def _run_invariants_along_orbit(s):
+    metric = _build_metric(s)
+    rng = np.random.default_rng(s["seed"])
+    resolution, h = s["steps_per_unit"], s["stencil_h"]
     n = metric.n
-    x = sample_in_ball(rng, n, radius)
+    x = sample_in_ball(rng, n, s["x_radius"])
     y = rng.normal(size=n)
     y = y / metric.F_value(x, y)
     header = (["t"] + [f"schwarzian_{i+1}{j+1}" for i in range(n)
@@ -241,13 +263,12 @@ def _run_invariants_along_orbit(cfg):
     # reached at t, read at 0: one spray-only geodesic pass finds the sample
     # points, and one batched window transports them all.  Batch index k
     # is named by its time.
-    ts = np.linspace(0.0, T, count)
-    reach = jb.frame_reach(h)
+    ts = np.linspace(0.0, s["orbit_time"], s["orbit_samples"])
     with batch_labels(lambda k: f"t={ts[k]:.6g}"):
         states = jb.geodesic(metric, mx.PhasePoint(x, y), ts, resolution)
         points = mx.PhasePoint(states[:, :n], states[:, n:])
-        orbit = jb.transport(metric, points, T=reach, resolution=resolution,
-                             back=reach)
+        orbit = jb.transport(metric, points, T=jb.frame_reach(h),
+                             resolution=resolution)
         gs = mx.fundamental_tensor(metric, points)
         for k, (t, g) in enumerate(zip(ts, gs)):
             with labelled(flag_label(k)):
@@ -256,7 +277,7 @@ def _run_invariants_along_orbit(cfg):
             eig = np.sort(np.linalg.eigvals(inv.K).real)
             rows.append([t] + list(inv.Schwarzian.ravel())
                         + list(inv.W.ravel()) + list(eig))
-    return header, rows, worst, tol
+    return header, rows, worst, s["tolerance"]
 
 
 def _default_submersion_flag(scn):
@@ -268,37 +289,28 @@ def _default_submersion_flag(scn):
     return mx.PhasePoint(x, v), w
 
 
-def _run_submersion(cfg):
-    names = cfg.get("scenarios", rd.list_scenarios())
-    resolution = int(cfg.get("steps_per_unit", jb.DEFAULT_RESOLUTION))
-    tol = float(cfg.get("tolerance", _DEFAULT_TOL["submersion"]))
+def _run_submersion(s):
     header = ["scenario", "K_total", "K_base", "correction", "residual"]
     rows = []
     worst = 0.0
-    for name in names:
+    for name in s["scenarios"]:
         scn = rd.submersion_scenario(name)
         v, w = _default_submersion_flag(scn)
-        res = rd.submersion_curvature(scn, v, w, resolution=resolution)
+        res = rd.submersion_curvature(scn, v, w,
+                                      resolution=s["steps_per_unit"])
         worst = max(worst, res.residual)
         rows.append([name, res.K_total, res.K_base, res.correction,
                      res.residual])
-    return header, rows, worst, tol
+    return header, rows, worst, s["tolerance"]
 
 
-def _run_projective(cfg):
-    spec = cfg.get("metric") or {"id": "sphere"}
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 10))
-    scale = float(cfg.get("theta_scale", 0.2))
-    radius = float(cfg.get("x_radius", 0.5))
-    resolution = int(cfg.get("steps_per_unit", jb.DEFAULT_RESOLUTION))
-    tol = float(cfg.get("tolerance", _DEFAULT_TOL["projective"]))
-
-    if spec.get("id") == "sphere":
-        base = _zoo_metric("sphere", _metric_params(spec))
+def _run_projective(s):
+    rng = np.random.default_rng(s["seed"])
+    resolution, scale = s["steps_per_unit"], s["theta_scale"]
+    metric_id = s["metric"]["id"]
+    if metric_id == "sphere":
         form = df.ambient_coordinate_form(scale)
-    elif spec.get("id") == "euclidean":
-        base = _zoo_metric("euclidean", _metric_params(spec))
+    elif metric_id == "euclidean":
         c = (scale, 0.0)
         form = df.ClosedOneForm(
             theta=lambda x: list(c),
@@ -307,12 +319,14 @@ def _run_projective(cfg):
         raise ConfigError(
             "projective experiment supports metric ids 'sphere' and "
             "'euclidean'")
+    base = _build_metric(s)
     deformed = df.projective_deform(base, form)
 
     header = ["flag_id", "K_direct", "K_formula", "abs_err"]
     rows = []
     worst = 0.0
-    xs, ys, us = _stack_flags(sample_flags(rng, base.n, samples, radius))
+    xs, ys, us = _stack_flags(sample_flags(rng, base.n, s["samples"],
+                                           s["x_radius"]))
     Ks = jb.flag_curvature(deformed, mx.PhasePoint(xs, ys), us,
                            resolution=resolution)
     for i, (x, y, u, K_direct) in enumerate(zip(xs, ys, us, Ks)):
@@ -323,38 +337,31 @@ def _run_projective(cfg):
         err = abs(K_direct - K_formula)
         worst = max(worst, err)
         rows.append([i, K_direct, K_formula, err])
-    return header, rows, worst, tol
+    return header, rows, worst, s["tolerance"]
 
 
-def _run_katok(cfg):
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 30))
-    radius = float(cfg.get("x_radius", 0.8))
-    epsilons = cfg.get("epsilons", [0.1, 0.3])
-    resolution = int(cfg.get("steps_per_unit", jb.DEFAULT_RESOLUTION))
-    tol = float(cfg.get("tolerance", _DEFAULT_TOL["katok"]))
-
+def _run_katok(s):
+    rng = np.random.default_rng(s["seed"])
     header = ["epsilon", "flag_id", "K", "dev_from_1"]
     rows = []
     worst = 0.0
-    for eps in epsilons:
+    for eps in s["epsilons"]:
         metric = df.katok_metric(float(eps))
-        xs, ys, us = _stack_flags(sample_flags(rng, 2, samples, radius))
+        xs, ys, us = _stack_flags(sample_flags(rng, 2, s["samples"],
+                                               s["x_radius"]))
         with labelled(f"epsilon {eps}"):
             ys = ys / metric.F_value(xs, ys)[:, None]
             Ks = jb.flag_curvature(metric, mx.PhasePoint(xs, ys), us,
-                                   resolution=resolution)
+                                   resolution=s["steps_per_unit"])
         for i, K in enumerate(Ks):
             dev = abs(K - 1.0)
             worst = max(worst, dev)
             rows.append([eps, i, K, dev])
-    return header, rows, worst, tol
+    return header, rows, worst, s["tolerance"]
 
 
-def _run_selftest_experiment(cfg):
-    h = float(cfg.get("stencil_h", 1e-3))
-    seed = int(cfg.get("seed", 20240811))
-    results = run_selftest(seed=seed, stencil_h=h)
+def _run_selftest_experiment(s):
+    results = run_selftest(seed=s["seed"], stencil_h=s["stencil_h"])
     header = ["check", "residual", "tolerance", "passed"]
     rows = [[r.name, r.residual, r.tolerance, r.passed] for r in results]
     worst = 0.0 if all(r.passed for r in results) else 2.0
@@ -373,12 +380,11 @@ _RUNNERS = {
 
 def run_config(cfg: dict, output_dir=None):
     """Execute a validated config; returns (summary dict, exit code)."""
-    cfg = validate_config(cfg)
-    exp = cfg["experiment"]
-    header, rows, worst, tol = _RUNNERS[exp](cfg)
+    s = validate_config(cfg)
+    exp = s["experiment"]
+    header, rows, worst, tol = _RUNNERS[exp](s)
 
-    out_dir = output_dir if output_dir is not None \
-        else cfg.get("output_dir", ".")
+    out_dir = output_dir if output_dir is not None else s["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{exp}.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -389,7 +395,7 @@ def run_config(cfg: dict, output_dir=None):
     passed = worst <= tol
     summary = {
         "experiment": exp,
-        "seed": cfg.get("seed", 0),
+        "seed": s["seed"],
         "rows": len(rows),
         "max_residual": worst,
         "tolerance": tol,
@@ -417,8 +423,10 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to the config file")
 
     p_self = sub.add_parser("selftest", help="run the property suites")
-    p_self.add_argument("--stencil-h", type=float, default=1e-3)
-    p_self.add_argument("--seed", type=int, default=20240811)
+    defaults = _SETTINGS["selftest"]
+    p_self.add_argument("--stencil-h", type=float,
+                        default=defaults["stencil_h"][1])
+    p_self.add_argument("--seed", type=int, default=defaults["seed"][1])
 
     sub.add_parser("list-metrics", help="list metric ids in the zoo")
 

@@ -198,14 +198,23 @@ def _check_chart(metric, x, t=None):
     raise_at(OutOfChart, ~metric.domain.contains(x), describe)
 
 
+def _steps(span: float) -> int:
+    """Whole RK4 steps for span, a time span times the resolution: the
+    nearest integer when span is within 1e-9 (relative) of it, else the
+    ceiling, and at least one.  A difference of grid times (say from
+    np.linspace) times the resolution can land just above the count meant."""
+    k = round(span)
+    return max(1, k if abs(span - k) <= 1e-9 * span else math.ceil(span))
+
+
 def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times,
              resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Phase states (x, y) of the geodesic from v0 at the given times.
 
     Only (x, y) is integrated, with the spray alone: one order-2 energy jet
     per evaluation, no Jacobian.  RK4 runs outward from t = 0 through the
-    requested times of each sign, with ceil(|dt| * resolution) steps per
-    segment, so every requested time is a node.  Every point is checked
+    requested times of each sign, with |dt| * resolution steps per segment
+    (`_steps`), so every requested time is a node.  Every point is checked
     against the chart before the metric is read there; the time rides along
     as a last coordinate, so an error names the absolute t.  A batch v0
     (shape S+(n,)) is integrated in lockstep; returns an array of shape
@@ -230,7 +239,7 @@ def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times,
             if sign * times[i] < 0.0:
                 continue
             if times[i] != t:
-                steps = max(1, int(math.ceil(abs(times[i] - t) * resolution)))
+                steps = _steps(abs(times[i] - t) * resolution)
                 z = nk.rk_integrate(field, z, t, times[i], steps)[-1][1]
                 t = times[i]
             out[i] = z[..., :2 * n]
@@ -243,17 +252,17 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
               back: Optional[float] = None) -> OrbitData:
     """Transport the flow differential over [-back, T] from v0 (back = T).
 
-    Deterministic fixed-step RK4 on one grid of step dt = T / ceil(T *
-    resolution), so a given back is rounded up to whole steps; raises
-    OutOfChart if the orbit leaves the metric's box within the window.  A
-    batch v0 is integrated in lockstep, and an error names the lowest
-    failing flag.  The spray data at v0 serves both directions.
+    Deterministic fixed-step RK4 on one grid of step dt = T / steps, where
+    `_steps` makes whole steps of T * resolution forward and back / dt
+    backward; raises OutOfChart if the orbit leaves the metric's box within
+    the window.  A batch v0 is integrated in lockstep, and an error names
+    the lowest failing flag.  The spray data at v0 serves both directions.
     """
     if T <= 0.0 or (back is not None and back <= 0.0):
         raise OutOfChart("transport window must be positive")
-    steps = max(1, int(math.ceil(T * resolution)))
+    steps = _steps(T * resolution)
     dt = T / steps
-    back_steps = steps if back is None else int(math.ceil(back / dt))
+    back_steps = steps if back is None else _steps(back / dt)
     back = T if back is None else dt * back_steps
     m2 = 2 * metric.n
     eye = np.broadcast_to(np.eye(m2), v0.x.shape[:-1] + (m2, m2))

@@ -39,7 +39,6 @@ __all__ = [
     "Box",
     "PhasePoint",
     "MetricSpec",
-    "SprayField",
     "riemannian_metric",
     "randers_metric",
     "custom_metric",
@@ -47,7 +46,6 @@ __all__ = [
     "legendre",
     "legendre_inverse",
     "conorm",
-    "spray",
     "spray_data",
     "energy_jet",
     "omega_matrix",
@@ -442,29 +440,6 @@ def spray_data(m: MetricSpec, x, y, with_jacobian: bool = True):
 def _middle(w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """sum_j w[..., j] X[..., l, j, p]: contraction of the middle axis."""
     return (w[..., None, None, :] @ X)[..., 0, :]
-
-
-@dataclass(frozen=True)
-class SprayField:
-    """Geodesic spray (x, y) -> (y, -2G(x, y)) of a metric."""
-
-    metric: MetricSpec
-
-    @property
-    def n(self) -> int:
-        return self.metric.n
-
-    def G(self, x, y) -> np.ndarray:
-        G, _ = spray_data(self.metric, x, y, with_jacobian=False)
-        return G
-
-    def value(self, x, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.concatenate([y, -2.0 * self.G(x, y)], axis=-1)
-
-
-def spray(m: MetricSpec) -> SprayField:
-    return SprayField(m)
 
 
 def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:

@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
+from fanning_lab import metrics as mx
 from fanning_lab.fanning import FrameTriple, SymplecticForm
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def spray_field(m, z):
+    """The geodesic spray (y, -2G(x, y)) of metric m at z = (x, y)."""
+    n = m.n
+    G, _ = mx.spray_data(m, z[:n], z[n:], with_jacobian=False)
+    return np.concatenate([z[n:], -2.0 * G])
 
 
 def random_fanning_triple(rng, n, cond_limit=50.0):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fanning_lab import cli
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
 from fanning_lab.errors import ConfigError
+from fanning_lab.selftest import CheckResult
 
 
 def run_cfg(cfg, tmp_path, name="out"):
@@ -171,6 +173,27 @@ def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
     assert len(jacobian_calls) - 33 >= 4 * orbit_time * jb.DEFAULT_RESOLUTION
 
 
+def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
+    # the orbit-comparison sphere job: 8 segments of 0.0375 at 2000 steps
+    # per unit are 75 RK4 steps each, four spray-only calls a step, though
+    # three of the linspace differences times 2000 land just above 75
+    spray_data = mx.spray_data
+    jacobian_calls = []
+
+    def counted(m, x, y, with_jacobian=True):
+        jacobian_calls.append(with_jacobian)
+        return spray_data(m, x, y, with_jacobian)
+
+    monkeypatch.setattr(mx, "spray_data", counted)
+    cfg = {"experiment": "invariants-along-orbit", "seed": 1,
+           "metric": {"id": "sphere"}, "orbit_time": 0.3, "orbit_samples": 9,
+           "steps_per_unit": 2000}
+    _, _, code = run_cfg(cfg, tmp_path)
+    assert code == cli.EXIT_OK
+    assert jacobian_calls.count(False) == 2400
+    assert jacobian_calls.count(True) == 33
+
+
 @pytest.mark.parametrize("orbit_time, start", [
     # the geodesic pass between the samples leaves the box
     (6.0, "numeric failure: orbit left the chart at t=3.03525, "),
@@ -281,6 +304,82 @@ def test_main_rejects_non_numbers(tmp_path, capsys, entries):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"experiment": "katok", "samples": 1, "epsilons": [0.3],
+      "stencil_h": 0.05}, "stencil_h"),
+    ({"experiment": "projective", "samples": 1, "stencil_h": 0.05},
+     "stencil_h"),
+    ({"experiment": "submersion", "scenarios": ["trivial"],
+      "stencil_h": 0.05}, "stencil_h"),
+    ({"experiment": "selftest", "tolerance": 1e-30}, "tolerance"),
+    ({"experiment": "selftest", "steps_per_unit": 2000}, "steps_per_unit"),
+    ({"experiment": "curvature-grid", "samples": 2.7}, "samples"),
+    ({"experiment": "curvature-grid", "samples": 0.5}, "samples"),
+    ({"experiment": "invariants-along-orbit", "orbit_time": 0.05,
+      "orbit_samples": 0.5}, "orbit_samples"),
+    ({"experiment": "curvature-grid", "samples": 2, "steps_per_unit": 0.5},
+     "steps_per_unit"),
+    ({"experiment": "curvature-grid", "samples": 2, "x_radius": 10 ** 400},
+     "x_radius"),
+    ({"experiment": "curvature-grid", "samples": 2, "metric": None},
+     "metric"),
+    ({"experiment": "submersion", "scenarios": [["hopf"]]}, "scenarios"),
+], ids=["katok-stencil_h", "projective-stencil_h", "submersion-stencil_h",
+        "selftest-tolerance", "selftest-steps_per_unit", "samples-2.7",
+        "samples-0.5", "orbit_samples-0.5", "steps_per_unit-0.5",
+        "x_radius-beyond-float", "metric-null", "scenarios-unhashable"])
+def test_main_names_the_rejected_setting(tmp_path, capsys, cfg, key):
+    # an experiment accepts only the settings its runner reads, counts are
+    # integers >= 1, and each value is checked before anything runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(cfg,
+                                        output_dir=str(tmp_path / "out"))))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_selftest_summary_names_the_seed_it_ran_with(tmp_path, monkeypatch):
+    seeds = []
+
+    def spy(seed, stencil_h):
+        seeds.append(seed)
+        return [CheckResult("stub", 0.0, 1.0)]
+
+    monkeypatch.setattr(cli, "run_selftest", spy)
+    out, summary, code = run_cfg({"experiment": "selftest"}, tmp_path)
+    assert code == cli.EXIT_OK
+    assert seeds == [20240811]
+    assert json.loads((out / "summary.json").read_text())["seed"] == 20240811
+
+
+@pytest.mark.parametrize("cfg, start", [
+    ({"experiment": "curvature-grid", "samples": 1, "output_dir": 5},
+     "config error: config key 'output_dir' must be a string, got 5"),
+    ({"experiment": ["katok"]},
+     "config error: unknown or missing experiment ['katok']"),
+], ids=["output_dir-5", "experiment-list"])
+def test_main_rejects_malformed_output_dir_and_experiment(tmp_path, capsys,
+                                                          cfg, start):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(start)
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_readme_example_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("`run` takes a single JSON object")[1]
+    example = example.split("```json\n")[1].split("```")[0]
+    cfg = json.loads(example)
+    assert cli.validate_config(cfg)["experiment"] == cfg["experiment"]
 
 
 def test_main_names_the_failing_flag(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import spray_field
 from fanning_lab import deformations as df
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
@@ -92,12 +93,10 @@ def test_projective_geodesic_traces_coincide(rng):
     for _ in range(3):
         x0 = rng.uniform(-0.4, 0.4, size=2)
         y0 = rng.normal(size=2)
-        SF = mx.spray(deformed)
-        S0 = mx.spray(sphere)
-        solF = nk.rk_integrate(lambda z: SF.value(z[:2], z[2:]),
+        solF = nk.rk_integrate(lambda z: spray_field(deformed, z),
                                np.concatenate([x0, y0 / deformed.F_value(x0, y0)]),
                                0.0, 0.8, 800)
-        sol0 = nk.rk_integrate(lambda z: S0.value(z[:2], z[2:]),
+        sol0 = nk.rk_integrate(lambda z: spray_field(sphere, z),
                                np.concatenate([x0, y0 / sphere.F_value(x0, y0)]),
                                0.0, 1.2, 1200)
         trace0 = np.array([z[:2] for _, z in sol0])
@@ -121,8 +120,6 @@ def test_pushforward_of_deformed_spray(rng):
     base = mx.zoo_metric("sphere")
     form = exact_form(0.15)
     deformed = df.projective_deform(base, form)
-    S0 = mx.spray(base)
-    SF = mx.spray(deformed)
     for _ in range(3):
         x = rng.uniform(-0.4, 0.4, size=2)
         y = rng.normal(size=2)
@@ -135,7 +132,7 @@ def test_pushforward_of_deformed_spray(rng):
 
         # numeric directional derivative of the unit-sphere correspondence
         # along the deformed spray
-        vec = SF.value(x, y)
+        vec = spray_field(deformed, np.concatenate([x, y]))
         h = 1e-6
         z0 = np.concatenate([x, y])
 
@@ -148,7 +145,7 @@ def test_pushforward_of_deformed_spray(rng):
 
         dpsi = (psi_of(z0 + h * vec) - psi_of(z0 - h * vec)) / (2 * h)
         phi = 1.0 / (1.0 + th @ u)
-        expected = phi * S0.value(x, u)
+        expected = phi * spray_field(base, np.concatenate([x, u]))
         assert np.max(np.abs(dpsi - expected)) < 1e-6
 
 

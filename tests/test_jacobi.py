@@ -42,6 +42,17 @@ def test_transport_euclidean_flow_property():
     assert np.max(np.abs(M_ts - M_t_at @ M_s)) < 1e-12
 
 
+@pytest.mark.parametrize("T, back", [(0.1 + 0.2, None), (0.3, 0.1 + 0.2)],
+                         ids=["steps", "back-steps"])
+def test_transport_steps_ignore_rounding_errors(T, back):
+    # 0.1 + 0.2 lands just above 0.3: at 10 steps per unit the window has
+    # 3 steps each way, not 4
+    m = mx.zoo_metric("euclidean")
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=T, resolution=10,
+                         back=back)
+    assert len(orbit.ts) == 7
+
+
 @pytest.mark.parametrize("s, half_width, T, resolution", [
     (0.0, 0.5, 1.0, 100),
     (0.0, 0.5, 0.505, 100),
