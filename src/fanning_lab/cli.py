@@ -6,8 +6,8 @@ fully seeded, so a fixed config produces byte-identical output files.  Exit
 codes: 0 success, 1 tolerance violation, 2 config error, 3 numeric failure
 (one line on stderr naming the failing flag, or the failing sample time
 along an orbit, where there is one).  The flags of a curvature-grid, katok
-or projective run go through one batched transport, and so do the sample
-points of an invariants-along-orbit run.
+or projective run go through one batched transport and one Jacobi frame,
+and so do the sample points of an invariants-along-orbit run.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _check(ok, what, cast=None):
 
 _count = _check(lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
 _positive = _check(lambda v: _is_number(v) and v > 0, "positive", float)
-_seed = _check(_is_integer, "an integer")
+_seed = _check(lambda v: _is_integer(v) and v >= 0, "an integer >= 0")
 _path = _check(lambda v: isinstance(v, str), "a string")
 _metric_spec = _check(
     lambda v: isinstance(v, dict) and "id" in v and set(v) <= {"id", "params"},
@@ -256,8 +256,6 @@ def _run_invariants_along_orbit(s):
                        for j in range(n)]
               + [f"wronskian_{i+1}{j+1}" for i in range(n) for j in range(n)]
               + [f"K_eig_{k+1}" for k in range(2 * n)])
-    rows = []
-    worst = 0.0
     # The flow acts on Jacobi curves symplectically, so the invariants of
     # the curve of the orbit at time t are those of the curve of the point
     # reached at t, read at 0: one spray-only geodesic pass finds the sample
@@ -269,14 +267,12 @@ def _run_invariants_along_orbit(s):
         points = mx.PhasePoint(states[:, :n], states[:, n:])
         orbit = jb.transport(metric, points, T=jb.frame_reach(h),
                              resolution=resolution)
+        inv = jb.jacobi_frame(orbit, 0.0, h=h).invariants
         gs = mx.fundamental_tensor(metric, points)
-        for k, (t, g) in enumerate(zip(ts, gs)):
-            with labelled(flag_label(k)):
-                inv = jb.jacobi_frame(orbit.flag(k), 0.0, h=h).invariants
-            worst = max(worst, float(np.max(np.abs(inv.W - g))))
-            eig = np.sort(np.linalg.eigvals(inv.K).real)
-            rows.append([t] + list(inv.Schwarzian.ravel())
-                        + list(inv.W.ravel()) + list(eig))
+    worst = float(np.max(np.abs(inv.W - gs)))
+    eigs = np.sort(np.linalg.eigvals(inv.K).real, axis=-1)
+    rows = [[t] + list(S.ravel()) + list(W.ravel()) + list(eig)
+            for t, S, W, eig in zip(ts, inv.Schwarzian, inv.W, eigs)]
     return header, rows, worst, s["tolerance"]
 
 
@@ -412,6 +408,11 @@ def _one_line(exc) -> str:
     return " ".join(str(exc).split())
 
 
+def _config_error(exc) -> int:
+    print(f"config error: {_one_line(exc)}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fanning-lab",
@@ -439,7 +440,12 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "selftest":
-        results = run_selftest(seed=args.seed, stencil_h=args.stencil_h)
+        try:
+            s = validate_config({"experiment": "selftest", "seed": args.seed,
+                                 "stencil_h": args.stencil_h})
+        except ConfigError as exc:
+            return _config_error(exc)
+        results = run_selftest(seed=s["seed"], stencil_h=s["stencil_h"])
         ok = True
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -453,8 +459,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
 
     try:
         # a non-finite value inside a batch is reported by the finiteness
@@ -462,8 +467,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             summary, code = run_config(cfg)
     except ConfigError as exc:
-        print(f"config error: {_one_line(exc)}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     except FanningLabError as exc:
         print(f"numeric failure: {_one_line(exc)}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import fanning as fc
 from . import jacobi as jb
 from . import metrics as mx
 from . import numkit as nk
@@ -202,8 +203,7 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     vv = mx.PhasePoint(x, y)
 
     gF = mx.fundamental_tensor(deformed, vv)
-    u = np.asarray(u, dtype=float)
-    w = u - (y @ gF @ u) / (y @ gF @ y) * y
+    w = jb._canonical_flag_vector(gF, y, np.asarray(u, dtype=float))
 
     th = np.array([nk.scalar_value(z) for z in form.theta(list(x))])
     xi = mx.legendre(deformed, vv) - th
@@ -235,9 +235,7 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     if not isinstance(fjet, Jet):
         fjet = Jet.constant(fjet, 1, 3)
     fdot = 1.0 + fjet.g[0]
-    fddot = fjet.H[0, 0]
-    fdddot = fjet.T[0, 0, 0]
-    schw = fdddot / fdot - 1.5 * (fddot / fdot) ** 2
+    schw = fc.schwarzian_of_map(fdot, fjet.H[0, 0], fjet.T[0, 0, 0])
     rhs_f = (K0 - 0.5 * schw) / (fdot * fdot)
 
     if abs(rhs_phi - rhs_f) > 1e-8 * max(1.0, abs(rhs_phi)):

@@ -11,6 +11,11 @@ The only genuinely numerical ingredient is the t-derivative of the frame
 coefficient P, which is always taken by finite differences over a stencil of
 frame triples; everything else is exact linear algebra on the inputs, which
 share one factorization of [A | Adot] per triple.
+
+Frames and forms may carry leading batch axes S (frames S+(2n, n), forms
+S+(2n, 2n)); every function here then works on the whole stack at once, and
+a failed check names the lowest failing entry (`errors.raise_at`).  A
+single frame is the case S = ().
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimensionMismatch, NotFanning, NotLagrangian,
-                     SingularTransform)
+                     SingularTransform, raise_at)
 from .numkit import Stencil, central_derivative
 
 FANNING_COND_LIMIT = 1e10
@@ -48,7 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameTriple:
-    """Frame A(t) of an n-plane in R^2n with its first two t-derivatives."""
+    """Frame A(t) of an n-plane in R^2n with its first two t-derivatives,
+    each of shape S+(2n, n)."""
 
     A: np.ndarray
     Adot: np.ndarray
@@ -61,44 +67,45 @@ class FrameTriple:
             object.__setattr__(self, name, M)
             if M.shape != A.shape:
                 raise DimensionMismatch("frame matrices must share one shape")
-        if A.ndim != 2 or A.shape[0] != 2 * A.shape[1]:
+        if A.ndim < 2 or A.shape[-2] != 2 * A.shape[-1]:
             raise DimensionMismatch(f"frame must be 2n x n, got {A.shape}")
 
     @property
     def n(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[-1]
 
     @cached_property
     def fanning_data(self):
         """(inverse of [A | Adot], P, Q), computed once; NotFanning if singular."""
-        B = np.hstack([self.A, self.Adot])
-        if np.linalg.cond(B) > FANNING_COND_LIMIT:
-            raise NotFanning(
-                f"[A | Adot] has condition number above {FANNING_COND_LIMIT:g}")
+        B = np.concatenate([self.A, self.Adot], axis=-1)
+        raise_at(NotFanning, np.linalg.cond(B) > FANNING_COND_LIMIT,
+                 lambda i: "[A | Adot] has condition number above "
+                           f"{FANNING_COND_LIMIT:g}")
         Binv = np.linalg.inv(B)
         QP = Binv @ (-self.Addot)
         # shared by every caller, so read-only like the triple itself
         Binv.flags.writeable = QP.flags.writeable = False
         n = self.n
-        return Binv, QP[n:, :], QP[:n, :]
+        return Binv, QP[..., n:, :], QP[..., :n, :]
 
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    """Matrix of a symplectic form: antisymmetric and invertible."""
+    """Matrix of a symplectic form, S+(2n, 2n): antisymmetric and invertible."""
 
     Omega: np.ndarray
 
     def __post_init__(self):
         O = np.asarray(self.Omega, dtype=float)
         object.__setattr__(self, "Omega", O)
-        if O.ndim != 2 or O.shape[0] != O.shape[1]:
+        if O.ndim < 2 or O.shape[-2] != O.shape[-1]:
             raise DimensionMismatch("Omega must be square")
-        scale = max(1.0, np.max(np.abs(O)))
-        if np.max(np.abs(O + O.T)) > 1e-10 * scale:
-            raise DimensionMismatch("Omega must be antisymmetric")
-        if np.linalg.cond(O) > 1e12:
-            raise DimensionMismatch("Omega must be invertible")
+        scale = np.maximum(1.0, np.max(np.abs(O), axis=(-2, -1)))
+        raise_at(DimensionMismatch,
+                 np.max(np.abs(O + O.mT), axis=(-2, -1)) > 1e-10 * scale,
+                 lambda i: "Omega must be antisymmetric")
+        raise_at(DimensionMismatch, np.linalg.cond(O) > 1e12,
+                 lambda i: "Omega must be invertible")
 
     @staticmethod
     def standard(n: int) -> "SymplecticForm":
@@ -133,9 +140,8 @@ def fundamental_endomorphism(ft: FrameTriple) -> np.ndarray:
 
     Depends only on the plane curve, not on the frame chosen for it.
     """
-    n = ft.n
     Binv, _, _ = ft.fanning_data
-    target = np.hstack([np.zeros((2 * n, n)), ft.A])
+    target = np.concatenate([np.zeros_like(ft.A), ft.A], axis=-1)
     return target @ Binv
 
 
@@ -163,9 +169,9 @@ def horizontal_data(ft: FrameTriple):
     Hframe = Adot + (1/2) A P, and P_h = (I + Fdot)/2, P_ell = I - P_h.
     """
     Binv, P, _ = ft.fanning_data
-    Fdot = np.hstack([-ft.A, ft.Adot + ft.A @ P]) @ Binv
+    Fdot = np.concatenate([-ft.A, ft.Adot + ft.A @ P], axis=-1) @ Binv
     Hframe = ft.Adot + 0.5 * ft.A @ P
-    n2 = Fdot.shape[0]
+    n2 = Fdot.shape[-1]
     P_h = 0.5 * (np.eye(n2) + Fdot)
     P_ell = np.eye(n2) - P_h
     return Fdot, Hframe, P_ell, P_h
@@ -183,8 +189,8 @@ def jacobi_endomorphism(ft: FrameTriple, Pdot: np.ndarray) -> np.ndarray:
     Binv, P, _ = ft.fanning_data
     half_S = 0.5 * schwarzian(ft, Pdot)
     Hframe = ft.Adot + 0.5 * ft.A @ P
-    return (ft.A @ half_S @ (Binv[:n] - 0.5 * P @ Binv[n:])
-            + Hframe @ half_S @ Binv[n:])
+    return (ft.A @ half_S @ (Binv[..., :n, :] - 0.5 * P @ Binv[..., n:, :])
+            + Hframe @ half_S @ Binv[..., n:, :])
 
 
 def wronskian(ft: FrameTriple, omega: SymplecticForm,
@@ -195,15 +201,15 @@ def wronskian(ft: FrameTriple, omega: SymplecticForm,
     for genuine Lagrangian curves and is symmetrized before returning.
     """
     O = omega.Omega
-    if O.shape[0] != 2 * ft.n:
+    if O.shape[-1] != 2 * ft.n:
         raise DimensionMismatch("symplectic form has wrong size for the frame")
-    scale = max(1.0, np.linalg.norm(ft.A) ** 2 * np.linalg.norm(O))
-    lag = ft.A.T @ O @ ft.A
-    if np.max(np.abs(lag)) > tol * scale:
-        raise NotLagrangian(
-            f"A^T Omega A deviates from zero by {np.max(np.abs(lag)):.3e}")
-    W = ft.A.T @ O @ ft.Adot
-    return 0.5 * (W + W.T)
+    scale = np.maximum(1.0, np.linalg.norm(ft.A, axis=(-2, -1)) ** 2
+                       * np.linalg.norm(O, axis=(-2, -1)))
+    defect = np.max(np.abs(ft.A.mT @ O @ ft.A), axis=(-2, -1))
+    raise_at(NotLagrangian, defect > tol * scale,
+             lambda i: f"A^T Omega A deviates from zero by {defect[i]:.3e}")
+    W = ft.A.mT @ O @ ft.Adot
+    return 0.5 * (W + W.mT)
 
 
 def transform(T: np.ndarray, ft: FrameTriple) -> FrameTriple:
@@ -241,7 +247,7 @@ def reparametrize(s: float, sdot: float, sddot: float, sdddot: float,
     """
     schw = schwarzian_of_map(sdot, sddot, sdddot)
     F = inv_at_s.F / sdot
-    K = sdot * sdot * inv_at_s.K + 0.5 * schw * np.eye(inv_at_s.K.shape[0])
+    K = sdot * sdot * inv_at_s.K + 0.5 * schw * np.eye(inv_at_s.K.shape[-1])
     W = None if inv_at_s.W is None else sdot * inv_at_s.W
     return ReparametrizedInvariants(F=F, K=K, W=W)
 

@@ -16,8 +16,9 @@ evaluate nothing.
 `transport` and `flag_curvature` take a batch of phase points (x, y of
 shape S+(n,)) and integrate all of them in lockstep: one `spray_data` call
 per RK4 stage for the whole batch.  A single point is the case S = ().
-The Jacobi-frame linear algebra after transport runs per flag, on
-`OrbitData.flag(i)`; a failure names the flag.
+`jacobi_frame` reads the frames of the whole batch at once, and the
+fanning algebra works on the stack; a failure names the lowest failing
+flag.
 
 `geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
 flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -46,8 +47,7 @@ import numpy as np
 from . import fanning as fc
 from . import metrics as mx
 from . import numkit as nk
-from .errors import (DegenerateFlag, InternalInconsistency, NonFiniteValue,
-                     OutOfChart, flag_label, labelled, raise_at)
+from .errors import DegenerateFlag, NonFiniteValue, OutOfChart, raise_at
 
 __all__ = [
     "OrbitData",
@@ -77,10 +77,9 @@ class OrbitData:
 
     states maps grid times to (x, y, M) with M(t) the differential of the
     time-t flow at v0, and sprays to the spray data (G, DS) at each state;
-    omega_matrix is the symplectic form at v0, the fixed ambient form for
-    every frame along this orbit.  For a batch v0 every array carries its
-    batch axes first; `flag(i)` is the orbit of one point.  Immutable after
-    construction.
+    omega is the symplectic form at v0, the fixed ambient form for every
+    frame along this orbit.  For a batch v0 every array carries its batch
+    axes first.  Immutable after construction.
     """
 
     metric: mx.MetricSpec
@@ -89,23 +88,7 @@ class OrbitData:
     ts: np.ndarray
     states: tuple
     sprays: tuple
-    omega_matrix: np.ndarray
-
-    @cached_property
-    def omega(self) -> fc.SymplecticForm:
-        """The symplectic form at v0 (orbits of a single point)."""
-        return fc.SymplecticForm(self.omega_matrix)
-
-    def flag(self, i) -> "OrbitData":
-        """Orbit of batch index i; an unbatched orbit is its own flag ()."""
-        if i == ():
-            return self
-        return OrbitData(
-            metric=self.metric, v0=mx.PhasePoint(self.v0.x[i], self.v0.y[i]),
-            resolution=self.resolution, ts=self.ts,
-            states=tuple((x[i], y[i], M[i]) for x, y, M in self.states),
-            sprays=tuple((G[i], DS[i]) for G, DS in self.sprays),
-            omega_matrix=self.omega_matrix[i])
+    omega: fc.SymplecticForm
 
     def _nearest(self, t: float):
         """Index of the grid node nearest t, and whether t is that node."""
@@ -276,7 +259,7 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
     return OrbitData(metric=metric, v0=v0, resolution=resolution, ts=ts,
                      states=tuple(bwd[:0:-1] + fwd),
                      sprays=tuple(bwd_sprays[:0:-1] + fwd_sprays),
-                     omega_matrix=mx.omega_matrix(metric, v0))
+                     omega=fc.SymplecticForm(mx.omega_matrix(metric, v0)))
 
 
 def frame_reach(h: float, order: int = 4) -> float:
@@ -310,29 +293,22 @@ def _node_weights(h: float, order: int) -> np.ndarray:
 
 def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
                  order: int = 4) -> JacobiCurveSample:
-    """Sample the Jacobi curve around t.
+    """Sample the Jacobi curve around t, for every flag of the orbit at once.
 
     A and Adot are analytic in the transported data; Addot at each stencil
     node comes from differentiating the Adot samples once (shared nodes,
-    off-center weights where needed).  The curve is fanning for spray Jacobi
-    curves; a failure here is an internal inconsistency, not user error.
+    off-center weights where needed).  Spray Jacobi curves are fanning;
+    NotFanning names the lowest flag whose curve is not.
     """
     stc = nk.Stencil(t, h, order)
-    As, Adots = [], []
-    for tn in stc.nodes:
-        A, Adot = orbit.frame_data(tn)
-        As.append(A)
-        Adots.append(Adot)
+    As, Adots = zip(*(orbit.frame_data(tn) for tn in stc.nodes))
     triples = []
     for j, w in enumerate(_node_weights(h, order)):
         Addot = sum(wk * Ak for wk, Ak in zip(w, Adots))
         triples.append(fc.FrameTriple(As[j], Adots[j], Addot))
     frames = fc.FrameStencil(stc, tuple(triples))
-    try:
-        inv = fc.invariants(frames, orbit.omega)
-    except fc.NotFanning as exc:  # pragma: no cover - sprays are regular
-        raise InternalInconsistency(f"Jacobi curve lost fanning at t={t}: {exc}")
-    return JacobiCurveSample(t=t, frames=frames, invariants=inv)
+    return JacobiCurveSample(t=t, frames=frames,
+                             invariants=fc.invariants(frames, orbit.omega))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +329,7 @@ def _canonical_flag_vector(g: np.ndarray, y: np.ndarray, u: np.ndarray):
 
 def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
                    resolution: int = DEFAULT_RESOLUTION,
-                   h: float = DEFAULT_FRAME_H,
-                   orbit: Optional[OrbitData] = None):
+                   h: float = DEFAULT_FRAME_H):
     """Flag curvature of the flag (v, span[v, u]).
 
     u is g_F(v)-orthogonalized against v internally; the value is invariant
@@ -363,23 +338,20 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
     flag vector are just its components.
 
     v and u may hold a batch of flags (shape S+(n,)): one batched transport
-    serves them all, then each flag reads its own Jacobi frame.  Returns a
-    float for a single flag and an array of shape S for a batch; an error
-    names the lowest failing flag.
+    and one Jacobi frame serve them all.  Returns a float for a single flag
+    and an array of shape S for a batch; an error names the lowest failing
+    flag.
     """
     u = np.asarray(u, dtype=float)
     g = mx.fundamental_tensor(metric, v)
-    u_perp = _canonical_flag_vector(g, v.y, u)
+    w = _canonical_flag_vector(g, v.y, u)[..., :, None]    # columns
     F = np.asarray(metric.F_value(v.x, v.y))
-    if orbit is None:
-        orbit = transport(metric, v, T=frame_reach(h), resolution=resolution)
-    K = np.empty(F.shape)
-    for i in np.ndindex(K.shape):
-        with labelled(flag_label(i)):
-            inv = jacobi_frame(orbit.flag(i), 0.0, h=h).invariants
-        K_plane = 0.5 * inv.Schwarzian        # K on span(A) in the frame basis
-        w = u_perp[i]
-        K[i] = (K_plane @ w) @ inv.W @ w / (w @ inv.W @ w) / (F[i] * F[i])
+    orbit = transport(metric, v, T=frame_reach(h), resolution=resolution)
+    inv = jacobi_frame(orbit, 0.0, h=h).invariants
+    K_plane = 0.5 * inv.Schwarzian        # K on span(A) in the frame basis
+    num = (K_plane @ w).mT @ inv.W @ w
+    den = w.mT @ inv.W @ w
+    K = num[..., 0, 0] / den[..., 0, 0] / (F * F)
     return float(K) if K.ndim == 0 else K
 
 

@@ -734,8 +734,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
 
     g = mx.fundamental_tensor(total, v)
     # project w onto the horizontal space, g-orthogonal to v, unit length
-    w = horizontal_part(g, scenario.fiber(list(x)), w)
-    w = w - (w @ g @ y) / (y @ g @ y) * y
+    w = horizontal_part(g, np.column_stack([scenario.fiber(list(x)), y]), w)
     norm = math.sqrt(w @ g @ w)
     if norm < 1e-10:
         raise HorizontalityViolation("w degenerates after horizontalization")

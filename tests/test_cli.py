@@ -215,6 +215,32 @@ def test_main_names_the_failing_orbit_time(tmp_path, capsys, orbit_time,
     assert "Traceback" not in err
 
 
+def test_main_names_the_sample_whose_frame_fails(tmp_path, capsys,
+                                                monkeypatch):
+    # the frames of samples 1 and 2 (t = 0.1, 0.2), the orbits that start
+    # away from the first sample point, stop fanning; the error names the
+    # earlier one
+    x_start = cli.sample_in_ball(np.random.default_rng(3), 2, 0.5)
+    frame_data = jb.OrbitData.frame_data
+
+    def stalled(orbit, t):
+        A, Adot = frame_data(orbit, t)
+        moved = np.any(orbit.v0.x != x_start, axis=-1)
+        return A, np.where(moved[..., None, None], A, Adot)
+
+    monkeypatch.setattr(jb.OrbitData, "frame_data", stalled)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment": "invariants-along-orbit", "seed": 3,
+         "metric": {"id": "sphere"}, "orbit_time": 0.2, "orbit_samples": 3,
+         "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: t=0.1: ")
+    assert "[A | Adot] has condition number above" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_submersion_rows(tmp_path):
     cfg = {"experiment": "submersion", "scenarios": ["trivial", "hopf"]}
     out, summary, code = run_cfg(cfg, tmp_path)
@@ -326,10 +352,12 @@ def test_main_rejects_non_numbers(tmp_path, capsys, entries):
     ({"experiment": "curvature-grid", "samples": 2, "metric": None},
      "metric"),
     ({"experiment": "submersion", "scenarios": [["hopf"]]}, "scenarios"),
+    ({"experiment": "curvature-grid", "samples": 1, "seed": -1}, "seed"),
 ], ids=["katok-stencil_h", "projective-stencil_h", "submersion-stencil_h",
         "selftest-tolerance", "selftest-steps_per_unit", "samples-2.7",
         "samples-0.5", "orbit_samples-0.5", "steps_per_unit-0.5",
-        "x_radius-beyond-float", "metric-null", "scenarios-unhashable"])
+        "x_radius-beyond-float", "metric-null", "scenarios-unhashable",
+        "seed-negative"])
 def test_main_names_the_rejected_setting(tmp_path, capsys, cfg, key):
     # an experiment accepts only the settings its runner reads, counts are
     # integers >= 1, and each value is checked before anything runs
@@ -342,6 +370,25 @@ def test_main_names_the_rejected_setting(tmp_path, capsys, cfg, key):
     assert len(err.strip().splitlines()) == 1
     assert repr(key) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--seed", "-1"], "seed"),
+    (["--stencil-h", "-1"], "stencil_h"),
+    (["--stencil-h", "nan"], "stencil_h"),
+], ids=["seed-negative", "stencil_h-negative", "stencil_h-nan"])
+def test_selftest_command_checks_its_settings(capsys, monkeypatch, args, key):
+    # the selftest subcommand checks its flags against the settings table
+    # before any suite runs
+    runs = []
+    monkeypatch.setattr(cli, "run_selftest",
+                        lambda **kwargs: runs.append(kwargs) or [])
+    assert cli.main(["selftest"] + args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert repr(key) in err
+    assert runs == []
 
 
 def test_selftest_summary_names_the_seed_it_ran_with(tmp_path, monkeypatch):

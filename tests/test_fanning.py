@@ -9,7 +9,8 @@ from conftest import (lagrangian_graph_curve, random_fanning_triple,
                       random_lagrangian_triple, random_symplectic)
 from fanning_lab import fanning as fc
 from fanning_lab import numkit as nk
-from fanning_lab.errors import NotFanning, NotLagrangian, SingularTransform
+from fanning_lab.errors import (DimensionMismatch, NotFanning, NotLagrangian,
+                                SingularTransform, batch_labels)
 
 
 def triple(A, Adot, Addot=None):
@@ -360,3 +361,80 @@ def test_frame_independence_of_invariants(rng):
         assert np.max(np.abs(inv_A.F - inv_B.F)) < 1e-8
         assert np.max(np.abs(inv_A.Fdot - inv_B.Fdot)) < 1e-8
         assert np.max(np.abs(inv_A.K - inv_B.K)) < 1e-8
+
+
+# -- batch axes ---------------------------------------------------------------
+
+def stack(triples):
+    """One frame triple holding the given ones along a leading batch axis."""
+    return fc.FrameTriple(*(np.stack([getattr(ft, k) for ft in triples])
+                            for k in ("A", "Adot", "Addot")))
+
+
+def stacked(stencils):
+    """One batched stencil from stencils on the same nodes."""
+    return fc.FrameStencil(stencils[0].stencil, tuple(
+        stack(node) for node in zip(*(fs.triples for fs in stencils))))
+
+
+def test_batched_invariants_match_each_triple(rng):
+    stc = nk.Stencil(0.0, 1e-3, 4)
+    for n in (1, 2, 3):
+        J = fc.SymplecticForm.standard(n)
+        lagrangian = [fc.stencil_triples(*lagrangian_graph_curve(rng, n), stc)
+                      for _ in range(4)]
+        generic = [fc.FrameStencil(stc, tuple(random_fanning_triple(rng, n)
+                                              for _ in stc.nodes))
+                   for _ in range(4)]
+        cases = [(lagrangian, J, J),
+                 (lagrangian, J, fc.SymplecticForm(np.stack([J.Omega] * 4))),
+                 (generic, None, None)]
+        for stencils, omega, batch_omega in cases:
+            batch = fc.invariants(stacked(stencils), batch_omega)
+            for i, fs in enumerate(stencils):
+                one = fc.invariants(fs, omega)
+                for name in ("F", "Fdot", "Hframe", "P", "Q", "Pdot",
+                             "Schwarzian", "K", "W"):
+                    want, got = getattr(one, name), getattr(batch, name)
+                    if want is None:
+                        assert got is None
+                        continue
+                    assert got.shape == (4,) + want.shape
+                    assert np.max(np.abs(got[i] - want)) <= \
+                        1e-15 * max(1.0, np.max(np.abs(want)))
+                want = fc.reparametrize(0.0, 1.3, 0.2, -0.1, one).K
+                got = fc.reparametrize(0.0, 1.3, 0.2, -0.1, batch).K[i]
+                assert np.max(np.abs(got - want)) <= \
+                    1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+def test_batch_failures_name_the_lowest_failing_flag(rng):
+    n = 2
+    omega = fc.SymplecticForm.standard(n)
+    good = [random_lagrangian_triple(rng, n) for _ in range(4)]
+
+    # flags 1 and 3 stop fanning: Adot falls into span(A)
+    stalled = [fc.FrameTriple(ft.A, ft.A @ rng.normal(size=(n, n)), ft.Addot)
+               if i in (1, 3) else ft for i, ft in enumerate(good)]
+    with pytest.raises(NotFanning, match=r"^flag 1: \[A \| Adot\]"):
+        fc.pq_coefficients(stack(stalled))
+    with batch_labels(lambda i: f"t={0.25 * i:g}"):
+        with pytest.raises(NotFanning, match=r"^t=0.25: "):
+            fc.fundamental_endomorphism(stack(stalled))
+
+    # flag 2 is fanning but not Lagrangian
+    while True:
+        other = random_fanning_triple(rng, n)
+        if np.max(np.abs(other.A.T @ omega.Omega @ other.A)) > 1e-3:
+            break
+    mixed = good[:2] + [other] + good[3:]
+    with pytest.raises(NotLagrangian, match=r"^flag 2: A\^T Omega A"):
+        fc.wronskian(stack(mixed), omega)
+
+    J = omega.Omega
+    with pytest.raises(DimensionMismatch,
+                       match=r"^flag 1: Omega must be antisymmetric"):
+        fc.SymplecticForm(np.stack([J, J + 1e-3 * np.eye(2 * n), J]))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^flag 2: Omega must be invertible"):
+        fc.SymplecticForm(np.stack([J, J, np.zeros_like(J), J]))

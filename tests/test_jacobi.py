@@ -219,8 +219,6 @@ def test_flag_curvature_default_window_is_frame_reach(monkeypatch):
     for t in nk.Stencil(0.0, h).nodes:
         idx = int(np.argmin(np.abs(orbit.ts - t)))
         assert orbit.state(t) is orbit.states[idx]
-    wide = transport(m, v, T=5.0 * h)
-    assert jb.flag_curvature(m, v, u, orbit=wide) == K
 
 
 def spray_calls_of_flag_curvature(monkeypatch, x, y, u):
