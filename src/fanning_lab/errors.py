@@ -5,7 +5,9 @@ callers (and the CLI) can distinguish bad input, degenerate geometry and
 genuine arithmetic blow-ups.  A failure inside a batch of flags names the
 failing flag ("flag 3: ..."), the lowest one when several fail at once, so
 the message is the same on every rerun; `batch_labels` names the entries
-of a batch otherwise (by their sample time, say).
+of a batch otherwise (by their sample time, say), and `lanes` marks a last
+batch axis whose entries are lanes of one flag (the two time directions of
+a transport window), which the label leaves out.
 """
 
 from contextlib import contextmanager
@@ -87,12 +89,16 @@ class ConfigError(FanningLabError):
 
 
 _BATCH_LABEL = ContextVar("batch_label", default=lambda i: f"flag {i}")
+_LANES = ContextVar("lanes", default=False)
 
 
 def flag_label(i):
     """'flag 3' for batch index (3,) or 3, or what `batch_labels` names it;
-    None for () (a single point)."""
+    None for () (a single point).  Within `lanes` the last axis of an index
+    tuple is the lane, and is left out."""
     if isinstance(i, tuple):
+        if _LANES.get():
+            i = i[:-1]
         if not i:
             return None
         i = i[0] if len(i) == 1 else i
@@ -108,6 +114,18 @@ def batch_labels(label):
         yield
     finally:
         _BATCH_LABEL.reset(token)
+
+
+@contextmanager
+def lanes():
+    """Within the block the last batch axis holds lanes of one entry: a
+    failure names the entry whichever of its lanes fails, and a single
+    point run in several lanes still gets no label."""
+    token = _LANES.set(True)
+    try:
+        yield
+    finally:
+        _LANES.reset(token)
 
 
 @contextmanager

@@ -16,16 +16,22 @@ evaluate nothing.
 `transport` and `flag_curvature` take a batch of phase points (x, y of
 shape S+(n,)) and integrate all of them in lockstep: one `spray_data` call
 per RK4 stage for the whole batch.  A single point is the case S = ().
-`jacobi_frame` reads the frames of the whole batch at once, and the
-fanning algebra works on the stack; a failure names the lowest failing
-flag.
+The two halves of a window, [-back, 0] and [0, T], are independent runs
+from (v0, I); they run in lockstep too, as lanes on a last batch axis
+S+(2,), the backward lane with the negated field and the positive step
+(negation is exact, so each lane rounds as a run of its own would).  A
+default window takes 17 calls: one at v0, four for each of its four
+steps, one at both ends.  `jacobi_frame` reads the frames of the whole
+batch at once, and the fanning algebra works on the stack; a failure
+names the lowest failing flag, whichever lane fails.
 
-`geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
-flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
-of an orbit's curve at time t are those of the curve of the point reached
-at t, read at 0.  Samples along one orbit therefore take one `geodesic`
-pass to their points and one batched frame window around all of them, not
-a linearization carried over the whole orbit.
+`geodesic` integrates (x, y) alone, with the spray and no Jacobian, its
+two directions in lockstep the same way.  The flow maps Jacobi curves to
+Jacobi curves symplectically, so the invariants of an orbit's curve at
+time t are those of the curve of the point reached at t, read at 0.
+Samples along one orbit therefore take one `geodesic` pass to their points
+and one batched frame window around all of them, not a linearization
+carried over the whole orbit.
 
 A finite-difference Riemann-tensor computation (Christoffel symbols from
 central differences of g, differentiated once more) serves as the independent
@@ -37,6 +43,7 @@ live in `reduction`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,7 +54,8 @@ import numpy as np
 from . import fanning as fc
 from . import metrics as mx
 from . import numkit as nk
-from .errors import DegenerateFlag, NonFiniteValue, OutOfChart, raise_at
+from .errors import (DegenerateFlag, NonFiniteValue, OutOfChart, lanes,
+                     raise_at)
 
 __all__ = [
     "OrbitData",
@@ -110,8 +118,8 @@ class OrbitData:
         # a short hop from the nearest node, whose spray data is stored
         delta = t - self.ts[idx]
         steps = max(1, int(math.ceil(abs(delta) * self.resolution * 2)))
-        states, _ = _flow(self.metric, self.states[idx], delta, steps,
-                          self.sprays[idx])
+        (states,), _ = _flow(self.metric, self.states[idx], (delta,),
+                             (steps,), self.sprays[idx])
         return states[-1]
 
     def frame_data(self, t: float):
@@ -136,39 +144,65 @@ def _spray(metric, x, y):
     return mx.spray_data(metric, x, y)
 
 
-def _flow(metric, state, span, steps, spray):
-    """RK4 states (x, y, M) on the grid of [0, span], start included, and
-    the spray data (G, DS) at every state but the last.
+def _flow(metric, state, spans, steps, spray):
+    """RK4 lanes from one state (x, y, M): lane k runs steps[k] steps over
+    [0, spans[k]], backward in time where spans[k] < 0.
 
-    spray is the spray data at the start, already evaluated by the caller.
-    Raises OutOfChart, naming the flag of a batch, for a state outside the
-    box before the metric is read there; the field checks every state but
-    the last.
+    The lanes run in lockstep, as a last batch axis, on the step of the
+    lane with the most steps (the other spans are whole multiples of it);
+    a lane that has taken its steps stops, and the others go on.  A
+    backward lane runs the negated field with the positive step, which
+    rounds as a run of its own with the negative step would.
+
+    spray is the spray data at the start, already evaluated by the
+    caller.  Returns, per lane, its states on the grid, start included,
+    and the spray data (G, DS) at every state but the last.  Raises
+    OutOfChart, naming the flag of a batch whichever lane fails, for a
+    state outside the box before the metric is read there; the field
+    checks every state but the last.
     """
     n = metric.n
     x, y, M = state
     lead = x.shape[:-1]
-    sprays = []
+    sign = np.sign(spans)[:, None]
+    steps = np.asarray(steps)
+    longest = int(np.argmax(steps))
+    stage1 = [[spray] for _ in steps]
+    evals = itertools.count(1)
 
     def rate(z, G, DS):
-        M = z[..., 2 * n:].reshape(lead + (2 * n, 2 * n))
+        M = z[..., 2 * n:].reshape(z.shape[:-1] + (2 * n, 2 * n))
         return np.concatenate([z[..., n:2 * n], -2.0 * G,
-                               (DS @ M).reshape(lead + (-1,))], axis=-1)
+                               (DS @ M).reshape(z.shape[:-1] + (-1,))],
+                              axis=-1)
 
     def field(z):
-        sprays.append(_spray(metric, z[..., :n], z[..., n:2 * n]))
-        return rate(z, *sprays[-1])
+        # rk4_step evaluates three stages in the first step (the caller
+        # passes the first) and four in each later one, the grid state's
+        # first
+        step, stage = divmod(next(evals), 4)
+        live = np.flatnonzero(steps > step)
+        zl = z[..., live, :]
+        G, DS = _spray(metric, zl[..., :n], zl[..., n:2 * n])
+        if stage == 0:
+            for j, k in enumerate(live):
+                stage1[k].append((G[..., j, :], DS[..., j, :, :]))
+        out = np.zeros_like(z)
+        out[..., live, :] = sign[live] * rate(zl, G, DS)
+        return out
 
     z0 = np.concatenate([x, y, M.reshape(lead + (-1,))], axis=-1)
-    samples = nk.rk_integrate(field, z0, 0.0, span, steps,
-                              k1=rate(z0, *spray))
-    _check_chart(metric, samples[-1][1][..., :n])
-    # rk4_step evaluates a step's first stage, at the grid state, before
-    # the other three; the first step's comes from the caller
-    stage1 = [spray] + sprays[3::4]
-    return [(z[..., :n], z[..., n:2 * n],
-             z[..., 2 * n:].reshape(lead + (2 * n, 2 * n)))
-            for _, z in samples], stage1
+    k1 = sign * rate(z0, *spray)[..., None, :]
+    z0 = np.broadcast_to(z0[..., None, :], k1.shape)
+    with lanes():
+        samples = nk.rk_integrate(field, z0, 0.0, abs(spans[longest]),
+                                  steps[longest], k1=k1)
+        _check_chart(metric, np.stack([samples[m][1][..., k, :n]
+                                       for k, m in enumerate(steps)], -2))
+    return [[(z[..., k, :n], z[..., k, n:2 * n],
+              z[..., k, 2 * n:].reshape(lead + (2 * n, 2 * n)))
+             for _, z in samples[:m + 1]]
+            for k, m in enumerate(steps)], stage1
 
 
 def _check_chart(metric, x, t=None):
@@ -196,36 +230,50 @@ def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times,
 
     Only (x, y) is integrated, with the spray alone: one order-2 energy jet
     per evaluation, no Jacobian.  RK4 runs outward from t = 0 through the
-    requested times of each sign, with |dt| * resolution steps per segment
-    (`_steps`), so every requested time is a node.  Every point is checked
-    against the chart before the metric is read there; the time rides along
-    as a last coordinate, so an error names the absolute t.  A batch v0
-    (shape S+(n,)) is integrated in lockstep; returns an array of shape
-    (len(times),) + S + (2n,).
+    sorted union of the requested |t|, with |dt| * resolution steps per
+    segment (`_steps`), so every requested time is a node.  The two signs
+    are lanes: a segment that both directions still need runs them in
+    lockstep (the backward one with the negated field), one that only one
+    needs runs that one alone, so times of one sign keep their own
+    segments.  Every point is checked against the chart before the metric
+    is read there; the time rides along as a last coordinate, so an error
+    names the absolute t.  A batch v0 (shape S+(n,)) is integrated in
+    lockstep; returns an array of shape (len(times),) + S + (2n,).
     """
     n = metric.n
-    lead = v0.x.shape[:-1]
     times = np.asarray(times, dtype=float)
-    clock = np.ones(lead + (1,))
 
     def field(z):
         x, y = z[..., :n], z[..., n:2 * n]
         _check_chart(metric, x, z[..., 2 * n])
         G, _ = mx.spray_data(metric, x, y, with_jacobian=False)
-        return np.concatenate([y, -2.0 * G, clock], axis=-1)
+        return np.concatenate([y, -2.0 * G, np.ones_like(z[..., -1:])],
+                              axis=-1)
 
-    z0 = np.concatenate([v0.x, v0.y, np.zeros_like(clock)], axis=-1)
-    out = np.empty(times.shape + lead + (2 * n,))
-    for sign in (1.0, -1.0):
-        z, t = z0, 0.0
-        for i in np.argsort(sign * times, kind="stable"):
-            if sign * times[i] < 0.0:
-                continue
-            if times[i] != t:
-                steps = _steps(abs(times[i] - t) * resolution)
-                z = nk.rk_integrate(field, z, t, times[i], steps)[-1][1]
-                t = times[i]
-            out[i] = z[..., :2 * n]
+    z0 = np.concatenate([v0.x, v0.y, np.zeros_like(v0.x[..., :1])], axis=-1)
+    out = np.empty(times.shape + z0.shape[:-1] + (2 * n,))
+    out[times == 0.0] = z0[..., :2 * n]
+    # lane 0 runs forward, lane 1 backward; a lane running alone keeps no
+    # lane axis, since spray_data can round a single point and a batch of
+    # one differently in the last bit
+    signs = np.array([[1.0], [-1.0]])
+    ends, t = [z0, z0], 0.0
+    for b in np.unique(np.abs(times[times != 0.0])):
+        live = [k for k in (0, 1) if np.any(signs[k] * times >= b)]
+        steps = _steps((b - t) * resolution)
+        if len(live) == 1:
+            (k,) = live
+            ends[k] = nk.rk_integrate(lambda z: signs[k] * field(z), ends[k],
+                                      t, b, steps)[-1][1]
+        else:
+            with lanes():
+                z = nk.rk_integrate(lambda z: signs * field(z),
+                                    np.stack(ends, -2), t, b, steps)[-1][1]
+            ends = [z[..., 0, :], z[..., 1, :]]
+        t = b
+        for i in np.flatnonzero(np.abs(times) == b):
+            out[i] = ends[int(times[i] < 0.0)][..., :2 * n]
+    for z in ends:
         _check_chart(metric, z[..., :n], z[..., 2 * n])
     return out
 
@@ -239,7 +287,10 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
     `_steps` makes whole steps of T * resolution forward and back / dt
     backward; raises OutOfChart if the orbit leaves the metric's box within
     the window.  A batch v0 is integrated in lockstep, and an error names
-    the lowest failing flag.  The spray data at v0 serves both directions.
+    the lowest failing flag.  The two directions run in lockstep as well
+    (`_flow`): the spray data at v0 serves both, each RK4 stage takes one
+    `spray_data` call for both, and so do the two window ends; the longer
+    direction, when back != T, runs its last steps alone.
     """
     if T <= 0.0 or (back is not None and back <= 0.0):
         raise OutOfChart("transport window must be positive")
@@ -251,10 +302,13 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
     eye = np.broadcast_to(np.eye(m2), v0.x.shape[:-1] + (m2, m2))
     start = (v0.x, v0.y, eye)
     spray0 = _spray(metric, v0.x, v0.y)
-    fwd, fwd_sprays = _flow(metric, start, T, steps, spray0)
-    bwd, bwd_sprays = _flow(metric, start, -back, back_steps, spray0)
-    fwd_sprays.append(mx.spray_data(metric, *fwd[-1][:2]))
-    bwd_sprays.append(mx.spray_data(metric, *bwd[-1][:2]))
+    (fwd, bwd), (fwd_sprays, bwd_sprays) = _flow(
+        metric, start, (T, -back), (steps, back_steps), spray0)
+    ends = [np.stack(pair, axis=-2) for pair in zip(fwd[-1][:2], bwd[-1][:2])]
+    with lanes():
+        G, DS = mx.spray_data(metric, *ends)
+    fwd_sprays.append((G[..., 0, :], DS[..., 0, :, :]))
+    bwd_sprays.append((G[..., 1, :], DS[..., 1, :, :]))
     ts = dt * np.arange(-back_steps, steps + 1)
     return OrbitData(metric=metric, v0=v0, resolution=resolution, ts=ts,
                      states=tuple(bwd[:0:-1] + fwd),

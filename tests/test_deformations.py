@@ -200,6 +200,23 @@ def test_projective_formula_on_sphere(rng):
         assert abs(K_direct - K_formula) < 1e-3
 
 
+def test_projective_rhs_geodesic_spray_calls(monkeypatch):
+    # the stencil of phi, t = +-3e-3 and +-6e-3 at 2000 steps per unit,
+    # runs both directions in lockstep: two segments of 6 RK4 steps, four
+    # spray-only calls a step
+    spray_data = mx.spray_data
+    jacobian_calls = []
+
+    def counted(m, x, y, with_jacobian=True):
+        jacobian_calls.append(with_jacobian)
+        return spray_data(m, x, y, with_jacobian)
+
+    monkeypatch.setattr(mx, "spray_data", counted)
+    df.projective_curvature_rhs(mx.zoo_metric("sphere"), exact_form(0.2),
+                                pp([0.2, -0.1], [0.6, 0.3]), [0.1, 1.0])
+    assert jacobian_calls.count(False) == 48
+
+
 def test_projective_formula_on_dual_norm_base(rng):
     # a katok base takes the generic branch: the deformed energy jet is built
     # from the base's implicit-differentiation jet

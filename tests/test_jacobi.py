@@ -62,10 +62,12 @@ def test_transport_steps_ignore_rounding_errors(T, back):
 def test_transport_out_of_chart(s, half_width, T, resolution):
     # conformal factor 1 / (1 + s|x|^2)^2: Euclidean for s = 0, a scaled
     # Poincare disk for s = -1; the metric must never be read outside the box
+    # one point is read as a batch (its two time directions), so the spy
+    # records every coordinate of a batched read
     seen = []
 
     def g(x):
-        seen.append([nk.scalar_value(c) for c in x])
+        seen.extend(np.ravel([nk.scalar_value(c) for c in x]))
         c = 1.0 / (1.0 + s * (x[0] * x[0] + x[1] * x[1])) ** 2
         return [[c, 0.0], [0.0, c]]
 
@@ -235,18 +237,19 @@ def spray_calls_of_flag_curvature(monkeypatch, x, y, u):
 
 
 def test_flag_curvature_spray_evaluation_count(monkeypatch):
-    # 8 RK4 steps of 4 evaluations share the one at v0 (31 calls), and the
-    # two window ends complete the stored spray data (33); the 5 stencil
+    # the two directions of the window run in lockstep: 4 RK4 steps of 4
+    # evaluations each, sharing the one at v0 (16 calls), and one call at
+    # both window ends completes the stored spray data (17); the 5 stencil
     # frames read it
     assert spray_calls_of_flag_curvature(
-        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0]) == ((), 33)
+        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0]) == ((), 17)
 
 
 def test_batched_flag_curvature_spray_evaluation_count(monkeypatch):
-    # a batch of flags takes the same 33 calls as one flag
+    # a batch of flags takes the same 17 calls as one flag
     x, y, u = (np.tile(a, (30, 1))
                for a in ([0.2, -0.1], [0.6, 0.3], [0.1, 1.0]))
-    assert spray_calls_of_flag_curvature(monkeypatch, x, y, u) == ((30,), 33)
+    assert spray_calls_of_flag_curvature(monkeypatch, x, y, u) == ((30,), 17)
 
 
 BATCH_FAMILIES = {
@@ -286,6 +289,79 @@ def test_batched_transport_names_the_flag_that_leaves_the_box():
     keep = [0, 1]
     assert np.max(np.abs(jb.flag_curvature(m, pp(x[keep], y[keep]),
                                            u[keep]))) < 1e-8
+
+
+def test_single_window_leaving_backward_names_no_flag():
+    # the orbit crosses x1 = -0.5 at t = -0.05; a single point runs its two
+    # directions as a batch of two, and still gets no flag label
+    m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
+                             mx.Box.cube(2, 0.5))
+    with pytest.raises(OutOfChart, match=r"^orbit left the chart at x="):
+        jb.transport(m, pp([-0.45, 0.1], [1.0, 0.0]), T=0.1, resolution=100)
+
+
+def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
+    # flag 2 crosses x1 = -0.5 going backward at the same RK4 stage as
+    # flag 3 crosses x1 = 0.5 going forward
+    m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
+                             mx.Box.cube(2, 0.5))
+    x = np.array([[0.0, 0.0], [0.1, 0.2], [-0.45, 0.1], [0.45, 0.1]])
+    y = np.tile([1.0, 0.0], (4, 1))
+    with pytest.raises(OutOfChart, match=r"^flag 2: orbit left the chart"):
+        jb.transport(m, pp(x, y), T=0.1, resolution=100)
+
+
+def one_direction(m, v0, span, steps):
+    """The states (x, y, M) and spray data of one direction of a transport
+    window, integrated on its own: RK4 from (v0, I) over [0, span], the
+    spray data stored at each step's first stage and at the end."""
+    n = m.n
+    sprays = []
+
+    def field(z):
+        sprays.append(mx.spray_data(m, z[..., :n], z[..., n:2 * n]))
+        G, DS = sprays[-1]
+        M = z[..., 2 * n:].reshape(z.shape[:-1] + (2 * n, 2 * n))
+        return np.concatenate([z[..., n:2 * n], -2.0 * G,
+                               (DS @ M).reshape(z.shape[:-1] + (-1,))], -1)
+
+    lead = v0.x.shape[:-1]
+    eye = np.broadcast_to(np.eye(2 * n), lead + (2 * n, 2 * n))
+    z0 = np.concatenate([v0.x, v0.y, eye.reshape(lead + (-1,))], -1)
+    zs = [z for _, z in nk.rk_integrate(field, z0, 0.0, span, steps)]
+    end = mx.spray_data(m, zs[-1][..., :n], zs[-1][..., n:2 * n])
+    return zs, sprays[::4] + [end]
+
+
+@pytest.mark.parametrize("T, back", [(0.3, None), (1.15, 0.05), (0.05, 0.3)],
+                         ids=["back=T", "back<T", "back>T"])
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
+@pytest.mark.parametrize("family", ["hyperbolic", "katok", "randers",
+                                    "sphere"])
+def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back):
+    # spray_data rounds a point inside a batch as on its own for Randers
+    # and katok, so there the lockstep is bit for bit the two runs; sphere
+    # and hyperbolic round the last bit differently at a single point
+    m = BATCH_FAMILIES[family][0]()
+    rng = np.random.default_rng(3)
+    v0 = pp(rng.uniform(-0.3, 0.3, batch + (2,)),
+            0.3 * rng.normal(size=batch + (2,)))
+    orbit = jb.transport(m, v0, T, resolution=100, back=back)
+    steps = jb._steps(T * 100)
+    dt = T / steps
+    back_steps = steps if back is None else jb._steps(back / dt)
+    fwd, fwd_sprays = one_direction(m, v0, T, steps)
+    bwd, bwd_sprays = one_direction(m, v0, -dt * back_steps, back_steps)
+    zs, sprays = bwd[:0:-1] + fwd, bwd_sprays[:0:-1] + fwd_sprays
+    assert len(orbit.states) == len(zs) == len(orbit.ts)
+    exact = family in ("katok", "randers")
+    for (x, y, M), z, got, ref in zip(orbit.states, zs, orbit.sprays, sprays):
+        pairs = [(np.concatenate([x, y, M.reshape(batch + (-1,))], -1), z),
+                 (got[0], ref[0]), (got[1], ref[1])]
+        for a, b in pairs:
+            if exact:
+                assert np.array_equal(a, b)
+            assert np.max(np.abs(a - b)) <= 1e-13
 
 
 # -- geodesic -------------------------------------------------------------------
@@ -372,11 +448,13 @@ def test_geodesic_agrees_with_transport_on_the_grid():
 
 def test_geodesic_names_the_absolute_time_it_leaves_the_box():
     # x1(t) = t on the Euclidean plane, box edge 0.503: the first point read
-    # outside is the midpoint stage of the step from t = 0.5
+    # outside is the midpoint stage of the step from t = 0.5; up to
+    # t = 0.1 both directions are read as one batch, so the spy records
+    # every coordinate of a batched read
     seen = []
 
     def g(x):
-        seen.append([nk.scalar_value(c) for c in x])
+        seen.extend(np.ravel([nk.scalar_value(c) for c in x]))
         return [[1.0, 0.0], [0.0, 1.0]]
 
     m = mx.riemannian_metric(g, 2, mx.Box.cube(2, 0.503))
