@@ -24,8 +24,7 @@ from . import deformations as df
 from . import jacobi as jb
 from . import metrics as mx
 from . import reduction as rd
-from .errors import (ConfigError, FanningLabError, batch_labels, flag_label,
-                     labelled)
+from .errors import ConfigError, FanningLabError, batch_labels, labelled
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -225,22 +224,18 @@ def _run_curvature_grid(s):
     header = (["metric"] + [f"x{i+1}" for i in range(n)]
               + [f"y{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(n)]
               + ["K", "oracle_K", "abs_err"])
-    rows = []
-    worst = 0.0
     xs, ys, us = _stack_flags(sample_flags(rng, n, s["samples"],
                                            s["x_radius"]))
     Ks = jb.flag_curvature(metric, mx.PhasePoint(xs, ys), us,
                            resolution=s["steps_per_unit"], h=s["stencil_h"])
-    for i, (x, y, u, K) in enumerate(zip(xs, ys, us, Ks)):
-        oracle = None
-        err = None
-        if metric.family == "riemannian":
-            with labelled(flag_label(i)):
-                oracle = jb.riemann_oracle(metric.g, x, y, u)
-            err = abs(K - oracle)
-            worst = max(worst, err)
-        rows.append([metric.name] + list(x) + list(y) + list(u)
-                    + [K, oracle, err])
+    oracle = err = [None] * len(Ks)
+    worst = 0.0
+    if metric.family == "riemannian":
+        oracle = jb.riemann_oracle(metric.g, xs, ys, us)
+        err = np.abs(Ks - oracle)
+        worst = float(np.max(err))
+    rows = [[metric.name] + list(x) + list(y) + list(u) + [K, o, e]
+            for x, y, u, K, o, e in zip(xs, ys, us, Ks, oracle, err)]
     return header, rows, worst, s["tolerance"]
 
 
@@ -319,21 +314,15 @@ def _run_projective(s):
     deformed = df.projective_deform(base, form)
 
     header = ["flag_id", "K_direct", "K_formula", "abs_err"]
-    rows = []
-    worst = 0.0
     xs, ys, us = _stack_flags(sample_flags(rng, base.n, s["samples"],
                                            s["x_radius"]))
-    Ks = jb.flag_curvature(deformed, mx.PhasePoint(xs, ys), us,
-                           resolution=resolution)
-    for i, (x, y, u, K_direct) in enumerate(zip(xs, ys, us, Ks)):
-        with labelled(flag_label(i)):
-            K_formula = df.projective_curvature_rhs(base, form,
-                                                    mx.PhasePoint(x, y), u,
-                                                    resolution=resolution)
-        err = abs(K_direct - K_formula)
-        worst = max(worst, err)
-        rows.append([i, K_direct, K_formula, err])
-    return header, rows, worst, s["tolerance"]
+    flags = mx.PhasePoint(xs, ys)
+    Ks = jb.flag_curvature(deformed, flags, us, resolution=resolution)
+    K_formula = df.projective_curvature_rhs(base, form, flags, us,
+                                            resolution=resolution)
+    err = np.abs(Ks - K_formula)
+    rows = [[i, *vals] for i, vals in enumerate(zip(Ks, K_formula, err))]
+    return header, rows, float(np.max(err)), s["tolerance"]
 
 
 def _run_katok(s):

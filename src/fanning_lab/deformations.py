@@ -3,11 +3,13 @@ perturbing the dual norm by a rotational isometry field.
 
 Adding a small closed one-form theta keeps the unparametrized geodesics and
 changes the flag curvature by a Schwarzian-type correction built from the
-derivatives of phi = 1/(1 + theta) along the unperturbed spray; the
-correction is evaluated by two independent routes (stencil differentiation
-of phi along a short integrated orbit, and the Schwarzian of
-f(t) = t + h(gamma(t)) composed through a univariate Taylor jet of the
-orbit) which must agree to 1e-8 before a value is returned.
+derivatives of phi = 1/(1 + theta) along the unperturbed spray.  One
+`spray_data` call seeds exact univariate Taylor jets of the base geodesic,
+for a whole batch of flags; the correction is read from them by two routes
+(phi composed with the jets, and the Schwarzian of f(t) = t + h(gamma(t)))
+which must agree to 1e-8 before a value is returned.  Both routes are
+algebraic in the same spray data, so the independent check of the formula
+is the direct flag curvature of the deformed metric.
 
 Perturbing the dual norm of the round sphere by a multiple of the rotation
 generator produces the classical constant-curvature non-reversible metrics;
@@ -27,7 +29,7 @@ from . import fanning as fc
 from . import jacobi as jb
 from . import metrics as mx
 from . import numkit as nk
-from .errors import InternalInconsistency, SmallnessViolation
+from .errors import InternalInconsistency, SmallnessViolation, raise_at
 from .jets import Jet, jet_variables
 
 __all__ = [
@@ -168,80 +170,81 @@ def ambient_coordinate_form(scale: float = 0.2) -> ClosedOneForm:
     return ClosedOneForm(theta=theta, potential=potential)
 
 
-def _orbit_scalar_jet(base: mx.MetricSpec, x, y):
-    """Third-order t-Taylor seeds of the geodesic position through (x, y).
+def _orbit_jets(base: mx.MetricSpec, x, y):
+    """Univariate t-Taylor seeds of the base geodesic through (x, y).
 
-    One univariate order-3 jet per coordinate, carrying velocity,
-    acceleration and jerk (the jerk uses the spray Jacobian); scalars that
-    depend on x alone composed with these seeds carry three honest
-    t-derivatives.
+    Along the geodesic xdot = y, ydot = -2G and yddot = DS[n:] (y, -2G), so
+    one `spray_data` call gives the position to third order and the
+    velocity to second order exactly.  Returns order-3 jets of x and
+    order-2 jets of x and of y, one per coordinate, with the batch axes of
+    x and y; scalars composed with them carry honest t-derivatives.
     """
     G, DS = mx.spray_data(base, x, y)
-    field = np.concatenate([y, -2.0 * G])
-    accel = -2.0 * G                      # xddot = ydot
-    jerk = DS[base.n:, :] @ field         # xdddot = yddot = d/dt(-2G)
-    return [Jet(1, 3, xi, g=np.array([yi]), H=np.array([[ai]]),
-                T=np.array([[[ji]]]))
-            for xi, yi, ai, ji in zip(x, y, accel, jerk)]
+    accel = -2.0 * G
+    jerk = (DS[..., base.n:, :]
+            @ np.concatenate([y, accel], axis=-1)[..., None])[..., 0]
+
+    def seeds(d0, d1, d2, d3=None):
+        return [Jet(1, 2 if d3 is None else 3, d0[..., i], g=d1[..., i, None],
+                    H=d2[..., i, None, None],
+                    T=None if d3 is None else d3[..., i, None, None, None])
+                for i in range(base.n)]
+
+    return seeds(x, y, accel, jerk), seeds(x, y, accel), seeds(y, accel, jerk)
 
 
 def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
                              v: mx.PhasePoint, u,
-                             resolution: int = jb.DEFAULT_RESOLUTION) -> float:
+                             resolution: int = jb.DEFAULT_RESOLUTION):
     """Predicted flag curvature of F0 + theta from unperturbed data.
 
     Returns phi(u)^2 K0(u, plane) - (1/2)[(1/2) Sphi^2 - phi SSphi] where
     Sphi, SSphi are spray derivatives of phi = 1/(1 + theta) at the
-    corresponding unit vector of the base metric.  The equivalent form
-    through the Schwarzian of f(t) = t + potential(gamma(t)) is evaluated as
-    well and both must agree to 1e-8.
-    """
-    deformed = projective_deform(base, form,
-                                 sample_points=np.array([v.x]))
-    x = np.asarray(v.x, dtype=float)
-    y = np.asarray(v.y, dtype=float) / deformed.F_value(v.x, v.y)
-    vv = mx.PhasePoint(x, y)
+    corresponding unit vector u of the base metric.  For y with F(y) = 1
+    that vector is u = y / F0(y), since d_y F0 is 0-homogeneous: the base
+    Legendre covector of u is that of y less theta.  K0 comes from one
+    batched `flag_curvature` call, and phi, Sphi and SSphi exactly from the
+    orbit jets of one `spray_data` call (`_orbit_jets`).
 
-    gF = mx.fundamental_tensor(deformed, vv)
+    The equivalent form through the Schwarzian of
+    f(t) = t + potential(gamma(t)) comes from the same jets, and both must
+    agree to 1e-8.  Being two algebraic routes from one spray call, they
+    test no derivative numerics; the independent check is the direct
+    curvature of the deformed metric against this value.
+
+    v and u may hold a batch of flags (shape S+(n,)).  Returns a float for
+    a single flag and an array of shape S for a batch; an error names the
+    lowest failing flag.
+    """
+    x = v.x
+    deformed = projective_deform(base, form,
+                                 sample_points=x.reshape(-1, base.n))
+    y = v.y / np.asarray(deformed.F_value(x, v.y))[..., None]
+    gF = mx.fundamental_tensor(deformed, mx.PhasePoint(x, y))
     w = jb._canonical_flag_vector(gF, y, np.asarray(u, dtype=float))
 
-    th = np.array([nk.scalar_value(z) for z in form.theta(list(x))])
-    xi = mx.legendre(deformed, vv) - th
-    u_psi = mx.legendre_inverse(base, x, xi, warm=y)
-    g0 = mx.fundamental_tensor(base, mx.PhasePoint(x, u_psi))
-    w_tilde = np.linalg.solve(g0, gF @ w)
+    psi = mx.PhasePoint(x, y / np.asarray(base.F_value(x, y))[..., None])
+    g0 = mx.fundamental_tensor(base, psi)
+    w_tilde = np.linalg.solve(g0, gF @ w[..., None])[..., 0]
+    K0 = jb.flag_curvature(base, psi, w_tilde, resolution=resolution)
 
-    K0 = jb.flag_curvature(base, mx.PhasePoint(x, u_psi), w_tilde,
-                           resolution=resolution)
-
-    # spray derivatives of phi by stencil over a short integrated orbit
-    h_phi = 3e-3
-    stc = nk.Stencil(0.0, h_phi, 4)
-
-    def phi_at(z):
-        th_z = np.array([nk.scalar_value(q)
-                         for q in form.theta(list(z[:base.n]))])
-        return 1.0 / (1.0 + th_z @ z[base.n:])
-
-    states = jb.geodesic(base, mx.PhasePoint(x, u_psi), stc.nodes, resolution)
-    samples = [np.array([phi_at(z)]) for z in states]
-    phi0 = samples[len(samples) // 2][0]
-    Sphi = nk.central_derivative(samples, stc)[0]
-    SSphi = nk.central_second_derivative(samples, stc)[0]
+    x3, x2, y2 = _orbit_jets(base, x, psi.y)
+    phi = 1.0 / (1.0 + sum(t * q for t, q in zip(form.theta(x2), y2)))
+    phi0, Sphi, SSphi = phi.v, phi.g[..., 0], phi.H[..., 0, 0]
     rhs_phi = phi0 * phi0 * K0 - 0.5 * (0.5 * Sphi * Sphi - phi0 * SSphi)
 
     # same prediction through the Schwarzian of f(t) = t + h(gamma(t))
-    fjet = form.potential(_orbit_scalar_jet(base, x, u_psi))
+    fjet = form.potential(x3)
     if not isinstance(fjet, Jet):
         fjet = Jet.constant(fjet, 1, 3)
-    fdot = 1.0 + fjet.g[0]
-    schw = fc.schwarzian_of_map(fdot, fjet.H[0, 0], fjet.T[0, 0, 0])
+    fdot = 1.0 + fjet.g[..., 0]
+    schw = fc.schwarzian_of_map(fdot, fjet.H[..., 0, 0], fjet.T[..., 0, 0, 0])
     rhs_f = (K0 - 0.5 * schw) / (fdot * fdot)
 
-    if abs(rhs_phi - rhs_f) > 1e-8 * max(1.0, abs(rhs_phi)):
-        raise InternalInconsistency(
-            f"phi-form {rhs_phi} and f-form {rhs_f} disagree")
-    return float(rhs_phi)
+    raise_at(InternalInconsistency,
+             np.abs(rhs_phi - rhs_f) > 1e-8 * np.maximum(1.0, np.abs(rhs_phi)),
+             lambda i: f"phi-form {rhs_phi[i]} and f-form {rhs_f[i]} disagree")
+    return float(rhs_phi) if np.ndim(rhs_phi) == 0 else rhs_phi
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,8 @@ def transform(T: np.ndarray, ft: FrameTriple) -> FrameTriple:
 
 def schwarzian_of_map(sdot: float, sddot: float, sdddot: float) -> float:
     """Schwarzian derivative (d/dt)(sddot/sdot) - (1/2)(sddot/sdot)^2."""
-    if sdot == 0.0:
-        raise SingularTransform("reparametrization with vanishing derivative")
+    raise_at(SingularTransform, np.asarray(sdot) == 0.0,
+             lambda i: "reparametrization with vanishing derivative")
     r = sddot / sdot
     return sdddot / sdot - 1.5 * r * r
 

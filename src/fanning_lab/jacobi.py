@@ -33,9 +33,10 @@ Samples along one orbit therefore take one `geodesic` pass to their points
 and one batched frame window around all of them, not a linearization
 carried over the whole orbit.
 
-A finite-difference Riemann-tensor computation (Christoffel symbols from
-central differences of g, differentiated once more) serves as the independent
-oracle for all Riemannian instances.
+The oracle for all Riemannian instances is the Riemann tensor of g, with
+exact Christoffel symbols and derivatives from one order-2 jet pass of g
+over a whole batch of flags; it shares only `Jet` arithmetic and g with
+the pipeline.
 
 Reductions of a Jacobi curve, the contact splitting by ker dF among them,
 live in `reduction`.
@@ -56,6 +57,7 @@ from . import metrics as mx
 from . import numkit as nk
 from .errors import (DegenerateFlag, NonFiniteValue, OutOfChart, lanes,
                      raise_at)
+from .jets import Jet, jet_variables
 
 __all__ = [
     "OrbitData",
@@ -64,7 +66,7 @@ __all__ = [
     "geodesic",
     "jacobi_frame",
     "flag_curvature",
-    "christoffel_fd",
+    "christoffel",
     "riemann_oracle",
     "frame_reach",
     "DEFAULT_RESOLUTION",
@@ -413,56 +415,65 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
 # Riemann-tensor oracle
 # ---------------------------------------------------------------------------
 
-def christoffel_fd(g_callable, x, h: float = 1e-4) -> np.ndarray:
-    """Christoffel symbols Gamma[i, j, k] by central differences of g."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    dg = np.zeros((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        gp = np.array(g_callable(list(x + e)), dtype=float)
-        gm = np.array(g_callable(list(x - e)), dtype=float)
-        dg[k] = (gp - gm) / (2.0 * h)
-    ginv = np.linalg.inv(np.array(g_callable(list(x)), dtype=float))
-    Gam = 0.5 * (np.einsum("il,jlk->ijk", ginv, dg)
-                 + np.einsum("il,kjl->ijk", ginv, dg)
-                 - np.einsum("il,ljk->ijk", ginv, dg))
-    return Gam
+def christoffel(g_callable, x):
+    """g, its Christoffel symbols Gam[..., i, j, k] and their x-derivatives
+    dGam[..., i, j, k, p] = d_p Gam^i_{jk}, exact from one order-2 jet pass
+    of g; x of shape S+(n,) gives a batch S of each.
 
-
-def riemann_oracle(g_callable, x, v, u, h: float = 1e-4) -> float:
-    """Sectional curvature of span(v, u) by nested finite differences of g.
-
-    Entirely independent of the Taylor-jet machinery: Christoffel symbols
-    come from central differences of g, their derivatives from central
-    differences of the symbols.
+    d(g^-1) = -g^-1 dg g^-1 differentiates the inverse.
     """
     x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    # d[r][..., a, b, ...]: the r-th x-derivatives of g_ab, on r last axes
+    d = [np.zeros(x.shape[:-1] + (n, n) + (n,) * r) for r in range(3)]
+    for a, row in enumerate(g_callable(jet_variables(x, order=2))):
+        for b, e in enumerate(row):
+            if isinstance(e, Jet):
+                d[0][..., a, b] = e.v
+                d[1][..., a, b, :], d[2][..., a, b, :, :] = e.g, e.H
+            else:
+                d[0][..., a, b] = e
+    g, dg, ddg = d
+    ginv = np.linalg.inv(g)
+    # first kind, Gam_ljk = (d_j g_lk + d_k g_lj - d_l g_jk) / 2, and its d_p
+    low = 0.5 * (np.einsum("...lkj->...ljk", dg) + dg
+                 - np.einsum("...jkl->...ljk", dg))
+    dlow = 0.5 * (np.einsum("...lkjp->...ljkp", ddg) + ddg
+                  - np.einsum("...jklp->...ljkp", ddg))
+    Gam = np.einsum("...il,...ljk->...ijk", ginv, low)
+    dGam = np.einsum("...il,...ljkp->...ijkp", ginv,
+                     dlow - np.einsum("...lbp,...bjk->...ljkp", dg, Gam))
+    return g, Gam, dGam
+
+
+def riemann_oracle(g_callable, x, v, u):
+    """Sectional curvature of span(v, u) at x from the Riemann tensor of g.
+
+    Exact: Christoffel symbols and their derivatives come from one order-2
+    jet pass of g (`christoffel`).  The oracle shares only `Jet` arithmetic
+    and the metric's own g with the curvature pipeline, and nothing with
+    `energy_jet`, `spray_data`, transport or frames.  x, v and u of shape
+    S+(n,) give a batch: a float for a single flag, an array of shape S for
+    a batch; an error names the lowest failing flag.
+    """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = len(x)
-    G0 = np.array(g_callable(list(x)), dtype=float)
-    Gam0 = christoffel_fd(g_callable, x, h)
-    dGam = np.zeros((n, n, n, n))  # dGam[p, i, j, k] = d_p Gamma^i_{jk}
-    for p in range(n):
-        e = np.zeros(n)
-        e[p] = h
-        dGam[p] = (christoffel_fd(g_callable, x + e, h)
-                   - christoffel_fd(g_callable, x - e, h)) / (2.0 * h)
+    G0, Gam, dGam = christoffel(g_callable, x)
     # R^i_{jkl} = d_k Gam^i_{lj} - d_l Gam^i_{kj} + Gam^i_{km} Gam^m_{lj}
     #                                             - Gam^i_{lm} Gam^m_{kj}
-    R = (np.einsum("kilj->ijkl", dGam)
-         - np.einsum("likj->ijkl", dGam)
-         + np.einsum("ikm,mlj->ijkl", Gam0, Gam0)
-         - np.einsum("ilm,mkj->ijkl", Gam0, Gam0))
+    R = (np.einsum("...iljk->...ijkl", dGam)
+         - np.einsum("...ikjl->...ijkl", dGam)
+         + np.einsum("...ikm,...mlj->...ijkl", Gam, Gam)
+         - np.einsum("...ilm,...mkj->...ijkl", Gam, Gam))
     # R(u, v)v with R(d_k, d_l) d_j = R^i_{jkl} d_i
-    Ruvv = np.einsum("ijkl,k,l,j->i", R, u, v, v)
-    num = Ruvv @ G0 @ u
-    den = (u @ G0 @ u) * (v @ G0 @ v) - (u @ G0 @ v) ** 2
-    if den <= 0.0:
-        raise DegenerateFlag("flag vectors are parallel")
-    out = num / den
-    if not math.isfinite(out):
-        raise NonFiniteValue("Riemann oracle produced a non-finite value")
-    return float(out)
+    Ruvv = np.einsum("...ijkl,...k,...l,...j->...i", R, u, v, v)
+
+    def pair(a, b):
+        return np.einsum("...i,...ij,...j->...", a, G0, b)
+
+    den = pair(u, u) * pair(v, v) - pair(u, v) ** 2
+    raise_at(DegenerateFlag, den <= 0.0, lambda i: "flag vectors are parallel")
+    K = pair(Ruvv, u) / den
+    raise_at(NonFiniteValue, ~np.isfinite(K),
+             lambda i: "Riemann oracle produced a non-finite value")
+    return float(K) if K.ndim == 0 else K

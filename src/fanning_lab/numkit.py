@@ -30,7 +30,6 @@ __all__ = [
     "Stencil",
     "fornberg_weights",
     "central_derivative",
-    "central_second_derivative",
     "rk_integrate",
     "rk4_step",
     "stacked",
@@ -164,15 +163,6 @@ def central_derivative(samples, stencil: Stencil) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {len(stencil.offsets)} samples, got {len(samples)}")
     w = fornberg_weights(stencil.t, stencil.nodes, 1)
-    return _apply_weights(samples, w)
-
-
-def central_second_derivative(samples, stencil: Stencil) -> np.ndarray:
-    """Second t-derivative at the stencil center (same node layout)."""
-    if len(samples) != len(stencil.offsets):
-        raise DimensionMismatch(
-            f"expected {len(stencil.offsets)} samples, got {len(samples)}")
-    w = fornberg_weights(stencil.t, stencil.nodes, 2)
     return _apply_weights(samples, w)
 
 

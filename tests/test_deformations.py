@@ -200,10 +200,9 @@ def test_projective_formula_on_sphere(rng):
         assert abs(K_direct - K_formula) < 1e-3
 
 
-def test_projective_rhs_geodesic_spray_calls(monkeypatch):
-    # the stencil of phi, t = +-3e-3 and +-6e-3 at 2000 steps per unit,
-    # runs both directions in lockstep: two segments of 6 RK4 steps, four
-    # spray-only calls a step
+def test_projective_rhs_spray_calls(monkeypatch, rng):
+    # a batch of flags takes one default window for K0 (17 calls) and one
+    # call that seeds the orbit jets of phi and f; no spray-only geodesic
     spray_data = mx.spray_data
     jacobian_calls = []
 
@@ -212,9 +211,29 @@ def test_projective_rhs_geodesic_spray_calls(monkeypatch):
         return spray_data(m, x, y, with_jacobian)
 
     monkeypatch.setattr(mx, "spray_data", counted)
+    x = rng.uniform(-0.5, 0.5, size=(4, 2))
     df.projective_curvature_rhs(mx.zoo_metric("sphere"), exact_form(0.2),
-                                pp([0.2, -0.1], [0.6, 0.3]), [0.1, 1.0])
-    assert jacobian_calls.count(False) == 48
+                                pp(x, rng.normal(size=(4, 2))),
+                                rng.normal(size=(4, 2)))
+    assert jacobian_calls.count(False) == 0
+    assert jacobian_calls.count(True) == 18
+
+
+@pytest.mark.parametrize("base, form", [
+    (mx.zoo_metric("sphere"), exact_form(0.2)),
+    (df.katok_metric(0.3), exact_form(0.2)),
+    (mx.zoo_metric("euclidean"), constant_form((0.3, 0.0))),
+], ids=["sphere", "katok", "euclidean"])
+def test_projective_rhs_batch_matches_single_flags(base, form, rng):
+    x = rng.uniform(-0.5, 0.5, size=(3, 2))
+    y = rng.normal(size=(3, 2))
+    u = rng.normal(size=(3, 2))
+    batch = df.projective_curvature_rhs(base, form, pp(x, y), u)
+    assert batch.shape == (3,)
+    for k in range(3):
+        single = df.projective_curvature_rhs(base, form, pp(x[k], y[k]), u[k])
+        assert isinstance(single, float)
+        assert abs(batch[k] - single) < 1e-12
 
 
 def test_projective_formula_on_dual_norm_base(rng):

@@ -175,7 +175,8 @@ def test_jacobi_endomorphism_dual_path_stencil(rng):
     stc = nk.Stencil(0.0, 1e-2, 4)
     Fs = [fc.fundamental_endomorphism(fc.FrameTriple(A(t), Adot(t), Addot(t)))
           for t in stc.nodes]
-    Fddot = nk.central_second_derivative(Fs, stc)
+    w = nk.fornberg_weights(stc.t, stc.nodes, 2)
+    Fddot = sum(wk * Fk for wk, Fk in zip(w, Fs))
     K_stencil = 0.25 * Fddot @ Fddot
 
     fs = fc.stencil_triples(A, Adot, Addot, stc)

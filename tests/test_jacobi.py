@@ -496,6 +496,60 @@ def test_riemann_oracle_conformal_closed_form(rng):
         assert abs(got) < 1e-6
 
 
+def conformal_curvature(a, x, y, u):
+    """Sectional curvature of exp(2 a x1) I on span(y, u), per flag:
+    -a^2 exp(-2 a x1) (1 - e1^2 - f1^2) for a Euclidean-orthonormal basis
+    (e, f) of the plane."""
+    e = y / np.linalg.norm(y, axis=-1, keepdims=True)
+    f = u - np.sum(u * e, axis=-1, keepdims=True) * e
+    f = f / np.linalg.norm(f, axis=-1, keepdims=True)
+    return -a * a * np.exp(-2.0 * a * x[:, 0]) * (1.0 - e[:, 0] ** 2
+                                                  - f[:, 0] ** 2)
+
+
+def test_riemann_oracle_batch_matches_closed_forms(rng):
+    def flags(n, count, radius, center=0.0):
+        x, y, u = (np.array(a) for a in zip(*sample_flags(rng, n, count,
+                                                          radius)))
+        return x + center, y, u
+
+    for mid, radius, K in (("sphere", 1.5, 1.0), ("hyperbolic", 0.8, -1.0)):
+        x, y, u = flags(2, 20, radius)
+        got = jb.riemann_oracle(mx.zoo_metric(mid).g, x, y, u)
+        assert got.shape == (20,)
+        assert np.max(np.abs(got - K)) < 1e-12
+    for n in (3, 4):
+        x, y, u = flags(n, 10, 1.0)
+        m = mx.zoo_metric("riemannian-conformal", a=0.5, n=n)
+        got = jb.riemann_oracle(m.g, x, y, u)
+        assert np.max(np.abs(got - conformal_curvature(0.5, x, y, u))) < 1e-12
+    # Hopf: the round 3-sphere (every plane, K = 1) over the 2-sphere of
+    # half radius (K = 4), in Euler-angle charts
+    scn = rd.submersion_scenario("hopf")
+    x, y, u = flags(3, 10, 0.5, scn.suggested_x)
+    K = jb.riemann_oracle(scn.total.g, x, y, u)
+    assert np.max(np.abs(K - 1.0)) < 1e-12
+    x, y, u = flags(2, 10, 0.5, scn.suggested_x[:2])
+    K = jb.riemann_oracle(scn.base.g, x, y, u)
+    assert np.max(np.abs(K - 4.0)) < 1e-12
+
+
+def test_riemann_oracle_single_flag_is_float():
+    got = jb.riemann_oracle(mx.zoo_metric("sphere").g, [0.3, -0.2],
+                            [1.0, 0.1], [0.0, 1.0])
+    assert isinstance(got, float)
+    assert got == pytest.approx(1.0, abs=1e-12)
+
+
+def test_riemann_oracle_names_parallel_flag():
+    x = np.array([[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]])
+    y = np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 1.0]])
+    u = np.array([[0.0, 1.0], [-1.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(DegenerateFlag,
+                       match=r"^flag 1: flag vectors are parallel"):
+        jb.riemann_oracle(mx.zoo_metric("sphere").g, x, y, u)
+
+
 def test_flag_curvature_matches_riemann_oracle_conformal(rng):
     m = mx.zoo_metric("riemannian-conformal", a=0.5, n=3)
     for _ in range(3):
