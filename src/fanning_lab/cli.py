@@ -261,7 +261,7 @@ def _run_invariants_along_orbit(s):
         states = jb.geodesic(metric, mx.PhasePoint(x, y), ts, resolution)
         points = mx.PhasePoint(states[:, :n], states[:, n:])
         orbit = jb.transport(metric, points, T=jb.frame_reach(h),
-                             resolution=resolution)
+                             resolution=jb.frame_resolution(h, resolution))
         inv = jb.jacobi_frame(orbit, 0.0, h=h).invariants
         gs = mx.fundamental_tensor(metric, points)
     worst = float(np.max(np.abs(inv.W - gs)))

@@ -82,16 +82,18 @@ def _validation_points(metric: mx.MetricSpec, points_per_axis: int = 5):
 
 def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm,
                      points) -> float:
-    """sup of the dual norm of theta over the sample grid (must stay < 1)."""
+    """sup of the dual norm F0*(-theta) over the sample grid (must stay
+    < 1): F0 + theta is positive exactly where -theta(y) < F0(y) for every
+    y != 0, which on a non-reversible base is not F0*(theta) < 1."""
     worst = 0.0
     for x in points:
         th = np.array([nk.scalar_value(v) for v in form.theta(list(x))])
         if np.linalg.norm(th) == 0.0:
             continue
-        worst = max(worst, mx.conorm(base, x, th))
+        worst = max(worst, mx.conorm(base, x, -th))
     if worst >= 1.0:
         raise SmallnessViolation(
-            f"dual norm of the one-form reaches {worst:.3f} >= 1 on the grid")
+            f"F0*(-theta) reaches {worst:.3f} >= 1 on the grid")
     return worst
 
 
@@ -100,7 +102,7 @@ def projective_deform(base: mx.MetricSpec, form: ClosedOneForm,
     """The deformed metric F = F0 + theta (Randers-type).
 
     Validates closedness of theta (1e-10 on samples) and the smallness
-    condition sup F0*(theta) < 1 on a grid of the chart box.  Bases outside
+    condition sup F0*(-theta) < 1 on a grid of the chart box.  Bases outside
     the Riemannian and Randers families get the jet of F^2 from the base's
     energy jet, so a dual-norm base never sees jet arguments in its F.
     """

@@ -7,16 +7,19 @@ n-planes in the fixed tangent space at the base point; its fanning invariants,
 paired with the pulled-back symplectic form, yield the flag curvature and the
 curvature endomorphism.
 
-One `numkit.rk_integrate` field integrates the stored orbit and the off-grid
-hops; every transport window is sized by `frame_reach`, the stencil's reach.
-The spray and its Jacobian at each grid state are kept with the state (the
-integrator's first stage, plus the two window ends), so frames on the grid
-evaluate nothing.
+One `numkit.rk_integrate` field integrates the stored orbit, on one
+symmetric grid over [-T, T], and every transport window is sized by
+`frame_reach`, the stencil's reach, and `frame_resolution`, a whole
+number of steps per stencil spacing, so the stencil nodes are grid nodes
+whatever the resolution asked for.  The orbit is read only at its grid
+nodes: the spray and its Jacobian at each grid state are kept with the
+state (the integrator's first stage, plus the two window ends), so frames
+evaluate nothing, and a time off the grid raises OutOfChart.
 
 `transport` and `flag_curvature` take a batch of phase points (x, y of
 shape S+(n,)) and integrate all of them in lockstep: one `spray_data` call
 per RK4 stage for the whole batch.  A single point is the case S = ().
-The two halves of a window, [-back, 0] and [0, T], are independent runs
+The two halves of a window, [-T, 0] and [0, T], are independent runs
 from (v0, I); they run in lockstep too, as lanes on a last batch axis
 S+(2,), the backward lane with the negated field and the positive step
 (negation is exact, so each lane rounds as a run of its own would).  A
@@ -25,13 +28,13 @@ steps, one at both ends.  `jacobi_frame` reads the frames of the whole
 batch at once, and the fanning algebra works on the stack; a failure
 names the lowest failing flag, whichever lane fails.
 
-`geodesic` integrates (x, y) alone, with the spray and no Jacobian, its
-two directions in lockstep the same way.  The flow maps Jacobi curves to
-Jacobi curves symplectically, so the invariants of an orbit's curve at
-time t are those of the curve of the point reached at t, read at 0.
-Samples along one orbit therefore take one `geodesic` pass to their points
-and one batched frame window around all of them, not a linearization
-carried over the whole orbit.
+`geodesic` integrates (x, y) alone, forward from t = 0, with the spray
+and no Jacobian.  The flow maps Jacobi curves to Jacobi curves
+symplectically, so the invariants of an orbit's curve at time t are those
+of the curve of the point reached at t, read at 0.  Samples along one
+orbit therefore take one `geodesic` pass to their points and one batched
+frame window around all of them, not a linearization carried over the
+whole orbit.
 
 The oracle for all Riemannian instances is the Riemann tensor of g, with
 exact Christoffel symbols and derivatives from one order-2 jet pass of g
@@ -48,15 +51,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from . import fanning as fc
 from . import metrics as mx
 from . import numkit as nk
-from .errors import (DegenerateFlag, NonFiniteValue, OutOfChart, lanes,
-                     raise_at)
+from .errors import (DegenerateFlag, DimensionMismatch, NonFiniteValue,
+                     OutOfChart, lanes, raise_at)
 from .jets import Jet, jet_variables
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
     "christoffel",
     "riemann_oracle",
     "frame_reach",
+    "frame_resolution",
     "DEFAULT_RESOLUTION",
     "DEFAULT_FRAME_H",
 ]
@@ -85,54 +88,41 @@ DEFAULT_FRAME_H = 1e-3         # half-width of the Jacobi-frame sub-grid
 class OrbitData:
     """Geodesic orbit with the transported linearization.
 
-    states maps grid times to (x, y, M) with M(t) the differential of the
-    time-t flow at v0, and sprays to the spray data (G, DS) at each state;
-    omega is the symplectic form at v0, the fixed ambient form for every
-    frame along this orbit.  For a batch v0 every array carries its batch
-    axes first.  Immutable after construction.
+    ts is the symmetric grid of the window [-T, T]; states maps its nodes
+    to (x, y, M) with M(t) the differential of the time-t flow at v0, and
+    sprays to the spray data (G, DS) at each state; omega is the
+    symplectic form at v0, the fixed ambient form for every frame along
+    this orbit.  For a batch v0 every array carries its batch axes first.
+    Immutable after construction; read only at its nodes.
     """
 
     metric: mx.MetricSpec
     v0: mx.PhasePoint
-    resolution: int
     ts: np.ndarray
     states: tuple
     sprays: tuple
     omega: fc.SymplecticForm
 
-    def _nearest(self, t: float):
-        """Index of the grid node nearest t, and whether t is that node."""
-        dt = self.ts[1] - self.ts[0] if len(self.ts) > 1 else 1.0
-        idx = int(round((t - self.ts[0]) / dt))
-        idx = min(max(idx, 0), len(self.ts) - 1)
-        return idx, abs(self.ts[idx] - t) < 1e-12 * max(1.0, abs(t))
+    def _index(self, t: float) -> int:
+        """Index of the grid node at t; OutOfChart, naming t, for a time
+        off the grid or outside the window."""
+        k = np.rint((t - self.ts[0]) / (self.ts[1] - self.ts[0]))
+        if not (0 <= k < len(self.ts)
+                and abs(self.ts[int(k)] - t) < 1e-12 * max(1.0, abs(t))):
+            raise OutOfChart(f"t={t} is not a node of the transported grid "
+                             f"on [{self.ts[0]:.6g}, {self.ts[-1]:.6g}]")
+        return int(k)
 
     def state(self, t: float):
-        """State at t: grid lookup, or re-integration from the nearest node."""
-        idx, on_grid = self._nearest(t)
-        if on_grid:
-            return self.states[idx]
-        # frame stencils may overhang the window by a few nodes; allow a
-        # short re-integration slack, but refuse genuinely distant times
-        slack = 0.05 * max(1.0, self.ts[-1]) + 8.0 / self.resolution
-        if not (self.ts[0] - slack <= t <= self.ts[-1] + slack):
-            raise OutOfChart(f"t={t} outside the transported interval")
-        # a short hop from the nearest node, whose spray data is stored
-        delta = t - self.ts[idx]
-        steps = max(1, int(math.ceil(abs(delta) * self.resolution * 2)))
-        (states,), _ = _flow(self.metric, self.states[idx], (delta,),
-                             (steps,), self.sprays[idx])
-        return states[-1]
+        """State (x, y, M) at the grid node t."""
+        return self.states[self._index(t)]
 
     def frame_data(self, t: float):
-        """Frame A(t) = M^{-1} Vert and its analytic derivative at time t."""
+        """Frame A(t) = M^{-1} Vert and its analytic derivative at the grid
+        node t."""
         n = self.metric.n
-        idx, on_grid = self._nearest(t)
-        if on_grid:
-            (_, _, M), (_, DS) = self.states[idx], self.sprays[idx]
-        else:
-            x, y, M = self.state(t)
-            _, DS = mx.spray_data(self.metric, x, y)
+        idx = self._index(t)
+        (_, _, M), (_, DS) = self.states[idx], self.sprays[idx]
         vert = np.vstack([np.zeros((n, n)), np.eye(n)])
         Minv = np.linalg.inv(M)
         A = Minv @ vert
@@ -146,30 +136,22 @@ def _spray(metric, x, y):
     return mx.spray_data(metric, x, y)
 
 
-def _flow(metric, state, spans, steps, spray):
-    """RK4 lanes from one state (x, y, M): lane k runs steps[k] steps over
-    [0, spans[k]], backward in time where spans[k] < 0.
-
-    The lanes run in lockstep, as a last batch axis, on the step of the
-    lane with the most steps (the other spans are whole multiples of it);
-    a lane that has taken its steps stops, and the others go on.  A
-    backward lane runs the negated field with the positive step, which
-    rounds as a run of its own with the negative step would.
+def _flow(metric, state, T, steps, spray):
+    """RK4 from one state (x, y, M) over [0, T] and [0, -T], steps steps
+    each, as two lanes on a last batch axis: lane 0 forward, lane 1
+    backward with the negated field and the positive step, which rounds
+    as a run of its own with the negative step would.
 
     spray is the spray data at the start, already evaluated by the
-    caller.  Returns, per lane, its states on the grid, start included,
-    and the spray data (G, DS) at every state but the last.  Raises
+    caller.  Returns the states on the grid after the start and the spray
+    data (G, DS) at each of them, all with the lane axis.  Raises
     OutOfChart, naming the flag of a batch whichever lane fails, for a
-    state outside the box before the metric is read there; the field
-    checks every state but the last.
+    state outside the box before the metric is read there.
     """
     n = metric.n
     x, y, M = state
-    lead = x.shape[:-1]
-    sign = np.sign(spans)[:, None]
-    steps = np.asarray(steps)
-    longest = int(np.argmax(steps))
-    stage1 = [[spray] for _ in steps]
+    sign = np.array([[1.0], [-1.0]])
+    sprays = []
     evals = itertools.count(1)
 
     def rate(z, G, DS):
@@ -179,32 +161,22 @@ def _flow(metric, state, spans, steps, spray):
                               axis=-1)
 
     def field(z):
+        G, DS = _spray(metric, z[..., :n], z[..., n:2 * n])
         # rk4_step evaluates three stages in the first step (the caller
         # passes the first) and four in each later one, the grid state's
         # first
-        step, stage = divmod(next(evals), 4)
-        live = np.flatnonzero(steps > step)
-        zl = z[..., live, :]
-        G, DS = _spray(metric, zl[..., :n], zl[..., n:2 * n])
-        if stage == 0:
-            for j, k in enumerate(live):
-                stage1[k].append((G[..., j, :], DS[..., j, :, :]))
-        out = np.zeros_like(z)
-        out[..., live, :] = sign[live] * rate(zl, G, DS)
-        return out
+        if next(evals) % 4 == 0:
+            sprays.append((G, DS))
+        return sign * rate(z, G, DS)
 
-    z0 = np.concatenate([x, y, M.reshape(lead + (-1,))], axis=-1)
+    z0 = np.concatenate([x, y, M.reshape(x.shape[:-1] + (-1,))], axis=-1)
     k1 = sign * rate(z0, *spray)[..., None, :]
     z0 = np.broadcast_to(z0[..., None, :], k1.shape)
     with lanes():
-        samples = nk.rk_integrate(field, z0, 0.0, abs(spans[longest]),
-                                  steps[longest], k1=k1)
-        _check_chart(metric, np.stack([samples[m][1][..., k, :n]
-                                       for k, m in enumerate(steps)], -2))
-    return [[(z[..., k, :n], z[..., k, n:2 * n],
-              z[..., k, 2 * n:].reshape(lead + (2 * n, 2 * n)))
-             for _, z in samples[:m + 1]]
-            for k, m in enumerate(steps)], stage1
+        zs = [z for _, z in nk.rk_integrate(field, z0, 0.0, T, steps,
+                                            k1=k1)[1:]]
+        sprays.append(_spray(metric, zs[-1][..., :n], zs[-1][..., n:2 * n]))
+    return zs, sprays
 
 
 def _check_chart(metric, x, t=None):
@@ -231,19 +203,21 @@ def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times,
     """Phase states (x, y) of the geodesic from v0 at the given times.
 
     Only (x, y) is integrated, with the spray alone: one order-2 energy jet
-    per evaluation, no Jacobian.  RK4 runs outward from t = 0 through the
-    sorted union of the requested |t|, with |dt| * resolution steps per
-    segment (`_steps`), so every requested time is a node.  The two signs
-    are lanes: a segment that both directions still need runs them in
-    lockstep (the backward one with the negated field), one that only one
-    needs runs that one alone, so times of one sign keep their own
-    segments.  Every point is checked against the chart before the metric
-    is read there; the time rides along as a last coordinate, so an error
-    names the absolute t.  A batch v0 (shape S+(n,)) is integrated in
-    lockstep; returns an array of shape (len(times),) + S + (2n,).
+    per evaluation, no Jacobian.  RK4 runs forward from t = 0 through the
+    sorted requested times, with dt * resolution steps per segment
+    (`_steps`), so every requested time is a node.  A negative time raises
+    DimensionMismatch before the metric is read anywhere.  Every point is
+    checked against the chart before the metric is read there; the time
+    rides along as a last coordinate, so an error names t.  A batch v0
+    (shape S+(n,)) is integrated in lockstep; returns an array of shape
+    (len(times),) + S + (2n,).
     """
     n = metric.n
     times = np.asarray(times, dtype=float)
+    bad = ~(times >= 0.0)
+    if np.any(bad):
+        raise DimensionMismatch(
+            f"geodesic times must be >= 0, got t={times[bad][0]}")
 
     def field(z):
         x, y = z[..., :n], z[..., n:2 * n]
@@ -252,75 +226,68 @@ def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times,
         return np.concatenate([y, -2.0 * G, np.ones_like(z[..., -1:])],
                               axis=-1)
 
-    z0 = np.concatenate([v0.x, v0.y, np.zeros_like(v0.x[..., :1])], axis=-1)
-    out = np.empty(times.shape + z0.shape[:-1] + (2 * n,))
-    out[times == 0.0] = z0[..., :2 * n]
-    # lane 0 runs forward, lane 1 backward; a lane running alone keeps no
-    # lane axis, since spray_data can round a single point and a batch of
-    # one differently in the last bit
-    signs = np.array([[1.0], [-1.0]])
-    ends, t = [z0, z0], 0.0
-    for b in np.unique(np.abs(times[times != 0.0])):
-        live = [k for k in (0, 1) if np.any(signs[k] * times >= b)]
-        steps = _steps((b - t) * resolution)
-        if len(live) == 1:
-            (k,) = live
-            ends[k] = nk.rk_integrate(lambda z: signs[k] * field(z), ends[k],
-                                      t, b, steps)[-1][1]
-        else:
-            with lanes():
-                z = nk.rk_integrate(lambda z: signs * field(z),
-                                    np.stack(ends, -2), t, b, steps)[-1][1]
-            ends = [z[..., 0, :], z[..., 1, :]]
-        t = b
-        for i in np.flatnonzero(np.abs(times) == b):
-            out[i] = ends[int(times[i] < 0.0)][..., :2 * n]
-    for z in ends:
-        _check_chart(metric, z[..., :n], z[..., 2 * n])
+    z = np.concatenate([v0.x, v0.y, np.zeros_like(v0.x[..., :1])], axis=-1)
+    out = np.empty(times.shape + z.shape[:-1] + (2 * n,))
+    t = 0.0
+    for b in np.unique(times):
+        if b > t:
+            z = nk.rk_integrate(field, z, t, b,
+                                _steps((b - t) * resolution))[-1][1]
+            t = b
+        out[times == b] = z[..., :2 * n]
+    _check_chart(metric, z[..., :n], z[..., 2 * n])
     return out
 
 
 def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
-              resolution: int = DEFAULT_RESOLUTION,
-              back: Optional[float] = None) -> OrbitData:
-    """Transport the flow differential over [-back, T] from v0 (back = T).
+              resolution: float = DEFAULT_RESOLUTION) -> OrbitData:
+    """Transport the flow differential over the window [-T, T] from v0.
 
-    Deterministic fixed-step RK4 on one grid of step dt = T / steps, where
-    `_steps` makes whole steps of T * resolution forward and back / dt
-    backward; raises OutOfChart if the orbit leaves the metric's box within
-    the window.  A batch v0 is integrated in lockstep, and an error names
-    the lowest failing flag.  The two directions run in lockstep as well
-    (`_flow`): the spray data at v0 serves both, each RK4 stage takes one
-    `spray_data` call for both, and so do the two window ends; the longer
-    direction, when back != T, runs its last steps alone.
+    Deterministic fixed-step RK4 on one symmetric grid of step
+    dt = T / steps, with `_steps` whole steps of T * resolution each way;
+    raises OutOfChart if the orbit leaves the metric's box within the
+    window.  A batch v0 is integrated in lockstep, and an error names the
+    lowest failing flag.  The two directions run in lockstep as well
+    (`_flow`): the spray data at v0 serves both, and each RK4 stage takes
+    one `spray_data` call for both, as do the two window ends.
     """
-    if T <= 0.0 or (back is not None and back <= 0.0):
+    if T <= 0.0:
         raise OutOfChart("transport window must be positive")
     steps = _steps(T * resolution)
     dt = T / steps
-    back_steps = steps if back is None else _steps(back / dt)
-    back = T if back is None else dt * back_steps
-    m2 = 2 * metric.n
-    eye = np.broadcast_to(np.eye(m2), v0.x.shape[:-1] + (m2, m2))
-    start = (v0.x, v0.y, eye)
+    n, m2 = metric.n, 2 * metric.n
+    lead = v0.x.shape[:-1]
+    start = (v0.x, v0.y, np.broadcast_to(np.eye(m2), lead + (m2, m2)))
     spray0 = _spray(metric, v0.x, v0.y)
-    (fwd, bwd), (fwd_sprays, bwd_sprays) = _flow(
-        metric, start, (T, -back), (steps, back_steps), spray0)
-    ends = [np.stack(pair, axis=-2) for pair in zip(fwd[-1][:2], bwd[-1][:2])]
-    with lanes():
-        G, DS = mx.spray_data(metric, *ends)
-    fwd_sprays.append((G[..., 0, :], DS[..., 0, :, :]))
-    bwd_sprays.append((G[..., 1, :], DS[..., 1, :, :]))
-    ts = dt * np.arange(-back_steps, steps + 1)
-    return OrbitData(metric=metric, v0=v0, resolution=resolution, ts=ts,
-                     states=tuple(bwd[:0:-1] + fwd),
-                     sprays=tuple(bwd_sprays[:0:-1] + fwd_sprays),
+    zs, sprays = _flow(metric, start, T, steps, spray0)
+
+    def lane(k):
+        return ([(z[..., k, :n], z[..., k, n:m2],
+                  z[..., k, m2:].reshape(lead + (m2, m2))) for z in zs],
+                [(G[..., k, :], DS[..., k, :, :]) for G, DS in sprays])
+
+    (fwd, fwd_sprays), (bwd, bwd_sprays) = lane(0), lane(1)
+    return OrbitData(metric=metric, v0=v0,
+                     ts=dt * np.arange(-steps, steps + 1),
+                     states=tuple(bwd[::-1] + [start] + fwd),
+                     sprays=tuple(bwd_sprays[::-1] + [spray0] + fwd_sprays),
                      omega=fc.SymplecticForm(mx.omega_matrix(metric, v0)))
 
 
 def frame_reach(h: float, order: int = 4) -> float:
     """How far `jacobi_frame(orbit, t, h, order)` reads the orbit from t."""
     return nk.Stencil(0.0, h, order).nodes[-1]
+
+
+def frame_resolution(h: float,
+                     resolution: float = DEFAULT_RESOLUTION) -> float:
+    """resolution raised to a whole number of RK4 steps per h (`_steps`).
+
+    A window of half-width a multiple of h transported at this resolution
+    has every multiple of h on its grid, so a frame stencil of spacing h
+    around such a node reads grid nodes only.
+    """
+    return _steps(h * resolution) / h
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +369,8 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
     g = mx.fundamental_tensor(metric, v)
     w = _canonical_flag_vector(g, v.y, u)[..., :, None]    # columns
     F = np.asarray(metric.F_value(v.x, v.y))
-    orbit = transport(metric, v, T=frame_reach(h), resolution=resolution)
+    orbit = transport(metric, v, T=frame_reach(h),
+                      resolution=frame_resolution(h, resolution))
     inv = jacobi_frame(orbit, 0.0, h=h).invariants
     K_plane = 0.5 * inv.Schwarzian        # K on span(A) in the frame basis
     num = (K_plane @ w).mT @ inv.W @ w

@@ -741,7 +741,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     w = w / norm
 
     orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
-                         resolution=resolution)
+                         resolution=jb.frame_resolution(h, resolution))
     sample = jb.jacobi_frame(orbit, 0.0, h=h, order=6)
     setup = coisotropic_setup(orbit.omega, Wbasis)
     reduced = reduce_curve(setup, sample.frames)

@@ -209,17 +209,22 @@ def run_selftest(seed: int = 20240811, stencil_h: float = 1e-3,
           max(np.max(np.abs(Omat + Omat.T)), np.max(np.abs(V.T @ Omat @ V))),
           1e-10)
 
+    # the orbit is read at multiples of stencil_h, each a node of the grid
+    def node(t):
+        return stencil_h * round(t / stencil_h)
+
     v0 = mx.PhasePoint(np.array([0.1, 0.2]), np.array([0.5, -0.1]))
-    orbit = jb.transport(sphere, v0, T=0.5 + jb.frame_reach(stencil_h))
+    orbit = jb.transport(sphere, v0, T=node(0.5) + jb.frame_reach(stencil_h),
+                         resolution=jb.frame_resolution(stencil_h))
     f0 = sphere.F_value(v0.x, v0.y)
     drift = 0.0
-    for t in (0.2, 0.5, -0.4):
+    for t in map(node, (0.2, 0.5, -0.4)):
         xx, yy, M = orbit.state(t)
         drift = max(drift, abs(sphere.F_value(xx, yy) - f0))
     check("energy-conservation", drift, 1e-7)
 
     wg = 0.0
-    for t in (0.0, 0.25, 0.5):
+    for t in map(node, (0.0, 0.25, 0.5)):
         inv = jb.jacobi_frame(orbit, t, h=stencil_h).invariants
         xx, yy, _ = orbit.state(t)
         g = mx.fundamental_tensor(sphere, mx.PhasePoint(xx, yy))

@@ -174,8 +174,7 @@ def test_criterion_08_contact_reduction():
         x0 = np.array([0.15, -0.1])
         y0 = np.array([0.8, 0.25])
         y0 = y0 / metric.F_value(x0, y0)
-        # contact_reduce reads t +- 3h, so the window reaches back 0.05 only
-        orbit = jb.transport(metric, pp(x0, y0), T=1.15, back=0.05)
+        orbit = jb.transport(metric, pp(x0, y0), T=1.15)
         for t in (0.3, 0.7, 1.1):
             split = rd.contact_reduce(orbit, t)
             worst = max(worst, split.kr_residual, split.block_residual)

@@ -85,6 +85,38 @@ def test_byte_identical_reruns(tmp_path, cfg):
         (out2 / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("steps_per_unit", [1, 400, 1500])
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "curvature-grid", "samples": 2,
+     "metric": {"id": "sphere"}},
+    {"experiment": "curvature-grid", "samples": 2, "stencil_h": 7e-4},
+    {"experiment": "invariants-along-orbit", "orbit_time": 0.2,
+     "orbit_samples": 3},
+    {"experiment": "invariants-along-orbit", "orbit_time": 0.2,
+     "orbit_samples": 3, "stencil_h": 2.5e-3},
+    {"experiment": "submersion", "scenarios": ["trivial", "hopf"]},
+    {"experiment": "projective", "samples": 2},
+    {"experiment": "katok", "samples": 2, "epsilons": [0.3]},
+], ids=["curvature-grid", "curvature-grid-h7e-4", "invariants-along-orbit",
+        "invariants-along-orbit-h2.5e-3", "submersion", "projective",
+        "katok"])
+def test_frame_windows_run_at_any_steps_per_unit(tmp_path, cfg,
+                                                 steps_per_unit):
+    # at these resolutions the stencil spacing is no whole number of steps
+    # per unit; each frame window takes a whole number of steps per h
+    _, summary, code = run_cfg(
+        {**cfg, "seed": 1, "steps_per_unit": steps_per_unit}, tmp_path)
+    assert code == cli.EXIT_OK
+    assert summary["passed"] is True
+
+
+def test_selftest_reads_its_orbit_at_multiples_of_stencil_h(capsys):
+    # 0.2, 0.25 and 0.5 are no multiples of 7e-4: the orbit is read at the
+    # nearest multiples, all of them grid nodes
+    assert cli.main(["selftest", "--stencil-h", "7e-4"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith("29/29 checks passed\n")
+
+
 def test_invariants_along_orbit_columns(tmp_path):
     cfg = {"experiment": "invariants-along-orbit", "seed": 3,
            "metric": {"id": "sphere"}, "orbit_time": 0.4, "orbit_samples": 3}
@@ -100,8 +132,8 @@ def test_invariants_along_orbit_columns(tmp_path):
 
 def long_orbit_rows(cfg):
     """Rows of the orbit experiment read off one long transported orbit:
-    the orbit from the start point over [-reach, T + reach], with the
-    Jacobi frame taken at each sample time."""
+    the orbit from the start point over [-(T + reach), T + reach], with
+    the Jacobi frame taken at each sample time."""
     metric = cli._build_metric(cfg)
     rng = np.random.default_rng(cfg["seed"])
     x = cli.sample_in_ball(rng, metric.n, 0.5)
@@ -109,7 +141,7 @@ def long_orbit_rows(cfg):
     y = y / metric.F_value(x, y)
     reach = jb.frame_reach(jb.DEFAULT_FRAME_H)
     T = cfg["orbit_time"]
-    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + reach, back=reach)
+    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + reach)
     rows = []
     for t in np.linspace(0.0, T, cfg["orbit_samples"]):
         inv = jb.jacobi_frame(orbit, float(t)).invariants

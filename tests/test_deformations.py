@@ -66,6 +66,17 @@ def test_projective_smallness_violation():
         df.projective_deform(euclid, constant_form((1.4, 0.0)))
 
 
+def test_projective_smallness_uses_the_dual_norm_of_minus_theta():
+    # on the non-reversible katok base F0*(theta) = 0.63 < 1 at x = (1, 0),
+    # but F0*(-theta) = 1.17: F0 + theta is -0.131 at y = (0, 1)
+    base = df.katok_metric(0.3)
+    x, th = np.array([1.0, 0.0]), np.array([0.0, -0.9])
+    assert mx.conorm(base, x, th) < 1.0 < mx.conorm(base, x, -th)
+    assert base.F_value(x, np.array([0.0, 1.0])) + th[1] < 0.0
+    with pytest.raises(SmallnessViolation):
+        df.projective_deform(base, constant_form(th), sample_points=[x])
+
+
 def test_projective_zero_form_is_identity(rng):
     sphere = mx.zoo_metric("sphere")
     deformed = df.projective_deform(sphere, constant_form((0.0, 0.0)))

@@ -11,7 +11,8 @@ from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
 from fanning_lab import reduction as rd
 from fanning_lab.cli import sample_flags
-from fanning_lab.errors import (DegenerateFlag, NotUnitSpeed, OutOfChart)
+from fanning_lab.errors import (DegenerateFlag, DimensionMismatch,
+                                NotUnitSpeed, OutOfChart)
 
 
 def pp(x, y):
@@ -42,15 +43,47 @@ def test_transport_euclidean_flow_property():
     assert np.max(np.abs(M_ts - M_t_at @ M_s)) < 1e-12
 
 
-@pytest.mark.parametrize("T, back", [(0.1 + 0.2, None), (0.3, 0.1 + 0.2)],
-                         ids=["steps", "back-steps"])
-def test_transport_steps_ignore_rounding_errors(T, back):
+def test_transport_steps_ignore_rounding_errors():
     # 0.1 + 0.2 lands just above 0.3: at 10 steps per unit the window has
     # 3 steps each way, not 4
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=T, resolution=10,
-                         back=back)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=0.1 + 0.2,
+                         resolution=10)
     assert len(orbit.ts) == 7
+
+
+def test_orbit_reads_only_its_grid_nodes():
+    # resolution 10 over [-0.3, 0.3]: nodes at multiples of 0.1
+    m = mx.zoo_metric("euclidean")
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=0.3, resolution=10)
+    for t in (-0.3, -0.1, 0.0, 0.2, 0.3):
+        k = int(np.argmin(np.abs(orbit.ts - t)))
+        assert orbit.state(t) is orbit.states[k]
+    for t in (0.05, -0.25, 0.1 + 1e-9, 0.4, -0.5, 2.0):
+        for read in (orbit.state, orbit.frame_data):
+            with pytest.raises(OutOfChart, match=rf"^t={t} is not a node"):
+                read(t)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("resolution", [1, 7, 400, 1500, 2000])
+@pytest.mark.parametrize("h", [1e-3, 7e-4, 2.5e-3, 0.05])
+def test_frame_resolution_puts_stencil_nodes_on_the_grid(h, resolution,
+                                                         order):
+    # windows of half-width a multiple of h plus the stencil's reach, at
+    # frame_resolution: every stencil node around a multiple of h is read
+    # off the grid, at no fewer steps per unit than asked for
+    res = jb.frame_resolution(h, resolution)
+    assert res >= resolution * (1.0 - 1e-9)
+    assert res * h == pytest.approx(round(res * h), rel=1e-12)
+    m = mx.zoo_metric("euclidean")
+    for centre in (0, 3):
+        T = centre * h + jb.frame_reach(h, order)
+        orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T, res)
+        for t in (-centre * h, centre * h):
+            for tn in nk.Stencil(t, h, order).nodes:
+                orbit.state(tn)
+            jb.jacobi_frame(orbit, t, h=h, order=order)
 
 
 @pytest.mark.parametrize("s, half_width, T, resolution", [
@@ -104,7 +137,8 @@ def test_transport_energy_conservation():
 
 def test_jacobi_frame_euclidean_closed_form():
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.5, resolution=200)
+    # dt = 1e-3, so the grid holds the stencil nodes t +- h, t +- 2h
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.5, resolution=1000)
     for t in (0.0, 0.2, -0.3):
         sample = jb.jacobi_frame(orbit, t)
         expected = np.vstack([-t * np.eye(2), np.eye(2)])
@@ -333,29 +367,36 @@ def one_direction(m, v0, span, steps):
     return zs, sprays[::4] + [end]
 
 
-@pytest.mark.parametrize("T, back", [(0.3, None), (1.15, 0.05), (0.05, 0.3)],
+@pytest.mark.parametrize("T, back", [(0.3, 0.3), (1.15, 0.05), (0.05, 0.3)],
                          ids=["back=T", "back<T", "back>T"])
 @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
 @pytest.mark.parametrize("family", ["hyperbolic", "katok", "randers",
                                     "sphere"])
 def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back):
-    # spray_data rounds a point inside a batch as on its own for Randers
-    # and katok, so there the lockstep is bit for bit the two runs; sphere
-    # and hyperbolic round the last bit differently at a single point
+    # the window [-W, W], W = max(T, back), against runs of their own over
+    # [0, T] and [0, -back] on its step: each lane agrees with the run of
+    # its direction on every node the run reaches, however long the window
+    # runs on.  spray_data rounds a point inside a batch as on its own for
+    # Randers and katok, so there the lockstep is bit for bit the two runs;
+    # sphere and hyperbolic round the last bit differently at a single point
     m = BATCH_FAMILIES[family][0]()
     rng = np.random.default_rng(3)
     v0 = pp(rng.uniform(-0.3, 0.3, batch + (2,)),
             0.3 * rng.normal(size=batch + (2,)))
-    orbit = jb.transport(m, v0, T, resolution=100, back=back)
-    steps = jb._steps(T * 100)
-    dt = T / steps
-    back_steps = steps if back is None else jb._steps(back / dt)
-    fwd, fwd_sprays = one_direction(m, v0, T, steps)
+    W = max(T, back)
+    orbit = jb.transport(m, v0, W, resolution=100)
+    steps = jb._steps(W * 100)
+    dt = W / steps
+    fwd_steps, back_steps = jb._steps(T / dt), jb._steps(back / dt)
+    fwd, fwd_sprays = one_direction(m, v0, dt * fwd_steps, fwd_steps)
     bwd, bwd_sprays = one_direction(m, v0, -dt * back_steps, back_steps)
     zs, sprays = bwd[:0:-1] + fwd, bwd_sprays[:0:-1] + fwd_sprays
-    assert len(orbit.states) == len(zs) == len(orbit.ts)
+    assert len(orbit.states) == len(orbit.ts) == 2 * steps + 1
+    nodes = slice(steps - back_steps, steps + fwd_steps + 1)
     exact = family in ("katok", "randers")
-    for (x, y, M), z, got, ref in zip(orbit.states, zs, orbit.sprays, sprays):
+    for (x, y, M), z, got, ref in zip(orbit.states[nodes], zs,
+                                      orbit.sprays[nodes], sprays,
+                                      strict=True):
         pairs = [(np.concatenate([x, y, M.reshape(batch + (-1,))], -1), z),
                  (got[0], ref[0]), (got[1], ref[1])]
         for a, b in pairs:
@@ -386,8 +427,8 @@ def unit_sphere_great_circle(x0, y0, t):
     return np.concatenate([x, y])
 
 
-# unsorted, both signs, and t = 0
-GEODESIC_TIMES = [0.4, -0.7, 0.0, 1.1, -0.25]
+# unsorted, and t = 0
+GEODESIC_TIMES = [0.4, 0.7, 0.0, 1.1, 0.25]
 
 
 def test_geodesic_great_circle_on_unit_sphere():
@@ -406,7 +447,7 @@ def test_geodesic_great_circle_on_unit_sphere():
         assert np.max(np.abs(g - (1.0 - p3) ** 2 * np.eye(2))) < 1e-12
 
 
-def test_geodesic_mixed_sign_times_match_single_time_calls():
+def test_geodesic_unsorted_times_match_single_time_calls():
     m = mx.zoo_metric("randers", b=(0.25, 0.05))
     v0 = pp([0.1, 0.2], [0.6, -0.3])
     states = jb.geodesic(m, v0, GEODESIC_TIMES, resolution=500)
@@ -439,7 +480,7 @@ def test_geodesic_agrees_with_transport_on_the_grid():
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.1], [0.8, 0.6])
     orbit = jb.transport(m, v0, T=0.5, resolution=400)
-    times = [0.5, -0.2, 0.1, -0.5]
+    times = [0.5, 0.2, 0.1, 0.35]
     states = jb.geodesic(m, v0, times, resolution=400)
     for t, z in zip(times, states):
         x, y, _ = orbit.state(t)
@@ -448,9 +489,8 @@ def test_geodesic_agrees_with_transport_on_the_grid():
 
 def test_geodesic_names_the_absolute_time_it_leaves_the_box():
     # x1(t) = t on the Euclidean plane, box edge 0.503: the first point read
-    # outside is the midpoint stage of the step from t = 0.5; up to
-    # t = 0.1 both directions are read as one batch, so the spy records
-    # every coordinate of a batched read
+    # outside is the midpoint stage of the step from t = 0.5; the spy
+    # records every coordinate the metric is read at
     seen = []
 
     def g(x):
@@ -460,9 +500,24 @@ def test_geodesic_names_the_absolute_time_it_leaves_the_box():
     m = mx.riemannian_metric(g, 2, mx.Box.cube(2, 0.503))
     with pytest.raises(OutOfChart,
                        match=r"^orbit left the chart at t=0\.505, x="):
-        jb.geodesic(m, pp([0.0, 0.0], [1.0, 0.0]), [-0.1, 0.45, 0.8],
+        jb.geodesic(m, pp([0.0, 0.0], [1.0, 0.0]), [0.1, 0.45, 0.8],
                     resolution=100)
     assert np.max(np.abs(seen)) <= 0.503
+
+
+def test_geodesic_refuses_negative_times_before_any_spray(monkeypatch):
+    calls = []
+    spray_data = mx.spray_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spray_data(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "spray_data", counted)
+    with pytest.raises(DimensionMismatch, match=r"t=-0\.2"):
+        jb.geodesic(mx.zoo_metric("sphere"), pp([0.1, 0.2], [0.6, -0.3]),
+                    [0.3, -0.2, 0.0])
+    assert calls == []
 
 
 # -- Riemann oracle ---------------------------------------------------------------
@@ -607,25 +662,25 @@ def test_contact_reduce_euclidean_exact():
     assert split.alpha_residual < 1e-10
 
 
-@pytest.mark.parametrize("metric_fn, x, y, T, back, t, tol", [
-    # the original case: symmetric window, loose kernel and block bounds
+@pytest.mark.parametrize("metric_fn, x, y, T, t, tol", [
+    # the original case: loose kernel and block bounds
     (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
-     0.45, None, 0.3, 1e-5),
+     0.45, 0.3, 1e-5),
     (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
-     0.75, 0.05, 0.7, 1e-10),
+     0.75, 0.7, 1e-10),
     (lambda: df.katok_metric(0.3), [0.15, -0.1], [0.8, 0.25],
-     0.35, 0.05, 0.3, 1e-10),
+     0.35, 0.3, 1e-10),
     # three dimensions: the contact part is a 2-plane
     (lambda: mx.zoo_metric("riemannian-conformal", n=3), [0.1, -0.2, 0.15],
-     [0.6, 0.3, -0.5], 0.45, 0.05, 0.4, 1e-10),
+     [0.6, 0.3, -0.5], 0.45, 0.4, 1e-10),
     (lambda: mx.zoo_metric("randers"), [0.1, -0.2], [0.6, 0.7],
-     0.45, 0.05, 0.4, 1e-10),
+     0.45, 0.4, 1e-10),
 ], ids=["sphere", "sphere-tight", "katok", "conformal-3d", "randers"])
-def test_contact_reduce_sphere_identities(metric_fn, x, y, T, back, t, tol):
+def test_contact_reduce_sphere_identities(metric_fn, x, y, T, t, tol):
     m = metric_fn()
     x = np.array(x)
     y = unit_vector(m, x, y)
-    orbit = jb.transport(m, pp(x, y), T=T, back=back, resolution=2000)
+    orbit = jb.transport(m, pp(x, y), T=T, resolution=2000)
     split = rd.contact_reduce(orbit, t)
     assert split.K_block.shape == (len(x) - 1, len(x) - 1)
     assert split.kr_residual < tol

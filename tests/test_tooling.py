@@ -1,14 +1,18 @@
 """Guards for the package's public names and for what the traced benchmark
 (perfbench/tracer.py) assumes about the package: every exported and every
-traced name exists, and each function is looked up only under the names the
-tracer wraps."""
+traced name exists, each function is looked up only under the names the
+tracer wraps, and a traced run counts calls and grid reads."""
 
 import importlib
 import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
+
 import fanning_lab
+from fanning_lab import jacobi as jb
+from fanning_lab import metrics as mx
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -63,3 +67,26 @@ def test_traced_functions_not_bound_elsewhere():
                 raise AssertionError(
                     f"fanning_lab.{modname}.{attr} binds "
                     f"{home[0]}.{home[1]}; the tracer would miss those calls")
+
+
+def test_tracer_counts_a_flag_and_an_orbit_read():
+    # the tracer wraps the package from outside and reads orbit.ts and
+    # orbit.states to tell grid reads from off-grid ones
+    m = mx.zoo_metric("sphere")
+    v = mx.PhasePoint(np.array([0.2, -0.1]), np.array([0.6, 0.3]))
+    transport = jb.transport
+    tracer = load_tracer().Tracer(package_modules())
+    with tracer:
+        jb.flag_curvature(m, v, [0.1, 1.0])
+        orbit = jb.transport(m, v, T=0.01)
+        orbit.state(0.005)
+    assert jb.transport is transport
+    out = tracer.summary(rows=1)
+    assert out["jacobi.flag_curvature.calls"] == 1
+    assert out["jacobi.transport.calls"] == 2
+    assert out["jacobi.jacobi_frame.calls"] == 1
+    assert out["jacobi.OrbitData.state.calls"] == 1
+    assert out["jacobi.OrbitData.frame_data.calls"] == 5
+    assert out["metrics.spray_data.calls"] > 17
+    assert out["jacobi.OrbitData.state.offgrid_calls"] == 0
+    assert 0.0 < out["jacobi.transport.read_frac"] <= 1.0
