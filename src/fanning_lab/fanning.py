@@ -193,8 +193,7 @@ def jacobi_endomorphism(ft: FrameTriple, Pdot: np.ndarray) -> np.ndarray:
             + Hframe @ half_S @ Binv[..., n:, :])
 
 
-def wronskian(ft: FrameTriple, omega: SymplecticForm,
-              tol: float = 1e-8) -> np.ndarray:
+def wronskian(ft: FrameTriple, omega: SymplecticForm) -> np.ndarray:
     """Wronskian matrix A^T Omega Adot of a curve of Lagrangian planes.
 
     Requires span(A) Lagrangian; the raw matrix is symmetric up to rounding
@@ -206,7 +205,7 @@ def wronskian(ft: FrameTriple, omega: SymplecticForm,
     scale = np.maximum(1.0, np.linalg.norm(ft.A, axis=(-2, -1)) ** 2
                        * np.linalg.norm(O, axis=(-2, -1)))
     defect = np.max(np.abs(ft.A.mT @ O @ ft.A), axis=(-2, -1))
-    raise_at(NotLagrangian, defect > tol * scale,
+    raise_at(NotLagrangian, defect > 1e-8 * scale,
              lambda i: f"A^T Omega A deviates from zero by {defect[i]:.3e}")
     W = ft.A.mT @ O @ ft.Adot
     return 0.5 * (W + W.mT)

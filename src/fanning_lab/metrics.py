@@ -78,8 +78,9 @@ class Box:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
-    def grid(self, points_per_axis: int = 5) -> np.ndarray:
-        axes = [np.linspace(l, h, points_per_axis)
+    def grid(self) -> np.ndarray:
+        """The 5-point-per-axis grid of the box, the validity sample set."""
+        axes = [np.linspace(l, h, 5)
                 for l, h in zip(self.lo, self.hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -176,7 +177,7 @@ def randers_metric(g: Callable, beta: Callable, n: int, domain: Box,
 
     m = MetricSpec(n=n, family="randers", F=F, domain=domain, name=name,
                    g=g, beta=beta)
-    for x in m.domain.grid(5):
+    for x in m.domain.grid():
         G = np.array(g(list(x)), dtype=float)
         b = np.array(beta(list(x)), dtype=float)
         margin = 1.0 - b @ np.linalg.solve(G, b)
@@ -235,12 +236,12 @@ def legendre(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     return _mv(fundamental_tensor(m, p), p.y)
 
 
-def legendre_inverse(m: MetricSpec, x, xi, warm=None,
-                     tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+def legendre_inverse(m: MetricSpec, x, xi, warm=None) -> np.ndarray:
     """Solve legendre(m, (x, v)) = xi for v by damped Newton.
 
     The fiber Jacobian of the Legendre transform is the fundamental tensor,
-    which is SPD, so plain Newton with step halving is reliable.
+    which is SPD, so plain Newton with step halving is reliable: it stops
+    at a residual below 1e-12, within 50 steps.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -252,8 +253,8 @@ def legendre_inverse(m: MetricSpec, x, xi, warm=None,
         return legendre(m, PhasePoint(x, w)) - xi
 
     r = residual(v)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) < tol:
+    for _ in range(50):
+        if np.linalg.norm(r) < 1e-12:
             return v
         g = fundamental_tensor(m, PhasePoint(x, v))
         step = np.linalg.solve(g, -r)
@@ -467,7 +468,7 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
 # metrics defined through a dual norm
 # ---------------------------------------------------------------------------
 
-def _support_newton(costar, x, v, warm=None, tol=1e-12, max_iter=50):
+def _support_newton(costar, x, v, warm=None):
     """Maximize xi . v over the unit level of costar(x, .) by damped Newton.
 
     Float-only: one order-2 jet of costar in xi gives the value, gradient and
@@ -499,9 +500,9 @@ def _support_newton(costar, x, v, warm=None, tol=1e-12, max_iter=50):
                               a, b) for a, b in zip(new, old))
 
     state = residual(xi, mu)          # (xi, mu, R, |R|, grad, Hessian)
-    for _ in range(max_iter):
+    for _ in range(50):
         xi, mu, R, res, cg, cH = state
-        todo = ~(res < tol)           # a NaN residual is not converged
+        todo = ~(res < 1e-12)         # a NaN residual is not converged
         if not todo.any():
             break
         J = np.zeros(R.shape + (n + 1,))
@@ -531,7 +532,7 @@ def _support_newton(costar, x, v, warm=None, tol=1e-12, max_iter=50):
                      lambda i: (f"support solve stalled at x={x[i]}, "
                                 f"v={v[i]} (residual {res[i]:.2e})"))
     xi, res = state[0], state[3]
-    raise_at(NewtonDivergence, ~(res < tol),
+    raise_at(NewtonDivergence, ~(res < 1e-12),
              lambda i: f"support solve did not converge at x={x[i]}, v={v[i]}")
     return (xi * v).sum(axis=-1), xi
 

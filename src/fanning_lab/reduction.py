@@ -12,8 +12,9 @@ the tangent space of the unit sphere bundle, whose annihilator is the spray
 S: the reduced curve is the contact part l(t) inter ker dF of the Jacobi
 curve, complementary to C - tS.  The submersion front-end takes W the
 tangent space of the horizontal-cone bundle of an isometric submersion; the
-shipped scenarios are the trivial product and the Hopf fibrations, whose
-closed-form horizontal distributions make W exact.
+shipped scenarios, the trivial product and the Hopf fibrations, all project
+(x1, x2, x3) -> (x1, x2), and their closed-form horizontal distributions
+make W exact.  Both read 7-point stencils of width `_REDUCTION_H`.
 """
 
 from __future__ import annotations
@@ -56,24 +57,24 @@ __all__ = [
 ]
 
 _SV_REL_TOL = 1e-9   # singular-value threshold for joint nullspaces
+_REDUCTION_H = 1e-2  # width of the 7-point stencils of curve-level reductions
 
 
-def _nullspace(M: np.ndarray, rtol: float = _SV_REL_TOL) -> np.ndarray:
+def _nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the nullspace of M (columns)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     U, s, Vt = np.linalg.svd(M)
     if s.size == 0:
         return np.eye(M.shape[1])
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > _SV_REL_TOL * s[0]))
     return Vt[rank:].T
 
 
-def _column_space_contains(big: np.ndarray, cols: np.ndarray,
-                           tol: float = 1e-8) -> bool:
+def _column_space_contains(big: np.ndarray, cols: np.ndarray) -> bool:
     if cols.shape[1] == 0:
         return True
     coeff, *_ = np.linalg.lstsq(big, cols, rcond=None)
-    return float(np.max(np.abs(big @ coeff - cols))) < tol * max(
+    return float(np.max(np.abs(big @ coeff - cols))) < 1e-8 * max(
         1.0, float(np.max(np.abs(cols))))
 
 
@@ -510,8 +511,7 @@ class ContactSplit:
     alpha_residual: float
 
 
-def contact_reduce(orbit: jb.OrbitData, t: float,
-                   h: float = 1e-2) -> ContactSplit:
+def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     """Split the Jacobi plane at t into l(t) inter ker(dF) and r(t) = C - tS.
 
     Requires a unit-speed base point.  ker(dF) is coisotropic with
@@ -532,7 +532,7 @@ def contact_reduce(orbit: jb.OrbitData, t: float,
     dF_row = mx.energy_jet(metric, v0.x, v0.y, order=2).g / (2.0 * F0)
     alpha_row = np.concatenate([mx.legendre(metric, v0), np.zeros(n)])
 
-    sample = jb.jacobi_frame(orbit, t, h=h, order=6)
+    sample = jb.jacobi_frame(orbit, t, h=_REDUCTION_H, order=6)
     setup = coisotropic_setup(orbit.omega, _nullspace(dF_row))
     reduced = reduce_curve(setup, sample.frames)
     c_idx = reduced.center_index
@@ -566,22 +566,23 @@ def contact_reduce(orbit: jb.OrbitData, t: float,
 
 @dataclass(frozen=True)
 class SubmersionScenario:
-    """Isometric submersion in charts with closed-form fiber data.
+    """Isometric submersion by the chart projection (x1, x2, x3) -> (x1, x2).
 
-    constraint_grad(x, y) returns the n_fib x 2n Jacobian of the horizontal
-    constraints c_a(x, y) = g(x)(y, k_a(x)) in closed form;
-    constraint_grad_numeric recomputes it from the metric and fiber data
+    The fiber is spanned by d/dx3 and the pushforward of (x, y) is
+    (x[:2], y[:2]).  constraint_grad(x, y) returns the n_fib x 2n Jacobian
+    of the horizontal constraints c_a(x, y) = g(x)(y, k_a(x)) in closed
+    form; constraint_grad_numeric recomputes it from the metric and fiber
     alone, as a cross-check.
     """
 
     name: str
     total: mx.MetricSpec
     base: mx.MetricSpec
-    f: Callable
-    df: Callable
-    fiber: Callable
     constraint_grad: Callable
     suggested_x: np.ndarray
+
+    def fiber(self, x):
+        return [[0.0], [0.0], [1.0]]   # the columns k_a(x): d/dx3
 
     def constraint_grad_numeric(self, x, y):
         """Jet linearization of the horizontal-cone conditions (one pass)."""
@@ -600,25 +601,6 @@ class SubmersionScenario:
         return np.array(rows)
 
 
-_SCENARIOS = {}
-
-
-def _register_scenario(name: str, builder: Callable):
-    _SCENARIOS[name] = builder
-
-
-def submersion_scenario(name: str) -> SubmersionScenario:
-    if name not in _SCENARIOS:
-        raise DimensionMismatch(
-            f"unknown submersion scenario {name!r}; known: "
-            + ", ".join(sorted(_SCENARIOS)))
-    return _SCENARIOS[name]()
-
-
-def list_scenarios():
-    return sorted(_SCENARIOS)
-
-
 def _trivial_scenario() -> SubmersionScenario:
     total = mx.zoo_metric("euclidean", n=3)
     base = mx.zoo_metric("euclidean", n=2)
@@ -631,15 +613,12 @@ def _trivial_scenario() -> SubmersionScenario:
     return SubmersionScenario(
         name="trivial",
         total=total, base=base,
-        f=lambda x: np.asarray(x[:2], dtype=float),
-        df=lambda x: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-        fiber=lambda x: [[0.0], [0.0], [1.0]],
         constraint_grad=grad,
         suggested_x=np.array([0.1, -0.2, 0.4]),
     )
 
 
-def _hopf_scenario(radius: float = 1.0) -> SubmersionScenario:
+def _hopf_scenario(radius: float) -> SubmersionScenario:
     # Euler-angle chart (theta, phi, psi) of the round 3-sphere; the fiber
     # direction is d/dpsi and the base is the round 2-sphere of half radius
     s2 = radius * radius / 4.0
@@ -670,19 +649,30 @@ def _hopf_scenario(radius: float = 1.0) -> SubmersionScenario:
         return out
 
     return SubmersionScenario(
-        name="hopf" if radius == 1.0 else f"hopf-scaled",
+        name="hopf" if radius == 1.0 else "hopf-scaled",
         total=total, base=base,
-        f=lambda x: np.asarray(x[:2], dtype=float),
-        df=lambda x: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-        fiber=lambda x: [[0.0], [0.0], [1.0]],
         constraint_grad=grad,
         suggested_x=np.array([1.2, 0.4, 0.7]),
     )
 
 
-_register_scenario("trivial", _trivial_scenario)
-_register_scenario("hopf", lambda: _hopf_scenario(1.0))
-_register_scenario("hopf-scaled", lambda: _hopf_scenario(2.0))
+_SCENARIOS = {
+    "trivial": _trivial_scenario,
+    "hopf": lambda: _hopf_scenario(1.0),
+    "hopf-scaled": lambda: _hopf_scenario(2.0),
+}
+
+
+def submersion_scenario(name: str) -> SubmersionScenario:
+    if name not in _SCENARIOS:
+        raise DimensionMismatch(
+            f"unknown submersion scenario {name!r}; known: "
+            + ", ".join(sorted(_SCENARIOS)))
+    return _SCENARIOS[name]()
+
+
+def list_scenarios():
+    return sorted(_SCENARIOS)
 
 
 @dataclass
@@ -706,8 +696,8 @@ def horizontal_part(g, fiber, w) -> np.ndarray:
 
 
 def submersion_curvature(scenario: SubmersionScenario, v, w,
-                         resolution: int = jb.DEFAULT_RESOLUTION,
-                         h: float = 1e-2) -> SubmersionResult:
+                         resolution: int = jb.DEFAULT_RESOLUTION
+                         ) -> SubmersionResult:
     """Curvature comparison along a horizontal flag of a submersion.
 
     v must lie in the horizontal cone (checked through the defining equality
@@ -723,7 +713,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     v = mx.PhasePoint(x, y)
 
     F1 = total.F_value(x, y)
-    F2 = scenario.base.F_value(scenario.f(x), scenario.df(x) @ y)
+    F2 = scenario.base.F_value(x[:2], y[:2])
     if abs(F1 - F2) > 1e-9:
         raise HorizontalityViolation(
             f"F1(v) = {F1} but F2(f_* v) = {F2}: v is not horizontal")
@@ -740,6 +730,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
         raise HorizontalityViolation("w degenerates after horizontalization")
     w = w / norm
 
+    h = _REDUCTION_H
     orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
                          resolution=jb.frame_resolution(h, resolution))
     sample = jb.jacobi_frame(orbit, 0.0, h=h, order=6)

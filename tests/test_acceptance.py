@@ -251,7 +251,8 @@ def test_criterion_11_katok_constancy():
     worst = 0.0
     for eps in (0.1, 0.3):
         flags = sample_flags(rng, 2, 30, 0.8)
-        worst = max(worst, df.katok_curvature_check(eps, flags))
+        K = df.katok_curvature(eps, flags)
+        worst = max(worst, float(np.max(np.abs(K - 1.0))))
     report(11, "perturbed sphere keeps flag curvature 1 (eps 0.1, 0.3; "
                "30 unit flags each)", worst, 1e-3,
            time.perf_counter() - t0, 60.0)

@@ -12,7 +12,7 @@ import pytest
 from fanning_lab import cli
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
-from fanning_lab.errors import ConfigError
+from fanning_lab.errors import ConfigError, OutOfChart
 from fanning_lab.selftest import CheckResult
 
 
@@ -115,6 +115,22 @@ def test_selftest_reads_its_orbit_at_multiples_of_stencil_h(capsys):
     # nearest multiples, all of them grid nodes
     assert cli.main(["selftest", "--stencil-h", "7e-4"]) == cli.EXIT_OK
     assert capsys.readouterr().out.endswith("29/29 checks passed\n")
+
+
+def test_invariants_along_orbit_residual_includes_energy_drift(tmp_path):
+    # W - g is 0 by construction at t = 0; F(x_t, y_t) - 1 of the geodesic
+    # samples is the part of the residual that a coarse orbit can fail
+    cfg = {"experiment": "invariants-along-orbit", "seed": 3,
+           "metric": {"id": "sphere"}, "orbit_time": 1.0,
+           "steps_per_unit": 1}
+    out, summary, code = run_cfg(cfg, tmp_path)
+    assert code == cli.EXIT_OK
+    assert 1e-9 < summary["max_residual"] < 1e-6
+    _, summary, code = run_cfg(dict(cfg, tolerance=1e-9), tmp_path, "tight")
+    assert code == cli.EXIT_TOLERANCE
+    assert not summary["passed"]
+    csv = "invariants-along-orbit.csv"
+    assert (tmp_path / "tight" / csv).read_bytes() == (out / csv).read_bytes()
 
 
 def test_invariants_along_orbit_columns(tmp_path):
@@ -497,6 +513,23 @@ def test_main_maps_other_escapes_to_numeric_failure(tmp_path, capsys,
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err == "numeric failure: LinAlgError: Singular matrix\n"
+
+
+@pytest.mark.parametrize("exc", [OutOfChart("orbit left the chart at t=0.5"),
+                                 ValueError("bad\nvalue")],
+                         ids=["OutOfChart", "ValueError"])
+def test_selftest_command_maps_escapes_to_numeric_failure(capsys, monkeypatch,
+                                                          exc):
+    # the selftest subcommand goes through the same handlers as `run`
+    def fail(**kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_selftest", fail)
+    assert cli.main(["selftest"]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_main_list_metrics(capsys):

@@ -330,5 +330,6 @@ def test_katok_curvature_stays_one(rng):
     for _ in range(4):
         flags.append((rng.uniform(-0.8, 0.8, size=2),
                       rng.normal(size=2), rng.normal(size=2)))
-    dev = df.katok_curvature_check(0.3, flags)
-    assert dev < 1e-3
+    K = df.katok_curvature(0.3, flags)
+    assert K.shape == (4,)
+    assert np.max(np.abs(K - 1.0)) < 1e-3

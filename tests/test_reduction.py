@@ -391,7 +391,6 @@ def test_hopf_matches_riemann_oracles():
     w = w - (w @ g @ y) / (y @ g @ y) * y
     res = rd.submersion_curvature(scn, v, w)
     K_tot_oracle = jb.riemann_oracle(scn.total.g, x, y, w)
-    df = scn.df(x)
-    K_base_oracle = jb.riemann_oracle(scn.base.g, scn.f(x), df @ y, df @ w)
+    K_base_oracle = jb.riemann_oracle(scn.base.g, x[:2], y[:2], w[:2])
     assert res.K_total == pytest.approx(K_tot_oracle, abs=1e-3)
     assert res.K_base == pytest.approx(K_base_oracle, abs=2e-2)

@@ -1,7 +1,11 @@
 """Contract of the built-in property suites: pass on defaults, degrade
 visibly with a coarse stencil, and stay seed-robust."""
 
+from fanning_lab.cli import _SETTINGS
 from fanning_lab.selftest import run_selftest
+
+# the defaults of the selftest command and experiment
+DEFAULTS = {key: default for key, (_, default) in _SETTINGS["selftest"].items()}
 
 STENCIL_SENSITIVE = {
     "frame-independence",
@@ -13,13 +17,13 @@ STENCIL_SENSITIVE = {
 
 
 def test_fresh_build_all_properties_pass():
-    results = run_selftest()
+    results = run_selftest(**DEFAULTS)
     failed = [r.name for r in results if not r.passed]
     assert failed == []
 
 
 def test_degraded_stencil_fails_stencil_dependent_checks():
-    results = run_selftest(stencil_h=0.1)
+    results = run_selftest(**dict(DEFAULTS, stencil_h=0.1))
     failed = {r.name for r in results if not r.passed}
     # the stencil-driven checks must fail and report their residuals
     assert STENCIL_SENSITIVE <= failed
@@ -32,6 +36,7 @@ def test_degraded_stencil_fails_stencil_dependent_checks():
 
 
 def test_pass_fail_pattern_is_seed_robust():
-    base = [(r.name, r.passed) for r in run_selftest(seed=20240811)]
-    other = [(r.name, r.passed) for r in run_selftest(seed=987654)]
+    base = [(r.name, r.passed) for r in run_selftest(**DEFAULTS)]
+    other = [(r.name, r.passed)
+             for r in run_selftest(**dict(DEFAULTS, seed=987654))]
     assert base == other
