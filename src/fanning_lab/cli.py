@@ -273,22 +273,13 @@ def _run_invariants_along_orbit(s):
     return header, rows, worst, s["tolerance"]
 
 
-def _default_submersion_flag(scn):
-    x = scn.suggested_x
-    g = np.array(scn.total.g(list(x)), dtype=float)
-    k = scn.fiber(list(x))
-    v = rd.horizontal_part(g, k, [1.0, 0.4, 0.0])
-    w = rd.horizontal_part(g, k, [0.3, 1.0, 0.0])
-    return mx.PhasePoint(x, v), w
-
-
 def _run_submersion(s):
     header = ["scenario", "K_total", "K_base", "correction", "residual"]
     rows = []
     worst = 0.0
     for name in s["scenarios"]:
         scn = rd.submersion_scenario(name)
-        v, w = _default_submersion_flag(scn)
+        v, w = scn.default_flag()
         res = rd.submersion_curvature(scn, v, w,
                                       resolution=s["steps_per_unit"])
         worst = max(worst, res.residual)

@@ -29,7 +29,8 @@ from . import fanning as fc
 from . import jacobi as jb
 from . import metrics as mx
 from . import numkit as nk
-from .errors import InternalInconsistency, SmallnessViolation, raise_at
+from .errors import (InternalInconsistency, SmallnessViolation,
+                     batch_labels, raise_at)
 from .jets import Jet, jet_variables
 
 __all__ = [
@@ -76,21 +77,19 @@ class ClosedOneForm:
         return worst
 
 
-def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm,
-                     points) -> float:
-    """sup of the dual norm F0*(-theta) over the sample grid (must stay
-    < 1): F0 + theta is positive exactly where -theta(y) < F0(y) for every
-    y != 0, which on a non-reversible base is not F0*(theta) < 1."""
-    worst = 0.0
-    for x in points:
+def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm, points):
+    """The dual norm F0*(-theta) must stay < 1 at each sample point: F0 +
+    theta is positive exactly where -theta(y) < F0(y) for every y != 0,
+    which on a non-reversible base is not F0*(theta) < 1.  A failure names
+    the lowest failing point by its x, after its flag label in a batch."""
+    points = np.asarray(points, dtype=float)
+    norms = np.zeros(len(points))
+    for k, x in enumerate(points):
         th = np.array([nk.scalar_value(v) for v in form.theta(list(x))])
-        if np.linalg.norm(th) == 0.0:
-            continue
-        worst = max(worst, mx.conorm(base, x, -th))
-    if worst >= 1.0:
-        raise SmallnessViolation(
-            f"F0*(-theta) reaches {worst:.3f} >= 1 on the grid")
-    return worst
+        if np.linalg.norm(th) != 0.0:
+            norms[k] = mx.conorm(base, x, -th)
+    raise_at(SmallnessViolation, norms >= 1.0,
+             lambda i: f"F0*(-theta) = {norms[i]:.3g} >= 1 at x={points[i]}")
 
 
 def projective_deform(base: mx.MetricSpec, form: ClosedOneForm,
@@ -98,31 +97,25 @@ def projective_deform(base: mx.MetricSpec, form: ClosedOneForm,
     """The deformed metric F = F0 + theta (Randers-type).
 
     Validates closedness of theta (1e-10 on samples) and the smallness
-    condition sup F0*(-theta) < 1 on a grid of the chart box.  Bases outside
-    the Riemannian and Randers families get the jet of F^2 from the base's
-    energy jet, so a dual-norm base never sees jet arguments in its F.
+    condition sup F0*(-theta) < 1 at the sample points, which are the flag
+    points of a batch (a failure names its flag), or else the grid of the
+    chart box (a failure names the grid point).  A Riemannian base gives a
+    Randers metric; every other base, Randers included, gets the jet of F^2
+    from the base's energy jet, so a dual-norm base never sees jet
+    arguments in its F.
     """
-    points = (sample_points if sample_points is not None
-              else base.domain.grid())
+    grid = sample_points is None
+    points = base.domain.grid() if grid else sample_points
     res = form.closedness_residual(points[:: max(1, len(points) // 16)])
     if res > 1e-10:
         raise SmallnessViolation(
             f"one-form is not closed: antisymmetry defect {res:.2e}")
-    _check_smallness(base, form, points)
+    with batch_labels(lambda i: None if grid else f"flag {i}"):
+        _check_smallness(base, form, points)
 
     theta = form.theta
     if base.family == "riemannian":
         return mx.randers_metric(base.g, theta, base.n, base.domain,
-                                 name=base.name + "+form")
-    if base.family == "randers":
-        beta0 = base.beta
-
-        def beta(x):
-            t = theta(x)
-            b = beta0(x)
-            return [bi + ti for bi, ti in zip(b, t)]
-
-        return mx.randers_metric(base.g, beta, base.n, base.domain,
                                  name=base.name + "+form")
 
     n = base.n

@@ -295,8 +295,8 @@ def invariants(fs: FrameStencil,
     P, Q = pq_coefficients(ft)
     F = fundamental_endomorphism(ft)
     Fdot, Hframe, P_ell, P_h = horizontal_data(ft)
-    S = 2.0 * Q - 0.5 * (P @ P) - Pdot
     K = jacobi_endomorphism(ft, Pdot)
     W = None if omega is None else wronskian(ft, omega)
     return FanningInvariants(F=F, Fdot=Fdot, Hframe=Hframe, P=P, Q=Q,
-                             Pdot=Pdot, Schwarzian=S, K=K, W=W)
+                             Pdot=Pdot, Schwarzian=schwarzian(ft, Pdot),
+                             K=K, W=W)

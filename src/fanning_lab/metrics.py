@@ -468,21 +468,22 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
 # metrics defined through a dual norm
 # ---------------------------------------------------------------------------
 
-def _support_newton(costar, x, v, warm=None):
+def _support_newton(costar, x, v, warm):
     """Maximize xi . v over the unit level of costar(x, .) by damped Newton.
 
     Float-only: one order-2 jet of costar in xi gives the value, gradient and
     Hessian of each KKT residual, and np.linalg.solve takes the step.
     x and v of shape S+(n,) solve a batch in lockstep: each point keeps its
     own convergence mask and step-halving line search, so its iterates are
-    those of a solve on its own.  Returns (F, xi) with F = xi . v the
+    those of a solve on its own.  The first iterate is warm, shape S+(n,),
+    scaled onto the unit level.  Returns (F, xi) with F = xi . v the
     support value.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     xc = components(x)
-    xi = np.array(warm if warm is not None else v, dtype=float)
+    xi = np.array(warm, dtype=float)
     xi = xi / np.asarray(costar(xc, components(xi)))[..., None]
     mu = (xi * v).sum(axis=-1)
 
@@ -548,10 +549,8 @@ def _dual_energy_jet(costar, warm_start, n, x, y, order):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    warm = None
-    if warm_start is not None:
-        warm = np.stack(warm_start(components(x), components(y)), axis=-1)
-    F0, xi_unit = _support_newton(costar, x, y, warm=warm)
+    warm = np.stack(warm_start(components(x), components(y)), axis=-1)
+    F0, xi_unit = _support_newton(costar, x, y, warm)
     p0 = np.asarray(F0)[..., None] * xi_unit
 
     hvars = jet_variables(np.concatenate([x, p0], axis=-1), order=order)
@@ -606,8 +605,7 @@ def _dual_energy_jet(costar, warm_start, n, x, y, order):
                T=None if e3 is None else 2.0 * e3)
 
 
-def dual_metric(costar: Callable, n: int, domain: Box,
-                warm_start: Optional[Callable] = None,
+def dual_metric(costar: Callable, n: int, domain: Box, warm_start: Callable,
                 name: str = "dual") -> MetricSpec:
     """Metric F(x, v) = max{ xi(v) : costar(x, xi) = 1 }.
 
@@ -615,15 +613,14 @@ def dual_metric(costar: Callable, n: int, domain: Box,
     Lagrange multiplier (max 50 iterations, KKT residual below 1e-12) and
     takes floats only; the jet of F^2 is produced by implicit
     differentiation at the Legendre point, so no derivative ever runs
-    through the Newton iteration.
+    through the Newton iteration.  warm_start(xs, ys) gives the components
+    of the covector the solve starts from (ys itself is a valid start).
     """
 
     def F(xs, ys):
-        warm = None
-        if warm_start is not None:
-            warm = np.stack(warm_start(xs, ys), axis=-1)
         return _support_newton(costar, np.stack(xs, axis=-1),
-                               np.stack(ys, axis=-1), warm=warm)[0]
+                               np.stack(ys, axis=-1),
+                               np.stack(warm_start(xs, ys), axis=-1))[0]
 
     def ejet(x, y, order):
         return _dual_energy_jet(costar, warm_start, n, x, y, order)

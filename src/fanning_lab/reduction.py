@@ -13,15 +13,16 @@ S: the reduced curve is the contact part l(t) inter ker dF of the Jacobi
 curve, complementary to C - tS.  The submersion front-end takes W the
 tangent space of the horizontal-cone bundle of an isometric submersion; the
 shipped scenarios, the trivial product and the Hopf fibrations, all project
-(x1, x2, x3) -> (x1, x2), and their closed-form horizontal distributions
-make W exact.  Both read 7-point stencils of width `_REDUCTION_H`.
+(x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
+horizontal-cone conditions, taken from one jet pass of the metric and the
+fiber.  Both read 7-point stencils of width `_REDUCTION_H`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -105,10 +106,6 @@ class CoisotropicSetup:
     WomegaBasis: np.ndarray
     quotient_basis: np.ndarray
     omega_R: Optional[fc.SymplecticForm]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.Wbasis.shape[0]
 
     @property
     def quotient_dim(self) -> int:
@@ -570,21 +567,29 @@ class SubmersionScenario:
 
     The fiber is spanned by d/dx3 and the pushforward of (x, y) is
     (x[:2], y[:2]).  constraint_grad(x, y) returns the n_fib x 2n Jacobian
-    of the horizontal constraints c_a(x, y) = g(x)(y, k_a(x)) in closed
-    form; constraint_grad_numeric recomputes it from the metric and fiber
-    alone, as a cross-check.
+    of the horizontal constraints c_a(x, y) = g(x)(y, k_a(x)) from one jet
+    pass of the metric and the fiber; default_flag() is the horizontal flag
+    the CLI and the selftest run at suggested_x.
     """
 
     name: str
     total: mx.MetricSpec
     base: mx.MetricSpec
-    constraint_grad: Callable
     suggested_x: np.ndarray
 
     def fiber(self, x):
         return [[0.0], [0.0], [1.0]]   # the columns k_a(x): d/dx3
 
-    def constraint_grad_numeric(self, x, y):
+    def default_flag(self):
+        """Horizontal (v, w) at suggested_x: the parts of (1, 0.4, 0) and
+        (0.3, 1, 0) g-orthogonal to the fiber."""
+        x = self.suggested_x
+        g = np.array(self.total.g(list(x)), dtype=float)
+        k = self.fiber(list(x))
+        return (mx.PhasePoint(x, horizontal_part(g, k, [1.0, 0.4, 0.0])),
+                horizontal_part(g, k, [0.3, 1.0, 0.0]))
+
+    def constraint_grad(self, x, y):
         """Jet linearization of the horizontal-cone conditions (one pass)."""
         n = self.total.n
         zs = jet_variables(list(x) + list(y), order=2)
@@ -604,16 +609,9 @@ class SubmersionScenario:
 def _trivial_scenario() -> SubmersionScenario:
     total = mx.zoo_metric("euclidean", n=3)
     base = mx.zoo_metric("euclidean", n=2)
-
-    def grad(x, y):
-        out = np.zeros((1, 6))
-        out[0, 5] = 1.0
-        return out
-
     return SubmersionScenario(
         name="trivial",
         total=total, base=base,
-        constraint_grad=grad,
         suggested_x=np.array([0.1, -0.2, 0.4]),
     )
 
@@ -639,19 +637,9 @@ def _hopf_scenario(radius: float) -> SubmersionScenario:
                                  name=f"hopf-total(r={radius})")
     base = mx.riemannian_metric(g_base, 2, box2,
                                 name=f"hopf-base(r={radius})")
-
-    def grad(x, y):
-        # c(x, y) = s2 (cos(x1) y2 + y3)
-        out = np.zeros((1, 6))
-        out[0, 0] = -s2 * math.sin(x[0]) * y[1]
-        out[0, 4] = s2 * math.cos(x[0])
-        out[0, 5] = s2
-        return out
-
     return SubmersionScenario(
         name="hopf" if radius == 1.0 else "hopf-scaled",
         total=total, base=base,
-        constraint_grad=grad,
         suggested_x=np.array([1.2, 0.4, 0.7]),
     )
 
@@ -703,8 +691,8 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     v must lie in the horizontal cone (checked through the defining equality
     of norms); w is projected onto the horizontal tangent space orthogonal
     to v and normalized.  The coisotropic subspace is the tangent space of
-    the horizontal-cone bundle at v, assembled from the scenario's
-    closed-form constraint linearization.
+    the horizontal-cone bundle at v, the kernel of the scenario's
+    constraint linearization.
     """
     total = scenario.total
     n = total.n
@@ -718,9 +706,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
         raise HorizontalityViolation(
             f"F1(v) = {F1} but F2(f_* v) = {F2}: v is not horizontal")
 
-    dc = np.atleast_2d(np.asarray(scenario.constraint_grad(x, y),
-                                  dtype=float))
-    Wbasis = _nullspace(dc)
+    Wbasis = _nullspace(scenario.constraint_grad(x, y))
 
     g = mx.fundamental_tensor(total, v)
     # project w onto the horizontal space, g-orthogonal to v, unit length

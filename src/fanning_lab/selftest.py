@@ -20,6 +20,7 @@ from . import jacobi as jb
 from . import metrics as mx
 from . import numkit as nk
 from . import reduction as rd
+from .errors import DegenerateRestriction, TransversalityFailure
 from .jets import Jet, jet_variables
 
 __all__ = ["CheckResult", "run_selftest"]
@@ -274,7 +275,7 @@ def run_selftest(seed: int, stencil_h: float):
         try:
             red = rd.reduce_curve(setup, fs)
             oneill = rd.oneill_endomorphism(setup, fs)
-        except Exception:
+        except (TransversalityFailure, DegenerateRestriction):
             continue
         done += 1
         c_idx = red.center_index
@@ -289,10 +290,7 @@ def run_selftest(seed: int, stencil_h: float):
     check("oneill-formula-equality", eq, 1e-3)
 
     scn = rd.submersion_scenario("hopf")
-    xh = scn.suggested_x
-    g = np.array(scn.total.g(list(xh)), float)
-    yh = rd.horizontal_part(g, scn.fiber(list(xh)), [1.0, 0.4, 0.0])
-    res = rd.submersion_curvature(scn, mx.PhasePoint(xh, yh), [0.3, 1.0, 0.0])
+    res = rd.submersion_curvature(scn, *scn.default_flag())
     check("hopf-oneill-triple",
           max(abs(res.K_base - 4.0), abs(res.K_total - 1.0),
               abs(res.correction - 3.0)),

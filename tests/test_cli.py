@@ -532,6 +532,27 @@ def test_selftest_command_maps_escapes_to_numeric_failure(capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cfg, code, prefix", [
+    ({"experiment": "katok", "samples": 2, "x_radius": 1000.0},
+     cli.EXIT_NUMERIC, "numeric failure: epsilon 0.1: "),
+    ({"experiment": "projective", "metric": {"id": "hyperbolic"}},
+     cli.EXIT_CONFIG, "config error: "),
+    ({"experiment": "curvature-grid",
+      "metric": {"id": "sphere", "params": {"radius": 0}}},
+     cli.EXIT_CONFIG, "config error: "),
+], ids=["katok-off-chart", "projective-hyperbolic", "sphere-radius-0"])
+def test_main_reports_each_failure_in_one_line(tmp_path, capsys, cfg, code,
+                                               prefix):
+    # a katok failure carries its epsilon; the projective experiment takes
+    # only the sphere and euclidean bases; a sphere needs a positive radius
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["run", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert len(err.splitlines()) == 1
+
+
 def test_main_list_metrics(capsys):
     assert cli.main(["list-metrics"]) == cli.EXIT_OK
     text = capsys.readouterr().out

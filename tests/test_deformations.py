@@ -77,6 +77,25 @@ def test_projective_smallness_uses_the_dual_norm_of_minus_theta():
         df.projective_deform(base, constant_form(th), sample_points=[x])
 
 
+def test_projective_smallness_failure_names_its_flag():
+    # theta = d(0.25 x1^2): F0*(-theta) = 0.5 |x1|, 1.5 at the second flag;
+    # the flag points are the only sample points of the rhs check
+    euclid = mx.zoo_metric("euclidean")
+    form = df.ClosedOneForm(theta=lambda x: [0.5 * x[0], 0.0 * x[1]],
+                            potential=lambda x: 0.25 * x[0] * x[0])
+    x = np.array([[0.2, 0.0], [3.0, 0.0]])
+    y = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(SmallnessViolation, match=r"^flag 1: "):
+        df.projective_curvature_rhs(euclid, form, pp(x, y), y[::-1])
+
+
+def test_projective_smallness_failure_on_the_grid_names_no_flag():
+    euclid = mx.zoo_metric("euclidean")
+    with pytest.raises(SmallnessViolation, match=r"^F0\*\(-theta\) = 1.4 "
+                                                 r">= 1 at x=\[-50\. -50\.\]$"):
+        df.projective_deform(euclid, constant_form((1.4, 0.0)))
+
+
 def test_projective_zero_form_is_identity(rng):
     sphere = mx.zoo_metric("sphere")
     deformed = df.projective_deform(sphere, constant_form((0.0, 0.0)))
@@ -261,6 +280,20 @@ def test_projective_formula_on_dual_norm_base(rng):
         K_direct = jb.flag_curvature(deformed, pp(x, y), u)
         K_formula = df.projective_curvature_rhs(katok, form, pp(x, y), u)
         assert abs(K_direct - K_formula) < 1e-6
+
+
+def test_projective_formula_on_randers_base(rng):
+    # a Randers base takes the generic branch, like every non-Riemannian one
+    base = mx.zoo_metric("randers", b=(0.25, 0.05))
+    form = exact_form(0.2)
+    deformed = df.projective_deform(base, form)
+    assert deformed.family == "custom"
+    x = rng.uniform(-0.5, 0.5, size=(6, 2))
+    y = rng.normal(size=(6, 2))
+    u = rng.normal(size=(6, 2))
+    K_direct = jb.flag_curvature(deformed, pp(x, y), u)
+    K_formula = df.projective_curvature_rhs(base, form, pp(x, y), u)
+    assert np.max(np.abs(K_direct - K_formula)) < 1e-6
 
 
 # -- rotational perturbation --------------------------------------------------------

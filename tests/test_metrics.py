@@ -306,7 +306,8 @@ def euclidean_costar(xs, ys):
 
 
 def test_dual_metric_euclidean_self_dual(rng):
-    m = mx.dual_metric(euclidean_costar, 2, mx.Box.cube(2, 2.0))
+    m = mx.dual_metric(euclidean_costar, 2, mx.Box.cube(2, 2.0),
+                       warm_start=lambda x, v: v)
     for _ in range(5):
         v = rng.normal(size=2)
         assert m.F_value([0.1, 0.2], v) == pytest.approx(
@@ -323,7 +324,8 @@ def randers_costar(W):
 
 def test_dual_metric_involution(rng):
     W = (0.4, -0.2)
-    m = mx.dual_metric(randers_costar(W), 2, mx.Box.cube(2, 2.0))
+    m = mx.dual_metric(randers_costar(W), 2, mx.Box.cube(2, 2.0),
+                       warm_start=lambda x, v: v)
     co = randers_costar(W)
     for _ in range(5):
         xi = rng.normal(size=2)
@@ -334,7 +336,8 @@ def test_dual_metric_involution(rng):
 
 def test_dual_metric_conorm_of_legendre_is_norm(rng):
     W = (0.3, 0.1)
-    m = mx.dual_metric(randers_costar(W), 2, mx.Box.cube(2, 2.0))
+    m = mx.dual_metric(randers_costar(W), 2, mx.Box.cube(2, 2.0),
+                       warm_start=lambda x, v: v)
     x = [0.0, 0.0]
     v = rng.normal(size=2)
     xi = mx.legendre(m, pp(x, v))
@@ -350,7 +353,8 @@ def sphere_costar(xs, ys):
 def test_dual_energy_jet_matches_closed_form():
     # the implicit-differentiation jet of the dual-backed sphere must agree
     # with the direct jet of the Riemannian sphere energy
-    m_dual = mx.dual_metric(sphere_costar, 2, mx.Box.cube(2, 3.0))
+    m_dual = mx.dual_metric(sphere_costar, 2, mx.Box.cube(2, 3.0),
+                            warm_start=lambda x, v: v)
     m_direct = mx.zoo_metric("sphere")
     x = np.array([0.3, -0.2])
     y = np.array([0.9, 0.4])
@@ -363,7 +367,8 @@ def test_dual_energy_jet_matches_closed_form():
 
 
 def test_dual_metric_spray_matches_closed_form():
-    m_dual = mx.dual_metric(sphere_costar, 2, mx.Box.cube(2, 3.0))
+    m_dual = mx.dual_metric(sphere_costar, 2, mx.Box.cube(2, 3.0),
+                            warm_start=lambda x, v: v)
     m_direct = mx.zoo_metric("sphere")
     x, y = np.array([0.25, 0.4]), np.array([-0.3, 1.1])
     Gd, DSd = mx.spray_data(m_dual, x, y)
@@ -375,7 +380,8 @@ def test_dual_metric_spray_matches_closed_form():
 def test_dual_metric_energy_jet_gradient_matches_central_difference():
     # gradient of F^2 from the implicit-differentiation jet, against central
     # differences of the Newton-solved F in all four phase directions
-    m = mx.dual_metric(sphere_costar, 2, mx.Box.cube(2, 3.0))
+    m = mx.dual_metric(sphere_costar, 2, mx.Box.cube(2, 3.0),
+                       warm_start=lambda x, v: v)
     z = np.array([0.3, -0.2, 1.0, 0.5])
     J = mx.energy_jet(m, z[:2], z[2:], order=2)
 
@@ -547,7 +553,8 @@ def test_batched_support_newton_names_the_failing_point():
         r = 1.0 - xs[0] * xs[0] - xs[1] * xs[1]
         return nk.sqrt(ys[0] * ys[0] + ys[1] * ys[1]) * r
 
-    m = mx.dual_metric(costar, 2, mx.Box.cube(2, 2.0))
+    m = mx.dual_metric(costar, 2, mx.Box.cube(2, 2.0),
+                       warm_start=lambda x, v: v)
     x = np.array([[0.1, 0.0], [0.0, 0.3], [1.0, 0.0], [0.2, 0.2]])
     y = np.array([[1.0, 0.0]] * 4)
     with np.errstate(all="ignore"), \

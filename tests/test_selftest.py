@@ -1,6 +1,10 @@
 """Contract of the built-in property suites: pass on defaults, degrade
 visibly with a coarse stencil, and stay seed-robust."""
 
+import pytest
+
+from fanning_lab import cli
+from fanning_lab import reduction as rd
 from fanning_lab.cli import _SETTINGS
 from fanning_lab.selftest import run_selftest
 
@@ -40,3 +44,29 @@ def test_pass_fail_pattern_is_seed_robust():
     other = [(r.name, r.passed)
              for r in run_selftest(**dict(DEFAULTS, seed=987654))]
     assert base == other
+
+
+def fail_first_oneill_call(monkeypatch):
+    """Make the first O'Neill assembly, inside the reduction suite's redraw
+    loop, raise a genuine (non-geometric) error."""
+    real, calls = rd.oneill_endomorphism, []
+
+    def once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise TypeError("genuine error")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "oneill_endomorphism", once)
+
+
+def test_reduction_redraw_lets_a_genuine_error_through(monkeypatch, capsys):
+    # only a transversality or degeneracy failure redraws the curve; any
+    # other error would be raised on every draw and loop forever
+    fail_first_oneill_call(monkeypatch)
+    with pytest.raises(TypeError, match="genuine error"):
+        run_selftest(**DEFAULTS)
+    fail_first_oneill_call(monkeypatch)
+    assert cli.main(["selftest"]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: TypeError: genuine error\n")
