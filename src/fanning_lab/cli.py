@@ -311,7 +311,7 @@ def _run_projective(s):
                                            s["x_radius"]))
     flags = mx.PhasePoint(xs, ys)
     Ks = jb.flag_curvature(deformed, flags, us, resolution=resolution)
-    K_formula = df.projective_curvature_rhs(base, form, flags, us,
+    K_formula = df.projective_curvature_rhs(base, form, deformed, flags, us,
                                             resolution=resolution)
     err = np.abs(Ks - K_formula)
     rows = [[i, *vals] for i, vals in enumerate(zip(Ks, K_formula, err))]

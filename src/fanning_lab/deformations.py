@@ -3,9 +3,12 @@ perturbing the dual norm by a rotational isometry field.
 
 Adding a small closed one-form theta keeps the unparametrized geodesics and
 changes the flag curvature by a Schwarzian-type correction built from the
-derivatives of phi = 1/(1 + theta) along the unperturbed spray.  One
-`spray_data` call seeds exact univariate Taylor jets of the base geodesic,
-for a whole batch of flags; the correction is read from them by two routes
+derivatives of phi = 1/(1 + theta) along the unperturbed spray.  The
+deformed metric is built once (its smallness F0*(-theta) < 1 checked by
+one batched `conorm` over the chart grid) and handed to the formula, which
+checks smallness at its own flag points only.  One `spray_data` call seeds
+exact univariate Taylor jets of the base geodesic, for a whole batch of
+flags; the correction is read from them by two routes
 (phi composed with the jets, and the Schwarzian of f(t) = t + h(gamma(t)))
 which must agree to 1e-8 before a value is returned.  Both routes are
 algebraic in the same spray data, so the independent check of the formula
@@ -31,7 +34,7 @@ from . import metrics as mx
 from . import numkit as nk
 from .errors import (InternalInconsistency, SmallnessViolation,
                      batch_labels, raise_at)
-from .jets import Jet, jet_variables
+from .jets import Jet, components, jet_variables
 
 __all__ = [
     "ClosedOneForm",
@@ -45,10 +48,18 @@ __all__ = [
 ]
 
 
-def _jacobian(entries, m: int) -> np.ndarray:
-    """Rows of gradients of jet entries; constant entries give zero rows."""
-    return np.array([e.g if isinstance(e, Jet) else np.zeros(m)
-                     for e in entries])
+def _values(entries, x) -> np.ndarray:
+    """Values of float, array or jet entries at the points x of shape
+    S+(n,), stacked on a last axis: shape S+(len(entries),)."""
+    return np.stack([np.broadcast_to(nk.scalar_value(e), np.shape(x)[:-1])
+                     for e in entries], axis=-1)
+
+
+def _jacobian(entries, x) -> np.ndarray:
+    """Gradients of entries seeded at the points x of shape S+(n,), one row
+    per entry: shape S+(len(entries), n); constant entries give zero rows."""
+    return np.stack([np.broadcast_to(e.g if isinstance(e, Jet) else 0.0,
+                                     np.shape(x)) for e in entries], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -60,58 +71,50 @@ class ClosedOneForm:
 
     def closedness_residual(self, xs) -> float:
         """Max antisymmetry defect of the x-Jacobian of theta over samples."""
-        worst = 0.0
-        for x in xs:
-            jac = _jacobian(self.theta(jet_variables(x, order=2)), len(x))
-            worst = max(worst, float(np.max(np.abs(jac - jac.T))))
-        return worst
+        jac = _jacobian(self.theta(jet_variables(xs, order=2)), xs)
+        return float(np.max(np.abs(jac - jac.swapaxes(-1, -2)), initial=0.0))
 
     def gradient_matches_potential(self, xs) -> float:
         """Max deviation between theta and the differential of the potential."""
-        worst = 0.0
-        for x in xs:
-            th = np.array([nk.scalar_value(v) for v in self.theta(list(x))])
-            grad = _jacobian([self.potential(jet_variables(x, order=2))],
-                             len(x))[0]
-            worst = max(worst, float(np.max(np.abs(grad - th))))
-        return worst
+        seed = jet_variables(xs, order=2)
+        grad = _jacobian([self.potential(seed)], xs)[..., 0, :]
+        return float(np.max(np.abs(grad - _values(self.theta(seed), xs)),
+                            initial=0.0))
 
 
-def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm, points):
-    """The dual norm F0*(-theta) must stay < 1 at each sample point: F0 +
-    theta is positive exactly where -theta(y) < F0(y) for every y != 0,
-    which on a non-reversible base is not F0*(theta) < 1.  A failure names
-    the lowest failing point by its x, after its flag label in a batch."""
-    points = np.asarray(points, dtype=float)
-    norms = np.zeros(len(points))
-    for k, x in enumerate(points):
-        th = np.array([nk.scalar_value(v) for v in form.theta(list(x))])
-        if np.linalg.norm(th) != 0.0:
-            norms[k] = mx.conorm(base, x, -th)
+def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm, x):
+    """Check F0*(-theta) < 1 at each point of the array x, shape S+(n,),
+    with one batched `conorm` where theta != 0: F0 + theta > 0 exactly where
+    -theta(y) < F0(y) for every y != 0, which on a non-reversible base is
+    not F0*(theta) < 1.  A failure names the lowest failing point by its x."""
+    th = _values(form.theta(components(x)), x)
+    solve = np.linalg.norm(th, axis=-1) > 0.0
+    norms = np.zeros(solve.shape)
+    if solve.any():
+        # a failed solve names its x: its index would be one among `solve`
+        with batch_labels(lambda i: None):
+            norms[solve] = mx.conorm(base, x[solve], -th[solve])
     raise_at(SmallnessViolation, norms >= 1.0,
-             lambda i: f"F0*(-theta) = {norms[i]:.3g} >= 1 at x={points[i]}")
+             lambda i: f"F0*(-theta) = {norms[i]:.3g} >= 1 at x={x[i]}")
 
 
-def projective_deform(base: mx.MetricSpec, form: ClosedOneForm,
-                      sample_points=None) -> mx.MetricSpec:
+def projective_deform(base: mx.MetricSpec,
+                      form: ClosedOneForm) -> mx.MetricSpec:
     """The deformed metric F = F0 + theta (Randers-type).
 
-    Validates closedness of theta (1e-10 on samples) and the smallness
-    condition sup F0*(-theta) < 1 at the sample points, which are the flag
-    points of a batch (a failure names its flag), or else the grid of the
-    chart box (a failure names the grid point).  A Riemannian base gives a
-    Randers metric; every other base, Randers included, gets the jet of F^2
-    from the base's energy jet, so a dual-norm base never sees jet
-    arguments in its F.
+    Validates closedness of theta (1e-10) and the smallness condition
+    F0*(-theta) < 1 on the grid of the chart box; a failure names the grid
+    point.  A Riemannian base gives a Randers metric; every other base,
+    Randers included, gets the jet of F^2 from the base's energy jet, so a
+    dual-norm base never sees jet arguments in its F.
     """
-    grid = sample_points is None
-    points = base.domain.grid() if grid else sample_points
-    res = form.closedness_residual(points[:: max(1, len(points) // 16)])
+    grid = base.domain.grid()
+    res = form.closedness_residual(grid[:: max(1, len(grid) // 16)])
     if res > 1e-10:
         raise SmallnessViolation(
             f"one-form is not closed: antisymmetry defect {res:.2e}")
-    with batch_labels(lambda i: None if grid else f"flag {i}"):
-        _check_smallness(base, form, points)
+    with batch_labels(lambda i: None):
+        _check_smallness(base, form, grid)
 
     theta = form.theta
     if base.family == "riemannian":
@@ -185,7 +188,7 @@ def _orbit_jets(base: mx.MetricSpec, x, y):
 
 
 def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
-                             v: mx.PhasePoint, u,
+                             deformed: mx.MetricSpec, v: mx.PhasePoint, u,
                              resolution: int = jb.DEFAULT_RESOLUTION):
     """Predicted flag curvature of F0 + theta from unperturbed data.
 
@@ -203,13 +206,13 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     test no derivative numerics; the independent check is the direct
     curvature of the deformed metric against this value.
 
-    v and u may hold a batch of flags (shape S+(n,)).  Returns a float for
-    a single flag and an array of shape S for a batch; an error names the
-    lowest failing flag.
+    deformed is the caller's `projective_deform(base, form)`; smallness is
+    checked here at the flag points only.  v and u may hold a batch of
+    flags (shape S+(n,)).  Returns a float for a single flag and an array
+    of shape S for a batch; an error names the lowest failing flag.
     """
     x = v.x
-    deformed = projective_deform(base, form,
-                                 sample_points=x.reshape(-1, base.n))
+    _check_smallness(base, form, x)
     y = v.y / np.asarray(deformed.F_value(x, v.y))[..., None]
     gF = mx.fundamental_tensor(deformed, mx.PhasePoint(x, y))
     w = jb._canonical_flag_vector(gF, y, np.asarray(u, dtype=float))
@@ -227,7 +230,7 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     # same prediction through the Schwarzian of f(t) = t + h(gamma(t))
     fjet = form.potential(x3)
     if not isinstance(fjet, Jet):
-        fjet = Jet.constant(fjet, 1, 3)
+        fjet = Jet(1, 3, fjet)
     fdot = 1.0 + fjet.g[..., 0]
     schw = fc.schwarzian_of_map(fdot, fjet.H[..., 0, 0], fjet.T[..., 0, 0, 0])
     rhs_f = (K0 - 0.5 * schw) / (fdot * fdot)
@@ -251,24 +254,19 @@ def killing_residual(g_callable, V: Callable, xs) -> float:
     """Max norm of the Lie derivative of g along V over sample points.
 
     (L_V g)_ij = V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k, with all
-    derivatives taken from one jet pass per sample point.
+    derivatives taken from one jet pass over the points xs, shape S+(n,).
     """
-    worst = 0.0
-    for x in xs:
-        n = len(x)
-        seed = jet_variables(x, order=2)
-        Vs = V(seed)
-        Gs = [e for row in g_callable(seed) for e in row]
-        Vx = np.array([nk.scalar_value(z) for z in Vs])
-        G = np.array([nk.scalar_value(e) for e in Gs]).reshape(n, n)
-        # dg[k, i, j] = d_k g_ij and dV[k, i] = d_k V^i
-        dg = _jacobian(Gs, n).T.reshape(n, n, n)
-        dV = _jacobian(Vs, n).T
-        lie = (np.einsum("k,kij->ij", Vx, dg)
-               + np.einsum("kj,ik->ij", G, dV)
-               + np.einsum("ik,jk->ij", G, dV))
-        worst = max(worst, float(np.max(np.abs(lie))))
-    return worst
+    S, n = np.shape(xs)[:-1], np.shape(xs)[-1]
+    seed = jet_variables(xs, order=2)
+    Vs = V(seed)
+    Gs = [e for row in g_callable(seed) for e in row]
+    G = _values(Gs, xs).reshape(S + (n, n))
+    dg = _jacobian(Gs, xs).reshape(S + (n, n, n))   # [..., i, j, k] = d_k g_ij
+    dV = _jacobian(Vs, xs)                           # [..., i, k] = d_k V^i
+    lie = (np.einsum("...k,...ijk->...ij", _values(Vs, xs), dg)
+           + np.einsum("...kj,...ki->...ij", G, dV)
+           + np.einsum("...ik,...kj->...ij", G, dV))
+    return float(np.max(np.abs(lie), initial=0.0))
 
 
 def katok_metric(epsilon: float) -> mx.MetricSpec:

@@ -50,7 +50,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -303,17 +302,6 @@ class JacobiCurveSample:
     invariants: fc.FanningInvariants
 
 
-@lru_cache(maxsize=16)
-def _node_weights(h: float, order: int) -> np.ndarray:
-    """First-derivative weights at each node of a stencil, on its own
-    nodes: row j differentiates at node j.  They depend on the node
-    spacing alone, so one matrix, built at t = 0, serves every t."""
-    nodes = nk.Stencil(0.0, h, order).nodes
-    W = np.array([nk.fornberg_weights(z, nodes, 1) for z in nodes])
-    W.flags.writeable = False
-    return W
-
-
 def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
                  order: int = 4) -> JacobiCurveSample:
     """Sample the Jacobi curve around t, for every flag of the orbit at once.
@@ -326,7 +314,7 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
     stc = nk.Stencil(t, h, order)
     As, Adots = zip(*(orbit.frame_data(tn) for tn in stc.nodes))
     triples = []
-    for j, w in enumerate(_node_weights(h, order)):
+    for j, w in enumerate(nk.node_weights(h, order)):
         Addot = sum(wk * Ak for wk, Ak in zip(w, Adots))
         triples.append(fc.FrameTriple(As[j], Adots[j], Addot))
     frames = fc.FrameStencil(stc, tuple(triples))

@@ -102,10 +102,6 @@ class Jet:
 
     # -- construction -------------------------------------------------------
 
-    @staticmethod
-    def constant(value, m, order):
-        return Jet(m, order, value)
-
     def _like(self, v, g, H, T):
         return Jet(self.m, self.order, v, g, H, T)
 
@@ -163,7 +159,7 @@ class Jet:
 
     def __pow__(self, p):
         if isinstance(p, int) and p >= 0:
-            out = Jet.constant(1.0, self.m, self.order)
+            out = Jet(self.m, self.order, 1.0)
             base, k = self, p
             while k:
                 if k & 1:
@@ -218,10 +214,6 @@ class Jet:
         return self._compose(c, -s, -c, s)
 
     # -- accessors -----------------------------------------------------------
-
-    @property
-    def value(self):
-        return self.v
 
     def check_finite(self):
         """Raise NonFiniteValue, naming the lowest failing batch index, if

@@ -237,50 +237,33 @@ def legendre(m: MetricSpec, p: PhasePoint) -> np.ndarray:
 
 
 def legendre_inverse(m: MetricSpec, x, xi, warm=None) -> np.ndarray:
-    """Solve legendre(m, (x, v)) = xi for v by damped Newton.
+    """Solve legendre(m, (x, v)) = xi for v by `_newton`, from warm (xi by
+    default), for x and xi of shape S+(n,).
 
-    The fiber Jacobian of the Legendre transform is the fundamental tensor,
-    which is SPD, so plain Newton with step halving is reliable: it stops
-    at a residual below 1e-12, within 50 steps.
+    The fiber Jacobian of the Legendre transform is the fundamental tensor
+    g (SPD), so one `fundamental_tensor` call per iterate gives both the
+    residual g v - xi and its Jacobian g.  A zero iterate is never taken.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     v = np.array(warm if warm is not None else xi, dtype=float)
-    if np.linalg.norm(v) == 0.0:
-        raise NewtonDivergence("Legendre inversion needs a nonzero start")
+    raise_at(NewtonDivergence, ~(np.linalg.norm(v, axis=-1) > 0.0),
+             lambda i: "Legendre inversion needs a nonzero start")
 
-    def residual(w):
-        return legendre(m, PhasePoint(x, w)) - xi
+    def residual(v):
+        zero = ~(np.linalg.norm(v, axis=-1) > 0.0)[..., None]
+        g = fundamental_tensor(m, PhasePoint(x, np.where(zero, 1.0, v)))
+        return np.where(zero, np.nan, _mv(g, v) - xi), g
 
-    r = residual(v)
-    for _ in range(50):
-        if np.linalg.norm(r) < 1e-12:
-            return v
-        g = fundamental_tensor(m, PhasePoint(x, v))
-        step = np.linalg.solve(g, -r)
-        lam = 1.0
-        for _ in range(30):
-            cand = v + lam * step
-            if np.linalg.norm(cand) > 0.0:
-                rc = residual(cand)
-                if np.linalg.norm(rc) < np.linalg.norm(r):
-                    v, r = cand, rc
-                    break
-            lam *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"Legendre inversion stalled at x={x}, xi={xi}")
-    raise NewtonDivergence(f"Legendre inversion did not converge at x={x}, xi={xi}")
+    return _newton(residual, v, lambda i: (f"Legendre inversion at x={x[i]}, "
+                                           f"xi={xi[i]}"))
 
 
-def conorm(m: MetricSpec, x, xi) -> float:
-    """Dual norm F*(x, xi) = sup{xi(v) : F(x, v) = 1}.
-
-    Computed as F at the Legendre preimage of xi, which realizes the
-    supremum.
+def conorm(m: MetricSpec, x, xi):
+    """Dual norm F*(x, xi) = sup{xi(v) : F(x, v) = 1} (an array S for a
+    batch S+(n,)): F at the Legendre preimage of xi, which realizes it.
     """
-    v = legendre_inverse(m, x, xi)
-    return m.F_value(x, v)
+    return m.F_value(x, legendre_inverse(m, x, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -468,30 +451,13 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
 # metrics defined through a dual norm
 # ---------------------------------------------------------------------------
 
-def _support_newton(costar, x, v, warm):
-    """Maximize xi . v over the unit level of costar(x, .) by damped Newton.
-
-    Float-only: one order-2 jet of costar in xi gives the value, gradient and
-    Hessian of each KKT residual, and np.linalg.solve takes the step.
-    x and v of shape S+(n,) solve a batch in lockstep: each point keeps its
-    own convergence mask and step-halving line search, so its iterates are
-    those of a solve on its own.  The first iterate is warm, shape S+(n,),
-    scaled onto the unit level.  Returns (F, xi) with F = xi . v the
-    support value.
+def _newton(residual, z, where):
+    """Damped Newton on residual(z) = (R, Jacobian of R) from z of shape
+    S+(k,), in lockstep: each point stops at |R| < 1e-12 (50 steps at most)
+    and halves its step until |R| falls (30 times at most), as a solve on
+    its own would.  where(i) names point i in a NewtonDivergence, raised at
+    the lowest index that stalls or does not converge.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
-    xc = components(x)
-    xi = np.array(warm, dtype=float)
-    xi = xi / np.asarray(costar(xc, components(xi)))[..., None]
-    mu = (xi * v).sum(axis=-1)
-
-    def residual(xi, mu):
-        c = costar(xc, jet_variables(xi, order=2))
-        R = np.concatenate([v - mu[..., None] * c.g,
-                            np.asarray(1.0 - c.v)[..., None]], axis=-1)
-        return xi, mu, R, np.linalg.norm(R, axis=-1), c.g, c.H
 
     def merge(mask, new, old):
         """Entries of `new` where mask holds, of `old` elsewhere."""
@@ -500,29 +466,28 @@ def _support_newton(costar, x, v, warm):
         return tuple(np.where(mask[(...,) + (None,) * (a.ndim - mask.ndim)],
                               a, b) for a, b in zip(new, old))
 
-    state = residual(xi, mu)          # (xi, mu, R, |R|, grad, Hessian)
+    def evaluate(z):
+        R, J = residual(z)
+        return z, R, np.linalg.norm(R, axis=-1), J
+
+    state = evaluate(z)               # (z, R, |R|, Jacobian)
     for _ in range(50):
-        xi, mu, R, res, cg, cH = state
+        z, R, res, J = state
         todo = ~(res < 1e-12)         # a NaN residual is not converged
         if not todo.any():
             break
-        J = np.zeros(R.shape + (n + 1,))
-        J[..., :n, :n] = -mu[..., None, None] * cH
-        J[..., :n, n] = J[..., n, :n] = -cg
         rhs = -R
         if not todo.all():
             # converged points solve an identity system: they take no step
-            J, rhs = merge(todo, (J, rhs), (np.eye(n + 1), 0.0 * R))
+            J, rhs = merge(todo, (J, rhs), (np.eye(R.shape[-1]), 0.0 * R))
         step = nk.stacked(np.linalg.solve, NewtonDivergence,
-                          lambda i: "singular system in Newton step",
+                          lambda i: f"{where(i)}: singular Newton system",
                           J, rhs[..., None])[..., 0]
         # every point still searching has halved its step equally often
         lam, pending = 1.0, todo
         for _ in range(30):
-            scale = lam * pending
-            trial = residual(xi + scale[..., None] * step[..., :n],
-                             mu + scale * step[..., n])
-            take = pending & (trial[3] < res)
+            trial = evaluate(z + (lam * pending)[..., None] * step)
+            take = pending & (trial[2] < res)
             state = merge(take, trial, state)
             pending = pending & ~take
             if not pending.any():
@@ -530,12 +495,36 @@ def _support_newton(costar, x, v, warm):
             lam *= 0.5
         else:
             raise_at(NewtonDivergence, pending,
-                     lambda i: (f"support solve stalled at x={x[i]}, "
-                                f"v={v[i]} (residual {res[i]:.2e})"))
-    xi, res = state[0], state[3]
-    raise_at(NewtonDivergence, ~(res < 1e-12),
-             lambda i: f"support solve did not converge at x={x[i]}, v={v[i]}")
-    return (xi * v).sum(axis=-1), xi
+                     lambda i: f"{where(i)} stalled (residual {res[i]:.2e})")
+    raise_at(NewtonDivergence, ~(state[2] < 1e-12),
+             lambda i: f"{where(i)} did not converge")
+    return state[0]
+
+
+def _support_newton(costar, x, v, warm):
+    """Maximize xi . v over the unit level of costar(x, .): `_newton` on the
+    KKT residual in (xi, mu), mu the multiplier, from one order-2 jet of
+    costar in xi per iterate.  x, v and warm (the first xi, scaled onto the
+    unit level) are arrays of shape S+(n,).  Returns (F, xi), F = xi . v.
+    """
+    n = v.shape[-1]
+    xc = components(x)
+    xi = warm / np.asarray(costar(xc, components(warm)))[..., None]
+    mu = (xi * v).sum(axis=-1)
+
+    def residual(z):
+        xi, mu = z[..., :n], z[..., n]
+        c = costar(xc, jet_variables(xi, order=2))
+        R = np.concatenate([v - mu[..., None] * c.g,
+                            np.asarray(1.0 - c.v)[..., None]], axis=-1)
+        J = np.zeros(R.shape + (n + 1,))
+        J[..., :n, :n] = -mu[..., None, None] * c.H
+        J[..., :n, n] = J[..., n, :n] = -c.g
+        return R, J
+
+    z = _newton(residual, np.concatenate([xi, mu[..., None]], axis=-1),
+                lambda i: f"support solve at x={x[i]}, v={v[i]}")
+    return (z[..., :n] * v).sum(axis=-1), z[..., :n]
 
 
 def _dual_energy_jet(costar, warm_start, n, x, y, order):

@@ -14,6 +14,7 @@ n <= 8, so no sparse machinery exists anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "scalar_value",
     "Stencil",
     "fornberg_weights",
+    "node_weights",
     "central_derivative",
     "rk_integrate",
     "rk4_step",
@@ -145,25 +147,33 @@ def fornberg_weights(z: float, nodes, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def _apply_weights(samples, weights):
-    out = weights[0] * np.asarray(samples[0], dtype=float)
-    for w, s in zip(weights[1:], samples[1:]):
-        out = out + w * np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteValue("finite-difference combination is not finite")
-    return out
+@lru_cache(maxsize=16)
+def node_weights(h: float, order: int) -> np.ndarray:
+    """First-derivative weights at each node of a stencil, on its own
+    nodes: row j differentiates at node j.  They depend on the node
+    spacing alone, so one matrix, built at t = 0, serves every t."""
+    nodes = Stencil(0.0, h, order).nodes
+    W = np.array([fornberg_weights(z, nodes, 1) for z in nodes])
+    W.flags.writeable = False
+    return W
 
 
 def central_derivative(samples, stencil: Stencil) -> np.ndarray:
-    """First t-derivative at the stencil center from matrix samples at its nodes.
+    """First t-derivative at the stencil center from matrix samples at its
+    nodes, with the center row of `node_weights`.
 
     Truncation error is O(h^order); samples must match the node count.
     """
     if len(samples) != len(stencil.offsets):
         raise DimensionMismatch(
             f"expected {len(stencil.offsets)} samples, got {len(samples)}")
-    w = fornberg_weights(stencil.t, stencil.nodes, 1)
-    return _apply_weights(samples, w)
+    w = node_weights(stencil.h, stencil.order)[stencil.order // 2]
+    out = w[0] * np.asarray(samples[0], dtype=float)
+    for wk, s in zip(w[1:], samples[1:]):
+        out = out + wk * np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValue("finite-difference combination is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +234,6 @@ def fiber_hessian(f, x, y) -> np.ndarray:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise NonFiniteValue(f"evaluation failed at x={list(x)}, y={list(y)}: {exc}")
     if not isinstance(r, Jet):
-        r = Jet.constant(r, n, 2)
+        r = Jet(n, 2, r)
     H = r.check_finite().H
     return 0.5 * (H + H.T)

@@ -80,9 +80,9 @@ def run_selftest(seed: int, stencil_h: float):
         t0 = float(rng.integers(-3, 4))
         comp = np.polynomial.Polynomial(p)(np.polynomial.Polynomial(q))
         (x,) = jet_variables([t0], order=3)
-        acc = Jet.constant(p[3], 1, 3)
+        acc = Jet(1, 3, p[3])
         for c in (p[2], p[1], p[0]):
-            qq = Jet.constant(q[3], 1, 3)
+            qq = Jet(1, 3, q[3])
             for cq in (q[2], q[1], q[0]):
                 qq = qq * x + cq
             acc = acc * qq + c
@@ -304,7 +304,7 @@ def run_selftest(seed: int, stencil_h: float):
     uu = rng.normal(size=2)
     K_direct = jb.flag_curvature(deformed, mx.PhasePoint(xx, yy), uu,
                                  h=stencil_h)
-    K_formula = df.projective_curvature_rhs(sphere, form,
+    K_formula = df.projective_curvature_rhs(sphere, form, deformed,
                                             mx.PhasePoint(xx, yy), uu)
     check("projective-dual-path", abs(K_direct - K_formula), 1e-3)
 

@@ -18,6 +18,7 @@ from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
 from fanning_lab import reduction as rd
 from fanning_lab.cli import sample_flags
+from fanning_lab.errors import DegenerateRestriction, TransversalityFailure
 
 
 def report(num, desc, worst, tol, elapsed=None, limit=None):
@@ -205,7 +206,7 @@ def test_criterion_09_oneill_formula():
         try:
             red = rd.reduce_curve(setup, fs)
             oneill = rd.oneill_endomorphism(setup, fs)
-        except Exception:
+        except (TransversalityFailure, DegenerateRestriction):
             continue
         done += 1
         a = rng.normal(size=red.h_frames[red.center_index].shape[1])
@@ -226,7 +227,8 @@ def test_criterion_10_projective_formula():
     worst = 0.0
     for x, y, u in sample_flags(rng, 2, 10, 0.6):
         K_direct = jb.flag_curvature(deformed, pp(x, y), u)
-        K_formula = df.projective_curvature_rhs(sphere, form, pp(x, y), u)
+        K_formula = df.projective_curvature_rhs(sphere, form, deformed,
+                                                pp(x, y), u)
         worst = max(worst, abs(K_direct - K_formula))
     report(10, "projective formula vs direct curvature (sphere + exact "
                "form)", worst, 1e-3)
@@ -239,7 +241,7 @@ def test_criterion_10_projective_formula():
     for x, y, u in sample_flags(rng, 2, 3, 1.0):
         worst_flat = max(worst_flat,
                          abs(jb.flag_curvature(flat, pp(x, y), u)),
-                         abs(df.projective_curvature_rhs(euclid, const,
+                         abs(df.projective_curvature_rhs(euclid, const, flat,
                                                          pp(x, y), u)))
     report(10, "projective formula: flat case exactly zero both ways",
            worst_flat, 1e-6)

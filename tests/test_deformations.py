@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import spray_field
+from fanning_lab import cli
 from fanning_lab import deformations as df
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
@@ -74,19 +75,35 @@ def test_projective_smallness_uses_the_dual_norm_of_minus_theta():
     assert mx.conorm(base, x, th) < 1.0 < mx.conorm(base, x, -th)
     assert base.F_value(x, np.array([0.0, 1.0])) + th[1] < 0.0
     with pytest.raises(SmallnessViolation):
-        df.projective_deform(base, constant_form(th), sample_points=[x])
+        df._check_smallness(base, constant_form(th), x)
+
+
+def quadratic_potential_deformation():
+    """theta = d(0.25 x1^2), F0*(-theta) = 0.5 |x1|, on a euclidean chart
+    small enough for F0 + theta: the flag points of an rhs check may lie
+    outside it."""
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    base = mx.riemannian_metric(lambda x: eye, 2, mx.Box.cube(2, 1.0))
+    form = df.ClosedOneForm(theta=lambda x: [0.5 * x[0], 0.0 * x[1]],
+                            potential=lambda x: 0.25 * x[0] * x[0])
+    return base, form, df.projective_deform(base, form)
 
 
 def test_projective_smallness_failure_names_its_flag():
-    # theta = d(0.25 x1^2): F0*(-theta) = 0.5 |x1|, 1.5 at the second flag;
-    # the flag points are the only sample points of the rhs check
-    euclid = mx.zoo_metric("euclidean")
-    form = df.ClosedOneForm(theta=lambda x: [0.5 * x[0], 0.0 * x[1]],
-                            potential=lambda x: 0.25 * x[0] * x[0])
+    # F0*(-theta) = 1.5 at the second flag
+    base, form, deformed = quadratic_potential_deformation()
     x = np.array([[0.2, 0.0], [3.0, 0.0]])
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(SmallnessViolation, match=r"^flag 1: "):
-        df.projective_curvature_rhs(euclid, form, pp(x, y), y[::-1])
+        df.projective_curvature_rhs(base, form, deformed, pp(x, y), y[::-1])
+
+
+def test_projective_smallness_failure_of_a_single_flag_names_no_flag():
+    base, form, deformed = quadratic_potential_deformation()
+    with pytest.raises(SmallnessViolation, match=r"^F0\*\(-theta\) = 1\.5 "
+                                                 r">= 1 at x=\[3\. 0\.\]$"):
+        df.projective_curvature_rhs(base, form, deformed,
+                                    pp([3.0, 0.0], [0.0, 1.0]), [1.0, 0.0])
 
 
 def test_projective_smallness_failure_on_the_grid_names_no_flag():
@@ -196,10 +213,11 @@ def test_unit_covectors_shift(rng):
 def test_projective_rhs_zero_form_reduces_to_base_curvature(rng):
     sphere = mx.zoo_metric("sphere")
     form = constant_form((0.0, 0.0))
+    deformed = df.projective_deform(sphere, form)
     x = rng.uniform(-0.5, 0.5, size=2)
     y = rng.normal(size=2)
     u = rng.normal(size=2)
-    rhs = df.projective_curvature_rhs(sphere, form, pp(x, y), u)
+    rhs = df.projective_curvature_rhs(sphere, form, deformed, pp(x, y), u)
     assert rhs == pytest.approx(1.0, abs=1e-4)
 
 
@@ -212,7 +230,7 @@ def test_projective_euclidean_constant_form_flat(rng):
         y = rng.normal(size=2)
         u = rng.normal(size=2)
         K_direct = jb.flag_curvature(deformed, pp(x, y), u)
-        rhs = df.projective_curvature_rhs(euclid, form, pp(x, y), u)
+        rhs = df.projective_curvature_rhs(euclid, form, deformed, pp(x, y), u)
         assert abs(K_direct) < 1e-6
         assert abs(rhs) < 1e-6
 
@@ -226,7 +244,8 @@ def test_projective_formula_on_sphere(rng):
         y = rng.normal(size=2)
         u = rng.normal(size=2)
         K_direct = jb.flag_curvature(deformed, pp(x, y), u)
-        K_formula = df.projective_curvature_rhs(sphere, form, pp(x, y), u)
+        K_formula = df.projective_curvature_rhs(sphere, form, deformed,
+                                                pp(x, y), u)
         assert abs(K_direct - K_formula) < 1e-3
 
 
@@ -234,6 +253,8 @@ def test_projective_rhs_spray_calls(monkeypatch, rng):
     # a batch of flags takes one default window for K0 (17 calls) and one
     # call that seeds the orbit jets of phi and f; no spray-only geodesic
     spray_data = mx.spray_data
+    sphere, form = mx.zoo_metric("sphere"), exact_form(0.2)
+    deformed = df.projective_deform(sphere, form)
     jacobian_calls = []
 
     def counted(m, x, y, with_jacobian=True):
@@ -242,7 +263,7 @@ def test_projective_rhs_spray_calls(monkeypatch, rng):
 
     monkeypatch.setattr(mx, "spray_data", counted)
     x = rng.uniform(-0.5, 0.5, size=(4, 2))
-    df.projective_curvature_rhs(mx.zoo_metric("sphere"), exact_form(0.2),
+    df.projective_curvature_rhs(sphere, form, deformed,
                                 pp(x, rng.normal(size=(4, 2))),
                                 rng.normal(size=(4, 2)))
     assert jacobian_calls.count(False) == 0
@@ -258,10 +279,12 @@ def test_projective_rhs_batch_matches_single_flags(base, form, rng):
     x = rng.uniform(-0.5, 0.5, size=(3, 2))
     y = rng.normal(size=(3, 2))
     u = rng.normal(size=(3, 2))
-    batch = df.projective_curvature_rhs(base, form, pp(x, y), u)
+    deformed = df.projective_deform(base, form)
+    batch = df.projective_curvature_rhs(base, form, deformed, pp(x, y), u)
     assert batch.shape == (3,)
     for k in range(3):
-        single = df.projective_curvature_rhs(base, form, pp(x[k], y[k]), u[k])
+        single = df.projective_curvature_rhs(base, form, deformed,
+                                             pp(x[k], y[k]), u[k])
         assert isinstance(single, float)
         assert abs(batch[k] - single) < 1e-12
 
@@ -278,7 +301,8 @@ def test_projective_formula_on_dual_norm_base(rng):
         y = rng.normal(size=2)
         u = rng.normal(size=2)
         K_direct = jb.flag_curvature(deformed, pp(x, y), u)
-        K_formula = df.projective_curvature_rhs(katok, form, pp(x, y), u)
+        K_formula = df.projective_curvature_rhs(katok, form, deformed,
+                                                pp(x, y), u)
         assert abs(K_direct - K_formula) < 1e-6
 
 
@@ -292,9 +316,32 @@ def test_projective_formula_on_randers_base(rng):
     y = rng.normal(size=(6, 2))
     u = rng.normal(size=(6, 2))
     K_direct = jb.flag_curvature(deformed, pp(x, y), u)
-    K_formula = df.projective_curvature_rhs(base, form, pp(x, y), u)
+    K_formula = df.projective_curvature_rhs(base, form, deformed, pp(x, y), u)
     assert np.max(np.abs(K_direct - K_formula)) < 1e-6
 
+
+
+def test_projective_job_builds_its_deformation_once(monkeypatch, tmp_path):
+    # one projective_deform for the whole job, and one batched Legendre
+    # solve for each smallness check: the chart grid and the 4 flag points
+    calls = {"legendre_inverse": 0, "projective_deform": 0}
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return f(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(mx, "legendre_inverse")
+    counted(df, "projective_deform")
+    cfg = {"experiment": "projective", "metric": {"id": "sphere"},
+           "samples": 4}
+    _, code = cli.run_config(cfg, output_dir=str(tmp_path))
+    assert code == 0
+    assert calls == {"legendre_inverse": 2, "projective_deform": 1}
 
 # -- rotational perturbation --------------------------------------------------------
 

@@ -498,6 +498,28 @@ def test_legendre_inverse_divergence_reporting():
         mx.legendre_inverse(m, [0.0, 0.0], [1.0, 0.0], warm=[0.0, 0.0])
 
 
+def test_legendre_inverse_zero_start_in_a_batch_names_its_index():
+    m = mx.zoo_metric("euclidean")
+    warm = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(NewtonDivergence, match=r"^flag 2: "):
+        mx.legendre_inverse(m, np.zeros((4, 2)), np.ones((4, 2)), warm=warm)
+
+
+@pytest.mark.parametrize("name", ["sphere", "randers", "katok"])
+def test_batched_conorm_and_legendre_inverse_equal_per_point_calls(name, rng):
+    # not bit for bit: batched numpy kernels may round differently
+    m = BATCH_METRICS[name]()
+    x = rng.uniform(-0.5, 0.5, size=(5, 2))
+    xi = mx.legendre(m, pp(x, rng.normal(size=(5, 2))))
+    v = mx.legendre_inverse(m, x, xi)
+    norms = mx.conorm(m, x, xi)
+    assert v.shape == (5, 2) and norms.shape == (5,)
+    for i in range(5):
+        assert_rel_close(v[i], mx.legendre_inverse(m, x[i], xi[i]), 1e-14)
+        assert_rel_close(norms[i:i + 1],
+                         np.array([mx.conorm(m, x[i], xi[i])]), 1e-14)
+
+
 # -- zoo ----------------------------------------------------------------------
 
 def test_zoo_listing_and_unknown():

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from fanning_lab import numkit as nk
 from fanning_lab.errors import DimensionMismatch, NonFiniteValue
-from fanning_lab.jets import jet_variables
+from fanning_lab.jets import Jet, jet_variables
 
 COEFF = st.integers(min_value=-4, max_value=4)
 
 
 def poly_eval(coeffs, x):
     """Horner evaluation; works for floats and jets."""
-    acc = coeffs[-1] * (x * 0 + 1.0) if hasattr(x, "value") else coeffs[-1]
+    acc = coeffs[-1] * (x * 0 + 1.0) if isinstance(x, Jet) else coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
