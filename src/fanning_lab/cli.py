@@ -254,11 +254,13 @@ def _run_invariants_along_orbit(s):
     # The flow acts on Jacobi curves symplectically, so the invariants of
     # the curve of the orbit at time t are those of the curve of the point
     # reached at t, read at 0: one spray-only geodesic pass finds the sample
-    # points, and one batched window transports them all.  Batch index k
-    # is named by its time.
+    # points, at the coarser orbit resolution since nothing differentiates
+    # it along t, and one batched window transports them all.  Batch index
+    # k is named by its time.
     ts = np.linspace(0.0, s["orbit_time"], s["orbit_samples"])
     with batch_labels(lambda k: f"t={ts[k]:.6g}"):
-        states = jb.geodesic(metric, mx.PhasePoint(x, y), ts, resolution)
+        states = jb.geodesic(metric, mx.PhasePoint(x, y), ts,
+                             jb.orbit_resolution(resolution))
         points = mx.PhasePoint(states[:, :n], states[:, n:])
         orbit = jb.transport(metric, points, T=jb.frame_reach(h),
                              resolution=jb.frame_resolution(h, resolution))
@@ -304,6 +306,10 @@ def _run_projective(s):
             "projective experiment supports metric ids 'sphere' and "
             "'euclidean'")
     base = _build_metric(s)
+    if base.n != 2:
+        # both one-forms above are written in two coordinates
+        raise ConfigError("projective experiment needs a 2-dimensional "
+                          f"metric, got n={base.n}")
     deformed = df.projective_deform(base, form)
 
     header = ["flag_id", "K_direct", "K_formula", "abs_err"]

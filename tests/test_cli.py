@@ -205,7 +205,9 @@ def test_invariants_along_orbit_batched_window(tmp_path, monkeypatch, metric):
 def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
                                                      orbit_time):
     # the linearization is carried over the 17-call frame window only; the
-    # orbit between the samples is integrated with the spray alone
+    # orbit between the samples is integrated with the spray alone, at the
+    # orbit resolution: 8 segments of a whole number of RK4 steps each,
+    # four spray-only calls a step
     spray_data = mx.spray_data
     jacobian_calls = []
 
@@ -219,13 +221,14 @@ def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
     assert sum(jacobian_calls) == 17
-    assert len(jacobian_calls) - 17 >= 4 * orbit_time * jb.DEFAULT_RESOLUTION
+    steps = round(orbit_time * jb.orbit_resolution(jb.DEFAULT_RESOLUTION))
+    assert len(jacobian_calls) - 17 == 4 * steps
 
 
 def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
-    # the orbit-comparison sphere job: 8 segments of 0.0375 at 2000 steps
-    # per unit are 75 RK4 steps each, four spray-only calls a step, though
-    # three of the linspace differences times 2000 land just above 75
+    # the orbit-comparison sphere job: 8 segments of 0.0375 at the orbit
+    # resolution of 2000 steps per unit (400) are 15 RK4 steps each, four
+    # spray-only calls a step
     spray_data = mx.spray_data
     jacobian_calls = []
 
@@ -239,13 +242,13 @@ def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
            "steps_per_unit": 2000}
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
-    assert jacobian_calls.count(False) == 2400
+    assert jacobian_calls.count(False) == 480
     assert jacobian_calls.count(True) == 17
 
 
 @pytest.mark.parametrize("orbit_time, start", [
     # the geodesic pass between the samples leaves the box
-    (6.0, "numeric failure: orbit left the chart at t=3.03525, "),
+    (6.0, "numeric failure: orbit left the chart at t=3.03625, "),
     # the last sample is inside, but its frame window leaves the box
     (3.034, "numeric failure: t=3.034: orbit left the chart at x="),
 ], ids=["between-samples", "frame-window"])
@@ -551,6 +554,22 @@ def test_main_reports_each_failure_in_one_line(tmp_path, capsys, cfg, code,
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_main_refuses_a_projective_base_of_dimension_other_than_2(tmp_path,
+                                                                 capsys, n):
+    # the projective one-forms are written in two coordinates
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"experiment": "projective",
+         "metric": {"id": "euclidean", "params": {"n": n}},
+         "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("config error: projective experiment needs a "
+                   f"2-dimensional metric, got n={n}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_list_metrics(capsys):

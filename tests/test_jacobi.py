@@ -10,7 +10,7 @@ from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
 from fanning_lab import reduction as rd
-from fanning_lab.cli import sample_flags
+from fanning_lab.cli import sample_flags, sample_in_ball
 from fanning_lab.errors import (DegenerateFlag, DimensionMismatch,
                                 NotUnitSpeed, OutOfChart)
 
@@ -445,6 +445,35 @@ def test_geodesic_great_circle_on_unit_sphere():
         p3 = (z[:2] @ z[:2] - 1.0) / (z[:2] @ z[:2] + 1.0)
         g = mx.fundamental_tensor(m, pp(z[:2], z[2:]))
         assert np.max(np.abs(g - (1.0 - p3) ** 2 * np.eye(2))) < 1e-12
+
+
+@pytest.mark.parametrize("orbit_time, state_tol, drift_tol", [
+    (0.3, 1e-13, 1e-13),     # the orbit-comparison sphere job
+    (1.0, 2e-12, 5e-13),     # the invariants-along-orbit default
+])
+def test_geodesic_at_the_orbit_resolution_on_unit_sphere(orbit_time,
+                                                         state_tol,
+                                                         drift_tol):
+    # the CLI's start draw for seeds 0-7, sampled as its orbit job samples
+    # them.  The worst start (seed 4) reaches |x| = 1.19 by t = 1, with
+    # state error 1.6e-12 and drift 3.6e-13; at a tenth of the default
+    # resolution the errors are 8.6e-13 at t = 0.3 and 2.5e-11 at t = 1
+    m = mx.zoo_metric("sphere")
+    starts = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        x = sample_in_ball(rng, 2, 0.5)
+        y = rng.normal(size=2)
+        starts.append((x, y / m.F_value(x, y)))
+    x0, y0 = (np.array(a) for a in zip(*starts))
+    ts = np.linspace(0.0, orbit_time, 9)
+    states = jb.geodesic(m, pp(x0, y0), ts,
+                         jb.orbit_resolution(jb.DEFAULT_RESOLUTION))
+    for i, (x, y) in enumerate(starts):
+        ref = np.array([unit_sphere_great_circle(x, y, t) for t in ts])
+        assert np.max(np.abs(states[:, i] - ref)) <= state_tol
+    drift = m.F_value(states[..., :2], states[..., 2:]) - 1.0
+    assert np.max(np.abs(drift)) <= drift_tol
 
 
 def test_geodesic_unsorted_times_match_single_time_calls():
