@@ -34,7 +34,7 @@ from . import metrics as mx
 from . import numkit as nk
 from .errors import (InternalInconsistency, SmallnessViolation,
                      batch_labels, raise_at)
-from .jets import Jet, components, jet_variables
+from .jets import Jet, components, jet_variables, stack
 
 __all__ = [
     "ClosedOneForm",
@@ -48,18 +48,10 @@ __all__ = [
 ]
 
 
-def _values(entries, x) -> np.ndarray:
-    """Values of float, array or jet entries at the points x of shape
-    S+(n,), stacked on a last axis: shape S+(len(entries),)."""
-    return np.stack([np.broadcast_to(nk.scalar_value(e), np.shape(x)[:-1])
-                     for e in entries], axis=-1)
-
-
-def _jacobian(entries, x) -> np.ndarray:
-    """Gradients of entries seeded at the points x of shape S+(n,), one row
-    per entry: shape S+(len(entries), n); constant entries give zero rows."""
-    return np.stack([np.broadcast_to(e.g if isinstance(e, Jet) else 0.0,
-                                     np.shape(x)) for e in entries], axis=-2)
+def _stack_at(field, xs) -> list:
+    """`stack` of field on order-2 jets seeded at the points xs, S+(n,)."""
+    S, n = np.shape(xs)[:-1], np.shape(xs)[-1]
+    return stack(field(jet_variables(xs, order=2)), S, n)
 
 
 @dataclass(frozen=True)
@@ -71,15 +63,14 @@ class ClosedOneForm:
 
     def closedness_residual(self, xs) -> float:
         """Max antisymmetry defect of the x-Jacobian of theta over samples."""
-        jac = _jacobian(self.theta(jet_variables(xs, order=2)), xs)
+        jac = _stack_at(self.theta, xs)[1]
         return float(np.max(np.abs(jac - jac.swapaxes(-1, -2)), initial=0.0))
 
     def gradient_matches_potential(self, xs) -> float:
         """Max deviation between theta and the differential of the potential."""
-        seed = jet_variables(xs, order=2)
-        grad = _jacobian([self.potential(seed)], xs)[..., 0, :]
-        return float(np.max(np.abs(grad - _values(self.theta(seed), xs)),
-                            initial=0.0))
+        v, d, _ = _stack_at(lambda x: [self.potential(x), *self.theta(x)],
+                            xs)
+        return float(np.max(np.abs(d[..., 0, :] - v[..., 1:]), initial=0.0))
 
 
 def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm, x):
@@ -87,7 +78,7 @@ def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm, x):
     with one batched `conorm` where theta != 0: F0 + theta > 0 exactly where
     -theta(y) < F0(y) for every y != 0, which on a non-reversible base is
     not F0*(theta) < 1.  A failure names the lowest failing point by its x."""
-    th = _values(form.theta(components(x)), x)
+    th = stack(form.theta(components(x)), x.shape[:-1], x.shape[-1])[0]
     solve = np.linalg.norm(th, axis=-1) > 0.0
     norms = np.zeros(solve.shape)
     if solve.any():
@@ -100,13 +91,10 @@ def _check_smallness(base: mx.MetricSpec, form: ClosedOneForm, x):
 
 def projective_deform(base: mx.MetricSpec,
                       form: ClosedOneForm) -> mx.MetricSpec:
-    """The deformed metric F = F0 + theta (Randers-type).
-
-    Validates closedness of theta (1e-10) and the smallness condition
-    F0*(-theta) < 1 on the grid of the chart box; a failure names the grid
-    point.  A Riemannian base gives a Randers metric; every other base,
-    Randers included, gets the jet of F^2 from the base's energy jet, so a
-    dual-norm base never sees jet arguments in its F.
+    """The deformed metric F = F0 + theta: `metrics.with_one_form`, so of
+    family "randers" over every base, after checking closedness of theta
+    (1e-10) and the smallness condition F0*(-theta) < 1 on the grid of the
+    chart box; a failure names the grid point.
     """
     grid = base.domain.grid()
     res = form.closedness_residual(grid[:: max(1, len(grid) // 16)])
@@ -115,31 +103,7 @@ def projective_deform(base: mx.MetricSpec,
             f"one-form is not closed: antisymmetry defect {res:.2e}")
     with batch_labels(lambda i: None):
         _check_smallness(base, form, grid)
-
-    theta = form.theta
-    if base.family == "riemannian":
-        return mx.randers_metric(base.g, theta, base.n, base.domain,
-                                 name=base.name + "+form")
-
-    n = base.n
-
-    def pairing(xs, ys):
-        th = theta(xs)
-        lin = th[0] * ys[0]
-        for i in range(1, n):
-            lin = lin + th[i] * ys[i]
-        return lin
-
-    def F(xs, ys):
-        return base.F(xs, ys) + pairing(xs, ys)
-
-    def energy_jet_fn(x, y, order):
-        zs = jet_variables(np.concatenate([x, y], axis=-1), order=order)
-        f = mx.energy_jet(base, x, y, order).sqrt() + pairing(zs[:n], zs[n:])
-        return f * f
-
-    return mx.custom_metric(F, n, base.domain, name=base.name + "+form",
-                            energy_jet_fn=energy_jet_fn)
+    return mx.with_one_form(base, form.theta, base.name + "+form")
 
 
 def ambient_coordinate_form(scale: float) -> ClosedOneForm:
@@ -257,13 +221,11 @@ def killing_residual(g_callable, V: Callable, xs) -> float:
     derivatives taken from one jet pass over the points xs, shape S+(n,).
     """
     S, n = np.shape(xs)[:-1], np.shape(xs)[-1]
-    seed = jet_variables(xs, order=2)
-    Vs = V(seed)
-    Gs = [e for row in g_callable(seed) for e in row]
-    G = _values(Gs, xs).reshape(S + (n, n))
-    dg = _jacobian(Gs, xs).reshape(S + (n, n, n))   # [..., i, j, k] = d_k g_ij
-    dV = _jacobian(Vs, xs)                           # [..., i, k] = d_k V^i
-    lie = (np.einsum("...k,...ijk->...ij", _values(Vs, xs), dg)
+    G, dg, _ = _stack_at(lambda x: [e for row in g_callable(x) for e in row],
+                         xs)
+    G, dg = G.reshape(S + (n, n)), dg.reshape(S + (n, n, n))  # d_k g_ij
+    Vv, dV, _ = _stack_at(V, xs)                              # d_k V^i
+    lie = (np.einsum("...k,...ijk->...ij", Vv, dg)
            + np.einsum("...kj,...ki->...ij", G, dV)
            + np.einsum("...ik,...kj->...ij", G, dV))
     return float(np.max(np.abs(lie), initial=0.0))

@@ -61,7 +61,7 @@ from . import metrics as mx
 from . import numkit as nk
 from .errors import (DegenerateFlag, DimensionMismatch, NonFiniteValue,
                      OutOfChart, lanes, raise_at)
-from .jets import Jet, jet_variables
+from .jets import jet_variables, stack
 
 __all__ = [
     "OrbitData",
@@ -398,17 +398,12 @@ def christoffel(g_callable, x):
     d(g^-1) = -g^-1 dg g^-1 differentiates the inverse.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    # d[r][..., a, b, ...]: the r-th x-derivatives of g_ab, on r last axes
-    d = [np.zeros(x.shape[:-1] + (n, n) + (n,) * r) for r in range(3)]
-    for a, row in enumerate(g_callable(jet_variables(x, order=2))):
-        for b, e in enumerate(row):
-            if isinstance(e, Jet):
-                d[0][..., a, b] = e.v
-                d[1][..., a, b, :], d[2][..., a, b, :, :] = e.g, e.H
-            else:
-                d[0][..., a, b] = e
-    g, dg, ddg = d
+    S, n = x.shape[:-1], x.shape[-1]
+    entries = [e for row in g_callable(jet_variables(x, order=2)) for e in row]
+    # the r-th x-derivatives of g_ab, on r last axes after a and b, made
+    # contiguous (einsum is slower on the strided views `stack` returns)
+    g, dg, ddg = (np.ascontiguousarray(s).reshape(
+        S + (n, n) + s.shape[len(S) + 1:]) for s in stack(entries, S, n))
     ginv = np.linalg.inv(g)
     # first kind, Gam_ljk = (d_j g_lk + d_k g_lj - d_l g_jk) / 2, and its d_p
     low = 0.5 * (np.einsum("...lkj->...ljk", dg) + dg

@@ -5,10 +5,11 @@ Hessian and (at order 3) full third-derivative tensor in a single forward
 pass (the vector forward mode of Griewank & Walther, Evaluating
 Derivatives, 2008).  This is the package's only Taylor scalar: the spray
 and its Jacobian take one jet of F^2 in the 2n phase variables (built from
-n-variable jets of g and beta for Riemannian and Randers metrics), the
-fundamental tensor and the support Newton take order-2 jets, and
-univariate jets (m = 1) seeded with t-derivatives carry Taylor expansions
-along a curve.
+n-variable jets of g and of every added one-form), the fundamental tensor
+and the support Newton take order-2 jets, and univariate jets (m = 1)
+seeded with t-derivatives carry Taylor expansions along a curve.
+`stack` is the one layout in which the float or jet entries of a chart
+field (g, a one-form, a vector field, a fiber) become derivative arrays.
 
 Batch axes.  A jet may carry leading batch axes S: v has shape S, g
 S+(m,), H S+(m,m) and T S+(m,m,m), and every operation broadcasts over
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, raise_at
 
-__all__ = ["Jet", "jet_variables", "components"]
+__all__ = ["Jet", "jet_variables", "components", "stack"]
 
 
 # index tuples that place a gradient or Hessian for an outer product over
@@ -253,3 +254,19 @@ def jet_variables(values, order=3):
         g[i] = 1.0
         out.append(Jet(m, order, v, g=g))
     return out
+
+
+def stack(entries, lead, m: int) -> list:
+    """Values, gradients and Hessians of k float or jet entries in m
+    variables, of shapes lead+(k,), lead+(k, m) and lead+(k, m, m) for batch
+    axes lead; float entries get zero derivatives.  Filled entry-first, then
+    viewed with the entry axis after the batch axes."""
+    k, nb = len(entries), len(lead)
+    out = [np.zeros((k,) + tuple(lead) + (m,) * r) for r in range(3)]
+    for a, ent in enumerate(entries):
+        if isinstance(ent, Jet):
+            out[0][a], out[1][a], out[2][a] = ent.v, ent.g, ent.H
+        else:
+            out[0][a] = ent
+    return [s.transpose(tuple(range(1, nb + 1)) + (0,)
+                        + tuple(range(nb + 1, s.ndim))) for s in out]

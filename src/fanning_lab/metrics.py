@@ -5,9 +5,10 @@ jets flow through unchanged), tagged by family.  Every derivative the module
 needs comes from one route, the jet of F^2 in the 2n phase variables
 (energy_jet): the fundamental tensor, the Legendre transform, the geodesic
 spray with its linearization, and the pulled-back symplectic form in
-natural coordinates (x1..xn, y1..yn).  Riemannian and Randers jets are
-assembled from jets of g and beta in the n x-variables (y^T g y and
-beta . y are polynomials in y); a custom F sees jets in all 2n variables.
+natural coordinates (x1..xn, y1..yn).  Riemannian jets are assembled from
+jets of g in the n x-variables, and `with_one_form`, the one construction
+of F0 + beta . y (Randers metrics, projective deformations), adds x-jets of
+beta to the base's jet; a custom F sees jets in all 2n variables.
 
 Every evaluator takes a batch of phase points as well as a single one: x
 and y of shape S+(n,) give G of shape S+(n,), DS of shape S+(2n,2n) and a
@@ -33,7 +34,7 @@ import numpy as np
 from . import numkit as nk
 from .errors import (DimensionMismatch, NewtonDivergence, NonFiniteValue,
                      NotPositiveDefinite, raise_at)
-from .jets import Jet, components, jet_variables
+from .jets import Jet, components, jet_variables, stack
 
 __all__ = [
     "Box",
@@ -41,6 +42,7 @@ __all__ = [
     "MetricSpec",
     "riemannian_metric",
     "randers_metric",
+    "with_one_form",
     "custom_metric",
     "fundamental_tensor",
     "legendre",
@@ -111,11 +113,11 @@ class MetricSpec:
     """A Finsler metric on a chart.
 
     F takes sequences of scalar-like entries in both slots and must be
-    positively 1-homogeneous in the second.  g/beta are present for the
-    Riemannian and Randers families and receive floats or jets in the n
-    x-variables; energy_jet_fn, when set, shortcuts the
-    jet evaluation of F^2 (dual-norm metrics, whose F is a float-only Newton
-    solve, hold their dual norm only in it; so do deformations of them).
+    positively 1-homogeneous in the second.  g is present for the
+    Riemannian family and receives floats or jets in the n x-variables;
+    energy_jet_fn, when set, builds the jet of F^2 (`with_one_form` from
+    the base's jet and x-jets of the form; dual-norm metrics, whose F is a
+    float-only Newton solve, hold their dual norm only in it).
     """
 
     n: int
@@ -124,7 +126,6 @@ class MetricSpec:
     domain: Box
     name: str = "custom"
     g: Optional[Callable] = None
-    beta: Optional[Callable] = None
     energy_jet_fn: Optional[Callable] = None
 
     def F_value(self, x, y):
@@ -162,28 +163,45 @@ def riemannian_metric(g: Callable, n: int, domain: Box,
 
 def randers_metric(g: Callable, beta: Callable, n: int, domain: Box,
                    name: str = "randers") -> MetricSpec:
-    """Randers metric sqrt(y^T g y) + beta(x) . y.
+    """Randers metric sqrt(y^T g y) + beta(x) . y: `with_one_form` over the
+    Riemannian metric of g.
 
     Validity (1 - beta g^{-1} beta^T > 0) is checked on a 5^n grid of the
     domain box at construction, not proven globally.
     """
-
-    def F(x, y):
-        b = beta(x)
-        lin = b[0] * y[0]
-        for i in range(1, n):
-            lin = lin + b[i] * y[i]
-        return nk.sqrt(_quadratic_form(g(x), y)) + lin
-
-    m = MetricSpec(n=n, family="randers", F=F, domain=domain, name=name,
-                   g=g, beta=beta)
-    for x in m.domain.grid():
+    for x in domain.grid():
         G = np.array(g(list(x)), dtype=float)
         b = np.array(beta(list(x)), dtype=float)
         margin = 1.0 - b @ np.linalg.solve(G, b)
         if margin <= 0.0:
             raise NotPositiveDefinite(
                 f"randers data invalid at x={x}: 1 - |beta|^2_g = {margin:.3e}")
+    return with_one_form(riemannian_metric(g, n, domain), beta, name)
+
+
+def with_one_form(base: MetricSpec, beta: Callable, name: str) -> MetricSpec:
+    """F = F0 + beta(x) . y over any base F0, of family "randers"; positivity
+    is the caller's check (Randers validity, or a deformation's smallness).
+
+    The jet of F^2 is (sqrt(E0) + jet of beta . y)^2 with E0 the base's
+    energy jet: beta sees jets in the n x-variables, contracted with y.
+    """
+    n = base.n
+
+    def F(x, y):
+        return base.F(x, y) + sum(b * c for b, c in zip(beta(x), y))
+
+    def energy_jet_fn(x, y, order):
+        B = _x_jet_stack(list(beta(jet_variables(x, order=order))), y, n,
+                         order)
+        e = [_contract(y, b) for b in B[:3]] + B[3:]
+        zero = [np.zeros((n, n)), np.zeros((n, n, n))]
+        f = (_energy(base, x, y, order).sqrt()
+             + _phase_jet(n, order, e, B[:3], zero))
+        return f * f
+
+    m = MetricSpec(n=n, family="randers", F=F, domain=base.domain, name=name,
+                   energy_jet_fn=energy_jet_fn)
     _check_positive_samples(m)
     return m
 
@@ -223,8 +241,14 @@ def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def fundamental_tensor(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """Fundamental tensor: half the fiber Hessian of F^2, SPD at valid points."""
-    n = m.n
-    g = _sym(0.5 * energy_jet(m, p.x, p.y, order=2).H[..., n:, n:])
+    return _fiber_tensor(energy_jet(m, p.x, p.y, order=2), p)
+
+
+def _fiber_tensor(J: Jet, p: PhasePoint) -> np.ndarray:
+    """Half the fiber Hessian of the energy jet J at p, checked positive
+    definite (Cholesky) at each point; a failure names the lowest one."""
+    n = p.x.shape[-1]
+    g = _sym(0.5 * J.H[..., n:, n:])
     nk.stacked(np.linalg.cholesky, NotPositiveDefinite,
                lambda i: ("fundamental tensor not positive definite at "
                           f"x={p.x[i]}, y={p.y[i]}"), g)
@@ -281,46 +305,42 @@ def energy_jet(m: MetricSpec, x, y, order: int = 3) -> Jet:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     try:
-        if m.energy_jet_fn is not None:
-            E = m.energy_jet_fn(x, y, order)
-        elif m.family in ("riemannian", "randers"):
-            E = _fiber_quadratic_energy_jet(m, x, y, order)
-        else:
-            n = m.n
-            zs = jet_variables(np.concatenate([x, y], axis=-1), order=order)
-            f = m.F(zs[:n], zs[n:])
-            E = f * f
+        E = _energy(m, x, y, order)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise NonFiniteValue(f"evaluation failed at x={x.tolist()}, "
                              f"y={y.tolist()}: {exc}")
     return E.check_finite()
 
 
-def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
-    """Jet of F^2 for F = sqrt(y^T g(x) y) (+ beta(x) . y) from x-jets only.
+def _energy(m: MetricSpec, x, y, order: int) -> Jet:
+    """`energy_jet` of float arrays x and y, unchecked: the metric's own
+    jet, the x-jet route of a Riemannian g, or F on 2n-variable jets."""
+    if m.energy_jet_fn is not None:
+        return m.energy_jet_fn(x, y, order)
+    if m.family == "riemannian":
+        return _fiber_quadratic_energy_jet(m, x, y, order)
+    zs = jet_variables(np.concatenate([x, y], axis=-1), order=order)
+    f = m.F(zs[:m.n], zs[m.n:])
+    return f * f
 
-    y^T g y and beta . y are polynomials in y, so each of their phase
-    derivatives is an x-derivative of g or beta contracted with the float y:
-    g and beta see jets in the n x-variables, and only sqrt, + and the final
-    product of a Randers metric run in all 2n variables.
+
+def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
+    """Jet of F^2 = y^T g(x) y from x-jets only.
+
+    y^T g y is a polynomial in y, so each of its phase derivatives is an
+    x-derivative of g contracted with the float y: g sees jets in the n
+    x-variables only.
     """
     n = m.n
     nb = y.ndim - 1                         # number of batch axes
-    xs = jet_variables(x, order=order)
     yy = (y[..., :, None] * y[..., None, :]).reshape(y.shape[:-1] + (n * n,))
-    S = _x_jet_stack([e for row in m.g(xs) for e in row], yy, n)
+    S = _x_jet_stack([e for row in m.g(jet_variables(x, order=order))
+                      for e in row], yy, n, order)
     e = [_contract(yy, s) for s in S[:3]] + S[3:]
     S = [s.reshape(s.shape[:nb] + (n, n) + s.shape[nb + 1:]) for s in S[:3]]
     Q = [s + s.swapaxes(nb, nb + 1) for s in S]   # x-derivatives of E_yy
     P = [_contract(y, q) for q in Q]            # x-derivatives of E_y
-    E = _phase_jet(n, order, e, P, Q)
-    if m.family == "riemannian":
-        return E
-    B = _x_jet_stack(list(m.beta(xs)), y, n)
-    e = [_contract(y, b) for b in B[:3]] + B[3:]
-    zero = [np.zeros((n, n)), np.zeros((n, n, n))]
-    f = E.sqrt() + _phase_jet(n, order, e, B[:3], zero)
-    return f * f
+    return _phase_jet(n, order, e, P, Q)
 
 
 def _contract(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -331,26 +351,15 @@ def _contract(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out.reshape(lead + a.shape[len(lead) + 1:])
 
 
-def _x_jet_stack(entries, w, n: int):
-    """Values, gradients and Hessians of n-variable jets stacked on an entry
-    axis after the batch axes, and their third derivatives contracted with
-    w (no entries x n^3 array).  Float entries keep zero derivatives."""
-    lead, count = w.shape[:-1], len(entries)
-    out = [np.zeros((count,) + lead + (n,) * r) for r in range(3)]
+def _x_jet_stack(entries, w, n: int, order: int):
+    """`stack` of n-variable jet or float entries and, at order 3, their
+    third derivatives contracted with w (no entries x n^3 array)."""
+    lead = w.shape[:-1]
     T = np.zeros(lead + (n, n, n))
-    for a, ent in enumerate(entries):
-        if not isinstance(ent, Jet):
-            out[0][a] = ent
-            continue
-        out[0][a], out[1][a], out[2][a] = ent.v, ent.g, ent.H
-        if ent.T is not None:
+    for a, ent in enumerate(entries if order >= 3 else ()):
+        if isinstance(ent, Jet):
             T += w[..., a, None, None, None] * ent.T
-    # filled entry-first (one integer index per entry), then viewed with
-    # the entry axis after the batch axes
-    nb = len(lead)
-    out = [s.transpose(tuple(range(1, nb + 1)) + (0,)
-                       + tuple(range(nb + 1, s.ndim))) for s in out]
-    return out + [T]
+    return stack(entries, lead, n) + [T]
 
 
 def _phase_jet(n: int, order: int, e, P, Q) -> Jet:
@@ -430,20 +439,19 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """Matrix of the pulled-back symplectic form at p in the (dx, dy) basis.
 
     Blocks [[D, g], [-g^T, 0]] with D the antisymmetrized x-Jacobian of the
-    Legendre covector; the vertical subspace is Lagrangian by construction
-    and the result is checked to be invertible.
+    Legendre covector; the vertical subspace is Lagrangian by construction.
+    The form is invertible exactly where g is, and g is checked to be
+    positive definite as in `fundamental_tensor`.
     """
     n = m.n
     J = energy_jet(m, p.x, p.y, order=2)
-    g = _sym(0.5 * J.H[..., n:, n:])
+    g = _fiber_tensor(J, p)
     dxi_dx = 0.5 * J.H[..., n:, :n]
     D = dxi_dx - dxi_dx.swapaxes(-1, -2)
     O = np.zeros(p.x.shape[:-1] + (2 * n, 2 * n))
     O[..., :n, :n] = D
     O[..., :n, n:] = g
     O[..., n:, :n] = -g.swapaxes(-1, -2)
-    raise_at(NotPositiveDefinite, np.abs(np.linalg.det(O)) < 1e-14,
-             lambda i: f"omega degenerate at x={p.x[i]}, y={p.y[i]}")
     return O
 
 

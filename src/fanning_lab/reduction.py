@@ -33,7 +33,7 @@ from . import numkit as nk
 from .errors import (DegenerateRestriction, DimensionMismatch,
                      HorizontalityViolation, InternalInconsistency,
                      NotUnitSpeed, RankDeficient, TransversalityFailure)
-from .jets import jet_variables
+from .jets import jet_variables, stack
 
 __all__ = [
     "CoisotropicSetup",
@@ -567,9 +567,10 @@ class SubmersionScenario:
 
     The fiber is spanned by d/dx3 and the pushforward of (x, y) is
     (x[:2], y[:2]).  constraint_grad(x, y) returns the n_fib x 2n Jacobian
-    of the horizontal constraints c_a(x, y) = g(x)(y, k_a(x)) from one jet
-    pass of the metric and the fiber; default_flag() is the horizontal flag
-    the CLI and the selftest run at suggested_x.
+    of the horizontal constraints c_a(x, y) = g(x)(y, k_a(x)); g and the
+    fiber see jets in the n x-variables only, and y enters as a float.
+    default_flag() is the horizontal flag the CLI and the selftest run at
+    suggested_x.
     """
 
     name: str
@@ -590,20 +591,18 @@ class SubmersionScenario:
                 horizontal_part(g, k, [0.3, 1.0, 0.0]))
 
     def constraint_grad(self, x, y):
-        """Jet linearization of the horizontal-cone conditions (one pass)."""
+        """Jacobian S+(n_fib, 2n) of c_a = y^T g k_a in (x, y): `stack`ed
+        x-jets of g and of the fiber, contracted with the float y."""
         n = self.total.n
-        zs = jet_variables(list(x) + list(y), order=2)
-        xs, ys = zs[:n], zs[n:]
-        G = self.total.g(xs)
-        kk = self.fiber(xs)
-        rows = []
-        for a in range(len(kk[0])):
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + G[i][j] * ys[i] * kk[j][a]
-            rows.append(acc.g)
-        return np.array(rows)
+        S, xs = np.shape(x)[:-1], jet_variables(x, order=2)
+        g, dg, _ = stack([e for row in self.total.g(xs) for e in row], S, n)
+        k, dk, _ = stack([e for row in self.fiber(xs) for e in row], S, n)
+        g, dg = g.reshape(S + (n, n)), dg.reshape(S + (n, n, n))
+        k, dk = k.reshape(S + (n, -1)), dk.reshape(S + (n, -1, n))
+        dx = (np.einsum("...i,...ijp,...ja->...ap", y, dg, k)
+              + np.einsum("...i,...ij,...jap->...ap", y, g, dk))
+        return np.concatenate([dx, np.einsum("...ij,...ja->...ai", g, k)],
+                              axis=-1)
 
 
 def _trivial_scenario() -> SubmersionScenario:

@@ -267,6 +267,16 @@ def test_main_names_the_failing_orbit_time(tmp_path, capsys, orbit_time,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sphere_grid_reaches_far_into_its_chart(tmp_path, seed):
+    # flags out to |x| = 15 of the sphere's chart box [-40, 40]^2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment": "curvature-grid", "metric": {"id": "sphere"},
+         "x_radius": 15, "seed": seed, "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_OK
+
+
 def test_main_names_the_sample_whose_frame_fails(tmp_path, capsys,
                                                 monkeypatch):
     # the frames of samples 1 and 2 (t = 0.1, 0.2), the orbits that start

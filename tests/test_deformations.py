@@ -61,6 +61,17 @@ def test_one_form_consistency_helpers(rng):
     assert form.gradient_matches_potential(xs) < 1e-12
 
 
+def test_closedness_check_fails_on_a_small_form_that_is_not_closed():
+    # |theta| <= 0.71 on the Euclidean chart box, so only closedness fails
+    def theta(x):
+        return [0.01 * x[1], -0.01 * x[0]]
+
+    form = df.ClosedOneForm(theta=theta, potential=lambda x: 0.0 * x[0])
+    assert form.closedness_residual(np.array([[0.3, -0.2]])) == 0.02
+    with pytest.raises(SmallnessViolation, match="not closed"):
+        df.projective_deform(mx.zoo_metric("euclidean"), form)
+
+
 def test_projective_smallness_violation():
     euclid = mx.zoo_metric("euclidean")
     with pytest.raises(SmallnessViolation):
@@ -290,12 +301,12 @@ def test_projective_rhs_batch_matches_single_flags(base, form, rng):
 
 
 def test_projective_formula_on_dual_norm_base(rng):
-    # a katok base takes the generic branch: the deformed energy jet is built
-    # from the base's implicit-differentiation jet
+    # the deformed energy jet is built from the base's
+    # implicit-differentiation jet
     katok = df.katok_metric(0.3)
     form = exact_form(0.2)
     deformed = df.projective_deform(katok, form)
-    assert deformed.family == "custom"
+    assert deformed.family == "randers"
     for _ in range(2):
         x = rng.uniform(-0.5, 0.5, size=2)
         y = rng.normal(size=2)
@@ -307,11 +318,11 @@ def test_projective_formula_on_dual_norm_base(rng):
 
 
 def test_projective_formula_on_randers_base(rng):
-    # a Randers base takes the generic branch, like every non-Riemannian one
+    # a Randers base takes the same construction as every other base
     base = mx.zoo_metric("randers", b=(0.25, 0.05))
     form = exact_form(0.2)
     deformed = df.projective_deform(base, form)
-    assert deformed.family == "custom"
+    assert deformed.family == "randers"
     x = rng.uniform(-0.5, 0.5, size=(6, 2))
     y = rng.normal(size=(6, 2))
     u = rng.normal(size=(6, 2))
@@ -357,6 +368,17 @@ def test_rotation_field_not_killing_for_anisotropic():
 
     xs = np.array([[0.4, 0.3]])
     assert df.killing_residual(g, df.rotation_field, xs) > 1e-3
+
+
+def test_killing_residual_of_a_translation():
+    # d/dx2 is Killing for a g that depends on x1 only, d/dx1 is not: its
+    # Lie derivative is the x1-derivative of g, diag(2 x1, 0)
+    def g(x):
+        return [[1.0 + x[0] * x[0], 0.0], [0.0, 2.0]]
+
+    xs = np.array([[0.4, 0.3], [-0.25, 1.0]])
+    assert df.killing_residual(g, lambda x: [0.0, 1.0], xs) == 0.0
+    assert df.killing_residual(g, lambda x: [1.0, 0.0], xs) == 0.8
 
 
 def test_katok_smallness():

@@ -198,6 +198,14 @@ def test_flag_curvature_sphere_plus_one(rng):
         assert abs(K - 1.0) < 1e-4
 
 
+def test_flag_curvature_far_out_on_the_sphere_chart():
+    # |x| = 12 is inside the chart box [-40, 40]^2; det(omega) = det(g)^2
+    # is about 1e-17 there, which a determinant check took for degenerate
+    m = mx.zoo_metric("sphere")
+    K = jb.flag_curvature(m, pp([12.0, 0.0], [1.0, 0.5]), [0.2, 1.0])
+    assert abs(K - 1.0) < 1e-5
+
+
 def test_flag_curvature_poincare_minus_one(rng):
     m = mx.zoo_metric("hyperbolic")
     for _ in range(4):

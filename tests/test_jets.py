@@ -8,7 +8,7 @@ import pytest
 
 from fanning_lab import numkit as nk
 from fanning_lab.errors import NonFiniteValue
-from fanning_lab.jets import Jet, jet_variables
+from fanning_lab.jets import Jet, jet_variables, stack
 
 
 def test_polynomial_jet_exact():
@@ -116,3 +116,28 @@ def test_batched_jet_names_the_non_finite_point():
     (s,) = jet_variables([-1.0], order=2)
     with pytest.raises(ValueError):
         s.log()
+
+
+def test_stack_places_values_and_derivatives_after_the_batch_axes():
+    # batched values with unbatched seed gradients, a product with batched
+    # derivatives, and a float entry (zero derivatives)
+    x = np.array([[0.5, -1.0], [2.0, 3.0], [0.25, 0.75]])
+    a, b = jet_variables(x, order=2)
+    ab = a * b
+    v, g, H = stack([a, 2.5, ab], x.shape[:-1], 2)
+    assert (v.shape, g.shape, H.shape) == ((3, 3), (3, 3, 2), (3, 3, 2, 2))
+    np.testing.assert_array_equal(v[:, 0], x[:, 0])
+    np.testing.assert_array_equal(v[:, 1], 2.5)
+    np.testing.assert_array_equal(v[:, 2], x[:, 0] * x[:, 1])
+    np.testing.assert_array_equal(g[:, 0], np.broadcast_to([1.0, 0.0], (3, 2)))
+    np.testing.assert_array_equal(g[:, 1], 0.0)
+    np.testing.assert_array_equal(g[:, 2], x[:, ::-1])
+    np.testing.assert_array_equal(H[:, :2], 0.0)
+    np.testing.assert_array_equal(H[:, 2], np.broadcast_to([[0.0, 1.0],
+                                                            [1.0, 0.0]],
+                                                           (3, 2, 2)))
+    # a single point: no batch axes, the entry axis first
+    v, g, H = stack([3.0, jet_variables([1.0, 2.0], order=3)[1]], (), 2)
+    assert (v.shape, g.shape, H.shape) == ((2,), (2, 2), (2, 2, 2))
+    np.testing.assert_array_equal(v, [3.0, 2.0])
+    np.testing.assert_array_equal(g, [[0.0, 0.0], [0.0, 1.0]])

@@ -1,5 +1,6 @@
 """Tests for metric families, tensors, sprays, omega and dual norms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import spray_field
 from fanning_lab import deformations as df
 from fanning_lab import metrics as mx
 from fanning_lab import numkit as nk
+from fanning_lab import reduction as rd
 from fanning_lab.errors import (DimensionMismatch, NewtonDivergence,
                                 NonFiniteValue, NotPositiveDefinite)
 from fanning_lab.jets import Jet, jet_variables
@@ -284,6 +286,25 @@ def test_omega_vertical_lagrangian_and_antisymmetric(rng):
         assert abs(np.linalg.det(O)) > 1e-8
 
 
+def test_omega_accepts_far_sphere_points():
+    # det(omega) = det(g)^2 is about 1e-17 at |x| = 12 on the unit sphere's
+    # chart, yet g is positive definite there
+    m = mx.zoo_metric("sphere")
+    O = mx.omega_matrix(m, pp([12.0, 0.0], [1.0, 0.5]))
+    g = mx.fundamental_tensor(m, pp([12.0, 0.0], [1.0, 0.5]))
+    assert np.array_equal(O[:2, 2:], g)
+
+
+def test_omega_rejects_an_indefinite_fundamental_tensor():
+    # g = diag(1, 1 - x1) is indefinite at x1 = 2, where det(omega) = 1
+    def g(x):
+        return [[1.0, 0.0], [0.0, 1.0 - x[0]]]
+
+    m = mx.riemannian_metric(g, 2, mx.Box.cube(2, 1.0))
+    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+        mx.omega_matrix(m, pp([2.0, 0.0], [1.0, 0.5]))
+
+
 def test_omega_matches_finite_difference_assembly(rng):
     # independent assembly: differentiate the one-form components
     # alpha_i = d(F^2/2)/dy_i in x by finite differences of F
@@ -450,6 +471,9 @@ ENERGY_JET_METRICS = {
     "randers": lambda: mx.zoo_metric("randers", b=(0.25, 0.05)),
     "projective-sphere": lambda: df.projective_deform(
         mx.zoo_metric("sphere"), df.ambient_coordinate_form(0.2)),
+    "projective-randers": lambda: df.projective_deform(
+        mx.zoo_metric("randers", b=(0.25, 0.05)),
+        df.ambient_coordinate_form(0.2)),
     "sheared": _sheared_metric,
 }
 
@@ -474,8 +498,8 @@ def test_energy_jet_matches_full_phase_jet(name, order, rng):
 
 
 def test_metric_fields_see_only_x_jets():
-    # variable counts of the jets that g and beta receive
-    seen = {"g": set(), "beta": set()}
+    # variable counts of the jets that each chart field receives
+    seen = {"g": set(), "beta": set(), "theta": set(), "total-g": set()}
 
     def spied(name, field):
         def wrapped(x):
@@ -489,7 +513,29 @@ def test_metric_fields_see_only_x_jets():
                           sphere.domain)
     mx.spray_data(m, [0.3, -0.2], [0.9, 0.4])
     mx.fundamental_tensor(m, pp([0.3, -0.2], [0.9, 0.4]))
-    assert seen == {"g": {2}, "beta": {2}}
+    # the one-form of a projective deformation over a Randers base
+    spied_form = df.ClosedOneForm(theta=spied("theta", form.theta),
+                                  potential=form.potential)
+    deformed = df.projective_deform(mx.zoo_metric("randers", b=(0.25, 0.05)),
+                                    spied_form)
+    mx.spray_data(deformed, [0.3, -0.2], [0.9, 0.4])
+    # the metric of a submersion scenario in its constraint linearization
+    scn = rd.submersion_scenario("hopf")
+    spied_total = dataclasses.replace(scn.total,
+                                      g=spied("total-g", scn.total.g))
+    dataclasses.replace(scn, total=spied_total).constraint_grad(
+        scn.suggested_x, [0.3, 0.9, -0.2])
+    assert seen == {"g": {2}, "beta": {2}, "theta": {2}, "total-g": {3}}
+
+
+def test_newton_halves_steps_that_do_not_reduce_the_residual():
+    # full Newton steps on arctan diverge from z = 2 (|z| grows each step);
+    # halved steps converge to the root 0
+    def residual(z):
+        return np.arctan(z), (1.0 / (1.0 + z * z))[..., None]
+
+    z = mx._newton(residual, np.array([[2.0], [0.5]]), lambda i: "arctan")
+    assert np.max(np.abs(z)) < 1e-12
 
 
 def test_legendre_inverse_divergence_reporting():

@@ -90,3 +90,24 @@ def test_tracer_counts_a_flag_and_an_orbit_read():
     assert out["metrics.spray_data.calls"] > 17
     assert out["jacobi.OrbitData.state.offgrid_calls"] == 0
     assert 0.0 < out["jacobi.transport.read_frac"] <= 1.0
+
+
+MUTANTS = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+
+
+def test_each_mutant_applies_to_exactly_one_place():
+    # the mutation probe (tools/mutants.py, run outside tier-1) replaces
+    # text that must still occur once, and names killers that still exist
+    module = types.ModuleType("mutants")
+    module.__file__ = str(MUTANTS)
+    exec(compile(MUTANTS.read_text(), str(MUTANTS), "exec"), module.__dict__)
+    root = MUTANTS.parents[1]
+    names = [m.name for m in module.MUTANTS]
+    assert len(names) == len(set(names)) >= 15
+    for m in module.MUTANTS:
+        assert (root / m.path).read_text().count(m.old) == 1, m.name
+        assert m.new != m.old
+        assert bool(m.killer) != bool(m.equivalent), m.name
+        if m.killer:
+            path, test = m.killer.split("::")
+            assert f"def {test.split('[')[0]}(" in (root / path).read_text()
