@@ -192,12 +192,14 @@ def with_one_form(base: MetricSpec, beta: Callable, name: str) -> MetricSpec:
         return base.F(x, y) + sum(b * c for b, c in zip(beta(x), y))
 
     def energy_jet_fn(x, y, order):
-        B = _x_jet_stack(list(beta(jet_variables(x, order=order))), y, n,
-                         order)
+        xs = jet_variables(x, order=order)
+        B = _x_jet_stack(list(beta(xs)), y, n, order)
         e = [_contract(y, b) for b in B[:3]] + B[3:]
         zero = [np.zeros((n, n)), np.zeros((n, n, n))]
-        f = (_energy(base, x, y, order).sqrt()
-             + _phase_jet(n, order, e, B[:3], zero))
+        # a Riemannian base reads g on the same x-jets as beta
+        E0 = (_fiber_quadratic_energy_jet(base, xs, y, order)
+              if base.family == "riemannian" else _energy(base, x, y, order))
+        f = E0.sqrt() + _phase_jet(n, order, e, B[:3], zero)
         return f * f
 
     m = MetricSpec(n=n, family="randers", F=F, domain=base.domain, name=name,
@@ -318,14 +320,15 @@ def _energy(m: MetricSpec, x, y, order: int) -> Jet:
     if m.energy_jet_fn is not None:
         return m.energy_jet_fn(x, y, order)
     if m.family == "riemannian":
-        return _fiber_quadratic_energy_jet(m, x, y, order)
+        return _fiber_quadratic_energy_jet(m, jet_variables(x, order=order),
+                                           y, order)
     zs = jet_variables(np.concatenate([x, y], axis=-1), order=order)
     f = m.F(zs[:m.n], zs[m.n:])
     return f * f
 
 
-def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
-    """Jet of F^2 = y^T g(x) y from x-jets only.
+def _fiber_quadratic_energy_jet(m: MetricSpec, xs, y, order: int) -> Jet:
+    """Jet of F^2 = y^T g(x) y from xs, the n x-variables seeded as jets.
 
     y^T g y is a polynomial in y, so each of its phase derivatives is an
     x-derivative of g contracted with the float y: g sees jets in the n
@@ -334,8 +337,7 @@ def _fiber_quadratic_energy_jet(m: MetricSpec, x, y, order: int) -> Jet:
     n = m.n
     nb = y.ndim - 1                         # number of batch axes
     yy = (y[..., :, None] * y[..., None, :]).reshape(y.shape[:-1] + (n * n,))
-    S = _x_jet_stack([e for row in m.g(jet_variables(x, order=order))
-                      for e in row], yy, n, order)
+    S = _x_jet_stack([e for row in m.g(xs) for e in row], yy, n, order)
     e = [_contract(yy, s) for s in S[:3]] + S[3:]
     S = [s.reshape(s.shape[:nb] + (n, n) + s.shape[nb + 1:]) for s in S[:3]]
     Q = [s + s.swapaxes(nb, nb + 1) for s in S]   # x-derivatives of E_yy

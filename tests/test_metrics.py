@@ -499,7 +499,8 @@ def test_energy_jet_matches_full_phase_jet(name, order, rng):
 
 def test_metric_fields_see_only_x_jets():
     # variable counts of the jets that each chart field receives
-    seen = {"g": set(), "beta": set(), "theta": set(), "total-g": set()}
+    seen = {"g": set(), "beta": set(), "riemannian-g": set(), "theta": set(),
+            "total-g": set()}
 
     def spied(name, field):
         def wrapped(x):
@@ -513,6 +514,10 @@ def test_metric_fields_see_only_x_jets():
                           sphere.domain)
     mx.spray_data(m, [0.3, -0.2], [0.9, 0.4])
     mx.fundamental_tensor(m, pp([0.3, -0.2], [0.9, 0.4]))
+    # g of a Riemannian metric, outside a Randers construction
+    riemannian = mx.riemannian_metric(spied("riemannian-g", sphere.g), 2,
+                                      sphere.domain)
+    mx.spray_data(riemannian, [0.3, -0.2], [0.9, 0.4])
     # the one-form of a projective deformation over a Randers base
     spied_form = df.ClosedOneForm(theta=spied("theta", form.theta),
                                   potential=form.potential)
@@ -525,7 +530,8 @@ def test_metric_fields_see_only_x_jets():
                                       g=spied("total-g", scn.total.g))
     dataclasses.replace(scn, total=spied_total).constraint_grad(
         scn.suggested_x, [0.3, 0.9, -0.2])
-    assert seen == {"g": {2}, "beta": {2}, "theta": {2}, "total-g": {3}}
+    assert seen == {"g": {2}, "beta": {2}, "riemannian-g": {2}, "theta": {2},
+                    "total-g": {3}}
 
 
 def test_newton_halves_steps_that_do_not_reduce_the_residual():
