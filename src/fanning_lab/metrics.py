@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import (DimensionMismatch, NewtonDivergence, NonFiniteValue,
-                     NotPositiveDefinite, raise_at)
+                     NotPositiveDefinite, batch_labels, raise_at)
 from .jets import Jet, components, jet_variables, stack
 
 __all__ = [
@@ -167,15 +167,20 @@ def randers_metric(g: Callable, beta: Callable, n: int, domain: Box,
     Riemannian metric of g.
 
     Validity (1 - beta g^{-1} beta^T > 0) is checked on a 5^n grid of the
-    domain box at construction, not proven globally.
+    domain box at construction, not proven globally: g and beta are
+    evaluated once, on the whole grid, and a failure names the lowest
+    failing grid point by its x.
     """
-    for x in domain.grid():
-        G = np.array(g(list(x)), dtype=float)
-        b = np.array(beta(list(x)), dtype=float)
-        margin = 1.0 - b @ np.linalg.solve(G, b)
-        if margin <= 0.0:
-            raise NotPositiveDefinite(
-                f"randers data invalid at x={x}: 1 - |beta|^2_g = {margin:.3e}")
+    x = domain.grid()
+    S, xs = x.shape[:-1], components(x)
+    # values only: no jet variables, so no derivative slots
+    G = stack([e for row in g(xs) for e in row], S, 0)[0].reshape(S + (n, n))
+    b = stack(list(beta(xs)), S, 0)[0]
+    margin = 1.0 - np.sum(b * np.linalg.solve(G, b[..., None])[..., 0], -1)
+    with batch_labels(lambda i: None):
+        raise_at(NotPositiveDefinite, margin <= 0.0,
+                 lambda i: f"randers data invalid at x={x[i]}: "
+                           f"1 - |beta|^2_g = {margin[i]:.3e}")
     return with_one_form(riemannian_metric(g, n, domain), beta, name)
 
 

@@ -7,6 +7,13 @@ restriction of the original one; the defect between the reduced and the
 original curvature pairings is measured by the O'Neill endomorphism, whose
 square enters with the famous factor 3.
 
+W is coisotropic, so W = (W^omega)^omega = ker C with C = (W^omega)^T Omega,
+and a section A beta of l inter W in the graph gauge over span U has beta'
+from one square solve (`_gauge_solve`): C A beta' = -C Adot beta, k rows for
+the codimension k of W, and U^T A beta' = -U^T Adot beta, n - k rows.  No
+check that l misses W^omega is needed: for a Lagrangian l (which
+`fanning.wronskian` checks), dim(l inter W) = n - k + dim(l inter W^omega).
+
 Two front-ends instantiate this.  The contact splitting takes W = ker dF,
 the tangent space of the unit sphere bundle, whose annihilator is the spray
 S: the reduced curve is the contact part l(t) inter ker dF of the Jacobi
@@ -199,22 +206,6 @@ def _plane_meets(A: np.ndarray, B: np.ndarray):
     return U[:, :keep]
 
 
-def _check_conditions(setup: CoisotropicSetup, ft: fc.FrameTriple,
-                      expected_dim: int):
-    """Transversality to W^omega and nondegeneracy of W on the intersection."""
-    meet_ann = _plane_meets(ft.A, setup.WomegaBasis)
-    if meet_ann.shape[1] > 0:
-        raise TransversalityFailure(
-            "curve plane meets the annihilator of W")
-    beta_h = _plane_meets(ft.A, setup.Wbasis)
-    if beta_h.shape[1] != expected_dim:
-        raise TransversalityFailure(
-            f"intersection with W has dimension {beta_h.shape[1]}, "
-            f"expected {expected_dim}")
-    _restricted_wronskian(setup, ft, beta_h)
-    return beta_h
-
-
 def _restricted_wronskian(setup: CoisotropicSetup, ft: fc.FrameTriple,
                           beta_h: np.ndarray) -> np.ndarray:
     """Wronskian of the triple, checked nondegenerate on span(A beta_h)."""
@@ -254,6 +245,15 @@ def _graph_frames(Us, c_idx, H_c):
     return out
 
 
+def _gauge_solve(L, Lb, U, A, Ab):
+    """beta' of a section A beta of the plane cut out by L beta = 0, in the
+    graph gauge over span U: the square system L beta' = -Lb (Lb the
+    derivative of L, times beta) and U^T A beta' = -U^T Ab."""
+    return nk.stacked(np.linalg.solve, TransversalityFailure,
+                      lambda i: "section derivative system is singular",
+                      np.vstack([L, U.T @ A]), -np.vstack([Lb, U.T @ Ab]))
+
+
 @dataclass
 class ReducedCurve:
     """Reduced frame stencil plus the ambient intersection frames."""
@@ -264,68 +264,41 @@ class ReducedCurve:
     center_index: int
 
 
-def _section_derivatives(setup, ft, H, U_c, with_second=True):
-    """Analytic derivatives of the intersection section through H at one node.
-
-    H spans l(t) inter W at the node, written in the center graph gauge.
-    Differentiating the membership conditions H = A beta = (col of W) gives a
-    linear system for beta-dot; the gauge is pinned by U_c^T Hdot = 0, the
-    defining property of a graph-gauge frame.  One more differentiation of
-    the same system yields the second derivative: no stencils are involved.
-    """
-    A, Adot, Addot = ft.A, ft.Adot, ft.Addot
-    n = A.shape[1]
-    k = setup.Wbasis.shape[1]
-    beta, *_ = np.linalg.lstsq(A, H, rcond=None)
-
-    system = np.vstack([np.hstack([A, -setup.Wbasis]),
-                        np.hstack([U_c.T @ A, np.zeros((U_c.shape[1], k))])])
-
-    def solve(rhs_top, rhs_gauge):
-        rhs = np.vstack([rhs_top, rhs_gauge])
-        sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        if np.max(np.abs(system @ sol - rhs)) > 1e-7 * max(
-                1.0, float(np.max(np.abs(rhs)))):
-            raise TransversalityFailure(
-                "intersection derivative system is inconsistent")
-        return sol[:n]
-
-    beta_dot = solve(-Adot @ beta, -U_c.T @ (Adot @ beta))
-    Hdot = Adot @ beta + A @ beta_dot
-    if not with_second:
-        return beta, beta_dot, Hdot, None
-    acc = Addot @ beta + 2.0 * Adot @ beta_dot
-    beta_ddot = solve(-acc, -U_c.T @ acc)
-    Hddot = acc + A @ beta_ddot
-    return beta, beta_dot, Hdot, Hddot
-
-
 def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     """Reduce a stencil of frame triples by the coisotropic subspace.
 
-    Frames of the intersection are gauge-fixed as graphs over the center
-    subspace; their first and second derivatives come from differentiating
-    the membership conditions analytically, so the reduced triple is as
-    accurate as the input one (the only stencil left is the usual
-    P-derivative inside the invariant computation).
+    At each node l inter W must have dimension n - k, that is, l misses
+    W^omega, and the Wronskian must be nondegenerate on it.  Frames of the
+    intersection are gauge-fixed as graphs over the center subspace; their
+    first and second derivatives differentiate C A beta = 0 (`_gauge_solve`),
+    so the reduced triple is as accurate as the input one (the only stencil
+    left is the usual P-derivative inside the invariant computation).
     """
     p = setup.quotient_dim // 2
-    nodes = fs.stencil.nodes
-    c_idx = len(nodes) // 2
+    C = setup.WomegaBasis.T @ setup.omega.Omega
+    c_idx = len(fs.triples) // 2
     Us = []
     for ft in fs.triples:
-        beta_j = _check_conditions(setup, ft, p)
+        beta_j = _plane_meets(ft.A, setup.Wbasis)
+        if beta_j.shape[1] != p:
+            raise TransversalityFailure(
+                f"intersection with W has dimension {beta_j.shape[1]}, "
+                f"expected {p}")
+        _restricted_wronskian(setup, ft, beta_j)
         Uj, _, _ = np.linalg.svd(ft.A @ beta_j, full_matrices=False)
         Us.append(Uj)
     U_c = Us[c_idx]
     h_frames = _graph_frames(Us, c_idx, U_c)
 
     triples = []
-    for j, ft in enumerate(fs.triples):
-        _, _, Hdot, Hddot = _section_derivatives(setup, ft, h_frames[j], U_c)
-        triples.append(fc.FrameTriple(setup.project(h_frames[j]),
-                                      setup.project(Hdot),
-                                      setup.project(Hddot)))
+    for H, ft in zip(h_frames, fs.triples):
+        beta, *_ = np.linalg.lstsq(ft.A, H, rcond=None)
+        CA, vel = C @ ft.A, ft.Adot @ beta
+        beta_dot = _gauge_solve(CA, C @ vel, U_c, ft.A, vel)
+        acc = ft.Addot @ beta + 2.0 * ft.Adot @ beta_dot
+        Hddot = acc + ft.A @ _gauge_solve(CA, C @ acc, U_c, ft.A, acc)
+        triples.append(fc.FrameTriple(*(setup.project(M) for M in (
+            H, vel + ft.A @ beta_dot, Hddot))))
     frames = fc.FrameStencil(fs.stencil, tuple(triples))
     inv = fc.invariants(frames, setup.omega_R)
     return ReducedCurve(frames=frames, invariants=inv,
@@ -334,112 +307,77 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
 
 @dataclass
 class HVSplit:
-    """Splitting of a curve plane into its W-part and the W-orthogonal rest."""
+    """Splitting of a curve plane into its W-part and the W-orthogonal rest:
+    frame coefficients with beta_h^T Wmat beta_v = 0 and their frames."""
 
     beta_h: np.ndarray       # n x p coefficients of l inter W in the frame
     beta_v: np.ndarray       # n x (n-p) coefficients of the W-orthogonal part
     Hframe_frak: np.ndarray  # ambient 2n x p
     Vframe_frak: np.ndarray  # ambient 2n x (n-p)
-    P_h: np.ndarray          # projector onto the W-part
-    P_v: np.ndarray          # projector onto the orthogonal part
-    P_hor: np.ndarray        # projector onto the horizontal complement
     Wmat: np.ndarray         # Wronskian in the frame basis
 
 
 def hv_split(setup: CoisotropicSetup, ft: fc.FrameTriple) -> HVSplit:
-    """Split l(t) = (l inter W) + W-orthogonal complement, with projectors.
+    """Split l(t) = (l inter W) + its W-orthogonal complement in l(t).
 
-    Projectors refer to the decomposition of the whole space into the two
-    parts of the plane plus the horizontal complement of the curve.  Only
-    nondegeneracy of the Wronskian on the intersection is required here, so
+    Only nondegeneracy of the Wronskian on the intersection is required
+    (`_restricted_wronskian`, which also refuses a non-Lagrangian plane), so
     the split also covers the boundary case of a Lagrangian W equal to the
     plane itself (whole plane, trivial complement).
     """
     beta_h = _plane_meets(ft.A, setup.Wbasis)
     Wmat = _restricted_wronskian(setup, ft, beta_h)
     beta_v = _nullspace(beta_h.T @ Wmat)
-    p = beta_h.shape[1]
-    H = ft.A @ beta_h
-    V = ft.A @ beta_v
-    _, Hor, _, _ = fc.horizontal_data(ft)
-    n2 = ft.A.shape[0]
-    T = np.hstack([H, V, Hor])
-    Tinv = np.linalg.inv(T)
-    P_h = T[:, :p] @ Tinv[:p, :]
-    nv = beta_v.shape[1]
-    P_v = T[:, p:p + nv] @ Tinv[p:p + nv, :]
-    P_hor = np.eye(n2) - P_h - P_v
-    return HVSplit(beta_h=beta_h, beta_v=beta_v, Hframe_frak=H,
-                   Vframe_frak=V, P_h=P_h, P_v=P_v, P_hor=P_hor, Wmat=Wmat)
+    return HVSplit(beta_h=beta_h, beta_v=beta_v, Hframe_frak=ft.A @ beta_h,
+                   Vframe_frak=ft.A @ beta_v, Wmat=Wmat)
 
 
 @dataclass
 class OneillData:
-    """O'Neill endomorphism at the stencil center, in the split frame basis."""
+    """O'Neill endomorphism at the stencil center, in the split frame basis;
+    its diagonal blocks are zero by construction."""
 
     matrix: np.ndarray       # n x n in the basis (A_h, A_v)
     split: HVSplit
     W_split: np.ndarray      # Wronskian in the same basis
-    symmetry_residual: float
-    block_residual: float
+    symmetry_residual: float  # max |S - S^T| for S = W_split @ matrix
 
 
 def oneill_endomorphism(setup: CoisotropicSetup,
                         fs: fc.FrameStencil) -> OneillData:
-    """Assemble the O'Neill endomorphism from stencil derivatives.
+    """The O'Neill endomorphism at the center of the stencil.
 
-    Sends the W-part frame to the orthogonal projection of its derivative
-    and the orthogonal frame to minus the W-projection of its derivative;
-    the result interchanges the two blocks and is W-symmetric.
+    It sends the W-part frame H to the V-part of Hdot and the W-orthogonal
+    frame V to minus the H-part of Vdot, both read off one basis change to
+    [H | V | Hor] (Hor the horizontal frame of the curve), so it interchanges
+    the two parts.  Hdot and Vdot differentiate graph-gauge sections
+    (`_gauge_solve`): of C A beta = 0 for H, and of beta_h^T W(t) beta_v = 0
+    for V.
     """
-    nodes = fs.stencil.nodes
-    c_idx = len(nodes) // 2
-    ft = fs.triples[c_idx]
-    center_split = hv_split(setup, ft)
-    H_c, V_c = center_split.Hframe_frak, center_split.Vframe_frak
+    ft = fs.triples[len(fs.triples) // 2]
+    split = hv_split(setup, ft)
+    H, V = split.Hframe_frak, split.Vframe_frak
+    beta_h, beta_v, Wmat = split.beta_h, split.beta_v, split.Wmat
+    Omega, (n, p) = setup.omega.Omega, beta_h.shape
 
-    U_c, _, _ = np.linalg.svd(H_c, full_matrices=False)
-    beta_h, beta_h_dot, Hdot, _ = _section_derivatives(
-        setup, ft, H_c, U_c, with_second=False)
+    C = setup.WomegaBasis.T @ Omega
+    vel = ft.Adot @ beta_h
+    beta_h_dot = _gauge_solve(C @ ft.A, C @ vel, H, ft.A, vel)
+    Wdot = ft.Adot.T @ Omega @ ft.Adot + ft.A.T @ Omega @ ft.Addot
+    Lb = (beta_h_dot.T @ Wmat + beta_h.T @ (0.5 * (Wdot + Wdot.T))) @ beta_v
+    beta_v_dot = _gauge_solve(beta_h.T @ Wmat, Lb, V, ft.A, ft.Adot @ beta_v)
 
-    # derivative of a section of the W-orthogonal part: differentiate the
-    # orthogonality conditions beta_h^T W(t) beta_v(t) = 0 in the frame basis,
-    # with the graph gauge U_v^T Vdot = 0 pinning the remaining freedom
-    beta_v = center_split.beta_v
-    Wmat = center_split.Wmat
-    Wdot = ft.Adot.T @ setup.omega.Omega @ ft.Adot \
-        + ft.A.T @ setup.omega.Omega @ ft.Addot
-    Wdot = 0.5 * (Wdot + Wdot.T)
-    U_v, _, _ = np.linalg.svd(V_c, full_matrices=False)
-    nv = beta_v.shape[1]
-    if nv:
-        system = np.vstack([beta_h.T @ Wmat, U_v.T @ ft.A])
-        rhs = np.vstack([-(beta_h_dot.T @ Wmat @ beta_v
-                           + beta_h.T @ Wdot @ beta_v),
-                         -U_v.T @ (ft.Adot @ beta_v)])
-        beta_v_dot = np.linalg.solve(system, rhs)
-        Vdot = ft.Adot @ beta_v + ft.A @ beta_v_dot
-    else:
-        Vdot = np.zeros_like(V_c)
-
-    img_h = center_split.P_v @ Hdot
-    img_v = -center_split.P_h @ Vdot
-    basis = np.hstack([H_c, V_c])
-    images = np.hstack([img_h, img_v])
-    A_mat, *_ = np.linalg.lstsq(basis, images, rcond=None)
-    lstsq_res = float(np.max(np.abs(basis @ A_mat - images)))
-
-    beta = np.hstack([center_split.beta_h, center_split.beta_v])
-    W_split = beta.T @ center_split.Wmat @ beta
+    beta = np.hstack([beta_h, beta_v])
+    _, Hor, _, _ = fc.horizontal_data(ft)
+    X = np.linalg.solve(np.hstack([H, V, Hor]), ft.Adot @ beta
+                        + ft.A @ np.hstack([beta_h_dot, beta_v_dot]))
+    A_mat = np.zeros((n, n))
+    A_mat[p:, :p] = X[p:n, :p]
+    A_mat[:p, p:] = -X[:p, p:]
+    W_split = beta.T @ Wmat @ beta
     sym = W_split @ A_mat
-    symmetry_residual = float(np.max(np.abs(sym - sym.T)))
-    p = center_split.beta_h.shape[1]
-    block_residual = max(float(np.max(np.abs(A_mat[:p, :p]))) if p else 0.0,
-                         float(np.max(np.abs(A_mat[p:, p:]))) if p < A_mat.shape[0] else 0.0,
-                         lstsq_res)
-    return OneillData(matrix=A_mat, split=center_split, W_split=W_split,
-                      symmetry_residual=symmetry_residual,
-                      block_residual=block_residual)
+    return OneillData(matrix=A_mat, split=split, W_split=W_split,
+                      symmetry_residual=float(np.max(np.abs(sym - sym.T))))
 
 
 def oneill_formula(setup: CoisotropicSetup, fs: fc.FrameStencil,

@@ -405,6 +405,7 @@ def test_main_rejects_non_numbers(tmp_path, capsys, entries):
     ({"experiment": "selftest", "steps_per_unit": 2000}, "steps_per_unit"),
     ({"experiment": "curvature-grid", "samples": 2.7}, "samples"),
     ({"experiment": "curvature-grid", "samples": 0.5}, "samples"),
+    ({"experiment": "curvature-grid", "samples": 0}, "samples"),
     ({"experiment": "invariants-along-orbit", "orbit_time": 0.05,
       "orbit_samples": 0.5}, "orbit_samples"),
     ({"experiment": "curvature-grid", "samples": 2, "steps_per_unit": 0.5},
@@ -417,7 +418,7 @@ def test_main_rejects_non_numbers(tmp_path, capsys, entries):
     ({"experiment": "curvature-grid", "samples": 1, "seed": -1}, "seed"),
 ], ids=["katok-stencil_h", "projective-stencil_h", "submersion-stencil_h",
         "selftest-tolerance", "selftest-steps_per_unit", "samples-2.7",
-        "samples-0.5", "orbit_samples-0.5", "steps_per_unit-0.5",
+        "samples-0.5", "samples-0", "orbit_samples-0.5", "steps_per_unit-0.5",
         "x_radius-beyond-float", "metric-null", "scenarios-unhashable",
         "seed-negative"])
 def test_main_names_the_rejected_setting(tmp_path, capsys, cfg, key):

@@ -101,6 +101,52 @@ def test_randers_validity_grid():
                           mx.Box.cube(2, 1.0))
 
 
+
+def reference_randers_failure(g, beta, domain):
+    """The first failure of the validity check, point by point over the
+    grid."""
+    for x in domain.grid():
+        G = np.array(g(list(x)), dtype=float)
+        b = np.array(beta(list(x)), dtype=float)
+        margin = 1.0 - b @ np.linalg.solve(G, b)
+        if margin <= 0.0:
+            return (f"randers data invalid at x={x}: "
+                    f"1 - |beta|^2_g = {margin:.3e}")
+    return None
+
+
+def test_randers_validity_names_the_lowest_failing_grid_point():
+    # |beta|^2_g = (x1 + 1.4)^2 / 4 on the 5x5 grid of [-1, 1]^2 first
+    # reaches 1 in the row x1 = 1; |beta|^2 without g would fail at x1 = 0
+    g = lambda x: [[4.0, 0.0], [0.0, 4.0]]
+    beta = lambda x: [x[0] + 1.4, 0.0]
+    box = mx.Box.cube(2, 1.0)
+    with pytest.raises(NotPositiveDefinite) as err:
+        mx.randers_metric(g, beta, 2, box)
+    assert str(err.value) == reference_randers_failure(g, beta, box)
+    assert str(err.value) == ("randers data invalid at x=[ 1. -1.]: "
+                              "1 - |beta|^2_g = -4.400e-01")
+
+
+def test_randers_validity_evaluates_g_and_beta_once_on_the_grid():
+    # one batched call each covers the 25 grid points; the other calls are
+    # the single-point homogeneity samples of the construction
+    shapes = {"g": [], "beta": []}
+
+    def spied(name, field):
+        def wrapped(x):
+            shapes[name].append(np.shape(x[0]))
+            return field(x)
+        return wrapped
+
+    sphere = mx.zoo_metric("sphere")
+    mx.randers_metric(spied("g", sphere.g),
+                      spied("beta", df.ambient_coordinate_form(0.2).theta),
+                      2, sphere.domain)
+    for name, seen in shapes.items():
+        assert [s for s in seen if s] == [(25,)], name
+        assert len(seen) <= 9, name
+
 # -- Legendre -----------------------------------------------------------------
 
 def test_legendre_euclidean():

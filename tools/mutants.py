@@ -148,6 +148,48 @@ MUTANTS = [
            ")", "",
            equivalent="every scenario's fiber is the constant d/dx3, so its "
                       "x-derivative dk is zero"),
+    # -- the symplectic reduction: gauge solves and the O'Neill blocks --------
+    Mutant("gauge-solve-sign", PKG + "reduction.py",
+           "np.vstack([L, U.T @ A]), -np.vstack([Lb, U.T @ Ab]))",
+           "np.vstack([L, U.T @ A]), np.vstack([Lb, U.T @ Ab]))",
+           "tests/test_reduction.py::"
+           "test_reduce_curve_matches_least_squares_reference"),
+    Mutant("second-derivative-factor", PKG + "reduction.py",
+           "acc = ft.Addot @ beta + 2.0 * ft.Adot @ beta_dot",
+           "acc = ft.Addot @ beta + 1.0 * ft.Adot @ beta_dot",
+           "tests/test_reduction.py::"
+           "test_reduce_curve_matches_least_squares_reference"),
+    Mutant("orthogonal-section-Wdot", PKG + "reduction.py",
+           "beta_h.T @ (0.5 * (Wdot + Wdot.T))",
+           "beta_h.T @ (0.0 * (Wdot + Wdot.T))",
+           "tests/test_reduction.py::test_oneill_matches_projector_reference"),
+    Mutant("oneill-v-to-h-sign", PKG + "reduction.py",
+           "A_mat[:p, p:] = -X[:p, p:]", "A_mat[:p, p:] = X[:p, p:]",
+           "tests/test_reduction.py::test_oneill_matches_projector_reference"),
+    Mutant("intersection-dimension-noop", PKG + "reduction.py",
+           "        if beta_j.shape[1] != p:\n", "        if False:\n",
+           "tests/test_reduction.py::test_reduce_curve_transversality_failure"),
+    Mutant("omega-transposed-in-C", PKG + "reduction.py",
+           "    C = setup.WomegaBasis.T @ setup.omega.Omega\n",
+           "    C = setup.WomegaBasis.T @ setup.omega.Omega.T\n", "",
+           equivalent="Omega^T = -Omega negates C, and so both sides of "
+                      "C A beta' = -C Adot beta"),
+    # -- transport lanes, frame windows, settings, Randers validity -----------
+    Mutant("flow-lane-sign", PKG + "jacobi.py",
+           "sign = np.array([[1.0], [-1.0]])", "sign = np.array([[1.0], [1.0]])",
+           "tests/test_jacobi.py::test_transport_euclidean_linear_flow"),
+    Mutant("frame-resolution-identity", PKG + "jacobi.py",
+           "    return _steps(h * resolution) / h\n", "    return resolution\n",
+           "tests/test_jacobi.py::"
+           "test_frame_resolution_puts_stencil_nodes_on_the_grid[0.0007-2000-6]"),
+    Mutant("count-accepts-zero", PKG + "cli.py",
+           "_is_integer(v) and v >= 1,", "_is_integer(v) and v >= 0,",
+           "tests/test_cli.py::test_main_names_the_rejected_setting[samples-0]"),
+    Mutant("randers-check-without-g", PKG + "metrics.py",
+           "np.sum(b * np.linalg.solve(G, b[..., None])[..., 0], -1)",
+           "np.sum(b * b, -1)",
+           "tests/test_metrics.py::"
+           "test_randers_validity_names_the_lowest_failing_grid_point"),
 ]
 
 
