@@ -248,17 +248,17 @@ def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def fundamental_tensor(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """Fundamental tensor: half the fiber Hessian of F^2, SPD at valid points."""
-    return _fiber_tensor(energy_jet(m, p.x, p.y, order=2), p)
+    return _fiber_tensor(energy_jet(m, p.x, p.y, order=2), p.x, p.y)
 
 
-def _fiber_tensor(J: Jet, p: PhasePoint) -> np.ndarray:
-    """Half the fiber Hessian of the energy jet J at p, checked positive
+def _fiber_tensor(J: Jet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Half the fiber Hessian of the energy jet J at (x, y), checked positive
     definite (Cholesky) at each point; a failure names the lowest one."""
-    n = p.x.shape[-1]
+    n = x.shape[-1]
     g = _sym(0.5 * J.H[..., n:, n:])
     nk.stacked(np.linalg.cholesky, NotPositiveDefinite,
                lambda i: ("fundamental tensor not positive definite at "
-                          f"x={p.x[i]}, y={p.y[i]}"), g)
+                          f"x={x[i]}, y={y[i]}"), g)
     return g
 
 
@@ -406,17 +406,15 @@ def spray_data(m: MetricSpec, x, y, with_jacobian: bool = True):
     G^i = (1/4) g^{il} (E_{y_l x_k} y^k - E_{x_l}) with E = F^2; DS is the
     Jacobian of the field (x, y) -> (y, -2G), assembled from the same jet.
     x and y of shape S+(n,) give G of shape S+(n,) and DS of shape
-    S+(2n,2n) from one energy jet over the batch.
+    S+(2n,2n) from one energy jet over the batch, whose g is checked
+    positive definite as in `fundamental_tensor`.
     """
     n = m.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     J = energy_jet(m, x, y, order=3 if with_jacobian else 2)
     E1, E2 = J.g, J.H
-    gmat = _sym(0.5 * E2[..., n:, n:])
-    ginv = nk.stacked(np.linalg.inv, NotPositiveDefinite,
-                      lambda i: f"degenerate fundamental tensor at x={x[i]}",
-                      gmat)
+    ginv = np.linalg.inv(_fiber_tensor(J, x, y))
     # N_l = E_{y_l x_k} y^k - E_{x_l}
     N = _mv(E2[..., n:, :n], y) - E1[..., :n]
     ginv_N = _mv(ginv, N)
@@ -452,7 +450,7 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     """
     n = m.n
     J = energy_jet(m, p.x, p.y, order=2)
-    g = _fiber_tensor(J, p)
+    g = _fiber_tensor(J, p.x, p.y)
     dxi_dx = 0.5 * J.H[..., n:, :n]
     D = dxi_dx - dxi_dx.swapaxes(-1, -2)
     O = np.zeros(p.x.shape[:-1] + (2 * n, 2 * n))

@@ -7,12 +7,16 @@ restriction of the original one; the defect between the reduced and the
 original curvature pairings is measured by the O'Neill endomorphism, whose
 square enters with the famous factor 3.
 
-W is coisotropic, so W = (W^omega)^omega = ker C with C = (W^omega)^T Omega,
-and a section A beta of l inter W in the graph gauge over span U has beta'
-from one square solve (`_gauge_solve`): C A beta' = -C Adot beta, k rows for
-the codimension k of W, and U^T A beta' = -U^T Adot beta, n - k rows.  No
-check that l misses W^omega is needed: for a Lagrangian l (which
-`fanning.wronskian` checks), dim(l inter W) = n - k + dim(l inter W^omega).
+Every coordinate change is a product or one square solve.  W is
+coisotropic, that is W^omega is isotropic, so W = ker C with C =
+(W^omega)^T Omega; W^omega pairs to zero with W, so a Darboux quotient basis
+D (D^T Omega D = J_R) gives the coordinates c of w in W from D^T Omega w =
+J_R c.  Frames H = A beta of l inter W are fixed by the graph gauge
+U_c^T H = I (U_c orthonormal at the center); beta' solves one square system
+(`_gauge_solve`): C A beta' = -C Adot beta, k rows for the codimension k of
+W, and U^T A beta' = -U^T Adot beta, n - k rows.  No check that l misses
+W^omega is needed: for a Lagrangian l (which `fanning.wronskian` checks),
+dim(l inter W) = n - k + dim(l inter W^omega).
 
 Two front-ends instantiate this.  The contact splitting takes W = ker dF,
 the tangent space of the unit sphere bundle, whose annihilator is the spray
@@ -66,6 +70,7 @@ __all__ = [
 
 _SV_REL_TOL = 1e-9   # singular-value threshold for joint nullspaces
 _REDUCTION_H = 1e-2  # width of the 7-point stencils of curve-level reductions
+_GAUGE_BOUND = 1e6   # graph frames grow as the secant of the angle to U_c
 
 
 def _nullspace(M: np.ndarray) -> np.ndarray:
@@ -76,14 +81,6 @@ def _nullspace(M: np.ndarray) -> np.ndarray:
         return np.eye(M.shape[1])
     rank = int(np.sum(s > _SV_REL_TOL * s[0]))
     return Vt[rank:].T
-
-
-def _column_space_contains(big: np.ndarray, cols: np.ndarray) -> bool:
-    if cols.shape[1] == 0:
-        return True
-    coeff, *_ = np.linalg.lstsq(big, cols, rcond=None)
-    return float(np.max(np.abs(big @ coeff - cols))) < 1e-8 * max(
-        1.0, float(np.max(np.abs(cols))))
 
 
 def symplectic_complement(omega: fc.SymplecticForm,
@@ -119,14 +116,17 @@ class CoisotropicSetup:
         return self.quotient_basis.shape[1]
 
     def project(self, cols: np.ndarray) -> np.ndarray:
-        """Quotient coordinates of columns lying in W."""
-        basis = np.hstack([self.quotient_basis, self.WomegaBasis])
-        coeff, *_ = np.linalg.lstsq(basis, cols, rcond=None)
-        q = self.quotient_basis.shape[1]
-        res = np.max(np.abs(basis @ coeff - cols)) if cols.size else 0.0
-        if res > 1e-8 * max(1.0, float(np.max(np.abs(cols)))):
+        """Quotient coordinates c of columns w in W, from D^T Omega w =
+        J_R c; the trivial quotient of a Lagrangian W gives a (0, k) block."""
+        Omega = self.omega.Omega
+        off = np.max(np.abs(self.WomegaBasis.T @ Omega @ cols), initial=0.0)
+        if off > 1e-8 * np.max(np.abs(Omega)) * max(
+                1.0, np.max(np.abs(cols), initial=0.0)):
             raise TransversalityFailure("columns do not lie in W")
-        return coeff[:q]
+        if self.omega_R is None:
+            return np.zeros((0, cols.shape[1]))
+        return np.linalg.solve(self.omega_R.Omega,
+                               self.quotient_basis.T @ Omega @ cols)
 
 
 def symplectic_gram_schmidt(omega: np.ndarray,
@@ -161,28 +161,21 @@ def symplectic_gram_schmidt(omega: np.ndarray,
 
 def coisotropic_setup(omega: fc.SymplecticForm,
                       Wbasis: np.ndarray) -> CoisotropicSetup:
-    """Validate coisotropy and prepare the Darboux quotient basis."""
+    """Validate coisotropy (W^omega isotropic) and prepare the Darboux
+    quotient basis from the parts of W orthogonal to W^omega."""
     Wbasis = np.asarray(Wbasis, dtype=float)
     comp = symplectic_complement(omega, Wbasis)
-    if not _column_space_contains(Wbasis, comp):
+    if np.max(np.abs(comp.T @ omega.Omega @ comp), initial=0.0) > (
+            1e-8 * np.max(np.abs(omega.Omega))):
         raise TransversalityFailure(
             "subspace is not coisotropic: W^omega not inside W")
-    # representatives of W / W^omega: the part of W orthogonal to W^omega
-    if comp.shape[1]:
-        coeff, *_ = np.linalg.lstsq(comp, Wbasis, rcond=None)
-        resid = Wbasis - comp @ coeff
-    else:
-        resid = Wbasis
     q = 2 * Wbasis.shape[1] - Wbasis.shape[0]
-    if q == 0:
-        # Lagrangian W: the quotient is trivial (splittings still make sense)
-        return CoisotropicSetup(omega=omega, Wbasis=Wbasis, WomegaBasis=comp,
-                                quotient_basis=np.zeros((Wbasis.shape[0], 0)),
-                                omega_R=None)
-    U, s, _ = np.linalg.svd(resid, full_matrices=False)
-    reps = U[:, :q]
-    darboux = symplectic_gram_schmidt(omega.Omega, reps)
-    omega_R = fc.SymplecticForm(darboux.T @ omega.Omega @ darboux)
+    darboux, omega_R = np.zeros((Wbasis.shape[0], 0)), None
+    if q:   # a Lagrangian W has the trivial quotient (splittings still work)
+        U, _, _ = np.linalg.svd(Wbasis - comp @ (comp.T @ Wbasis),
+                                full_matrices=False)
+        darboux = symplectic_gram_schmidt(omega.Omega, U[:, :q])
+        omega_R = fc.SymplecticForm(darboux.T @ omega.Omega @ darboux)
     return CoisotropicSetup(omega=omega, Wbasis=Wbasis, WomegaBasis=comp,
                             quotient_basis=darboux, omega_R=omega_R)
 
@@ -218,33 +211,6 @@ def _restricted_wronskian(setup: CoisotropicSetup, ft: fc.FrameTriple,
     return Wmat
 
 
-def _graph_frames(Us, c_idx, H_c):
-    """Smooth frames of moving subspaces through H_c, in graph gauge.
-
-    Each subspace (orthonormal basis U_j) is written as a graph over the
-    center subspace; the frame is the graph image of the center frame.  The
-    gauge adds no quadratic distortion of its own, which keeps the cancelling
-    pieces of the Schwarzian small when the curve is nearly straight.
-    """
-    U_c = Us[c_idx]
-    m = U_c.shape[0]
-    Q_c = _nullspace(U_c.T)
-    C0 = U_c.T @ H_c
-    I = np.eye(m)
-    out = []
-    for U_j in Us:
-        P_j = U_j @ U_j.T
-        M = (I - P_j) @ Q_c
-        rhs = -(I - P_j) @ U_c
-        S_j, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        Hj = (U_c + Q_c @ S_j) @ C0
-        if np.max(np.abs((I - P_j) @ Hj)) > 1e-7 * max(1.0, np.max(np.abs(Hj))):
-            raise TransversalityFailure(
-                "graph gauge failed: subspaces moved too far across the stencil")
-        out.append(Hj)
-    return out
-
-
 def _gauge_solve(L, Lb, U, A, Ab):
     """beta' of a section A beta of the plane cut out by L beta = 0, in the
     graph gauge over span U: the square system L beta' = -Lb (Lb the
@@ -256,11 +222,13 @@ def _gauge_solve(L, Lb, U, A, Ab):
 
 @dataclass
 class ReducedCurve:
-    """Reduced frame stencil plus the ambient intersection frames."""
+    """Reduced frame stencil plus the graph-gauge intersection frames
+    h_frames[j] = A_j @ betas[j], whose center frame is orthonormal."""
 
     frames: fc.FrameStencil
     invariants: fc.FanningInvariants
     h_frames: tuple          # ambient frames of l(t) inter W at each node
+    betas: tuple             # their coefficients in the curve's frames
     center_index: int
 
 
@@ -269,15 +237,18 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
 
     At each node l inter W must have dimension n - k, that is, l misses
     W^omega, and the Wronskian must be nondegenerate on it.  Frames of the
-    intersection are gauge-fixed as graphs over the center subspace; their
-    first and second derivatives differentiate C A beta = 0 (`_gauge_solve`),
-    so the reduced triple is as accurate as the input one (the only stencil
-    left is the usual P-derivative inside the invariant computation).
+    intersection are graphs over the center one: from a coefficient basis b,
+    beta = b (U_c^T A b)^-1 (the gauge adds no quadratic distortion of its
+    own, which keeps the cancelling pieces of the Schwarzian small when the
+    curve is nearly straight).  Their first and second derivatives
+    differentiate C A beta = 0 (`_gauge_solve`), so the reduced triple is as
+    accurate as the input one (the only stencil left is the usual
+    P-derivative inside the invariant computation).
     """
     p = setup.quotient_dim // 2
     C = setup.WomegaBasis.T @ setup.omega.Omega
     c_idx = len(fs.triples) // 2
-    Us = []
+    bases = []
     for ft in fs.triples:
         beta_j = _plane_meets(ft.A, setup.Wbasis)
         if beta_j.shape[1] != p:
@@ -285,14 +256,19 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
                 f"intersection with W has dimension {beta_j.shape[1]}, "
                 f"expected {p}")
         _restricted_wronskian(setup, ft, beta_j)
-        Uj, _, _ = np.linalg.svd(ft.A @ beta_j, full_matrices=False)
-        Us.append(Uj)
-    U_c = Us[c_idx]
-    h_frames = _graph_frames(Us, c_idx, U_c)
-
-    triples = []
-    for H, ft in zip(h_frames, fs.triples):
-        beta, *_ = np.linalg.lstsq(ft.A, H, rcond=None)
+        bases.append(beta_j)
+    U_c, _, _ = np.linalg.svd(fs.triples[c_idx].A @ bases[c_idx],
+                              full_matrices=False)
+    failed = "graph gauge failed: subspaces moved too far across the stencil"
+    h_frames, betas, triples = [], [], []
+    for b, ft in zip(bases, fs.triples):
+        beta = b @ nk.stacked(np.linalg.inv, TransversalityFailure,
+                              lambda i: failed, U_c.T @ ft.A @ b)
+        H = ft.A @ beta
+        if not np.max(np.abs(H)) < _GAUGE_BOUND:
+            raise TransversalityFailure(failed)
+        h_frames.append(H)
+        betas.append(beta)
         CA, vel = C @ ft.A, ft.Adot @ beta
         beta_dot = _gauge_solve(CA, C @ vel, U_c, ft.A, vel)
         acc = ft.Addot @ beta + 2.0 * ft.Adot @ beta_dot
@@ -302,7 +278,8 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     frames = fc.FrameStencil(fs.stencil, tuple(triples))
     inv = fc.invariants(frames, setup.omega_R)
     return ReducedCurve(frames=frames, invariants=inv,
-                        h_frames=tuple(h_frames), center_index=c_idx)
+                        h_frames=tuple(h_frames), betas=tuple(betas),
+                        center_index=c_idx)
 
 
 @dataclass
@@ -387,25 +364,23 @@ def oneill_formula(setup: CoisotropicSetup, fs: fc.FrameStencil,
     a_coeff are the coefficients of a in the gauge-fixed intersection frame;
     returns (reduced side, full side + 3 W(Aa, Aa)).
     """
-    c_idx = reduced.center_index
     a_coeff = np.asarray(a_coeff, dtype=float)
     if reduced.invariants.W is None:
         raise DegenerateRestriction("trivial quotient has no reduced Wronskian")
 
-    a_amb = reduced.h_frames[c_idx] @ a_coeff
-    alpha, *_ = np.linalg.lstsq(fs.triples[c_idx].A, a_amb, rcond=None)
+    alpha = reduced.betas[reduced.center_index] @ a_coeff
     lhs, full_term, corr = _oneill_pairings(
-        reduced, oneill, fc.invariants(fs, setup.omega), a_coeff, a_amb, alpha)
+        reduced, oneill, fc.invariants(fs, setup.omega), a_coeff, alpha)
     return lhs, full_term + corr
 
 
 def _oneill_pairings(reduced: ReducedCurve, oneill: OneillData,
-                     inv: fc.FanningInvariants, a_coeff, a_amb, alpha):
+                     inv: fc.FanningInvariants, a_coeff, alpha):
     """Unnormalized pairings (W_R(K_R a, a), W(K a, a), 3 W(Aa, Aa)).
 
-    a is given three ways: a_coeff in the reduced frame, a_amb in the ambient
-    space and alpha in the full frame at the center; inv are the full
-    curve's invariants there.
+    a is a_coeff in the reduced frame and alpha in the full frame at the
+    center, where inv are the full curve's invariants; its (A_h, A_v)
+    coordinates solve [beta_h | beta_v] c = alpha.
     """
     K_R = 0.5 * reduced.invariants.Schwarzian
     lhs = float((K_R @ a_coeff) @ reduced.invariants.W @ a_coeff)
@@ -413,11 +388,8 @@ def _oneill_pairings(reduced: ReducedCurve, oneill: OneillData,
     full_term = float((K_full @ alpha) @ inv.W @ alpha)
 
     split = oneill.split
-    # a in the (A_h, A_v) basis: express through the gauge-fixed frame
-    coeff, *_ = np.linalg.lstsq(np.hstack([split.Hframe_frak,
-                                           split.Vframe_frak]),
-                                a_amb, rcond=None)
-    Aa = oneill.matrix @ coeff
+    Aa = oneill.matrix @ np.linalg.solve(
+        np.hstack([split.beta_h, split.beta_v]), alpha)
     corr = float(3.0 * (Aa @ oneill.W_split @ Aa))
     return lhs, full_term, corr
 
@@ -473,18 +445,19 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     c_idx = reduced.center_index
     H_c = reduced.h_frames[c_idx]
 
-    # coefficients of [H_c | r] in the center frame
+    # coefficients of [H_c | r] in the center frame; those of H_c are known
     A_c = sample.frames.triples[c_idx].A
-    adapted, *_ = np.linalg.lstsq(A_c, np.column_stack([H_c, r]), rcond=None)
+    r_coeff, *_ = np.linalg.lstsq(A_c, r, rcond=None)
     r_norm = np.linalg.norm(r)
-    if np.linalg.norm(A_c @ adapted[:, -1] - r) > 1e-6 * max(1.0, r_norm):
+    if np.linalg.norm(A_c @ r_coeff - r) > 1e-6 * max(1.0, r_norm):
         raise InternalInconsistency(f"C - tS left the Jacobi plane at t={t}")
+    beta = reduced.betas[c_idx]
+    adapted = np.column_stack([beta, r_coeff])
 
     inv = sample.invariants
     K_ad = np.linalg.solve(adapted, 0.5 * inv.Schwarzian @ adapted)
     K_block = K_ad[:n - 1, :n - 1]
     Kc_block = 0.5 * reduced.invariants.Schwarzian
-    beta = adapted[:, :n - 1]
     return ContactSplit(
         t=t, frame_c=H_c, r=r, K_block=K_block, Kc_block=Kc_block,
         kr_residual=float(np.linalg.norm(inv.K @ r) / max(r_norm, 1e-300)),
@@ -662,15 +635,15 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     oneill = oneill_endomorphism(setup, sample.frames)
 
     a_amb = np.concatenate([np.zeros(n), w])
-    H_c = reduced.h_frames[reduced.center_index]
-    a_coeff, *_ = np.linalg.lstsq(H_c, a_amb, rcond=None)
+    H_c = reduced.h_frames[reduced.center_index]   # orthonormal: H_c = U_c
+    a_coeff = H_c.T @ a_amb
     if np.max(np.abs(H_c @ a_coeff - a_amb)) > 1e-7:
         raise HorizontalityViolation(
             "flag vector does not lie in the reduced part of the Jacobi plane")
 
     alpha = w  # coordinates of (0, w) in the vertical frame at t = 0
     reduced_term, full_term, corr = _oneill_pairings(
-        reduced, oneill, sample.invariants, a_coeff, a_amb, alpha)
+        reduced, oneill, sample.invariants, a_coeff, alpha)
     norm_full = float(alpha @ sample.invariants.W @ alpha)
     norm_reduced = float(a_coeff @ reduced.invariants.W @ a_coeff)
     return SubmersionResult(scenario=scenario.name,

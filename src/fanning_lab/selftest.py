@@ -269,7 +269,9 @@ def run_selftest(seed: int, stencil_h: float):
     setup = rd.coisotropic_setup(omega4, Wb)
     wr = eq = 0.0
     done = 0
-    while done < 5:
+    for _ in range(50):    # a fault that makes every draw raise fails below
+        if done == 5:
+            break
         A, Adot, Addot = _graph_curve(rng, 2)
         fs = fc.stencil_triples(A, Adot, Addot, nk.Stencil(0.0, 1e-2, 6))
         try:
@@ -281,11 +283,13 @@ def run_selftest(seed: int, stencil_h: float):
         c_idx = red.center_index
         ft = fs.triples[c_idx]
         Wmat = fc.wronskian(ft, omega4)
-        beta, *_ = np.linalg.lstsq(ft.A, red.h_frames[c_idx], rcond=None)
+        beta = red.betas[c_idx]
         wr = max(wr, np.max(np.abs(red.invariants.W - beta.T @ Wmat @ beta)))
         a = rng.normal(size=red.h_frames[c_idx].shape[1])
         lhs, rhs = rd.oneill_formula(setup, fs, red, oneill, a)
         eq = max(eq, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    if done < 5:
+        wr = eq = math.inf
     check("reduced-wronskian-is-restriction", wr, 1e-8)
     check("oneill-formula-equality", eq, 1e-3)
 

@@ -200,7 +200,9 @@ def test_criterion_09_oneill_formula():
     setup = rd.coisotropic_setup(omega, np.eye(4)[:, [0, 1, 2]])
     worst_eq = 0.0
     done = 0
-    while done < 10:
+    for _ in range(100):   # bounded, so a fault that always raises fails
+        if done == 10:
+            break
         A, Adot, Addot = lagrangian_graph_curve(rng, 2)
         fs = fc.stencil_triples(A, Adot, Addot, nk.Stencil(0.0, 1e-2, 6))
         try:
@@ -212,6 +214,7 @@ def test_criterion_09_oneill_formula():
         a = rng.normal(size=red.h_frames[red.center_index].shape[1])
         lhs, rhs = rd.oneill_formula(setup, fs, red, oneill, a)
         worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    assert done == 10, "too few splitting curves drawn"
     elapsed = time.perf_counter() - t0
     report(9, "O'Neill: Hopf triple (4, 1, 3)", worst_hopf, 1e-2,
            elapsed, 60.0)

@@ -12,7 +12,7 @@ from fanning_lab import numkit as nk
 from fanning_lab import reduction as rd
 from fanning_lab.cli import sample_flags, sample_in_ball
 from fanning_lab.errors import (DegenerateFlag, DimensionMismatch,
-                                NotUnitSpeed, OutOfChart)
+                                NotPositiveDefinite, NotUnitSpeed, OutOfChart)
 
 
 def pp(x, y):
@@ -555,6 +555,22 @@ def test_geodesic_refuses_negative_times_before_any_spray(monkeypatch):
         jb.geodesic(mx.zoo_metric("sphere"), pp([0.1, 0.2], [0.6, -0.3]),
                     [0.3, -0.2, 0.0])
     assert calls == []
+
+
+@pytest.mark.parametrize("run", ["transport", "geodesic"])
+def test_orbit_into_an_indefinite_region_raises(run):
+    # g = diag(1, 1 - x1) is positive definite only for x1 < 1; the orbit
+    # from x1 = 0.99 along e1 crosses x1 = 1 before t = 0.05, inside the box
+    m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0 - x[0]]], 2,
+                             mx.Box.cube(2, 3.0))
+    v = pp([0.99, 0.0], [1.0, 0.0])
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"^fundamental tensor not positive definite "
+                             r"at x=\[1\.00"):
+        if run == "transport":
+            jb.transport(m, v, T=0.05)
+        else:
+            jb.geodesic(m, v, [0.05])
 
 
 # -- Riemann oracle ---------------------------------------------------------------

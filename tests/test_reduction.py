@@ -171,6 +171,7 @@ def test_reduced_wronskian_is_restriction(rng):
     omega = std_omega(2)
     W = np.eye(4)[:, [0, 1, 2]]
     setup = rd.coisotropic_setup(omega, W)
+    checked = 0
     for _ in range(5):
         A, Adot, Addot = lagrangian_graph_curve(rng, 2)
         fs = curve_stencil(A, Adot, Addot)
@@ -184,6 +185,8 @@ def test_reduced_wronskian_is_restriction(rng):
         beta, *_ = np.linalg.lstsq(ft.A, red.h_frames[c_idx], rcond=None)
         restriction = beta.T @ Wmat @ beta
         assert np.max(np.abs(red.invariants.W - restriction)) < 1e-8
+        checked += 1
+    assert checked >= 3, "too few splitting curves drawn"
 
 
 # -- hv split ---------------------------------------------------------------------
@@ -217,7 +220,9 @@ def test_hv_split_projector_algebra(rng):
     W = np.eye(4)[:, [0, 1, 2]]
     setup = rd.coisotropic_setup(omega, W)
     done = 0
-    while done < 5:
+    for _ in range(50):   # bounded, so a fault that always raises fails
+        if done == 5:
+            break
         A, Adot, Addot = lagrangian_graph_curve(rng, 2)
         ft = fc.FrameTriple(A(0.0), Adot(0.0), Addot(0.0))
         try:
@@ -227,6 +232,7 @@ def test_hv_split_projector_algebra(rng):
         done += 1
         # W-orthogonality of the two parts
         assert np.max(np.abs(split.beta_h.T @ split.Wmat @ split.beta_v)) < 1e-9
+    assert done == 5, "too few splitting curves drawn"
 
 
 def test_hv_split_degenerate_restriction():
@@ -276,7 +282,9 @@ def test_oneill_symmetry_and_block_structure(rng):
     W = np.eye(4)[:, [0, 1, 2]]
     setup = rd.coisotropic_setup(omega, W)
     done = 0
-    while done < 5:
+    for _ in range(50):   # bounded, so a fault that always raises fails
+        if done == 5:
+            break
         A, Adot, Addot = lagrangian_graph_curve(rng, 2)
         fs = curve_stencil(A, Adot, Addot)
         try:
@@ -285,6 +293,7 @@ def test_oneill_symmetry_and_block_structure(rng):
             continue
         done += 1
         assert data.symmetry_residual < 1e-8
+    assert done == 5, "too few splitting curves drawn"
 
 
 def test_oneill_formula_random_curves(rng):
@@ -292,7 +301,9 @@ def test_oneill_formula_random_curves(rng):
     W = np.eye(4)[:, [0, 1, 2]]
     setup = rd.coisotropic_setup(omega, W)
     done = 0
-    while done < 10:
+    for _ in range(100):   # bounded, so a fault that always raises fails
+        if done == 10:
+            break
         A, Adot, Addot = lagrangian_graph_curve(rng, 2)
         fs = curve_stencil(A, Adot, Addot, h=1e-2, order=6)
         try:
@@ -304,6 +315,7 @@ def test_oneill_formula_random_curves(rng):
         a = rng.normal(size=red.h_frames[red.center_index].shape[1])
         lhs, rhs = rd.oneill_formula(setup, fs, red, oneill, a)
         assert abs(lhs - rhs) < 1e-3 * max(1.0, abs(lhs))
+    assert done == 10, "too few splitting curves drawn"
 
 
 def test_oneill_formula_product_both_sides_equal(rng):
@@ -443,6 +455,53 @@ def test_singular_gauge_system_raises_transversality_failure():
     with pytest.raises(TransversalityFailure, match="singular"):
         rd._gauge_solve(np.zeros((1, 2)), np.zeros((1, 1)), A[:, :1], A,
                         np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-9],
+                         ids=["orthogonal", "nearly-orthogonal"])
+def test_graph_gauge_fails_when_the_intersection_turns_away(tilt):
+    # W = span(e1, e2, f1): the center plane span(e1, f2) meets W in e1, the
+    # last node's plane span(tilt e1 + f1, f2) in a line (nearly) orthogonal
+    # to it, so the gauge matrix U_c^T A b is 0 or 1e-9
+    setup = rd.coisotropic_setup(std_omega(2), np.eye(4)[:, [0, 1, 2]])
+    e1, e2, f1, f2 = np.eye(4)
+
+    def triple(u):
+        w = np.array([-u[2], 0.0, u[0], 0.0])   # W(u, u) > 0, W(f2, f2) = 1
+        return fc.FrameTriple(np.column_stack([u, f2]),
+                              np.column_stack([w, -e2]), np.zeros((4, 2)))
+
+    fs = fc.FrameStencil(nk.Stencil(0.0, 1e-2, 6),
+                         [triple(e1)] * 6 + [triple(tilt * e1 + f1)])
+    with pytest.raises(TransversalityFailure, match="graph gauge failed"):
+        rd.reduce_curve(setup, fs)
+
+
+def test_project_refuses_columns_outside_w():
+    setup = rd.coisotropic_setup(std_omega(2), np.eye(4)[:, [0, 1, 2]])
+    cols = np.eye(4)[:, [0, 3]]   # e1 lies in W, f2 does not
+    with pytest.raises(TransversalityFailure, match="columns do not lie in W"):
+        setup.project(cols)
+
+
+def test_project_onto_the_trivial_quotient_of_a_lagrangian_w():
+    setup = rd.coisotropic_setup(std_omega(2), np.eye(4)[:, [0, 1]])
+    assert setup.omega_R is None
+    assert setup.project(np.eye(4)[:, [0, 1, 0]]).shape == (0, 3)
+    with pytest.raises(TransversalityFailure, match="columns do not lie in W"):
+        setup.project(np.eye(4)[:, [2]])
+
+
+def test_reduced_frames_are_graphs_over_the_center(rng):
+    for setup, fs in reduction_cases(rng):
+        red = rd.reduce_curve(setup, fs)
+        c = red.center_index
+        U_c = red.h_frames[c]
+        p = U_c.shape[1]
+        assert np.max(np.abs(U_c.T @ U_c - np.eye(p))) < 1e-12
+        for H, beta, ft in zip(red.h_frames, red.betas, fs.triples):
+            assert np.array_equal(H, ft.A @ beta)
+            assert np.max(np.abs(U_c.T @ H - np.eye(p))) < 1e-12
 
 
 # -- submersions ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fanning_lab
 from fanning_lab import jacobi as jb
@@ -95,12 +96,17 @@ def test_tracer_counts_a_flag_and_an_orbit_read():
 MUTANTS = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
 
 
-def test_each_mutant_applies_to_exactly_one_place():
-    # the mutation probe (tools/mutants.py, run outside tier-1) replaces
-    # text that must still occur once, and names killers that still exist
+def load_mutants():
     module = types.ModuleType("mutants")
     module.__file__ = str(MUTANTS)
     exec(compile(MUTANTS.read_text(), str(MUTANTS), "exec"), module.__dict__)
+    return module
+
+
+def test_each_mutant_applies_to_exactly_one_place():
+    # the mutation probe (tools/mutants.py, run outside tier-1) replaces
+    # text that must still occur once, and names killers that still exist
+    module = load_mutants()
     root = MUTANTS.parents[1]
     names = [m.name for m in module.MUTANTS]
     assert len(names) == len(set(names)) >= 15
@@ -111,3 +117,15 @@ def test_each_mutant_applies_to_exactly_one_place():
         if m.killer:
             path, test = m.killer.split("::")
             assert f"def {test.split('[')[0]}(" in (root / path).read_text()
+
+
+def test_a_pytest_run_past_its_time_limit_is_an_unexpected_hang(capsys):
+    module = load_mutants()
+    module.TIMEOUT_S = 0.01   # no pytest run starts that fast
+    with pytest.raises(module.Hung):
+        module.pytest_fails(MUTANTS.parents[1], ["tests/test_tooling.py"])
+    module.MUTANTS = module.MUTANTS[:1]
+    module.probe = lambda m: ("hung", "in (tier-1)")
+    assert module.main() == 1
+    out = capsys.readouterr().out
+    assert " hung " in out and "UNEXPECTED (expected killed)" in out

@@ -9,9 +9,10 @@ first; if it passes, the whole tier-1 suite runs with -x, less the guard
 that each mutant's text still occurs once (which any mutant fails).  A mutant is
 killed when a test fails, and survives otherwise.  A mutant listed as
 equivalent carries the reason its fault cannot change any result, and is
-expected to survive.  One line is printed per mutant, with its wall time;
-the exit code is 1 when an expected kill survived or an equivalent mutant
-was killed.
+expected to survive.  Each pytest run has a time limit; a run that exceeds
+it ends the mutant's probe as hung, which is never the expected outcome.
+One line is printed per mutant, with its wall time; the exit code is 1 when
+an expected kill survived, an equivalent mutant was killed, or a run hung.
 
 It uses only the standard library (and pytest, like tier-1).  It is not
 part of tier-1: a full run takes minutes.
@@ -34,6 +35,7 @@ PKG = "src/fanning_lab/"
 SELF_CHECK = "tests/test_tooling.py::test_each_mutant_applies_to_exactly_one_place"
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--deselect", SELF_CHECK]
+TIMEOUT_S = 300   # per pytest run; tier-1 takes about 110 s on two cores
 
 
 class Mutant(NamedTuple):
@@ -106,7 +108,7 @@ MUTANTS = [
            "tests/test_acceptance.py::"
            "test_criterion_04_oracle_equivalence_conformal"),
     Mutant("omega-check-noop", PKG + "metrics.py",
-           "    g = _fiber_tensor(J, p)\n",
+           "    g = _fiber_tensor(J, p.x, p.y)\n",
            "    g = _sym(0.5 * J.H[..., n:, n:])\n",
            "tests/test_metrics.py::"
            "test_omega_rejects_an_indefinite_fundamental_tensor"),
@@ -174,6 +176,32 @@ MUTANTS = [
            "    C = setup.WomegaBasis.T @ setup.omega.Omega.T\n", "",
            equivalent="Omega^T = -Omega negates C, and so both sides of "
                       "C A beta' = -C Adot beta"),
+    # -- exact coordinates: graph gauge, quotient pairing, carried betas ------
+    Mutant("gauge-inverse-dropped", PKG + "reduction.py",
+           "        H = ft.A @ beta\n",
+           "        beta = b\n        H = ft.A @ beta\n",
+           "tests/test_reduction.py::"
+           "test_reduced_frames_are_graphs_over_the_center"),
+    Mutant("isotropy-check-noop", PKG + "reduction.py",
+           "    if np.max(np.abs(comp.T @ omega.Omega @ comp), initial=0.0) > (",
+           "    if 0.0 * np.max(np.abs(comp.T @ omega.Omega @ comp), "
+           "initial=0.0) > (",
+           "tests/test_reduction.py::"
+           "test_coisotropic_setup_rejects_non_coisotropic"),
+    Mutant("membership-check-noop", PKG + "reduction.py",
+           "        if off > 1e-8 * np.max(np.abs(Omega)) * max(",
+           "        if 0.0 * off > 1e-8 * np.max(np.abs(Omega)) * max(",
+           "tests/test_reduction.py::test_project_refuses_columns_outside_w"),
+    Mutant("oneill-basis-swapped", PKG + "reduction.py",
+           "np.hstack([split.beta_h, split.beta_v]), alpha)",
+           "np.hstack([split.beta_v, split.beta_h]), alpha)",
+           "tests/test_reduction.py::test_hopf_oneill_triple"),
+    Mutant("quotient-form-negated", PKG + "reduction.py",
+           "        return np.linalg.solve(self.omega_R.Omega,",
+           "        return np.linalg.solve(-self.omega_R.Omega,", "",
+           equivalent="every reduced frame, velocity and acceleration flips "
+                      "sign together, a constant frame change by -I that "
+                      "leaves W, P and Q unchanged"),
     # -- transport lanes, frame windows, settings, Randers validity -----------
     Mutant("flow-lane-sign", PKG + "jacobi.py",
            "sign = np.array([[1.0], [-1.0]])", "sign = np.array([[1.0], [1.0]])",
@@ -203,31 +231,45 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
+class Hung(Exception):
+    """A pytest run exceeded TIMEOUT_S."""
+
+
 def pytest_fails(tree: Path, args) -> tuple:
-    """(whether pytest failed, the first failing node id or '')."""
+    """(whether pytest failed, the first failing node id or ''); raises
+    Hung when the run exceeds TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, *TIER1, *args], cwd=tree, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                          text=True)
+    try:
+        proc = subprocess.run([sys.executable, *TIER1, *args], cwd=tree,
+                              env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise Hung(" ".join(args) or "(tier-1)") from None
     first = next((line.split()[1] for line in proc.stdout.splitlines()
                   if line.startswith(("FAILED ", "ERROR "))), "")
     return proc.returncode != 0, first
 
 
 def probe(mutant: Mutant) -> tuple:
-    """(outcome, killing test) for one mutant, in a fresh copy of the tree."""
+    """(outcome, "by" the killing test or "in" the hung run, or "") for one
+    mutant, in a fresh copy of the tree."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", "*.egg-info"))
         apply(mutant, tree)
-        if mutant.killer:
-            failed, _ = pytest_fails(tree, [mutant.killer])
-            if failed:
-                return "killed", mutant.killer
-        failed, first = pytest_fails(tree, [])
-        return ("killed", first or "(tier-1)") if failed else ("survived", "")
+        try:
+            if mutant.killer:
+                failed, _ = pytest_fails(tree, [mutant.killer])
+                if failed:
+                    return "killed", f"by {mutant.killer}"
+            failed, first = pytest_fails(tree, [])
+        except Hung as exc:
+            return "hung", f"in {exc}"
+        return ("killed", f"by {first or '(tier-1)'}") if failed else (
+            "survived", "")
 
 
 def main() -> int:
@@ -235,10 +277,10 @@ def main() -> int:
     start = time.monotonic()
     for m in MUTANTS:
         t0 = time.monotonic()
-        outcome, by = probe(m)
+        outcome, note = probe(m)
         expected = "survived" if m.equivalent else "killed"
         bad += outcome != expected
-        note = f"by {by}" if by else f"equivalent: {m.equivalent}"
+        note = note or f"equivalent: {m.equivalent}"
         if outcome != expected:
             note += f"  UNEXPECTED (expected {expected})"
         print(f"{m.name:30s} {outcome:8s} {time.monotonic() - t0:6.1f} s  "
