@@ -1,11 +1,14 @@
 """Contract of the built-in property suites: pass on defaults, degrade
 visibly with a coarse stencil, and stay seed-robust."""
 
+import math
+
 import pytest
 
 from fanning_lab import cli
 from fanning_lab import reduction as rd
 from fanning_lab.cli import _SETTINGS
+from fanning_lab.errors import TransversalityFailure
 from fanning_lab.selftest import run_selftest
 
 # the defaults of the selftest command and experiment
@@ -70,3 +73,24 @@ def test_reduction_redraw_lets_a_genuine_error_through(monkeypatch, capsys):
     assert cli.main(["selftest"]) == cli.EXIT_NUMERIC
     assert capsys.readouterr().err == (
         "numeric failure: TypeError: genuine error\n")
+
+
+def test_reduction_draws_that_all_fail_are_reported_not_retried(monkeypatch):
+    # a fault that makes every draw raise a geometric failure ends the
+    # bounded redraw loop (50 draws) and fails both reduction checks with
+    # residual inf; the Hopf check after the loop runs the real assembly
+    real, calls = rd.oneill_endomorphism, []
+
+    def fail_in_the_loop(setup, fs):
+        calls.append(1)
+        if setup.omega.Omega.shape == (4, 4):
+            raise TransversalityFailure("fault")
+        return real(setup, fs)
+
+    monkeypatch.setattr(rd, "oneill_endomorphism", fail_in_the_loop)
+    results = {r.name: r for r in run_selftest(**DEFAULTS)}
+    assert len(calls) == 51
+    for name in ("reduced-wronskian-is-restriction", "oneill-formula-equality"):
+        assert results[name].residual == math.inf
+        assert not results[name].passed
+    assert results["hopf-oneill-triple"].passed
