@@ -73,7 +73,8 @@ class TransversalityFailure(FanningLabError):
 
 
 class DegenerateRestriction(FanningLabError):
-    """The Wronskian is degenerate on the intersection with the coisotropic subspace."""
+    """The Wronskian is degenerate on the intersection with the coisotropic
+    subspace, or the quotient by that subspace is trivial."""
 
 
 class HorizontalityViolation(FanningLabError):

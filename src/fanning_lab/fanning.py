@@ -119,17 +119,14 @@ class SymplecticForm:
 class FanningInvariants:
     """Per-instant bundle of invariants of a fanning curve.
 
-    Endomorphisms are expressed in the ambient standard basis; P, Q, Pdot and
-    the Schwarzian are n x n coefficient matrices in the frame basis.  W is
+    Endomorphisms are expressed in the ambient standard basis; the
+    Schwarzian is an n x n coefficient matrix in the frame basis.  W is
     present only when a symplectic form was supplied.
     """
 
     F: np.ndarray
     Fdot: np.ndarray
     Hframe: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    Pdot: np.ndarray
     Schwarzian: np.ndarray
     K: np.ndarray
     W: Optional[np.ndarray] = None
@@ -177,17 +174,18 @@ def horizontal_data(ft: FrameTriple):
     return Fdot, Hframe, P_ell, P_h
 
 
-def jacobi_endomorphism(ft: FrameTriple, Pdot: np.ndarray) -> np.ndarray:
-    """Jacobi endomorphism K = (1/4) Fddot^2 in the ambient basis.
+def jacobi_endomorphism(ft: FrameTriple, S: np.ndarray) -> np.ndarray:
+    """Jacobi endomorphism K = (1/4) Fddot^2 in the ambient basis, from the
+    Schwarzian S of the frame (`schwarzian`).
 
     (1/2)Fddot has block matrix [[0, -(1/2)S], [-I, 0]] in the basis
-    (A, Hframe) with S the Schwarzian; K is its square and is block diagonal
+    (A, Hframe); K is its square and is block diagonal
     (1/2)S on both the plane and its horizontal complement.  The basis
     [A | Hframe] = [A | Adot] [[I, P/2], [0, I]] is inverted from the cache.
     """
     n = ft.n
     Binv, P, _ = ft.fanning_data
-    half_S = 0.5 * schwarzian(ft, Pdot)
+    half_S = 0.5 * S
     Hframe = ft.Adot + 0.5 * ft.A @ P
     return (ft.A @ half_S @ (Binv[..., :n, :] - 0.5 * P @ Binv[..., n:, :])
             + Hframe @ half_S @ Binv[..., n:, :])
@@ -285,18 +283,12 @@ def invariants(fs: FrameStencil,
     Pdot comes from the first-derivative stencil over P evaluated at every
     node; everything else is closed-form in the center triple.
     """
-    Ps = []
-    for ft in fs.triples:
-        P, _ = pq_coefficients(ft)
-        Ps.append(P)
-    Pdot = central_derivative(Ps, fs.stencil)
-
+    Pdot = central_derivative([pq_coefficients(ft)[0] for ft in fs.triples],
+                              fs.stencil)
     ft = fs.center
-    P, Q = pq_coefficients(ft)
-    F = fundamental_endomorphism(ft)
-    Fdot, Hframe, P_ell, P_h = horizontal_data(ft)
-    K = jacobi_endomorphism(ft, Pdot)
+    S = schwarzian(ft, Pdot)
+    Fdot, Hframe, _, _ = horizontal_data(ft)
     W = None if omega is None else wronskian(ft, omega)
-    return FanningInvariants(F=F, Fdot=Fdot, Hframe=Hframe, P=P, Q=Q,
-                             Pdot=Pdot, Schwarzian=schwarzian(ft, Pdot),
-                             K=K, W=W)
+    return FanningInvariants(F=fundamental_endomorphism(ft), Fdot=Fdot,
+                             Hframe=Hframe, Schwarzian=S,
+                             K=jacobi_endomorphism(ft, S), W=W)

@@ -9,14 +9,15 @@ square enters with the famous factor 3.
 
 Every coordinate change is a product or one square solve.  W is
 coisotropic, that is W^omega is isotropic, so W = ker C with C =
-(W^omega)^T Omega; W^omega pairs to zero with W, so a Darboux quotient basis
-D (D^T Omega D = J_R) gives the coordinates c of w in W from D^T Omega w =
-J_R c.  Frames H = A beta of l inter W are fixed by the graph gauge
-U_c^T H = I (U_c orthonormal at the center); beta' solves one square system
-(`_gauge_solve`): C A beta' = -C Adot beta, k rows for the codimension k of
-W, and U^T A beta' = -U^T Adot beta, n - k rows.  No check that l misses
-W^omega is needed: for a Lagrangian l (which `fanning.wronskian` checks),
-dim(l inter W) = n - k + dim(l inter W^omega).
+(W^omega)^T Omega.  The quotient basis D is orthonormal and orthogonal to
+W^omega, and W = span D + W^omega, so w in W has quotient coordinates
+c = D^T w and the reduced form is D^T Omega D (W_R and the Schwarzian do not
+depend on the basis of the quotient).  Frames H = A beta of l inter W are
+fixed by the graph gauge U_c^T H = I (U_c orthonormal at the center); beta'
+solves one square system (`_gauge_solve`): C A beta' = -C Adot beta, k rows
+for the codimension k of W, and U^T A beta' = -U^T Adot beta, n - k rows.
+No check that l misses W^omega is needed: for a Lagrangian l (which
+`fanning.wronskian` checks), dim(l inter W) = n - k + dim(l inter W^omega).
 
 Two front-ends instantiate this.  The contact splitting takes W = ker dF,
 the tangent space of the unit sphere bundle, whose annihilator is the spray
@@ -53,7 +54,6 @@ __all__ = [
     "OneillData",
     "symplectic_complement",
     "coisotropic_setup",
-    "symplectic_gram_schmidt",
     "reduce_curve",
     "hv_split",
     "oneill_endomorphism",
@@ -98,11 +98,13 @@ def symplectic_complement(omega: fc.SymplecticForm,
 
 @dataclass(frozen=True)
 class CoisotropicSetup:
-    """Coisotropic subspace with its annihilator and a Darboux quotient basis.
+    """Coisotropic subspace with its annihilator and a quotient basis.
 
-    quotient_basis holds representatives (columns inside W) of a basis of
-    W / W^omega on which the reduced form is the standard J, so reduced
-    curves can be fed straight back into the Lagrangian machinery.
+    quotient_basis D holds representatives (orthonormal columns inside W,
+    orthogonal to W^omega) of a basis of W / W^omega, and omega_R is the
+    reduced form D^T Omega D (None for the trivial quotient of a Lagrangian
+    W), so reduced curves can be fed straight back into the Lagrangian
+    machinery.
     """
 
     omega: fc.SymplecticForm
@@ -116,53 +118,20 @@ class CoisotropicSetup:
         return self.quotient_basis.shape[1]
 
     def project(self, cols: np.ndarray) -> np.ndarray:
-        """Quotient coordinates c of columns w in W, from D^T Omega w =
-        J_R c; the trivial quotient of a Lagrangian W gives a (0, k) block."""
+        """Quotient coordinates c = D^T w of columns w in W; the trivial
+        quotient of a Lagrangian W gives a (0, k) block."""
         Omega = self.omega.Omega
         off = np.max(np.abs(self.WomegaBasis.T @ Omega @ cols), initial=0.0)
         if off > 1e-8 * np.max(np.abs(Omega)) * max(
                 1.0, np.max(np.abs(cols), initial=0.0)):
             raise TransversalityFailure("columns do not lie in W")
-        if self.omega_R is None:
-            return np.zeros((0, cols.shape[1]))
-        return np.linalg.solve(self.omega_R.Omega,
-                               self.quotient_basis.T @ Omega @ cols)
-
-
-def symplectic_gram_schmidt(omega: np.ndarray,
-                            basis: np.ndarray) -> np.ndarray:
-    """Darboux basis of the span of `basis` for the form omega.
-
-    Requires the restriction of omega to the span to be nondegenerate;
-    returns columns (e_1..e_m, f_1..f_m) with omega(e_i, f_j) = delta_ij.
-    """
-    vecs = [basis[:, j].copy() for j in range(basis.shape[1])]
-    es, fs = [], []
-    while vecs:
-        e = vecs.pop(0)
-        if np.linalg.norm(e) < 1e-12:
-            continue
-        pairings = [abs(e @ omega @ v) for v in vecs]
-        if not pairings or max(pairings) < 1e-12 * max(1.0, np.linalg.norm(e)):
-            raise DegenerateRestriction(
-                "omega is degenerate on the requested span")
-        j = int(np.argmax(pairings))
-        f = vecs.pop(j)
-        f = f / (e @ omega @ f)
-        rest = []
-        for v in vecs:
-            v = v - (e @ omega @ v) * f + (f @ omega @ v) * e
-            rest.append(v)
-        vecs = rest
-        es.append(e)
-        fs.append(f)
-    return np.stack(es + fs, axis=1)
+        return self.quotient_basis.T @ cols
 
 
 def coisotropic_setup(omega: fc.SymplecticForm,
                       Wbasis: np.ndarray) -> CoisotropicSetup:
-    """Validate coisotropy (W^omega isotropic) and prepare the Darboux
-    quotient basis from the parts of W orthogonal to W^omega."""
+    """Validate coisotropy (W^omega isotropic) and take the quotient
+    basis from one SVD of the parts of W orthogonal to W^omega."""
     Wbasis = np.asarray(Wbasis, dtype=float)
     comp = symplectic_complement(omega, Wbasis)
     if np.max(np.abs(comp.T @ omega.Omega @ comp), initial=0.0) > (
@@ -170,14 +139,12 @@ def coisotropic_setup(omega: fc.SymplecticForm,
         raise TransversalityFailure(
             "subspace is not coisotropic: W^omega not inside W")
     q = 2 * Wbasis.shape[1] - Wbasis.shape[0]
-    darboux, omega_R = np.zeros((Wbasis.shape[0], 0)), None
-    if q:   # a Lagrangian W has the trivial quotient (splittings still work)
-        U, _, _ = np.linalg.svd(Wbasis - comp @ (comp.T @ Wbasis),
-                                full_matrices=False)
-        darboux = symplectic_gram_schmidt(omega.Omega, U[:, :q])
-        omega_R = fc.SymplecticForm(darboux.T @ omega.Omega @ darboux)
+    U, _, _ = np.linalg.svd(Wbasis - comp @ (comp.T @ Wbasis),
+                            full_matrices=False)
+    D = U[:, :q]   # empty for a Lagrangian W (splittings still work)
+    omega_R = fc.SymplecticForm(D.T @ omega.Omega @ D) if q else None
     return CoisotropicSetup(omega=omega, Wbasis=Wbasis, WomegaBasis=comp,
-                            quotient_basis=darboux, omega_R=omega_R)
+                            quotient_basis=D, omega_R=omega_R)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +210,12 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     curve is nearly straight).  Their first and second derivatives
     differentiate C A beta = 0 (`_gauge_solve`), so the reduced triple is as
     accurate as the input one (the only stencil left is the usual
-    P-derivative inside the invariant computation).
+    P-derivative inside the invariant computation).  A Lagrangian W, whose
+    quotient is trivial, is refused (`DegenerateRestriction`).
     """
+    if setup.omega_R is None:
+        raise DegenerateRestriction(
+            "W is Lagrangian: its quotient is trivial, no curve to reduce")
     p = setup.quotient_dim // 2
     C = setup.WomegaBasis.T @ setup.omega.Omega
     c_idx = len(fs.triples) // 2
@@ -365,9 +336,6 @@ def oneill_formula(setup: CoisotropicSetup, fs: fc.FrameStencil,
     returns (reduced side, full side + 3 W(Aa, Aa)).
     """
     a_coeff = np.asarray(a_coeff, dtype=float)
-    if reduced.invariants.W is None:
-        raise DegenerateRestriction("trivial quotient has no reduced Wronskian")
-
     alpha = reduced.betas[reduced.center_index] @ a_coeff
     lhs, full_term, corr = _oneill_pairings(
         reduced, oneill, fc.invariants(fs, setup.omega), a_coeff, alpha)

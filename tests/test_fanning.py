@@ -147,20 +147,20 @@ def test_normal_frame_horizontal_is_adot(rng):
 
 def test_jacobi_endomorphism_rotating_line():
     ft, _ = rotating_line(0.0)
-    K = fc.jacobi_endomorphism(ft, np.zeros((1, 1)))
+    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, np.zeros((1, 1))))
     assert np.allclose(K, np.eye(2), atol=1e-12)
 
 
 def test_jacobi_endomorphism_straight_frame():
     ft = triple([-0.3, 1], [-1, 0], [0, 0])
-    K = fc.jacobi_endomorphism(ft, np.zeros((1, 1)))
+    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, np.zeros((1, 1))))
     assert np.max(np.abs(K)) < 1e-13
 
 
 def test_jacobi_endomorphism_invariant_subspaces(rng):
     ft = random_fanning_triple(rng, 3)
     Pdot = rng.normal(size=(3, 3))
-    K = fc.jacobi_endomorphism(ft, Pdot)
+    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, Pdot))
     _, H, _, _ = fc.horizontal_data(ft)
     # K span(A) stays in span(A), same for the horizontal frame
     for M in (ft.A, H):
@@ -394,8 +394,7 @@ def test_batched_invariants_match_each_triple(rng):
             batch = fc.invariants(stacked(stencils), batch_omega)
             for i, fs in enumerate(stencils):
                 one = fc.invariants(fs, omega)
-                for name in ("F", "Fdot", "Hframe", "P", "Q", "Pdot",
-                             "Schwarzian", "K", "W"):
+                for name in ("F", "Fdot", "Hframe", "Schwarzian", "K", "W"):
                     want, got = getattr(one, name), getattr(batch, name)
                     if want is None:
                         assert got is None

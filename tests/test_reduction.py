@@ -1,5 +1,6 @@
 """Tests for symplectic reduction, the O'Neill endomorphism and submersions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,13 +65,19 @@ def test_complement_rank_deficient():
         rd.symplectic_complement(omega, W)
 
 
-def test_coisotropic_setup_darboux_property():
+def test_coisotropic_setup_orthonormal_quotient_basis(rng):
     omega = std_omega(2)
     W = np.eye(4)[:, [0, 1, 2]]  # e1, e2, f1: coisotropic
     setup = rd.coisotropic_setup(omega, W)
-    D = setup.quotient_basis
+    D, Womega = setup.quotient_basis, setup.WomegaBasis
     assert D.shape == (4, 2)
-    assert np.allclose(D.T @ omega.Omega @ D, std_omega(1).Omega, atol=1e-12)
+    assert np.max(np.abs(D.T @ D - np.eye(2))) < 1e-12
+    assert np.max(np.abs(D.T @ Womega)) < 1e-12
+    # the reduced form is the restriction, and it is invertible
+    assert np.array_equal(setup.omega_R.Omega, D.T @ omega.Omega @ D)
+    assert np.linalg.svd(setup.omega_R.Omega, compute_uv=False)[-1] > 0.5
+    c, a = rng.normal(size=(2, 3)), rng.normal(size=(1, 3))
+    assert np.max(np.abs(setup.project(D @ c + Womega @ a) - c)) < 1e-12
 
 
 def test_coisotropic_setup_rejects_non_coisotropic():
@@ -490,6 +497,32 @@ def test_project_onto_the_trivial_quotient_of_a_lagrangian_w():
     assert setup.project(np.eye(4)[:, [0, 1, 0]]).shape == (0, 3)
     with pytest.raises(TransversalityFailure, match="columns do not lie in W"):
         setup.project(np.eye(4)[:, [2]])
+
+
+def test_reduce_curve_refuses_a_lagrangian_w(rng):
+    setup = rd.coisotropic_setup(std_omega(2), np.eye(4)[:, [0, 1]])
+    fs = curve_stencil(*lagrangian_graph_curve(rng, 2))
+    with pytest.raises(DegenerateRestriction, match="quotient is trivial"):
+        rd.reduce_curve(setup, fs)
+
+
+def test_reduction_does_not_depend_on_the_quotient_basis(rng):
+    # on the Hopf stencil omega_R is not orthogonal, so reading quotient
+    # coordinates through the form instead of D^T would change W_R
+    setup, fs = hopf_stencil()
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    D = setup.quotient_basis @ Q
+    turned = dataclasses.replace(
+        setup, quotient_basis=D,
+        omega_R=fc.SymplecticForm(D.T @ setup.omega.Omega @ D))
+    one, two = rd.reduce_curve(setup, fs), rd.reduce_curve(turned, fs)
+    for name in ("W", "Schwarzian"):
+        got, want = getattr(two.invariants, name), getattr(one.invariants, name)
+        assert np.max(np.abs(got - want)) < 1e-12
+    # and W_R is the restriction of the full Wronskian to l(0) inter W
+    beta = one.betas[one.center_index]
+    restriction = beta.T @ fc.wronskian(fs.center, setup.omega) @ beta
+    assert np.max(np.abs(one.invariants.W - restriction)) < 1e-12
 
 
 def test_reduced_frames_are_graphs_over_the_center(rng):

@@ -196,12 +196,20 @@ MUTANTS = [
            "np.hstack([split.beta_h, split.beta_v]), alpha)",
            "np.hstack([split.beta_v, split.beta_h]), alpha)",
            "tests/test_reduction.py::test_hopf_oneill_triple"),
-    Mutant("quotient-form-negated", PKG + "reduction.py",
-           "        return np.linalg.solve(self.omega_R.Omega,",
-           "        return np.linalg.solve(-self.omega_R.Omega,", "",
-           equivalent="every reduced frame, velocity and acceleration flips "
-                      "sign together, a constant frame change by -I that "
-                      "leaves W, P and Q unchanged"),
+    # -- orthonormal quotient coordinates and the trivial-quotient guard -----
+    Mutant("project-through-the-form", PKG + "reduction.py",
+           "        return self.quotient_basis.T @ cols\n",
+           "        return self.quotient_basis.T @ Omega @ cols\n",
+           "tests/test_reduction.py::"
+           "test_reduction_does_not_depend_on_the_quotient_basis"),
+    Mutant("quotient-basis-keeps-w-omega", PKG + "reduction.py",
+           "    U, _, _ = np.linalg.svd(Wbasis - comp @ (comp.T @ Wbasis),\n",
+           "    U, _, _ = np.linalg.svd(Wbasis,\n",
+           "tests/test_reduction.py::"
+           "test_coisotropic_setup_orthonormal_quotient_basis"),
+    Mutant("lagrangian-guard-noop", PKG + "reduction.py",
+           "    if setup.omega_R is None:\n", "    if False:\n",
+           "tests/test_reduction.py::test_reduce_curve_refuses_a_lagrangian_w"),
     # -- transport lanes, frame windows, settings, Randers validity -----------
     Mutant("flow-lane-sign", PKG + "jacobi.py",
            "sign = np.array([[1.0], [-1.0]])", "sign = np.array([[1.0], [1.0]])",
