@@ -173,18 +173,14 @@ def _metric_params(spec) -> dict:
     return params
 
 
-def _zoo_metric(metric_id, params):
+def _build_metric(s):
+    metric_id, params = s["metric"]["id"], _metric_params(s["metric"])
     try:
         return mx.zoo_metric(metric_id, **params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for metric {metric_id!r}: {exc}")
     except FanningLabError as exc:
         raise ConfigError(str(exc))
-
-
-def _build_metric(s):
-    spec = s["metric"]
-    return _zoo_metric(spec["id"], _metric_params(spec))
 
 
 def _stack_flags(flags):

@@ -174,9 +174,10 @@ def horizontal_data(ft: FrameTriple):
     return Fdot, Hframe, P_ell, P_h
 
 
-def jacobi_endomorphism(ft: FrameTriple, S: np.ndarray) -> np.ndarray:
+def jacobi_endomorphism(ft: FrameTriple, S: np.ndarray,
+                        Hframe: np.ndarray) -> np.ndarray:
     """Jacobi endomorphism K = (1/4) Fddot^2 in the ambient basis, from the
-    Schwarzian S of the frame (`schwarzian`).
+    frame's Schwarzian S and horizontal frame Hframe (`horizontal_data`).
 
     (1/2)Fddot has block matrix [[0, -(1/2)S], [-I, 0]] in the basis
     (A, Hframe); K is its square and is block diagonal
@@ -186,7 +187,6 @@ def jacobi_endomorphism(ft: FrameTriple, S: np.ndarray) -> np.ndarray:
     n = ft.n
     Binv, P, _ = ft.fanning_data
     half_S = 0.5 * S
-    Hframe = ft.Adot + 0.5 * ft.A @ P
     return (ft.A @ half_S @ (Binv[..., :n, :] - 0.5 * P @ Binv[..., n:, :])
             + Hframe @ half_S @ Binv[..., n:, :])
 
@@ -291,4 +291,4 @@ def invariants(fs: FrameStencil,
     W = None if omega is None else wronskian(ft, omega)
     return FanningInvariants(F=fundamental_endomorphism(ft), Fdot=Fdot,
                              Hframe=Hframe, Schwarzian=S,
-                             K=jacobi_endomorphism(ft, S), W=W)
+                             K=jacobi_endomorphism(ft, S, Hframe), W=W)

@@ -26,15 +26,16 @@ curve, complementary to C - tS.  The submersion front-end takes W the
 tangent space of the horizontal-cone bundle of an isometric submersion; the
 shipped scenarios, the trivial product and the Hopf fibrations, all project
 (x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
-horizontal-cone conditions, taken from one jet pass of the metric and the
-fiber.  Both read 7-point stencils of width `_REDUCTION_H`.
+horizontal-cone condition, from one jet pass of the metric.  Both read
+7-point stencils of width `_REDUCTION_H`; a window read by one stencil
+alone needs only `reduction_resolution`, a fifth of the frame step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -64,6 +65,7 @@ __all__ = [
     "SubmersionResult",
     "horizontal_part",
     "submersion_curvature",
+    "reduction_resolution",
     "ContactSplit",
     "contact_reduce",
 ]
@@ -73,13 +75,26 @@ _REDUCTION_H = 1e-2  # width of the 7-point stencils of curve-level reductions
 _GAUGE_BOUND = 1e6   # graph frames grow as the secant of the angle to U_c
 
 
+def reduction_resolution(resolution: float) -> float:
+    """A fifth of resolution in whole steps per `_REDUCTION_H`: 400 steps
+    per unit at the default.  `submersion_curvature` at the default flags:
+
+        steps per unit           2000      400       200
+        spray_data calls          241       49        25
+        hopf K_base error       1.4e-9    1.1e-9    2.0e-9
+        hopf residual          3.5e-10   4.1e-10    1.5e-9
+        hopf-scaled K_base err  4.4e-12   2.8e-12   4.6e-11
+
+    At 400 the Hopf errors sit at the stencil's rounding floor, as at 2000.
+    """
+    return jb.frame_resolution(_REDUCTION_H, resolution / 5)
+
+
 def _nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the nullspace of M (columns)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     U, s, Vt = np.linalg.svd(M)
-    if s.size == 0:
-        return np.eye(M.shape[1])
-    rank = int(np.sum(s > _SV_REL_TOL * s[0]))
+    rank = int(np.sum(s > _SV_REL_TOL * np.max(s, initial=0.0)))
     return Vt[rank:].T
 
 
@@ -89,10 +104,9 @@ def symplectic_complement(omega: fc.SymplecticForm,
     Wbasis = np.asarray(Wbasis, dtype=float)
     if Wbasis.ndim != 2:
         raise DimensionMismatch("Wbasis must be a matrix of columns")
-    if Wbasis.shape[1] > 0:
-        s = np.linalg.svd(Wbasis, compute_uv=False)
-        if s[-1] <= _SV_REL_TOL * s[0]:
-            raise RankDeficient("Wbasis does not have full column rank")
+    s = np.linalg.svd(Wbasis, compute_uv=False)   # empty for no columns
+    if np.min(s, initial=np.inf) <= _SV_REL_TOL * np.max(s, initial=0.0):
+        raise RankDeficient("Wbasis does not have full column rank")
     return _nullspace(Wbasis.T @ omega.Omega)
 
 
@@ -112,10 +126,6 @@ class CoisotropicSetup:
     WomegaBasis: np.ndarray
     quotient_basis: np.ndarray
     omega_R: Optional[fc.SymplecticForm]
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.quotient_basis.shape[1]
 
     def project(self, cols: np.ndarray) -> np.ndarray:
         """Quotient coordinates c = D^T w of columns w in W; the trivial
@@ -153,16 +163,10 @@ def coisotropic_setup(omega: fc.SymplecticForm,
 
 def _plane_meets(A: np.ndarray, B: np.ndarray):
     """Coefficient basis (in the A-frame) of span(A) inter span(B)."""
-    if B.shape[1] == 0:
-        return np.zeros((A.shape[1], 0))
-    stacked = np.hstack([A, -B])
-    null = _nullspace(stacked)
-    beta = null[:A.shape[1], :]
-    if beta.shape[1] == 0:
-        return np.zeros((A.shape[1], 0))
+    beta = _nullspace(np.hstack([A, -B]))[:A.shape[1], :]
     # orthonormalize the coefficient basis
     U, s, _ = np.linalg.svd(beta, full_matrices=False)
-    keep = int(np.sum(s > _SV_REL_TOL * s[0]))
+    keep = int(np.sum(s > _SV_REL_TOL * np.max(s, initial=0.0)))
     return U[:, :keep]
 
 
@@ -170,11 +174,10 @@ def _restricted_wronskian(setup: CoisotropicSetup, ft: fc.FrameTriple,
                           beta_h: np.ndarray) -> np.ndarray:
     """Wronskian of the triple, checked nondegenerate on span(A beta_h)."""
     Wmat = fc.wronskian(ft, setup.omega)
-    if beta_h.shape[1]:
-        s = np.linalg.svd(beta_h.T @ Wmat @ beta_h, compute_uv=False)
-        if s[-1] <= 1e-9 * max(1.0, s[0]):
-            raise DegenerateRestriction(
-                "Wronskian degenerate on the intersection with W")
+    s = np.linalg.svd(beta_h.T @ Wmat @ beta_h, compute_uv=False)
+    if np.min(s, initial=np.inf) <= 1e-9 * max(1.0, np.max(s, initial=0.0)):
+        raise DegenerateRestriction(
+            "Wronskian degenerate on the intersection with W")
     return Wmat
 
 
@@ -216,7 +219,7 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     if setup.omega_R is None:
         raise DegenerateRestriction(
             "W is Lagrangian: its quotient is trivial, no curve to reduce")
-    p = setup.quotient_dim // 2
+    p = setup.quotient_basis.shape[1] // 2
     C = setup.WomegaBasis.T @ setup.omega.Omega
     c_idx = len(fs.triples) // 2
     bases = []
@@ -370,13 +373,11 @@ def _oneill_pairings(reduced: ReducedCurve, oneill: OneillData,
 class ContactSplit:
     """Splitting of a Jacobi frame into its contact part and span[C - tS].
 
-    frame_c spans the contact part l(t) inter ker(dF), which lies in
-    ker(alpha); r is the complementary vector C - tS; the residual fields
-    quantify how well the decomposition identities hold at this time.
+    r is the complementary vector C - tS; the residual fields quantify how
+    well the decomposition identities hold at this time, alpha_residual that
+    the contact part l(t) inter ker(dF) lies in ker(alpha).
     """
 
-    t: float
-    frame_c: np.ndarray
     r: np.ndarray
     K_block: np.ndarray
     Kc_block: np.ndarray
@@ -411,9 +412,8 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     setup = coisotropic_setup(orbit.omega, _nullspace(dF_row))
     reduced = reduce_curve(setup, sample.frames)
     c_idx = reduced.center_index
-    H_c = reduced.h_frames[c_idx]
 
-    # coefficients of [H_c | r] in the center frame; those of H_c are known
+    # coefficients of [contact part | r] in the center frame; beta is known
     A_c = sample.frames.triples[c_idx].A
     r_coeff, *_ = np.linalg.lstsq(A_c, r, rcond=None)
     r_norm = np.linalg.norm(r)
@@ -427,7 +427,7 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     K_block = K_ad[:n - 1, :n - 1]
     Kc_block = 0.5 * reduced.invariants.Schwarzian
     return ContactSplit(
-        t=t, frame_c=H_c, r=r, K_block=K_block, Kc_block=Kc_block,
+        r=r, K_block=K_block, Kc_block=Kc_block,
         kr_residual=float(np.linalg.norm(inv.K @ r) / max(r_norm, 1e-300)),
         block_residual=float(np.max(np.abs(K_block - Kc_block))),
         w_residual=float(np.max(np.abs(beta.T @ inv.W @ beta
@@ -444,21 +444,22 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
 class SubmersionScenario:
     """Isometric submersion by the chart projection (x1, x2, x3) -> (x1, x2).
 
-    The fiber is spanned by d/dx3 and the pushforward of (x, y) is
-    (x[:2], y[:2]).  constraint_grad(x, y) returns the n_fib x 2n Jacobian
-    of the horizontal constraints c_a(x, y) = g(x)(y, k_a(x)); g and the
-    fiber see jets in the n x-variables only, and y enters as a float.
-    default_flag() is the horizontal flag the CLI and the selftest run at
-    suggested_x.
+    The fiber is spanned by the constant column d/dx3, x[FIBER] the one
+    coordinate the projection drops, and the pushforward of (x, y) is
+    (x[:2], y[:2]).  constraint_grad(x, y) returns the 1 x 2n Jacobian of
+    the horizontal constraint c(x, y) = g(x)(y, d/dx3); g sees jets in the
+    n x-variables only, and y enters as a float.  default_flag() is the
+    horizontal flag the CLI and the selftest run at suggested_x.
     """
 
+    FIBER: ClassVar[int] = 2   # index of the fiber coordinate x3
     name: str
     total: mx.MetricSpec
     base: mx.MetricSpec
     suggested_x: np.ndarray
 
-    def fiber(self, x):
-        return [[0.0], [0.0], [1.0]]   # the columns k_a(x): d/dx3
+    def fiber(self, x):   # the column d/dx3, the same at every x
+        return np.eye(self.total.n)[:, [self.FIBER]]
 
     def default_flag(self):
         """Horizontal (v, w) at suggested_x: the parts of (1, 0.4, 0) and
@@ -470,18 +471,16 @@ class SubmersionScenario:
                 horizontal_part(g, k, [0.3, 1.0, 0.0]))
 
     def constraint_grad(self, x, y):
-        """Jacobian S+(n_fib, 2n) of c_a = y^T g k_a in (x, y): `stack`ed
-        x-jets of g and of the fiber, contracted with the float y."""
-        n = self.total.n
+        """Jacobian S+(1, 2n) of c = y^T g k in (x, y), for the constant
+        fiber k = d/dx3: the row [y^T dg[:, FIBER], g[FIBER, :]] from one
+        pass of x-jets of g, contracted with the float y."""
+        n, f = self.total.n, self.FIBER
         S, xs = np.shape(x)[:-1], jet_variables(x, order=2)
         g, dg, _ = stack([e for row in self.total.g(xs) for e in row], S, n)
-        k, dk, _ = stack([e for row in self.fiber(xs) for e in row], S, n)
         g, dg = g.reshape(S + (n, n)), dg.reshape(S + (n, n, n))
-        k, dk = k.reshape(S + (n, -1)), dk.reshape(S + (n, -1, n))
-        dx = (np.einsum("...i,...ijp,...ja->...ap", y, dg, k)
-              + np.einsum("...i,...ij,...jap->...ap", y, g, dk))
-        return np.concatenate([dx, np.einsum("...ij,...ja->...ai", g, k)],
-                              axis=-1)
+        return np.concatenate(
+            [np.einsum("...i,...ip->...p", y, dg[..., :, f, :]),
+             g[..., f, :]], axis=-1)[..., None, :]
 
 
 def _trivial_scenario() -> SubmersionScenario:
@@ -570,7 +569,8 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     of norms); w is projected onto the horizontal tangent space orthogonal
     to v and normalized.  The coisotropic subspace is the tangent space of
     the horizontal-cone bundle at v, the kernel of the scenario's
-    constraint linearization.
+    constraint linearization.  The window runs at
+    `reduction_resolution(resolution)`.
     """
     total = scenario.total
     n = total.n
@@ -596,7 +596,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
 
     h = _REDUCTION_H
     orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
-                         resolution=jb.frame_resolution(h, resolution))
+                         resolution=reduction_resolution(resolution))
     sample = jb.jacobi_frame(orbit, 0.0, h=h, order=6)
     setup = coisotropic_setup(orbit.omega, Wbasis)
     reduced = reduce_curve(setup, sample.frames)

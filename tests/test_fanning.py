@@ -147,21 +147,23 @@ def test_normal_frame_horizontal_is_adot(rng):
 
 def test_jacobi_endomorphism_rotating_line():
     ft, _ = rotating_line(0.0)
-    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, np.zeros((1, 1))))
+    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, np.zeros((1, 1))),
+                               fc.horizontal_data(ft)[1])
     assert np.allclose(K, np.eye(2), atol=1e-12)
 
 
 def test_jacobi_endomorphism_straight_frame():
     ft = triple([-0.3, 1], [-1, 0], [0, 0])
-    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, np.zeros((1, 1))))
+    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, np.zeros((1, 1))),
+                               fc.horizontal_data(ft)[1])
     assert np.max(np.abs(K)) < 1e-13
 
 
 def test_jacobi_endomorphism_invariant_subspaces(rng):
     ft = random_fanning_triple(rng, 3)
     Pdot = rng.normal(size=(3, 3))
-    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, Pdot))
     _, H, _, _ = fc.horizontal_data(ft)
+    K = fc.jacobi_endomorphism(ft, fc.schwarzian(ft, Pdot), H)
     # K span(A) stays in span(A), same for the horizontal frame
     for M in (ft.A, H):
         coeff, res, *_ = np.linalg.lstsq(M, K @ M, rcond=None)

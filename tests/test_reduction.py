@@ -413,7 +413,8 @@ def hopf_stencil():
     v, _ = scn.default_flag()
     h = rd._REDUCTION_H
     orbit = jb.transport(scn.total, v, T=jb.frame_reach(h, 6),
-                         resolution=jb.frame_resolution(h))
+                         resolution=rd.reduction_resolution(
+                             jb.DEFAULT_RESOLUTION))
     fs = jb.jacobi_frame(orbit, 0.0, h=h, order=6).frames
     W = rd._nullspace(scn.constraint_grad(v.x, v.y))
     return rd.coisotropic_setup(orbit.omega, W), fs
@@ -578,6 +579,33 @@ def test_constraint_grad_numeric_matches_closed_form(name):
     numeric = scn.constraint_grad(x, y)
     assert numeric.shape == closed.shape
     assert np.max(np.abs(numeric - closed)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["trivial", "hopf", "hopf-scaled"])
+def test_submersion_window_takes_49_spray_calls(name, monkeypatch):
+    # 400 steps per unit, 12 steps each way: one call at v0, 47 stages for
+    # both lanes in lockstep and one at both ends
+    real, calls = mx.spray_data, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "spray_data", spy)
+    scn = rd.submersion_scenario(name)
+    rd.submersion_curvature(scn, *scn.default_flag())
+    assert rd.reduction_resolution(jb.DEFAULT_RESOLUTION) == 400
+    assert len(calls) == 49
+
+
+def test_submersion_accuracy_at_the_reduction_step():
+    # both bounds hold at 400 steps per unit, the stencil's rounding floor,
+    # and fail at 200 (hopf residual 1.5e-9, hopf-scaled error 4.6e-11)
+    scn = rd.submersion_scenario("hopf")
+    assert rd.submersion_curvature(scn, *scn.default_flag()).residual <= 1e-9
+    scn = rd.submersion_scenario("hopf-scaled")
+    res = rd.submersion_curvature(scn, *scn.default_flag())
+    assert abs(res.K_base - 1.0) <= 1e-11
 
 
 def test_submersion_rejects_non_horizontal():

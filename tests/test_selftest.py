@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fanning_lab import cli
+from fanning_lab import jacobi as jb
 from fanning_lab import reduction as rd
 from fanning_lab.cli import _SETTINGS
 from fanning_lab.errors import TransversalityFailure
@@ -47,6 +48,21 @@ def test_pass_fail_pattern_is_seed_robust():
     other = [(r.name, r.passed)
              for r in run_selftest(**dict(DEFAULTS, seed=987654))]
     assert base == other
+
+
+def test_contact_orbit_takes_the_reduction_step(monkeypatch):
+    # the contact check reads one stencil of width 1e-2, so its orbit runs
+    # at the reduction step, not the frame step
+    real, steps = rd.contact_reduce, []
+
+    def spy(orbit, t):
+        steps.append(orbit.ts[1] - orbit.ts[0])
+        return real(orbit, t)
+
+    monkeypatch.setattr(rd, "contact_reduce", spy)
+    run_selftest(**DEFAULTS)
+    dt = 1.0 / rd.reduction_resolution(jb.DEFAULT_RESOLUTION)
+    assert steps == [pytest.approx(dt, rel=1e-9)]
 
 
 def fail_first_oneill_call(monkeypatch):

@@ -136,20 +136,17 @@ MUTANTS = [
            'np.einsum("...k,...ijk->...ij", Vv, dg)',
            'np.einsum("...k,...ijk->...ij", 0.0 * Vv, dg)',
            "tests/test_deformations.py::test_killing_residual_of_a_translation"),
-    # -- SubmersionScenario.constraint_grad -----------------------------------
+    # -- SubmersionScenario.constraint_grad: the constant-fiber row ---------
     Mutant("constraint-y-part", PKG + "reduction.py",
-           'np.einsum("...ij,...ja->...ai", g, k)', "np.zeros_like(dx)",
+           "             g[..., f, :]], axis=-1)",
+           "             0.0 * g[..., f, :]], axis=-1)",
            "tests/test_reduction.py::"
            "test_constraint_grad_numeric_matches_closed_form[trivial]"),
-    Mutant("constraint-y-part-transposed", PKG + "reduction.py",
-           'np.einsum("...ij,...ja->...ai", g, k)',
-           'np.einsum("...ji,...ja->...ai", g, k)', "",
-           equivalent="g is symmetric in every scenario, so g^T k = g k"),
-    Mutant("constraint-fiber-derivative", PKG + "reduction.py",
-           '\n              + np.einsum("...i,...ij,...jap->...ap", y, g, dk))',
-           ")", "",
-           equivalent="every scenario's fiber is the constant d/dx3, so its "
-                      "x-derivative dk is zero"),
+    Mutant("constraint-x-part", PKG + "reduction.py",
+           '[np.einsum("...i,...ip->...p", y, dg[..., :, f, :]),',
+           '[0.0 * np.einsum("...i,...ip->...p", y, dg[..., :, f, :]),',
+           "tests/test_reduction.py::"
+           "test_constraint_grad_numeric_matches_closed_form[hopf]"),
     # -- the symplectic reduction: gauge solves and the O'Neill blocks --------
     Mutant("gauge-solve-sign", PKG + "reduction.py",
            "np.vstack([L, U.T @ A]), -np.vstack([Lb, U.T @ Ab]))",
@@ -207,6 +204,11 @@ MUTANTS = [
            "    U, _, _ = np.linalg.svd(Wbasis,\n",
            "tests/test_reduction.py::"
            "test_coisotropic_setup_orthonormal_quotient_basis"),
+    Mutant("reduction-step-coarse", PKG + "reduction.py",
+           "return jb.frame_resolution(_REDUCTION_H, resolution / 5)",
+           "return jb.frame_resolution(_REDUCTION_H, resolution / 10)",
+           "tests/test_reduction.py::"
+           "test_submersion_accuracy_at_the_reduction_step"),
     Mutant("lagrangian-guard-noop", PKG + "reduction.py",
            "    if setup.omega_R is None:\n", "    if False:\n",
            "tests/test_reduction.py::test_reduce_curve_refuses_a_lagrangian_w"),
