@@ -6,7 +6,7 @@ fully seeded, so a fixed config produces byte-identical output files.  Exit
 codes: 0 success, 1 tolerance violation, 2 config error, 3 numeric failure
 (one line on stderr naming the failing flag, or the failing sample time
 along an orbit, where there is one).  The flags of a curvature-grid, katok
-or projective run go through one batched transport and one Jacobi frame,
+or projective run go through one frame window (`jacobi.frame_invariants`),
 and so do the sample points of an invariants-along-orbit run.
 """
 
@@ -247,20 +247,13 @@ def _run_invariants_along_orbit(s):
                        for j in range(n)]
               + [f"wronskian_{i+1}{j+1}" for i in range(n) for j in range(n)]
               + [f"K_eig_{k+1}" for k in range(2 * n)])
-    # The flow acts on Jacobi curves symplectically, so the invariants of
-    # the curve of the orbit at time t are those of the curve of the point
-    # reached at t, read at 0: one spray-only geodesic pass finds the sample
-    # points, at the coarser orbit resolution since nothing differentiates
-    # it along t, and one batched window transports them all.  Batch index
-    # k is named by its time.
+    # batch index k is named by its time (on the samples, see `jacobi`)
     ts = np.linspace(0.0, s["orbit_time"], s["orbit_samples"])
     with batch_labels(lambda k: f"t={ts[k]:.6g}"):
         states = jb.geodesic(metric, mx.PhasePoint(x, y), ts,
                              jb.orbit_resolution(resolution))
         points = mx.PhasePoint(states[:, :n], states[:, n:])
-        orbit = jb.transport(metric, points, T=jb.frame_reach(h),
-                             resolution=jb.frame_resolution(h, resolution))
-        inv = jb.jacobi_frame(orbit, 0.0, h=h).invariants
+        inv = jb.frame_invariants(metric, points, resolution, h)
         gs = mx.fundamental_tensor(metric, points)
         # y was drawn with F = 1, which the geodesic flow conserves
         drift = np.abs(metric.F_value(points.x, points.y) - 1.0)

@@ -7,37 +7,25 @@ n-planes in the fixed tangent space at the base point; its fanning invariants,
 paired with the pulled-back symplectic form, yield the flag curvature and the
 curvature endomorphism.
 
-One `numkit.rk_integrate` field integrates the stored orbit, on one
-symmetric grid over [-T, T], and every transport window is sized by
-`frame_reach`, the stencil's reach, and `frame_resolution`, a whole
-number of steps per stencil spacing, so the stencil nodes are grid nodes
-whatever the resolution asked for.  The orbit is read only at its grid
-nodes: the spray and its Jacobian at each grid state are kept with the
-state (the integrator's first stage, plus the two window ends), so frames
-evaluate nothing, and a time off the grid raises OutOfChart.
+One `numkit.rk_integrate` field integrates the stored orbit on one
+symmetric grid over [-T, T], sized by `frame_reach` and `frame_resolution`
+so that every stencil node is a grid node.  The spray and its Jacobian are
+kept with each grid state, so frames evaluate nothing, and the orbit is
+read only at its grid nodes (`OrbitData`).
 
 `transport` and `flag_curvature` take a batch of phase points (x, y of
-shape S+(n,)) and integrate all of them in lockstep: one `spray_data` call
-per RK4 stage for the whole batch.  A single point is the case S = ().
-The two halves of a window, [-T, 0] and [0, T], are independent runs
-from (v0, I); they run in lockstep too, as lanes on a last batch axis
-S+(2,), the backward lane with the negated field and the positive step
-(negation is exact, so each lane rounds as a run of its own would).  A
-default window takes 17 calls: one at v0, four for each of its four
-steps, one at both ends.  `jacobi_frame` reads the frames of the whole
-batch at once, and the fanning algebra works on the stack; a failure
-names the lowest failing flag, whichever lane fails.
+shape S+(n,); a single point is S = ()) and integrate them in lockstep,
+the two halves of a window as lanes of a last batch axis (`_flow`): one
+`spray_data` call per RK4 stage for all.  A window read at t = 0
+(`frame_invariants`) takes one step per stencil spacing at the default
+resolution, and 9 calls: one at v0, 3 + 4 for its two steps, one at both
+ends.  A failure names the lowest failing flag, whichever lane fails.
 
-`geodesic` integrates (x, y) alone, forward from t = 0, with the spray
-and no Jacobian.  The flow maps Jacobi curves to Jacobi curves
-symplectically, so the invariants of an orbit's curve at time t are those
-of the curve of the point reached at t, read at 0.  Samples along one
-orbit therefore take one `geodesic` pass to their points and one batched
-frame window around all of them, not a linearization carried over the
-whole orbit.  Only the frame stencil differentiates along t, so only
-frame windows need the fine step: the pass between samples runs at
-`orbit_resolution`, a fifth of the resolution asked for, where RK4 still
-lands unit-speed sphere orbits within 1e-13 by t = 0.3 (2e-12 by t = 1).
+`geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
+flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
+of an orbit's curve at t are those of the point reached at t, read at 0:
+samples along an orbit take one `geodesic` pass, at `orbit_resolution`
+since nothing differentiates it along t, and one batched frame window.
 
 The oracle for all Riemannian instances is the Riemann tensor of g, with
 exact Christoffel symbols and derivatives from one order-2 jet pass of g
@@ -69,6 +57,7 @@ __all__ = [
     "transport",
     "geodesic",
     "jacobi_frame",
+    "frame_invariants",
     "flag_curvature",
     "christoffel",
     "riemann_oracle",
@@ -202,8 +191,7 @@ def _steps(span: float) -> int:
 
 
 def orbit_resolution(resolution: float) -> float:
-    """Steps per unit for an orbit that only delivers points: a fifth of
-    resolution, the step sized for a frame stencil.
+    """Steps per unit for an orbit that only delivers points: resolution / 5.
 
     Nothing differentiates such an orbit along t, so it needs only RK4's
     global error.  At the default resolution, unit-speed orbits on the unit
@@ -264,10 +252,8 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
     Deterministic fixed-step RK4 on one symmetric grid of step
     dt = T / steps, with `_steps` whole steps of T * resolution each way;
     raises OutOfChart if the orbit leaves the metric's box within the
-    window.  A batch v0 is integrated in lockstep, and an error names the
-    lowest failing flag.  The two directions run in lockstep as well
-    (`_flow`): the spray data at v0 serves both, and each RK4 stage takes
-    one `spray_data` call for both, as do the two window ends.
+    window.  A batch v0 and the two directions are integrated in lockstep
+    (`_flow`), and an error names the lowest failing flag.
     """
     if T <= 0.0:
         raise OutOfChart("transport window must be positive")
@@ -341,6 +327,29 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
                              invariants=fc.invariants(frames, orbit.omega))
 
 
+def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
+                     resolution: float, h: float) -> fc.FanningInvariants:
+    """Fanning invariants at t = 0 of the Jacobi curve of v (one point or
+    a batch) from the frame stencil of spacing h, on a window at half of
+    resolution raised to whole steps per h (`frame_resolution`): one step
+    per spacing and 9 `spray_data` calls at the defaults, 20 steps per
+    spacing and 161 calls at h = 0.02.  The difference of Adot, about
+    eps / h^2, not RK4, sets the floor of K's error.  |K - K_ref| over 30
+    flags (`cli.sample_flags`, seed 5, |x| < r; katok with unit y,
+    conformal against `riemann_oracle`), worst and median:
+
+        family                   r    2 steps per h      1 step per h
+        sphere                 1.5   4.8e-9  1.1e-10    3.8e-9  8.6e-11
+        hyperbolic             0.8   6.6e-8  2.3e-10    6.2e-8  2.3e-10
+        randers (0.25, 0.05)   1.0   2.1e-9  1.0e-10    2.1e-9  1.0e-10
+        conformal n=4, a=0.5   0.8  1.8e-10  4.3e-11   1.7e-10  3.5e-11
+        katok(0.3)             0.8  3.5e-10  1.1e-10   4.0e-10  1.2e-10
+    """
+    orbit = transport(metric, v, T=frame_reach(h),
+                      resolution=frame_resolution(h, resolution / 2))
+    return jacobi_frame(orbit, 0.0, h=h).invariants
+
+
 # ---------------------------------------------------------------------------
 # flag curvature
 # ---------------------------------------------------------------------------
@@ -367,18 +376,16 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
     time zero the frame basis is the vertical one, so the coordinates of the
     flag vector are just its components.
 
-    v and u may hold a batch of flags (shape S+(n,)): one batched transport
-    and one Jacobi frame serve them all.  Returns a float for a single flag
-    and an array of shape S for a batch; an error names the lowest failing
-    flag.
+    v and u may hold a batch of flags (shape S+(n,)): one frame window
+    (`frame_invariants`) serves them all.  Returns a float for a single
+    flag and an array of shape S for a batch; an error names the lowest
+    failing flag.
     """
     u = np.asarray(u, dtype=float)
     g = mx.fundamental_tensor(metric, v)
     w = _canonical_flag_vector(g, v.y, u)[..., :, None]    # columns
     F = np.asarray(metric.F_value(v.x, v.y))
-    orbit = transport(metric, v, T=frame_reach(h),
-                      resolution=frame_resolution(h, resolution))
-    inv = jacobi_frame(orbit, 0.0, h=h).invariants
+    inv = frame_invariants(metric, v, resolution, h)
     K_plane = 0.5 * inv.Schwarzian        # K on span(A) in the frame basis
     num = (K_plane @ w).mT @ inv.W @ w
     den = w.mT @ inv.W @ w

@@ -28,7 +28,7 @@ shipped scenarios, the trivial product and the Hopf fibrations, all project
 (x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
 horizontal-cone condition, from one jet pass of the metric.  Both read
 7-point stencils of width `_REDUCTION_H`; a window read by one stencil
-alone needs only `reduction_resolution`, a fifth of the frame step.
+alone needs only `reduction_resolution`, a fifth of `steps_per_unit`.
 """
 
 from __future__ import annotations

@@ -258,9 +258,9 @@ def run_selftest(seed: int, stencil_h: float):
     xs = np.array([0.15, -0.1])
     ys = np.array([0.8, 0.25])
     ys = ys / sphere.F_value(xs, ys)
-    orbit = jb.transport(sphere, mx.PhasePoint(xs, ys), T=0.45,
-                         resolution=rd.reduction_resolution(
-                             jb.DEFAULT_RESOLUTION))
+    orbit = jb.transport(sphere, mx.PhasePoint(xs, ys),
+                         0.3 + jb.frame_reach(rd._REDUCTION_H, 6),
+                         rd.reduction_resolution(jb.DEFAULT_RESOLUTION))
     split = rd.contact_reduce(orbit, 0.3)
     check("contact-reduction-kernel", split.kr_residual, 1e-5)
     check("contact-reduction-block", split.block_residual, 1e-5)

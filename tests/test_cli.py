@@ -201,10 +201,32 @@ def test_invariants_along_orbit_batched_window(tmp_path, monkeypatch, metric):
     assert np.max(np.abs(rows[:, 9:] - ref[:, 9:])) <= 1e-8      # K_eig
 
 
+def test_invariants_along_orbit_rows_are_the_frame_invariants():
+    # the Schwarzian and W of each row are those of one frame window around
+    # the sample points, bit for bit
+    s = {key: default for key, (_, default)
+         in {**cli._COMMON, **cli._SETTINGS["invariants-along-orbit"]}.items()}
+    s.update(seed=3, orbit_time=0.4, orbit_samples=5)
+    _, rows, _, _ = cli._run_invariants_along_orbit(s)
+    metric = cli._build_metric(s)
+    rng = np.random.default_rng(3)
+    x = cli.sample_in_ball(rng, 2, s["x_radius"])
+    y = rng.normal(size=2)
+    y = y / metric.F_value(x, y)
+    states = jb.geodesic(metric, mx.PhasePoint(x, y), np.linspace(0, 0.4, 5),
+                         jb.orbit_resolution(jb.DEFAULT_RESOLUTION))
+    inv = jb.frame_invariants(metric,
+                              mx.PhasePoint(states[:, :2], states[:, 2:]),
+                              jb.DEFAULT_RESOLUTION, jb.DEFAULT_FRAME_H)
+    rows = np.array(rows)
+    assert np.array_equal(rows[:, 1:5], inv.Schwarzian.reshape(5, 4))
+    assert np.array_equal(rows[:, 5:9], inv.W.reshape(5, 4))
+
+
 @pytest.mark.parametrize("orbit_time", [0.1, 0.6])
 def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
                                                      orbit_time):
-    # the linearization is carried over the 17-call frame window only; the
+    # the linearization is carried over the 9-call frame window only; the
     # orbit between the samples is integrated with the spray alone, at the
     # orbit resolution: 8 segments of a whole number of RK4 steps each,
     # four spray-only calls a step
@@ -220,15 +242,15 @@ def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
            "metric": {"id": "sphere"}, "orbit_time": orbit_time}
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
-    assert sum(jacobian_calls) == 17
+    assert sum(jacobian_calls) == 9
     steps = round(orbit_time * jb.orbit_resolution(jb.DEFAULT_RESOLUTION))
-    assert len(jacobian_calls) - 17 == 4 * steps
+    assert len(jacobian_calls) - 9 == 4 * steps
 
 
 def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
     # the orbit-comparison sphere job: 8 segments of 0.0375 at the orbit
     # resolution of 2000 steps per unit (400) are 15 RK4 steps each, four
-    # spray-only calls a step
+    # spray-only calls a step; the frame window takes 9 calls
     spray_data = mx.spray_data
     jacobian_calls = []
 
@@ -243,7 +265,7 @@ def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
     assert jacobian_calls.count(False) == 480
-    assert jacobian_calls.count(True) == 17
+    assert jacobian_calls.count(True) == 9
 
 
 @pytest.mark.parametrize("orbit_time, start", [

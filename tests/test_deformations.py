@@ -261,7 +261,7 @@ def test_projective_formula_on_sphere(rng):
 
 
 def test_projective_rhs_spray_calls(monkeypatch, rng):
-    # a batch of flags takes one default window for K0 (17 calls) and one
+    # a batch of flags takes one default window for K0 (9 calls) and one
     # call that seeds the orbit jets of phi and f; no spray-only geodesic
     spray_data = mx.spray_data
     sphere, form = mx.zoo_metric("sphere"), exact_form(0.2)
@@ -278,7 +278,7 @@ def test_projective_rhs_spray_calls(monkeypatch, rng):
                                 pp(x, rng.normal(size=(4, 2))),
                                 rng.normal(size=(4, 2)))
     assert jacobian_calls.count(False) == 0
-    assert jacobian_calls.count(True) == 18
+    assert jacobian_calls.count(True) == 10
 
 
 @pytest.mark.parametrize("base, form", [

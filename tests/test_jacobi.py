@@ -265,7 +265,7 @@ def test_flag_curvature_default_window_is_frame_reach(monkeypatch):
         assert orbit.state(t) is orbit.states[idx]
 
 
-def spray_calls_of_flag_curvature(monkeypatch, x, y, u):
+def spray_calls_of_flag_curvature(monkeypatch, x, y, u, h):
     calls = []
     spray_data = mx.spray_data
 
@@ -274,24 +274,61 @@ def spray_calls_of_flag_curvature(monkeypatch, x, y, u):
         return spray_data(*args, **kwargs)
 
     monkeypatch.setattr(mx, "spray_data", counted)
-    K = jb.flag_curvature(mx.zoo_metric("sphere"), pp(x, y), u)
+    K = jb.flag_curvature(mx.zoo_metric("sphere"), pp(x, y), u, h=h)
     return np.shape(K), len(calls)
 
 
 def test_flag_curvature_spray_evaluation_count(monkeypatch):
-    # the two directions of the window run in lockstep: 4 RK4 steps of 4
-    # evaluations each, sharing the one at v0 (16 calls), and one call at
-    # both window ends completes the stored spray data (17); the 5 stencil
-    # frames read it
+    # one RK4 step per stencil spacing, and the two directions of the
+    # window run in lockstep: one call at v0, 3 + 4 for the two steps, and
+    # one at both window ends completes the stored spray data (9); the 5
+    # stencil frames read it
     assert spray_calls_of_flag_curvature(
-        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0]) == ((), 17)
+        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0],
+        jb.DEFAULT_FRAME_H) == ((), 9)
 
 
 def test_batched_flag_curvature_spray_evaluation_count(monkeypatch):
-    # a batch of flags takes the same 17 calls as one flag
+    # a batch of flags takes the same 9 calls as one flag
     x, y, u = (np.tile(a, (30, 1))
                for a in ([0.2, -0.1], [0.6, 0.3], [0.1, 1.0]))
-    assert spray_calls_of_flag_curvature(monkeypatch, x, y, u) == ((30,), 17)
+    assert spray_calls_of_flag_curvature(
+        monkeypatch, x, y, u, jb.DEFAULT_FRAME_H) == ((30,), 9)
+
+
+def test_wide_stencil_window_keeps_half_the_steps_per_unit(monkeypatch):
+    # h = 0.02 is 20 steps per spacing at half of the default steps per
+    # unit, not one: 40 steps each way, 1 + 3 + 39 * 4 + 1 calls
+    assert spray_calls_of_flag_curvature(
+        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0], 0.02) == ((), 161)
+
+
+# |K - K_ref| at the default window over 30 seeded flags: the metric, the
+# radius |x| < r, K_ref (None for `riemann_oracle`) and the bound, 2.5x to
+# 6x the worst error measured (the `frame_invariants` table)
+WINDOW_ACCURACY = {
+    "sphere": (lambda: mx.zoo_metric("sphere"), 1.5, 1.0, 1e-8),
+    "hyperbolic": (lambda: mx.zoo_metric("hyperbolic"), 0.8, -1.0, 2e-7),
+    "randers": (lambda: mx.zoo_metric("randers", b=(0.25, 0.05)), 1.0, 0.0,
+                1e-8),
+    "conformal-4": (lambda: mx.zoo_metric("riemannian-conformal", a=0.5,
+                                          n=4), 0.8, None, 1e-9),
+    "katok": (lambda: df.katok_metric(0.3), 0.8, 1.0, 1e-9),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WINDOW_ACCURACY))
+def test_flag_curvature_accuracy_at_one_step_per_spacing(family):
+    make, radius, K_ref, bound = WINDOW_ACCURACY[family]
+    m = make()
+    flags = sample_flags(np.random.default_rng(5), m.n, 30, radius)
+    x, y, u = (np.array(a) for a in zip(*flags))
+    if family == "katok":
+        y = y / m.F_value(x, y)[:, None]
+    if K_ref is None:
+        K_ref = jb.riemann_oracle(m.g, x, y, u)
+    K = jb.flag_curvature(m, pp(x, y), u)
+    assert np.max(np.abs(K - K_ref)) <= bound
 
 
 BATCH_FAMILIES = {

@@ -52,17 +52,20 @@ def test_pass_fail_pattern_is_seed_robust():
 
 def test_contact_orbit_takes_the_reduction_step(monkeypatch):
     # the contact check reads one stencil of width 1e-2, so its orbit runs
-    # at the reduction step, not the frame step
-    real, steps = rd.contact_reduce, []
+    # at the reduction step, not the frame step, and only as far as that
+    # stencil reaches past the time read
+    real, windows = rd.contact_reduce, []
 
     def spy(orbit, t):
-        steps.append(orbit.ts[1] - orbit.ts[0])
+        windows.append((orbit.ts[1] - orbit.ts[0], orbit.ts[-1] - t))
         return real(orbit, t)
 
     monkeypatch.setattr(rd, "contact_reduce", spy)
     run_selftest(**DEFAULTS)
     dt = 1.0 / rd.reduction_resolution(jb.DEFAULT_RESOLUTION)
-    assert steps == [pytest.approx(dt, rel=1e-9)]
+    reach = jb.frame_reach(rd._REDUCTION_H, 6)
+    assert windows == [(pytest.approx(dt, rel=1e-9),
+                        pytest.approx(reach, rel=1e-9))]
 
 
 def fail_first_oneill_call(monkeypatch):

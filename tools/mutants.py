@@ -220,6 +220,10 @@ MUTANTS = [
            "    return _steps(h * resolution) / h\n", "    return resolution\n",
            "tests/test_jacobi.py::"
            "test_frame_resolution_puts_stencil_nodes_on_the_grid[0.0007-2000-6]"),
+    Mutant("frame-window-full-step", PKG + "jacobi.py",
+           "resolution=frame_resolution(h, resolution / 2))",
+           "resolution=frame_resolution(h, resolution))",
+           "tests/test_jacobi.py::test_flag_curvature_spray_evaluation_count"),
     Mutant("count-accepts-zero", PKG + "cli.py",
            "_is_integer(v) and v >= 1,", "_is_integer(v) and v >= 0,",
            "tests/test_cli.py::test_main_names_the_rejected_setting[samples-0]"),
