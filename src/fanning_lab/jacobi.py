@@ -302,7 +302,6 @@ def frame_resolution(h: float,
 class JacobiCurveSample:
     """Frame stencil of the Jacobi curve at one time, plus its invariants."""
 
-    t: float
     frames: fc.FrameStencil
     invariants: fc.FanningInvariants
 
@@ -323,7 +322,7 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
         Addot = sum(wk * Ak for wk, Ak in zip(w, Adots))
         triples.append(fc.FrameTriple(As[j], Adots[j], Addot))
     frames = fc.FrameStencil(stc, tuple(triples))
-    return JacobiCurveSample(t=t, frames=frames,
+    return JacobiCurveSample(frames=frames,
                              invariants=fc.invariants(frames, orbit.omega))
 
 

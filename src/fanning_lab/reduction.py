@@ -9,15 +9,18 @@ square enters with the famous factor 3.
 
 Every coordinate change is a product or one square solve.  W is
 coisotropic, that is W^omega is isotropic, so W = ker C with C =
-(W^omega)^T Omega.  The quotient basis D is orthonormal and orthogonal to
-W^omega, and W = span D + W^omega, so w in W has quotient coordinates
-c = D^T w and the reduced form is D^T Omega D (W_R and the Schwarzian do not
-depend on the basis of the quotient).  Frames H = A beta of l inter W are
-fixed by the graph gauge U_c^T H = I (U_c orthonormal at the center); beta'
-solves one square system (`_gauge_solve`): C A beta' = -C Adot beta, k rows
-for the codimension k of W, and U^T A beta' = -U^T Adot beta, n - k rows.
-No check that l misses W^omega is needed: for a Lagrangian l (which
-`fanning.wronskian` checks), dim(l inter W) = n - k + dim(l inter W^omega).
+(W^omega)^T Omega, formed once by `coisotropic_setup`.  The quotient basis D
+is orthonormal and orthogonal to W^omega, and W = span D + W^omega, so w in
+W has quotient coordinates c = D^T w and the reduced form is D^T Omega D
+(W_R and the Schwarzian do not depend on the basis of the quotient).
+Frames H = A beta of l inter W are fixed by the graph gauge U_c^T H = I
+(U_c orthonormal at the center); beta' solves one square system
+(`_gauge_solve`): C A beta' = -C Adot beta, k rows for the codimension k of
+W, and U^T A beta' = -U^T Adot beta, n - k rows.  No check that l misses
+W^omega is needed: for a Lagrangian l (which `fanning.wronskian` checks),
+dim(l inter W) = n - k + dim(l inter W^omega).  The O'Neill endomorphism
+reads H, beta and beta' at the center off the `ReducedCurve` of the same
+stencil; only its W-orthogonal section takes one more gauge solve.
 
 Two front-ends instantiate this.  The contact splitting takes W = ker dF,
 the tangent space of the unit sphere bundle, whose annihilator is the spray
@@ -50,13 +53,11 @@ from .jets import jet_variables, stack
 
 __all__ = [
     "CoisotropicSetup",
-    "HVSplit",
     "ReducedCurve",
     "OneillData",
     "symplectic_complement",
     "coisotropic_setup",
     "reduce_curve",
-    "hv_split",
     "oneill_endomorphism",
     "oneill_formula",
     "SubmersionScenario",
@@ -124,6 +125,7 @@ class CoisotropicSetup:
     omega: fc.SymplecticForm
     Wbasis: np.ndarray
     WomegaBasis: np.ndarray
+    C: np.ndarray            # (W^omega)^T Omega, so W = ker C
     quotient_basis: np.ndarray
     omega_R: Optional[fc.SymplecticForm]
 
@@ -131,7 +133,7 @@ class CoisotropicSetup:
         """Quotient coordinates c = D^T w of columns w in W; the trivial
         quotient of a Lagrangian W gives a (0, k) block."""
         Omega = self.omega.Omega
-        off = np.max(np.abs(self.WomegaBasis.T @ Omega @ cols), initial=0.0)
+        off = np.max(np.abs(self.C @ cols), initial=0.0)
         if off > 1e-8 * np.max(np.abs(Omega)) * max(
                 1.0, np.max(np.abs(cols), initial=0.0)):
             raise TransversalityFailure("columns do not lie in W")
@@ -154,7 +156,8 @@ def coisotropic_setup(omega: fc.SymplecticForm,
     D = U[:, :q]   # empty for a Lagrangian W (splittings still work)
     omega_R = fc.SymplecticForm(D.T @ omega.Omega @ D) if q else None
     return CoisotropicSetup(omega=omega, Wbasis=Wbasis, WomegaBasis=comp,
-                            quotient_basis=D, omega_R=omega_R)
+                            C=comp.T @ omega.Omega, quotient_basis=D,
+                            omega_R=omega_R)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +202,7 @@ class ReducedCurve:
     invariants: fc.FanningInvariants
     h_frames: tuple          # ambient frames of l(t) inter W at each node
     betas: tuple             # their coefficients in the curve's frames
+    beta_dots: tuple         # the coefficients' derivatives in the gauge
     center_index: int
 
 
@@ -219,8 +223,7 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     if setup.omega_R is None:
         raise DegenerateRestriction(
             "W is Lagrangian: its quotient is trivial, no curve to reduce")
-    p = setup.quotient_basis.shape[1] // 2
-    C = setup.WomegaBasis.T @ setup.omega.Omega
+    p, C = setup.quotient_basis.shape[1] // 2, setup.C
     c_idx = len(fs.triples) // 2
     bases = []
     for ft in fs.triples:
@@ -234,7 +237,7 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     U_c, _, _ = np.linalg.svd(fs.triples[c_idx].A @ bases[c_idx],
                               full_matrices=False)
     failed = "graph gauge failed: subspaces moved too far across the stencil"
-    h_frames, betas, triples = [], [], []
+    h_frames, betas, beta_dots, triples = [], [], [], []
     for b, ft in zip(bases, fs.triples):
         beta = b @ nk.stacked(np.linalg.inv, TransversalityFailure,
                               lambda i: failed, U_c.T @ ft.A @ b)
@@ -245,6 +248,7 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
         betas.append(beta)
         CA, vel = C @ ft.A, ft.Adot @ beta
         beta_dot = _gauge_solve(CA, C @ vel, U_c, ft.A, vel)
+        beta_dots.append(beta_dot)
         acc = ft.Addot @ beta + 2.0 * ft.Adot @ beta_dot
         Hddot = acc + ft.A @ _gauge_solve(CA, C @ acc, U_c, ft.A, acc)
         triples.append(fc.FrameTriple(*(setup.project(M) for M in (
@@ -253,67 +257,42 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     inv = fc.invariants(frames, setup.omega_R)
     return ReducedCurve(frames=frames, invariants=inv,
                         h_frames=tuple(h_frames), betas=tuple(betas),
-                        center_index=c_idx)
-
-
-@dataclass
-class HVSplit:
-    """Splitting of a curve plane into its W-part and the W-orthogonal rest:
-    frame coefficients with beta_h^T Wmat beta_v = 0 and their frames."""
-
-    beta_h: np.ndarray       # n x p coefficients of l inter W in the frame
-    beta_v: np.ndarray       # n x (n-p) coefficients of the W-orthogonal part
-    Hframe_frak: np.ndarray  # ambient 2n x p
-    Vframe_frak: np.ndarray  # ambient 2n x (n-p)
-    Wmat: np.ndarray         # Wronskian in the frame basis
-
-
-def hv_split(setup: CoisotropicSetup, ft: fc.FrameTriple) -> HVSplit:
-    """Split l(t) = (l inter W) + its W-orthogonal complement in l(t).
-
-    Only nondegeneracy of the Wronskian on the intersection is required
-    (`_restricted_wronskian`, which also refuses a non-Lagrangian plane), so
-    the split also covers the boundary case of a Lagrangian W equal to the
-    plane itself (whole plane, trivial complement).
-    """
-    beta_h = _plane_meets(ft.A, setup.Wbasis)
-    Wmat = _restricted_wronskian(setup, ft, beta_h)
-    beta_v = _nullspace(beta_h.T @ Wmat)
-    return HVSplit(beta_h=beta_h, beta_v=beta_v, Hframe_frak=ft.A @ beta_h,
-                   Vframe_frak=ft.A @ beta_v, Wmat=Wmat)
+                        beta_dots=tuple(beta_dots), center_index=c_idx)
 
 
 @dataclass
 class OneillData:
-    """O'Neill endomorphism at the stencil center, in the split frame basis;
-    its diagonal blocks are zero by construction."""
+    """O'Neill endomorphism at the stencil center, in the frame basis
+    (A beta_h, A beta_v); its diagonal blocks are zero by construction."""
 
-    matrix: np.ndarray       # n x n in the basis (A_h, A_v)
-    split: HVSplit
+    matrix: np.ndarray       # n x n in the basis (A beta_h, A beta_v)
+    beta_h: np.ndarray       # n x p: the reduction's center coefficients
+    beta_v: np.ndarray       # n x (n-p): beta_h^T Wmat beta_v = 0
     W_split: np.ndarray      # Wronskian in the same basis
     symmetry_residual: float  # max |S - S^T| for S = W_split @ matrix
 
 
-def oneill_endomorphism(setup: CoisotropicSetup,
-                        fs: fc.FrameStencil) -> OneillData:
-    """The O'Neill endomorphism at the center of the stencil.
+def oneill_endomorphism(setup: CoisotropicSetup, fs: fc.FrameStencil,
+                        reduced: ReducedCurve) -> OneillData:
+    """The O'Neill endomorphism at the center of the stencil, whose
+    reduction is `reduced`.
 
-    It sends the W-part frame H to the V-part of Hdot and the W-orthogonal
-    frame V to minus the H-part of Vdot, both read off one basis change to
-    [H | V | Hor] (Hor the horizontal frame of the curve), so it interchanges
-    the two parts.  Hdot and Vdot differentiate graph-gauge sections
-    (`_gauge_solve`): of C A beta = 0 for H, and of beta_h^T W(t) beta_v = 0
-    for V.
+    The W-part is the reduction's center frame H = A beta_h, with beta_h'
+    from its graph gauge; the W-orthogonal part V = A beta_v has
+    beta_h^T W beta_v = 0, and beta_v' differentiates that section in the
+    graph gauge over span V (`_gauge_solve`).  The endomorphism sends H to
+    the V-part of Hdot and V to minus the H-part of Vdot, both read off one
+    basis change to [H | V | Hor] (Hor the horizontal frame of the curve),
+    so it interchanges the two parts.
     """
-    ft = fs.triples[len(fs.triples) // 2]
-    split = hv_split(setup, ft)
-    H, V = split.Hframe_frak, split.Vframe_frak
-    beta_h, beta_v, Wmat = split.beta_h, split.beta_v, split.Wmat
+    c_idx = reduced.center_index
+    ft, H = fs.triples[c_idx], reduced.h_frames[c_idx]
+    beta_h, beta_h_dot = reduced.betas[c_idx], reduced.beta_dots[c_idx]
     Omega, (n, p) = setup.omega.Omega, beta_h.shape
+    Wmat = fc.wronskian(ft, setup.omega)
+    beta_v = _nullspace(beta_h.T @ Wmat)
+    V = ft.A @ beta_v
 
-    C = setup.WomegaBasis.T @ Omega
-    vel = ft.Adot @ beta_h
-    beta_h_dot = _gauge_solve(C @ ft.A, C @ vel, H, ft.A, vel)
     Wdot = ft.Adot.T @ Omega @ ft.Adot + ft.A.T @ Omega @ ft.Addot
     Lb = (beta_h_dot.T @ Wmat + beta_h.T @ (0.5 * (Wdot + Wdot.T))) @ beta_v
     beta_v_dot = _gauge_solve(beta_h.T @ Wmat, Lb, V, ft.A, ft.Adot @ beta_v)
@@ -327,7 +306,8 @@ def oneill_endomorphism(setup: CoisotropicSetup,
     A_mat[:p, p:] = -X[:p, p:]
     W_split = beta.T @ Wmat @ beta
     sym = W_split @ A_mat
-    return OneillData(matrix=A_mat, split=split, W_split=W_split,
+    return OneillData(matrix=A_mat, beta_h=beta_h, beta_v=beta_v,
+                      W_split=W_split,
                       symmetry_residual=float(np.max(np.abs(sym - sym.T))))
 
 
@@ -358,9 +338,8 @@ def _oneill_pairings(reduced: ReducedCurve, oneill: OneillData,
     K_full = 0.5 * inv.Schwarzian
     full_term = float((K_full @ alpha) @ inv.W @ alpha)
 
-    split = oneill.split
     Aa = oneill.matrix @ np.linalg.solve(
-        np.hstack([split.beta_h, split.beta_v]), alpha)
+        np.hstack([oneill.beta_h, oneill.beta_v]), alpha)
     corr = float(3.0 * (Aa @ oneill.W_split @ Aa))
     return lhs, full_term, corr
 
@@ -600,7 +579,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     sample = jb.jacobi_frame(orbit, 0.0, h=h, order=6)
     setup = coisotropic_setup(orbit.omega, Wbasis)
     reduced = reduce_curve(setup, sample.frames)
-    oneill = oneill_endomorphism(setup, sample.frames)
+    oneill = oneill_endomorphism(setup, sample.frames, reduced)
 
     a_amb = np.concatenate([np.zeros(n), w])
     H_c = reduced.h_frames[reduced.center_index]   # orthonormal: H_c = U_c

@@ -275,10 +275,11 @@ def run_selftest(seed: int, stencil_h: float):
         if done == 5:
             break
         A, Adot, Addot = _graph_curve(rng, 2)
-        fs = fc.stencil_triples(A, Adot, Addot, nk.Stencil(0.0, 1e-2, 6))
+        fs = fc.stencil_triples(A, Adot, Addot,
+                                nk.Stencil(0.0, stencil_h, 6))
         try:
             red = rd.reduce_curve(setup, fs)
-            oneill = rd.oneill_endomorphism(setup, fs)
+            oneill = rd.oneill_endomorphism(setup, fs, red)
         except (TransversalityFailure, DegenerateRestriction):
             continue
         done += 1

@@ -207,7 +207,7 @@ def test_criterion_09_oneill_formula():
         fs = fc.stencil_triples(A, Adot, Addot, nk.Stencil(0.0, 1e-2, 6))
         try:
             red = rd.reduce_curve(setup, fs)
-            oneill = rd.oneill_endomorphism(setup, fs)
+            oneill = rd.oneill_endomorphism(setup, fs, red)
         except (TransversalityFailure, DegenerateRestriction):
             continue
         done += 1

@@ -196,53 +196,7 @@ def test_reduced_wronskian_is_restriction(rng):
     assert checked >= 3, "too few splitting curves drawn"
 
 
-# -- hv split ---------------------------------------------------------------------
-
-def test_hv_split_lagrangian_w_equal_to_plane(rng):
-    omega = std_omega(2)
-    A, Adot, Addot = lagrangian_graph_curve(rng, 2)
-    ft = fc.FrameTriple(A(0.0), Adot(0.0), Addot(0.0))
-    setup = rd.coisotropic_setup(omega, ft.A)
-    split = rd.hv_split(setup, ft)
-    assert split.beta_h.shape == (2, 2)
-    assert split.beta_v.shape == (2, 0)
-    # the whole plane is the W-part
-    coeff, *_ = np.linalg.lstsq(split.Hframe_frak, ft.A, rcond=None)
-    assert np.max(np.abs(split.Hframe_frak @ coeff - ft.A)) < 1e-10
-
-
-def test_hv_split_block_case(rng):
-    omega = std_omega(2)
-    W = np.eye(4)[:, [0, 2, 3]]
-    setup = rd.coisotropic_setup(omega, W)
-    (A, Adot, Addot), _ = product_curve(rng)
-    split = rd.hv_split(setup, fc.FrameTriple(A(0.0), Adot(0.0), Addot(0.0)))
-    # the W-part is the first factor, the complement the second
-    assert np.max(np.abs(split.Hframe_frak[[1, 3], :])) < 1e-10
-    assert np.max(np.abs(split.Vframe_frak[[0, 2], :])) < 1e-10
-
-
-def test_hv_split_projector_algebra(rng):
-    omega = std_omega(2)
-    W = np.eye(4)[:, [0, 1, 2]]
-    setup = rd.coisotropic_setup(omega, W)
-    done = 0
-    for _ in range(50):   # bounded, so a fault that always raises fails
-        if done == 5:
-            break
-        A, Adot, Addot = lagrangian_graph_curve(rng, 2)
-        ft = fc.FrameTriple(A(0.0), Adot(0.0), Addot(0.0))
-        try:
-            split = rd.hv_split(setup, ft)
-        except (TransversalityFailure, DegenerateRestriction):
-            continue
-        done += 1
-        # W-orthogonality of the two parts
-        assert np.max(np.abs(split.beta_h.T @ split.Wmat @ split.beta_v)) < 1e-9
-    assert done == 5, "too few splitting curves drawn"
-
-
-def test_hv_split_degenerate_restriction():
+def test_reduce_curve_degenerate_restriction():
     # Z1 = [[0,1],[1,0]] makes the Wronskian vanish on the 1-dim intersection
     omega = std_omega(2)
     W = np.eye(4)[:, [0, 1, 2]]
@@ -252,8 +206,9 @@ def test_hv_split_degenerate_restriction():
     A = np.vstack([np.eye(2), Z0])
     Adot = np.vstack([np.zeros((2, 2)), Z1])
     ft = fc.FrameTriple(A, Adot, np.zeros((4, 2)))
+    fs = fc.FrameStencil(nk.Stencil(0.0, 1e-2, 6), [ft] * 7)
     with pytest.raises(DegenerateRestriction):
-        rd.hv_split(setup, ft)
+        rd.reduce_curve(setup, fs)
 
 
 def test_reduce_curve_transversality_failure(rng):
@@ -280,8 +235,42 @@ def test_oneill_vanishes_for_products(rng):
     W = np.eye(4)[:, [0, 2, 3]]
     setup = rd.coisotropic_setup(omega, W)
     (A, Adot, Addot), _ = product_curve(rng)
-    data = rd.oneill_endomorphism(setup, curve_stencil(A, Adot, Addot))
+    fs = curve_stencil(A, Adot, Addot)
+    data = rd.oneill_endomorphism(setup, fs, rd.reduce_curve(setup, fs))
     assert np.max(np.abs(data.matrix)) < 1e-9
+
+
+def test_oneill_parts_block_case(rng):
+    omega = std_omega(2)
+    W = np.eye(4)[:, [0, 2, 3]]
+    setup = rd.coisotropic_setup(omega, W)
+    (A, Adot, Addot), _ = product_curve(rng)
+    fs = curve_stencil(A, Adot, Addot)
+    data = rd.oneill_endomorphism(setup, fs, rd.reduce_curve(setup, fs))
+    # the W-part is the first factor, the complement the second
+    assert np.max(np.abs((fs.center.A @ data.beta_h)[[1, 3], :])) < 1e-10
+    assert np.max(np.abs((fs.center.A @ data.beta_v)[[0, 2], :])) < 1e-10
+
+
+def test_oneill_parts_are_wronskian_orthogonal(rng):
+    omega = std_omega(2)
+    W = np.eye(4)[:, [0, 1, 2]]
+    setup = rd.coisotropic_setup(omega, W)
+    done = 0
+    for _ in range(50):   # bounded, so a fault that always raises fails
+        if done == 5:
+            break
+        fs = curve_stencil(*lagrangian_graph_curve(rng, 2))
+        try:
+            red = rd.reduce_curve(setup, fs)
+        except (TransversalityFailure, DegenerateRestriction):
+            continue
+        done += 1
+        data = rd.oneill_endomorphism(setup, fs, red)
+        assert data.beta_h.shape == (2, 1) and data.beta_v.shape == (2, 1)
+        Wmat = fc.wronskian(fs.center, omega)
+        assert np.max(np.abs(data.beta_h.T @ Wmat @ data.beta_v)) < 1e-9
+    assert done == 5, "too few splitting curves drawn"
 
 
 def test_oneill_symmetry_and_block_structure(rng):
@@ -295,7 +284,8 @@ def test_oneill_symmetry_and_block_structure(rng):
         A, Adot, Addot = lagrangian_graph_curve(rng, 2)
         fs = curve_stencil(A, Adot, Addot)
         try:
-            data = rd.oneill_endomorphism(setup, fs)
+            data = rd.oneill_endomorphism(setup, fs,
+                                          rd.reduce_curve(setup, fs))
         except (TransversalityFailure, DegenerateRestriction):
             continue
         done += 1
@@ -315,7 +305,7 @@ def test_oneill_formula_random_curves(rng):
         fs = curve_stencil(A, Adot, Addot, h=1e-2, order=6)
         try:
             red = rd.reduce_curve(setup, fs)
-            oneill = rd.oneill_endomorphism(setup, fs)
+            oneill = rd.oneill_endomorphism(setup, fs, red)
         except (TransversalityFailure, DegenerateRestriction):
             continue
         done += 1
@@ -332,7 +322,7 @@ def test_oneill_formula_product_both_sides_equal(rng):
     (A, Adot, Addot), _ = product_curve(rng)
     fs = curve_stencil(A, Adot, Addot, h=1e-2, order=6)
     red = rd.reduce_curve(setup, fs)
-    oneill = rd.oneill_endomorphism(setup, fs)
+    oneill = rd.oneill_endomorphism(setup, fs, red)
     lhs, rhs = rd.oneill_formula(setup, fs, red, oneill, np.array([1.0]))
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -370,21 +360,20 @@ def reference_reduced_triples(setup, fs, h_frames, c_idx):
     return out
 
 
-def reference_oneill_matrix(setup, fs):
-    """The O'Neill matrix from projectors onto the parts of [H | V | Hor]
-    and a least-squares fit of the images onto [H | V]."""
-    ft = fs.triples[len(fs.stencil.nodes) // 2]
-    split = rd.hv_split(setup, ft)
-    H, V, Wmat = split.Hframe_frak, split.Vframe_frak, split.Wmat
-    p, nv = H.shape[1], V.shape[1]
+def reference_oneill_matrix(setup, ft, H, beta_v):
+    """The O'Neill matrix in the basis [H | A beta_v], for H a frame of
+    l inter W and beta_h^T W beta_v = 0, from projectors onto the parts of
+    [H | V | Hor] and a least-squares fit of the images onto [H | V]."""
+    p, nv = H.shape[1], beta_v.shape[1]
+    V = ft.A @ beta_v
     U_h, _, _ = np.linalg.svd(H, full_matrices=False)
     beta_h, Hdot, _ = reference_section_derivatives(setup, ft, H, U_h)
     beta_h_dot, *_ = np.linalg.lstsq(ft.A, Hdot - ft.Adot @ beta_h,
                                      rcond=None)
     Omega = setup.omega.Omega
+    Wmat = fc.wronskian(ft, setup.omega)
     Wdot = ft.Adot.T @ Omega @ ft.Adot + ft.A.T @ Omega @ ft.Addot
     Wdot = 0.5 * (Wdot + Wdot.T)
-    beta_v = split.beta_v
     U_v, _, _ = np.linalg.svd(V, full_matrices=False)
     system = np.vstack([beta_h.T @ Wmat, U_v.T @ ft.A])
     rhs = np.vstack([-(beta_h_dot.T @ Wmat + beta_h.T @ Wdot) @ beta_v,
@@ -422,7 +411,7 @@ def hopf_stencil():
 
 def reduction_cases(rng, count=4):
     """Seeded graph curves with W = span(e1, e2, f1) whose center plane
-    splits, then the Hopf stencil.  Only a plane that does not split is
+    reduces, then the Hopf stencil.  Only a curve that does not reduce is
     drawn again, a bounded number of times, so a fault in the reduction
     fails the test instead of redrawing forever."""
     setup = rd.coisotropic_setup(std_omega(2), np.eye(4)[:, [0, 1, 2]])
@@ -430,7 +419,7 @@ def reduction_cases(rng, count=4):
     for _ in range(10 * count):
         fs = curve_stencil(*lagrangian_graph_curve(rng, 2))
         try:
-            rd.hv_split(setup, fs.center)
+            rd.reduce_curve(setup, fs)
         except (TransversalityFailure, DegenerateRestriction):
             continue
         cases.append((setup, fs))
@@ -451,10 +440,55 @@ def test_reduce_curve_matches_least_squares_reference(rng):
 
 def test_oneill_matches_projector_reference(rng):
     for setup, fs in reduction_cases(rng):
-        data = rd.oneill_endomorphism(setup, fs)
-        ref = reference_oneill_matrix(setup, fs)
+        red = rd.reduce_curve(setup, fs)
+        data = rd.oneill_endomorphism(setup, fs, red)
+        ref = reference_oneill_matrix(setup, fs.center,
+                                      red.h_frames[red.center_index],
+                                      data.beta_v)
         assert np.max(np.abs(ref)) > 1e-3   # the blocks are not trivially 0
         assert np.max(np.abs(data.matrix - ref)) < 1e-10
+
+
+def test_oneill_correction_does_not_depend_on_the_intersection_basis(rng):
+    # 3 W(Aa, Aa) in the orthonormal coefficient basis of l inter W from
+    # `_plane_meets` equals the one read off the reduction's center frame
+    for setup, fs in reduction_cases(rng):
+        red = rd.reduce_curve(setup, fs)
+        data = rd.oneill_endomorphism(setup, fs, red)
+        ft, c = fs.center, red.center_index
+        Wmat = fc.wronskian(ft, setup.omega)
+        b = rd._plane_meets(ft.A, setup.Wbasis)
+        b_v = rd._nullspace(b.T @ Wmat)
+        matrix = reference_oneill_matrix(setup, ft, ft.A @ b, b_v)
+        basis = np.hstack([b, b_v])
+        inv = fc.invariants(fs, setup.omega)
+        for _ in range(3):
+            a = rng.normal(size=b.shape[1])
+            alpha = red.betas[c] @ a
+            Aa = matrix @ np.linalg.solve(basis, alpha)
+            old = 3.0 * (Aa @ basis.T @ Wmat @ basis @ Aa)
+            _, _, new = rd._oneill_pairings(red, data, inv, a, alpha)
+            assert abs(old) > 1e-3
+            assert abs(new - old) < 1e-12 * max(1.0, abs(old))
+
+
+def test_hopf_reads_the_center_intersection_once(monkeypatch):
+    # the O'Neill endomorphism reads l(0) inter W, its frame and beta' off
+    # the reduction: 7 intersections and restriction checks for 7 nodes,
+    # 2 gauge solves per node and one for the W-orthogonal section
+    counts = {}
+    for name in ("_plane_meets", "_restricted_wronskian", "_gauge_solve"):
+        real = getattr(rd, name)
+
+        def spy(*args, _real=real, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(rd, name, spy)
+    scn = rd.submersion_scenario("hopf")
+    rd.submersion_curvature(scn, *scn.default_flag())
+    assert counts == {"_plane_meets": 7, "_restricted_wronskian": 7,
+                      "_gauge_solve": 15}
 
 
 def test_singular_gauge_system_raises_transversality_failure():

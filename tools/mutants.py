@@ -169,10 +169,10 @@ MUTANTS = [
            "        if beta_j.shape[1] != p:\n", "        if False:\n",
            "tests/test_reduction.py::test_reduce_curve_transversality_failure"),
     Mutant("omega-transposed-in-C", PKG + "reduction.py",
-           "    C = setup.WomegaBasis.T @ setup.omega.Omega\n",
-           "    C = setup.WomegaBasis.T @ setup.omega.Omega.T\n", "",
+           "C=comp.T @ omega.Omega,", "C=comp.T @ omega.Omega.T,", "",
            equivalent="Omega^T = -Omega negates C, and so both sides of "
-                      "C A beta' = -C Adot beta"),
+                      "C A beta' = -C Adot beta and the row C w whose size "
+                      "`project` checks"),
     # -- exact coordinates: graph gauge, quotient pairing, carried betas ------
     Mutant("gauge-inverse-dropped", PKG + "reduction.py",
            "        H = ft.A @ beta\n",
@@ -190,9 +190,13 @@ MUTANTS = [
            "        if 0.0 * off > 1e-8 * np.max(np.abs(Omega)) * max(",
            "tests/test_reduction.py::test_project_refuses_columns_outside_w"),
     Mutant("oneill-basis-swapped", PKG + "reduction.py",
-           "np.hstack([split.beta_h, split.beta_v]), alpha)",
-           "np.hstack([split.beta_v, split.beta_h]), alpha)",
+           "np.hstack([oneill.beta_h, oneill.beta_v]), alpha)",
+           "np.hstack([oneill.beta_v, oneill.beta_h]), alpha)",
            "tests/test_reduction.py::test_hopf_oneill_triple"),
+    Mutant("oneill-neighbour-beta-dot", PKG + "reduction.py",
+           "reduced.betas[c_idx], reduced.beta_dots[c_idx]",
+           "reduced.betas[c_idx], reduced.beta_dots[c_idx + 1]",
+           "tests/test_reduction.py::test_oneill_matches_projector_reference"),
     # -- orthonormal quotient coordinates and the trivial-quotient guard -----
     Mutant("project-through-the-form", PKG + "reduction.py",
            "        return self.quotient_basis.T @ cols\n",
