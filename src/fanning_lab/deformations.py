@@ -16,13 +16,13 @@ is the direct flag curvature of the deformed metric.
 
 Perturbing the dual norm of the round sphere by a multiple of the rotation
 generator produces the classical constant-curvature non-reversible metrics;
-the metric is built numerically through the dual-norm machinery, with the
-closed-form Randers expression kept as a cross-check only.
+the metric is built numerically through the dual-norm machinery; the
+closed-form Zermelo (Randers) expression gives its Newton the exact start
+and is kept as a cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -231,15 +231,39 @@ def killing_residual(g_callable, V: Callable, xs) -> float:
     return float(np.max(np.abs(lie), initial=0.0))
 
 
+def _zermelo_norm(epsilon: float, x, v):
+    """Closed-form katok norm F(x, v) and its Legendre covector dF/dv.
+
+    The unit co-ball |xi|_{g^-1} + xi(W) <= 1, W = epsilon * V, is the
+    ellipsoid (xi + Q^-1 W)^T Q (xi + Q^-1 W) <= rho^2 with
+    Q = g^-1 - W W^T and rho^2 = 1 + W^T Q^-1 W (Zermelo navigation), so
+    F = rho |v|_{Q^-1} - (Q^-1 W) . v, whose v-gradient is the support
+    covector.  Q^-1 is the explicit 2x2 inverse.  x and v are components:
+    floats for one point, arrays for a batch.
+    """
+    h = 1.0 / mx.sphere_conformal_factor(x, 1.0)       # g^-1 = h I
+    w0, w1 = (epsilon * w for w in rotation_field(x))
+    det = h * (h - w0 * w0 - w1 * w1)
+    q00, q01, q11 = (h - w1 * w1) / det, w0 * w1 / det, (h - w0 * w0) / det
+    qw = (q00 * w0 + q01 * w1, q01 * w0 + q11 * w1)
+    qv = (q00 * v[0] + q01 * v[1], q01 * v[0] + q11 * v[1])
+    rho = np.sqrt(1.0 + w0 * qw[0] + w1 * qw[1])
+    a = np.sqrt(v[0] * qv[0] + v[1] * qv[1])
+    F = rho * a - (qw[0] * v[0] + qw[1] * v[1])
+    return F, [rho * qv[0] / a - qw[0], rho * qv[1] / a - qw[1]]
+
+
 def katok_metric(epsilon: float) -> mx.MetricSpec:
     """Perturb the round sphere's dual norm by epsilon times the rotation field.
 
     The perturbed metric is produced by the numeric dual-norm construction
     on the chart box [-25, 25]^2; it is non-reversible for epsilon > 0 and
-    Randers in disguise (see katok_zermelo_cross_check).  Requires
-    0 <= epsilon < 1, which is exactly the smallness condition F(eps V) < 1:
-    F(x, eps V) = 2 eps |x| / (1 + |x|^2) <= eps, with equality on the unit
-    circle.
+    Randers in disguise (see katok_zermelo_cross_check).  Each support
+    solve starts at the closed-form Zermelo covector dF/dv, which the
+    Newton only verifies (KKT residual below 1e-12, one evaluation).
+    Requires 0 <= epsilon < 1, which is exactly the smallness condition
+    F(eps V) < 1: F(x, eps V) = 2 eps |x| / (1 + |x|^2) <= eps, with
+    equality on the unit circle.
     """
     if not 0.0 <= epsilon < 1.0:
         raise SmallnessViolation(
@@ -254,8 +278,7 @@ def katok_metric(epsilon: float) -> mx.MetricSpec:
         return a + epsilon * (ys[0] * V[0] + ys[1] * V[1])
 
     def warm(x, v):
-        c = mx.sphere_conformal_factor(x, 1.0)
-        return [c * v[0], c * v[1]]
+        return _zermelo_norm(epsilon, x, v)[1]
 
     if epsilon == 0.0:
         return mx.riemannian_metric(sphere.g, 2, domain, name="katok(eps=0)")
@@ -263,24 +286,15 @@ def katok_metric(epsilon: float) -> mx.MetricSpec:
                           name=f"katok(eps={epsilon})")
 
 
-def katok_zermelo_cross_check(epsilon: float, x, v) -> float:
-    """Closed-form Randers value of the perturbed norm (cross-check only).
+def katok_zermelo_cross_check(epsilon: float, x, v):
+    """Closed-form Randers value of the perturbed norm at x, v of shape
+    S+(2,): a float for one point, an array S for a batch.
 
-    The unit co-ball |xi|_{g^{-1}} + eps xi(V) <= 1 is an ellipsoid; its
-    support function is an explicit Randers norm.  The numeric dual remains
-    the authoritative definition; this pins down sign conventions in tests.
+    The same closed form gives katok's Newton its start; the numeric dual
+    remains the authoritative definition, and this pins down sign
+    conventions in tests.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = mx.sphere_conformal_factor(x, 1.0)
-    ginv = np.eye(2) / c
-    W = epsilon * np.array(rotation_field(list(x)), dtype=float)
-    Q = ginv - np.outer(W, W)
-    Qinv = np.linalg.inv(Q)
-    rho2 = 1.0 + W @ Qinv @ W
-    alpha = math.sqrt(rho2 * (v @ Qinv @ v))
-    beta = -(Qinv @ W) @ v
-    return alpha + beta
+    return _zermelo_norm(epsilon, components(x), components(v))[0]
 
 
 def katok_curvature(epsilon: float, flags,

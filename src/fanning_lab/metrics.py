@@ -617,6 +617,9 @@ def dual_metric(costar: Callable, n: int, domain: Box, warm_start: Callable,
     differentiation at the Legendre point, so no derivative ever runs
     through the Newton iteration.  warm_start(xs, ys) gives the components
     of the covector the solve starts from (ys itself is a valid start).
+    The start is only a start: the KKT residual is checked at it, so an
+    exact start (katok's Zermelo covector) costs one residual evaluation
+    and a poor one costs iterations, not accuracy.
     """
 
     def F(xs, ys):

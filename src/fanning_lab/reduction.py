@@ -196,7 +196,8 @@ def _gauge_solve(L, Lb, U, A, Ab):
 @dataclass
 class ReducedCurve:
     """Reduced frame stencil plus the graph-gauge intersection frames
-    h_frames[j] = A_j @ betas[j], whose center frame is orthonormal."""
+    h_frames[j] = A_j @ betas[j], whose center frame is orthonormal, and
+    the full curve's Wronskian at the center node."""
 
     frames: fc.FrameStencil
     invariants: fc.FanningInvariants
@@ -204,6 +205,7 @@ class ReducedCurve:
     betas: tuple             # their coefficients in the curve's frames
     beta_dots: tuple         # the coefficients' derivatives in the gauge
     center_index: int
+    center_wronskian: np.ndarray
 
 
 def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
@@ -225,14 +227,14 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
             "W is Lagrangian: its quotient is trivial, no curve to reduce")
     p, C = setup.quotient_basis.shape[1] // 2, setup.C
     c_idx = len(fs.triples) // 2
-    bases = []
+    bases, wronskians = [], []
     for ft in fs.triples:
         beta_j = _plane_meets(ft.A, setup.Wbasis)
         if beta_j.shape[1] != p:
             raise TransversalityFailure(
                 f"intersection with W has dimension {beta_j.shape[1]}, "
                 f"expected {p}")
-        _restricted_wronskian(setup, ft, beta_j)
+        wronskians.append(_restricted_wronskian(setup, ft, beta_j))
         bases.append(beta_j)
     U_c, _, _ = np.linalg.svd(fs.triples[c_idx].A @ bases[c_idx],
                               full_matrices=False)
@@ -257,7 +259,8 @@ def reduce_curve(setup: CoisotropicSetup, fs: fc.FrameStencil) -> ReducedCurve:
     inv = fc.invariants(frames, setup.omega_R)
     return ReducedCurve(frames=frames, invariants=inv,
                         h_frames=tuple(h_frames), betas=tuple(betas),
-                        beta_dots=tuple(beta_dots), center_index=c_idx)
+                        beta_dots=tuple(beta_dots), center_index=c_idx,
+                        center_wronskian=wronskians[c_idx])
 
 
 @dataclass
@@ -279,17 +282,18 @@ def oneill_endomorphism(setup: CoisotropicSetup, fs: fc.FrameStencil,
 
     The W-part is the reduction's center frame H = A beta_h, with beta_h'
     from its graph gauge; the W-orthogonal part V = A beta_v has
-    beta_h^T W beta_v = 0, and beta_v' differentiates that section in the
-    graph gauge over span V (`_gauge_solve`).  The endomorphism sends H to
-    the V-part of Hdot and V to minus the H-part of Vdot, both read off one
-    basis change to [H | V | Hor] (Hor the horizontal frame of the curve),
-    so it interchanges the two parts.
+    beta_h^T W beta_v = 0 (W the reduction's `center_wronskian`), and
+    beta_v' differentiates that section in the graph gauge over span V
+    (`_gauge_solve`).  The endomorphism sends H to the V-part of Hdot and V
+    to minus the H-part of Vdot, both read off one basis change to
+    [H | V | Hor] (Hor the horizontal frame of the curve), so it
+    interchanges the two parts.
     """
     c_idx = reduced.center_index
     ft, H = fs.triples[c_idx], reduced.h_frames[c_idx]
     beta_h, beta_h_dot = reduced.betas[c_idx], reduced.beta_dots[c_idx]
     Omega, (n, p) = setup.omega.Omega, beta_h.shape
-    Wmat = fc.wronskian(ft, setup.omega)
+    Wmat = reduced.center_wronskian
     beta_v = _nullspace(beta_h.T @ Wmat)
     V = ft.A @ beta_v
 

@@ -320,13 +320,11 @@ def run_selftest(seed: int, stencil_h: float):
     check("katok-constant-curvature",
           np.max(np.abs(df.katok_curvature(0.3, flags) - 1.0)), 1e-3)
 
-    katok = df.katok_metric(0.3)
-    worst = 0.0
-    for _ in range(2):
-        xk = rng.uniform(-0.8, 0.8, size=2)
-        vk = rng.normal(size=2)
-        worst = max(worst, abs(katok.F_value(xk, vk)
-                               - df.katok_zermelo_cross_check(0.3, xk, vk)))
-    check("katok-zermelo-cross-check", worst, 1e-8)
+    xk, vk = (np.array(a) for a in zip(*[
+        (rng.uniform(-0.8, 0.8, size=2), rng.normal(size=2))
+        for _ in range(2)]))
+    check("katok-zermelo-cross-check",
+          np.max(np.abs(df.katok_metric(0.3).F_value(xk, vk)
+                        - df.katok_zermelo_cross_check(0.3, xk, vk))), 1e-8)
 
     return out

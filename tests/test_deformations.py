@@ -427,6 +427,96 @@ def test_katok_matches_zermelo_closed_form(rng):
             df.katok_zermelo_cross_check(0.25, x, v), rel=1e-9)
 
 
+def test_katok_zermelo_cross_check_takes_batches(rng):
+    x = rng.uniform(-0.9, 0.9, size=(3, 2, 2))
+    v = rng.normal(size=(3, 2, 2))
+    F = df.katok_zermelo_cross_check(0.25, x, v)
+    assert F.shape == (3, 2)
+    for i in np.ndindex(3, 2):
+        assert F[i] == df.katok_zermelo_cross_check(0.25, x[i], v[i])
+
+
+def newton_spy(monkeypatch):
+    """Count `metrics._newton` calls (solves) and the residual evaluations
+    they make; a batched solve counts once."""
+    counts = {"solves": 0, "evaluations": 0}
+    real = mx._newton
+
+    def spy(residual, z, where):
+        counts["solves"] += 1
+
+        def counted(z):
+            counts["evaluations"] += 1
+            return residual(z)
+
+        return real(counted, z, where)
+
+    monkeypatch.setattr(mx, "_newton", spy)
+    return counts
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_katok_support_solves_take_one_residual_evaluation(monkeypatch, rng,
+                                                           eps):
+    # the Zermelo covector is the support point itself: the Newton's first
+    # KKT residual is already below 1e-12
+    flags = [(rng.uniform(-0.8, 0.8, size=2), rng.normal(size=2),
+              rng.normal(size=2)) for _ in range(8)]
+    counts = newton_spy(monkeypatch)
+    K = df.katok_curvature(eps, flags)
+    assert np.max(np.abs(K - 1.0)) < 1e-3
+    assert counts["solves"] > 0
+    assert counts["evaluations"] == counts["solves"]
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.6, 0.9, 0.99])
+def test_katok_zermelo_start_converges_at_once_on_the_chart(monkeypatch, rng,
+                                                            eps):
+    r = 20.0 * np.sqrt(rng.uniform(size=64))
+    t = rng.uniform(0.0, 2.0 * np.pi, size=64)
+    x = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+    v = rng.normal(size=(64, 2))
+    m = df.katok_metric(eps)
+    counts = newton_spy(monkeypatch)
+    F = m.F_value(x, v)
+    assert counts == {"solves": 1, "evaluations": 1}
+    assert np.max(np.abs(F - df.katok_zermelo_cross_check(eps, x, v)) / F) \
+        < 1e-12
+
+
+def cold_katok(eps):
+    """katok's dual metric started at v itself, as `dual_metric` allows."""
+
+    def costar(xs, ys):
+        s = 1.0 + xs[0] * xs[0] + xs[1] * xs[1]
+        a = nk.sqrt(ys[0] * ys[0] + ys[1] * ys[1]) * (s * 0.5)
+        V = df.rotation_field(xs)
+        return a + eps * (ys[0] * V[0] + ys[1] * V[1])
+
+    return mx.dual_metric(costar, 2, mx.Box.cube(2, 25.0),
+                          warm_start=lambda x, v: v)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.9])
+def test_katok_start_does_not_change_the_answer(rng, eps):
+    katok, cold = df.katok_metric(eps), cold_katok(eps)
+    x = rng.uniform(-2.0, 2.0, size=(30, 2))
+    v = rng.normal(size=(30, 2))
+    F, F_cold = katok.F_value(x, v), cold.F_value(x, v)
+    assert np.max(np.abs(F - F_cold) / F) < 1e-12
+    # the y-gradient of F^2 is 2 F xi, xi the support covector
+    xi, xi_cold = (mx.energy_jet(m, x, v, order=2).g[..., 2:] / (2.0 * f)[:, None]
+                   for m, f in ((katok, F), (cold, F_cold)))
+    assert np.max(np.abs(xi - xi_cold)) < 1e-12 * np.max(np.abs(xi))
+
+    x, y, u = (rng.uniform(-0.8, 0.8, size=(8, 2)), rng.normal(size=(8, 2)),
+               rng.normal(size=(8, 2)))
+    y = y / katok.F_value(x, y)[:, None]
+    K, K_cold = (jb.flag_curvature(m, mx.PhasePoint(x, y), u)
+                 for m in (katok, cold))
+    assert np.max(np.abs(K - K_cold)) < 1e-9
+
+
 def test_katok_curvature_stays_one(rng):
     flags = []
     for _ in range(4):

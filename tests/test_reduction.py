@@ -475,20 +475,23 @@ def test_oneill_correction_does_not_depend_on_the_intersection_basis(rng):
 def test_hopf_reads_the_center_intersection_once(monkeypatch):
     # the O'Neill endomorphism reads l(0) inter W, its frame and beta' off
     # the reduction: 7 intersections and restriction checks for 7 nodes,
-    # 2 gauge solves per node and one for the W-orthogonal section
+    # 2 gauge solves per node and one for the W-orthogonal section; the
+    # Wronskian is formed at each of the 7 nodes, which the O'Neill part
+    # reads at the center, and by the full and the reduced invariants
     counts = {}
-    for name in ("_plane_meets", "_restricted_wronskian", "_gauge_solve"):
-        real = getattr(rd, name)
+    for mod, name in ((rd, "_plane_meets"), (rd, "_restricted_wronskian"),
+                      (rd, "_gauge_solve"), (fc, "wronskian")):
+        real = getattr(mod, name)
 
         def spy(*args, _real=real, _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _real(*args)
 
-        monkeypatch.setattr(rd, name, spy)
+        monkeypatch.setattr(mod, name, spy)
     scn = rd.submersion_scenario("hopf")
     rd.submersion_curvature(scn, *scn.default_flag())
     assert counts == {"_plane_meets": 7, "_restricted_wronskian": 7,
-                      "_gauge_solve": 15}
+                      "_gauge_solve": 15, "wronskian": 9}
 
 
 def test_singular_gauge_system_raises_transversality_failure():

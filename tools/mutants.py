@@ -64,7 +64,8 @@ MUTANTS = [
            "test_criterion_07_horizontal_wronskian_identity"),
     Mutant("newton-tolerance", PKG + "metrics.py",
            "todo = ~(res < 1e-12)", "todo = ~(res < 1e-6)",
-           "tests/test_acceptance.py::test_criterion_08_contact_reduction"),
+           "tests/test_deformations.py::"
+           "test_katok_start_does_not_change_the_answer[0.3]"),
     Mutant("chart-check-noop", PKG + "jacobi.py",
            "    raise_at(OutOfChart, ~metric.domain.contains(x), describe)",
            "    return",
@@ -72,8 +73,8 @@ MUTANTS = [
            "test_main_names_the_failing_orbit_time[between-samples]"),
     Mutant("newton-no-halving", PKG + "metrics.py",
            "lam *= 0.5", "lam *= 1.0",
-           "tests/test_deformations.py::"
-           "test_projective_rhs_batch_matches_single_flags[katok]"),
+           "tests/test_metrics.py::"
+           "test_newton_halves_steps_that_do_not_reduce_the_residual"),
     Mutant("newton-takes-any-step", PKG + "metrics.py",
            "take = pending & (trial[2] < res)", "take = pending",
            "tests/test_metrics.py::"
@@ -136,6 +137,12 @@ MUTANTS = [
            'np.einsum("...k,...ijk->...ij", Vv, dg)',
            'np.einsum("...k,...ijk->...ij", 0.0 * Vv, dg)',
            "tests/test_deformations.py::test_killing_residual_of_a_translation"),
+    Mutant("katok-warm-start-sphere", PKG + "deformations.py",
+           "        return _zermelo_norm(epsilon, x, v)[1]\n",
+           "        c = mx.sphere_conformal_factor(x, 1.0)\n"
+           "        return [c * v[0], c * v[1]]\n",
+           "tests/test_deformations.py::"
+           "test_katok_support_solves_take_one_residual_evaluation[0.3]"),
     # -- SubmersionScenario.constraint_grad: the constant-fiber row ---------
     Mutant("constraint-y-part", PKG + "reduction.py",
            "             g[..., f, :]], axis=-1)",
