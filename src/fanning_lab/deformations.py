@@ -269,7 +269,6 @@ def katok_metric(epsilon: float) -> mx.MetricSpec:
         raise SmallnessViolation(
             f"rotational perturbation needs 0 <= eps < 1, got {epsilon}")
     domain = mx.Box.cube(2, 25.0)
-    sphere = mx.zoo_metric("sphere")
 
     def costar(xs, ys):
         s = 1.0 + xs[0] * xs[0] + xs[1] * xs[1]
@@ -281,7 +280,8 @@ def katok_metric(epsilon: float) -> mx.MetricSpec:
         return _zermelo_norm(epsilon, x, v)[1]
 
     if epsilon == 0.0:
-        return mx.riemannian_metric(sphere.g, 2, domain, name="katok(eps=0)")
+        return mx.riemannian_metric(mx.zoo_metric("sphere").g, 2, domain,
+                                    name="katok(eps=0)")
     return mx.dual_metric(costar, 2, domain, warm_start=warm,
                           name=f"katok(eps={epsilon})")
 

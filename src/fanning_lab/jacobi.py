@@ -16,10 +16,13 @@ read only at its grid nodes (`OrbitData`).
 `transport` and `flag_curvature` take a batch of phase points (x, y of
 shape S+(n,); a single point is S = ()) and integrate them in lockstep,
 the two halves of a window as lanes of a last batch axis (`_flow`): one
-`spray_data` call per RK4 stage for all.  A window read at t = 0
-(`frame_invariants`) takes one step per stencil spacing at the default
-resolution, and 9 calls: one at v0, 3 + 4 for its two steps, one at both
-ends.  A failure names the lowest failing flag, whichever lane fails.
+`spray_data` call per RK4 stage for all.  One order-3 energy jet at v0
+gives the spray data there and the form, and the t = 0 Wronskian is the
+fundamental tensor at v0 bit for bit, so `flag_curvature` jets its flag
+points once.  A window read at t = 0 (`frame_invariants`) takes one step
+per stencil spacing at the default resolution, and 9 spray evaluations
+(energy jets): one at v0, 3 + 4 for its two steps, one at both ends.  A
+failure names the lowest failing flag, whichever lane fails.
 
 `geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
 flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
@@ -84,8 +87,10 @@ class OrbitData:
     to (x, y, M) with M(t) the differential of the time-t flow at v0, and
     sprays to the spray data (G, DS) at each state; omega is the
     symplectic form at v0, the fixed ambient form for every frame along
-    this orbit.  For a batch v0 every array carries its batch axes first.
-    Immutable after construction; read only at its nodes.
+    this orbit, from the same energy jet as the spray data at v0 (its g
+    block is the fundamental tensor at v0).  For a batch v0 every array
+    carries its batch axes first.  Immutable after construction; read only
+    at its nodes.
     """
 
     metric: mx.MetricSpec
@@ -108,6 +113,10 @@ class OrbitData:
     def state(self, t: float):
         """State (x, y, M) at the grid node t."""
         return self.states[self._index(t)]
+
+    def spray(self, t: float):
+        """Spray data (G, DS) at the grid node t."""
+        return self.sprays[self._index(t)]
 
     def frame_data(self, t: float):
         """Frame A(t) = M^{-1} Vert and its analytic derivative at the grid
@@ -262,7 +271,11 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
     n, m2 = metric.n, 2 * metric.n
     lead = v0.x.shape[:-1]
     start = (v0.x, v0.y, np.broadcast_to(np.eye(m2), lead + (m2, m2)))
-    spray0 = _spray(metric, v0.x, v0.y)
+    # one energy jet at v0 gives its spray data and the form
+    _check_chart(metric, v0.x)
+    J0 = mx.energy_jet(metric, v0.x, v0.y)
+    g0 = mx._fiber_tensor(J0, v0.x, v0.y)
+    spray0 = mx._jet_spray(J0, g0, v0.y)
     zs, sprays = _flow(metric, start, T, steps, spray0)
 
     def lane(k):
@@ -275,7 +288,7 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
                      ts=dt * np.arange(-steps, steps + 1),
                      states=tuple(bwd[::-1] + [start] + fwd),
                      sprays=tuple(bwd_sprays[::-1] + [spray0] + fwd_sprays),
-                     omega=fc.SymplecticForm(mx.omega_matrix(metric, v0)))
+                     omega=fc.SymplecticForm(mx._jet_omega(J0, g0)))
 
 
 def frame_reach(h: float, order: int = 4) -> float:
@@ -331,8 +344,8 @@ def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
     """Fanning invariants at t = 0 of the Jacobi curve of v (one point or
     a batch) from the frame stencil of spacing h, on a window at half of
     resolution raised to whole steps per h (`frame_resolution`): one step
-    per spacing and 9 `spray_data` calls at the defaults, 20 steps per
-    spacing and 161 calls at h = 0.02.  The difference of Adot, about
+    per spacing and 9 spray evaluations at the defaults, 20 steps per
+    spacing and 161 at h = 0.02.  The difference of Adot, about
     eps / h^2, not RK4, sets the floor of K's error.  |K - K_ref| over 30
     flags (`cli.sample_flags`, seed 5, |x| < r; katok with unit y,
     conformal against `riemann_oracle`), worst and median:
@@ -370,9 +383,10 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
                    h: float = DEFAULT_FRAME_H):
     """Flag curvature of the flag (v, span[v, u]).
 
-    u is g_F(v)-orthogonalized against v internally; the value is invariant
-    under scaling of u, adding multiples of v to u, and scaling of v.  At
-    time zero the frame basis is the vertical one, so the coordinates of the
+    u is g_F(v)-orthogonalized against v internally, g_F(v) read off the
+    frame window as its t = 0 Wronskian; the value is invariant under
+    scaling of u, adding multiples of v to u, and scaling of v.  At time
+    zero the frame basis is the vertical one, so the coordinates of the
     flag vector are just its components.
 
     v and u may hold a batch of flags (shape S+(n,)): one frame window
@@ -381,10 +395,10 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
     failing flag.
     """
     u = np.asarray(u, dtype=float)
-    g = mx.fundamental_tensor(metric, v)
-    w = _canonical_flag_vector(g, v.y, u)[..., :, None]    # columns
     F = np.asarray(metric.F_value(v.x, v.y))
     inv = frame_invariants(metric, v, resolution, h)
+    # the t = 0 Wronskian is the fundamental tensor, bit for bit
+    w = _canonical_flag_vector(inv.W, v.y, u)[..., :, None]    # columns
     K_plane = 0.5 * inv.Schwarzian        # K on span(A) in the frame basis
     num = (K_plane @ w).mT @ inv.W @ w
     den = w.mT @ inv.W @ w

@@ -20,6 +20,18 @@ is a plain number.  Derivative arrays need only broadcast against S: seeds
 and constants keep unbatched gradients until arithmetic mixes them with
 batched values.
 
+Structural zeros.  Each jet flags an H (hz) and a T (tz) that are zero by
+construction: seeds and constants have both, sums, negations and scalar
+multiples keep the flags their operands share, and a product of two jets
+with zero H and T has zero T.  The flags are never read off the values.
+Products and compositions skip the terms a flag makes zero, and keep the
+order of the others, so a result keeps its bits (up to the sign of an
+exact zero) while the first products of every evaluator, on seeds and
+their linear combinations, do a fraction of the work: the sparsity of
+forward mode (Griewank & Walther, ch. 7) and the symbolic zeros of Taylor
+mode (Bettencourt, Johnson & Duvenaud, 2019).  The arrays stay dense; a
+flagged one may lack the batch axes.
+
 The derivative tensors are stored unpacked (numpy arrays H: (m,m), T:
 (m,m,m)); m <= 16 in this package, so symmetry packing would buy nothing.
 """
@@ -52,6 +64,16 @@ def _sym3(X: np.ndarray) -> np.ndarray:
     """
     Y = X.swapaxes(-3, -2)
     return X + Y + Y.swapaxes(-2, -1)
+
+
+def _total(*terms):
+    """Left-to-right sum of the terms that are not None (structural zeros
+    skipped); None when every term is."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
 
 
 def _lift(c):
@@ -87,9 +109,14 @@ class Jet:
     v is the value, g the gradient, H the Hessian and T (order 3 only) the
     third-derivative tensor, all with respect to the m seeded variables and
     all with the same leading batch axes (none for a single point).
+
+    hz and tz flag an H and a T that are zero by construction: those of
+    seeds and constants, and of sums, negations and scalar multiples of
+    flagged jets; a product of two jets with zero H and T has zero T.
+    They are never read off the values.
     """
 
-    __slots__ = ("m", "order", "v", "g", "H", "T")
+    __slots__ = ("m", "order", "v", "g", "H", "T", "hz", "tz")
 
     def __init__(self, m, order, v, g=None, H=None, T=None):
         self.m = m
@@ -100,11 +127,15 @@ class Jet:
         self.T = None
         if order >= 3:
             self.T = np.zeros((m, m, m)) if T is None else T
+        self.hz = H is None
+        self.tz = T is None
 
     # -- construction -------------------------------------------------------
 
-    def _like(self, v, g, H, T):
-        return Jet(self.m, self.order, v, g, H, T)
+    def _like(self, v, g, H, T, hz=False, tz=False):
+        out = Jet(self.m, self.order, v, g, H, T)
+        out.hz, out.tz = hz, tz
+        return out
 
     def __repr__(self):
         return f"Jet(m={self.m}, order={self.order}, v={self.v})"
@@ -113,16 +144,22 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            T = None if self.T is None else self.T + other.T
-            return self._like(self.v + other.v, self.g + other.g,
-                              self.H + other.H, T)
-        return self._like(self.v + other, self.g, self.H, self.T)
+            H = (other.H if self.hz else self.H if other.hz
+                 else self.H + other.H)
+            T = self.T
+            if T is not None:
+                T = other.T if self.tz else T if other.tz else T + other.T
+            return self._like(self.v + other.v, self.g + other.g, H, T,
+                              self.hz and other.hz, self.tz and other.tz)
+        return self._like(self.v + other, self.g, self.H, self.T,
+                          self.hz, self.tz)
 
     __radd__ = __add__
 
     def __neg__(self):
-        T = None if self.T is None else -self.T
-        return self._like(-self.v, -self.g, -self.H, T)
+        T = self.T if self.T is None or self.tz else -self.T
+        return self._like(-self.v, -self.g, self.H if self.hz else -self.H,
+                          T, self.hz, self.tz)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -other)
@@ -133,20 +170,28 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c1, c2, c3 = _lift(other)
-            T = None if self.T is None else c3 * self.T
-            return self._like(other * self.v, c1 * self.g, c2 * self.H, T)
+            H = self.H if self.hz else c2 * self.H
+            T = self.T if self.T is None or self.tz else c3 * self.T
+            return self._like(other * self.v, c1 * self.g, H, T,
+                              self.hz, self.tz)
         a, b = self, other
         a1, a2, a3 = _lift(a.v)
         b1, b2, b3 = _lift(b.v)
         v = a.v * b.v
         g = a1 * b.g + b1 * a.g
         gg = a.g[_COL] * b.g[_ROW]
-        H = a2 * b.H + b2 * a.H + gg + gg.mT
-        T = None
-        if self.T is not None:
-            T = (a3 * b.T + b3 * a.T
-                 + _sym3(a.g[_COL2] * b.H[_LAYER] + b.g[_COL2] * a.H[_LAYER]))
-        return self._like(v, g, H, T)
+        H = _total(None if b.hz else a2 * b.H, None if a.hz else b2 * a.H,
+                   gg) + gg.mT
+        T, tz = self.T, False
+        if T is not None:
+            X = _total(None if b.hz else a.g[_COL2] * b.H[_LAYER],
+                       None if a.hz else b.g[_COL2] * a.H[_LAYER])
+            T = _total(None if b.tz else a3 * b.T, None if a.tz else b3 * a.T,
+                       None if X is None else _sym3(X))
+            tz = T is None
+            if tz:
+                T = np.zeros((self.m,) * 3)
+        return self._like(v, g, H, T, False, tz)
 
     __rmul__ = __mul__
 
@@ -176,17 +221,19 @@ class Jet:
     # -- composition with a smooth univariate function ------------------------
 
     def _compose(self, c0, c1, c2, c3):
-        """Jet of f(self) from the value and derivatives c0..c3 of f at v."""
+        """Jet of f(self) from the value and derivatives c0..c3 of f at v;
+        the terms through a flagged H or T are skipped, each on its own."""
         c1g, c1H, c1T = _lift(c1)
         _, c2H, c2T = _lift(c2)
         g = c1g * self.g
         gg = self.g[_COL] * self.g[_ROW]
-        H = c1H * self.H + c2H * gg
+        H = _total(None if self.hz else c1H * self.H, c2H * gg)
         T = None
         if self.T is not None:
-            T = (c1T * self.T
-                 + c2T * _sym3(self.g[_COL2] * self.H[_LAYER])
-                 + _lift(c3)[2] * gg[..., None] * self.g[_ROW2])
+            T = _total(None if self.tz else c1T * self.T,
+                       None if self.hz
+                       else c2T * _sym3(self.g[_COL2] * self.H[_LAYER]),
+                       _lift(c3)[2] * gg[..., None] * self.g[_ROW2])
         return self._like(c0, g, H, T)
 
     def _reciprocal(self):

@@ -5,10 +5,14 @@ jets flow through unchanged), tagged by family.  Every derivative the module
 needs comes from one route, the jet of F^2 in the 2n phase variables
 (energy_jet): the fundamental tensor, the Legendre transform, the geodesic
 spray with its linearization, and the pulled-back symplectic form in
-natural coordinates (x1..xn, y1..yn).  Riemannian jets are assembled from
-jets of g in the n x-variables, and `with_one_form`, the one construction
-of F0 + beta . y (Randers metrics, projective deformations), adds x-jets of
-beta to the base's jet; a custom F sees jets in all 2n variables.
+natural coordinates (x1..xn, y1..yn).  `spray_data` and `omega_matrix`
+read their jet through `_jet_spray` and `_jet_omega`, so a caller holding
+the order-3 jet at a point (a transport window at its base point) takes
+the spray data, its Jacobian, the form and g from that one jet.
+Riemannian jets are assembled from jets of g in the n x-variables, and
+`with_one_form`, the one construction of F0 + beta . y (Randers metrics,
+projective deformations), adds x-jets of beta to the base's jet; a custom
+F sees jets in all 2n variables.
 
 Every evaluator takes a batch of phase points as well as a single one: x
 and y of shape S+(n,) give G of shape S+(n,), DS of shape S+(2n,2n) and a
@@ -407,19 +411,25 @@ def spray_data(m: MetricSpec, x, y, with_jacobian: bool = True):
     Jacobian of the field (x, y) -> (y, -2G), assembled from the same jet.
     x and y of shape S+(n,) give G of shape S+(n,) and DS of shape
     S+(2n,2n) from one energy jet over the batch, whose g is checked
-    positive definite as in `fundamental_tensor`.
+    positive definite as in `fundamental_tensor` (`_jet_spray`).
     """
-    n = m.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     J = energy_jet(m, x, y, order=3 if with_jacobian else 2)
+    return _jet_spray(J, _fiber_tensor(J, x, y), y)
+
+
+def _jet_spray(J: Jet, g: np.ndarray, y: np.ndarray):
+    """`spray_data` of the energy jet J at (x, y), g its checked
+    fundamental tensor: (G, DS), DS None for an order-2 jet."""
+    n = y.shape[-1]
     E1, E2 = J.g, J.H
-    ginv = np.linalg.inv(_fiber_tensor(J, x, y))
+    ginv = np.linalg.inv(g)
     # N_l = E_{y_l x_k} y^k - E_{x_l}
     N = _mv(E2[..., n:, :n], y) - E1[..., :n]
     ginv_N = _mv(ginv, N)
     G = 0.25 * ginv_N
-    if not with_jacobian:
+    if J.T is None:
         return G, None
 
     E3 = J.T
@@ -446,14 +456,19 @@ def omega_matrix(m: MetricSpec, p: PhasePoint) -> np.ndarray:
     Blocks [[D, g], [-g^T, 0]] with D the antisymmetrized x-Jacobian of the
     Legendre covector; the vertical subspace is Lagrangian by construction.
     The form is invertible exactly where g is, and g is checked to be
-    positive definite as in `fundamental_tensor`.
+    positive definite as in `fundamental_tensor` (`_jet_omega`).
     """
-    n = m.n
     J = energy_jet(m, p.x, p.y, order=2)
-    g = _fiber_tensor(J, p.x, p.y)
+    return _jet_omega(J, _fiber_tensor(J, p.x, p.y))
+
+
+def _jet_omega(J: Jet, g: np.ndarray) -> np.ndarray:
+    """`omega_matrix` of the energy jet J (order 2 or 3: the blocks read
+    only its Hessian), g its checked fundamental tensor."""
+    n = g.shape[-1]
     dxi_dx = 0.5 * J.H[..., n:, :n]
     D = dxi_dx - dxi_dx.swapaxes(-1, -2)
-    O = np.zeros(p.x.shape[:-1] + (2 * n, 2 * n))
+    O = np.zeros(np.shape(J.v) + (2 * n, 2 * n))
     O[..., :n, :n] = D
     O[..., :n, n:] = g
     O[..., n:, :n] = -g.swapaxes(-1, -2)

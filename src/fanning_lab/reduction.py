@@ -376,7 +376,9 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     Requires a unit-speed base point.  ker(dF) is coisotropic with
     annihilator span(S), so the contact part is the reduction of the Jacobi
     curve by it; its curvature block must agree with the corresponding block
-    of the full curve, and K(t) r(t) must vanish.
+    of the full curve, and K(t) r(t) must vanish.  G and g at v0 are read
+    off the orbit (its t = 0 spray data and the g block of its form), so
+    the only energy jet taken here is the order-2 one for dF.
     """
     metric = orbit.metric
     n = metric.n
@@ -385,11 +387,12 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     if abs(F0 - 1.0) > 1e-9:
         raise NotUnitSpeed(f"contact reduction needs F(v0) = 1, got {F0}")
 
-    G0, _ = mx.spray_data(metric, v0.x, v0.y, with_jacobian=False)
+    G0, _ = orbit.spray(0.0)
     r = (np.concatenate([np.zeros(n), v0.y])
          - t * np.concatenate([v0.y, -2.0 * G0]))
     dF_row = mx.energy_jet(metric, v0.x, v0.y, order=2).g / (2.0 * F0)
-    alpha_row = np.concatenate([mx.legendre(metric, v0), np.zeros(n)])
+    g0 = orbit.omega.Omega[:n, n:]
+    alpha_row = np.concatenate([(g0 @ v0.y[..., None])[..., 0], np.zeros(n)])
 
     sample = jb.jacobi_frame(orbit, t, h=_REDUCTION_H, order=6)
     setup = coisotropic_setup(orbit.omega, _nullspace(dF_row))
@@ -553,7 +556,8 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     to v and normalized.  The coisotropic subspace is the tangent space of
     the horizontal-cone bundle at v, the kernel of the scenario's
     constraint linearization.  The window runs at
-    `reduction_resolution(resolution)`.
+    `reduction_resolution(resolution)`, and g at v is the g block of its
+    form.
     """
     total = scenario.total
     n = total.n
@@ -569,7 +573,10 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
 
     Wbasis = _nullspace(scenario.constraint_grad(x, y))
 
-    g = mx.fundamental_tensor(total, v)
+    h = _REDUCTION_H
+    orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
+                         resolution=reduction_resolution(resolution))
+    g = orbit.omega.Omega[:n, n:]
     # project w onto the horizontal space, g-orthogonal to v, unit length
     w = horizontal_part(g, np.column_stack([scenario.fiber(list(x)), y]), w)
     norm = math.sqrt(w @ g @ w)
@@ -577,9 +584,6 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
         raise HorizontalityViolation("w degenerates after horizontalization")
     w = w / norm
 
-    h = _REDUCTION_H
-    orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
-                         resolution=reduction_resolution(resolution))
     sample = jb.jacobi_frame(orbit, 0.0, h=h, order=6)
     setup = coisotropic_setup(orbit.omega, Wbasis)
     reduced = reduce_curve(setup, sample.frames)

@@ -230,14 +230,14 @@ def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
     # orbit between the samples is integrated with the spray alone, at the
     # orbit resolution: 8 segments of a whole number of RK4 steps each,
     # four spray-only calls a step
-    spray_data = mx.spray_data
+    jet_spray = mx._jet_spray
     jacobian_calls = []
 
-    def counted(m, x, y, with_jacobian=True):
-        jacobian_calls.append(with_jacobian)
-        return spray_data(m, x, y, with_jacobian)
+    def counted(J, g, y):
+        jacobian_calls.append(J.T is not None)
+        return jet_spray(J, g, y)
 
-    monkeypatch.setattr(mx, "spray_data", counted)
+    monkeypatch.setattr(mx, "_jet_spray", counted)
     cfg = {"experiment": "invariants-along-orbit", "seed": 2,
            "metric": {"id": "sphere"}, "orbit_time": orbit_time}
     _, _, code = run_cfg(cfg, tmp_path)
@@ -251,14 +251,14 @@ def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
     # the orbit-comparison sphere job: 8 segments of 0.0375 at the orbit
     # resolution of 2000 steps per unit (400) are 15 RK4 steps each, four
     # spray-only calls a step; the frame window takes 9 calls
-    spray_data = mx.spray_data
+    jet_spray = mx._jet_spray
     jacobian_calls = []
 
-    def counted(m, x, y, with_jacobian=True):
-        jacobian_calls.append(with_jacobian)
-        return spray_data(m, x, y, with_jacobian)
+    def counted(J, g, y):
+        jacobian_calls.append(J.T is not None)
+        return jet_spray(J, g, y)
 
-    monkeypatch.setattr(mx, "spray_data", counted)
+    monkeypatch.setattr(mx, "_jet_spray", counted)
     cfg = {"experiment": "invariants-along-orbit", "seed": 1,
            "metric": {"id": "sphere"}, "orbit_time": 0.3, "orbit_samples": 9,
            "steps_per_unit": 2000}

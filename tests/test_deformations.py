@@ -263,16 +263,16 @@ def test_projective_formula_on_sphere(rng):
 def test_projective_rhs_spray_calls(monkeypatch, rng):
     # a batch of flags takes one default window for K0 (9 calls) and one
     # call that seeds the orbit jets of phi and f; no spray-only geodesic
-    spray_data = mx.spray_data
+    jet_spray = mx._jet_spray
     sphere, form = mx.zoo_metric("sphere"), exact_form(0.2)
     deformed = df.projective_deform(sphere, form)
     jacobian_calls = []
 
-    def counted(m, x, y, with_jacobian=True):
-        jacobian_calls.append(with_jacobian)
-        return spray_data(m, x, y, with_jacobian)
+    def counted(J, g, y):
+        jacobian_calls.append(J.T is not None)
+        return jet_spray(J, g, y)
 
-    monkeypatch.setattr(mx, "spray_data", counted)
+    monkeypatch.setattr(mx, "_jet_spray", counted)
     x = rng.uniform(-0.5, 0.5, size=(4, 2))
     df.projective_curvature_rhs(sphere, form, deformed,
                                 pp(x, rng.normal(size=(4, 2))),

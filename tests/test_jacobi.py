@@ -266,14 +266,16 @@ def test_flag_curvature_default_window_is_frame_reach(monkeypatch):
 
 
 def spray_calls_of_flag_curvature(monkeypatch, x, y, u, h):
+    # every spray evaluation, `spray_data` or the window's one at v0, goes
+    # through `_jet_spray`
     calls = []
-    spray_data = mx.spray_data
+    jet_spray = mx._jet_spray
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return spray_data(*args, **kwargs)
+        return jet_spray(*args)
 
-    monkeypatch.setattr(mx, "spray_data", counted)
+    monkeypatch.setattr(mx, "_jet_spray", counted)
     K = jb.flag_curvature(mx.zoo_metric("sphere"), pp(x, y), u, h=h)
     return np.shape(K), len(calls)
 
@@ -294,6 +296,63 @@ def test_batched_flag_curvature_spray_evaluation_count(monkeypatch):
                for a in ([0.2, -0.1], [0.6, 0.3], [0.1, 1.0]))
     assert spray_calls_of_flag_curvature(
         monkeypatch, x, y, u, jb.DEFAULT_FRAME_H) == ((30,), 9)
+
+
+@pytest.mark.parametrize("batch", [(), (30,)], ids=["single", "batched"])
+def test_flag_curvature_takes_one_energy_jet_per_spray_evaluation(
+        batch, monkeypatch):
+    # the window's order-3 jet at v0 gives its spray data and its form, and
+    # the t = 0 Wronskian is the fundamental tensor: no other jet at the
+    # flag point, so 9 jets for the 9 spray evaluations
+    calls = []
+    energy_jet = mx.energy_jet
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return energy_jet(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "energy_jet", counted)
+    x, y, u = (np.broadcast_to(a, batch + (2,))
+               for a in ([0.2, -0.1], [0.6, 0.3], [0.1, 1.0]))
+    K = jb.flag_curvature(mx.zoo_metric("sphere"), pp(x, y), u)
+    assert np.shape(K) == batch
+    assert len(calls) == 9
+
+
+# the zoo families, katok and a projective deformation, in every dimension
+# the benchmark runs
+BASE_POINT_METRICS = {
+    "euclidean-3": lambda: mx.zoo_metric("euclidean", n=3),
+    "sphere": lambda: mx.zoo_metric("sphere"),
+    "hyperbolic": lambda: mx.zoo_metric("hyperbolic"),
+    "conformal-4": lambda: mx.zoo_metric("riemannian-conformal", a=0.5, n=4),
+    "conformal-8": lambda: mx.zoo_metric("riemannian-conformal", a=0.2, n=8),
+    "randers": lambda: mx.zoo_metric("randers", b=(0.25, 0.05)),
+    "katok": lambda: df.katok_metric(0.3),
+    "projective-sphere": lambda: df.projective_deform(
+        mx.zoo_metric("sphere"), df.ambient_coordinate_form(0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_POINT_METRICS))
+def test_window_reads_the_fundamental_tensor_off_its_base_jet(name):
+    # W at t = 0 and the g block of the window's form are the fundamental
+    # tensor bit for bit, and so is the rest of the form; the order-2 and
+    # order-3 energy jets share their value, gradient and Hessian
+    m = BASE_POINT_METRICS[name]()
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-0.4, 0.4, size=(3, m.n))
+    y = rng.normal(size=(3, m.n))
+    v, h, n = pp(x, y), jb.DEFAULT_FRAME_H, m.n
+    g = mx.fundamental_tensor(m, v)
+    orbit = jb.transport(m, v, T=jb.frame_reach(h),
+                         resolution=jb.frame_resolution(h))
+    assert np.array_equal(jb.jacobi_frame(orbit, 0.0, h).invariants.W, g)
+    assert np.array_equal(orbit.omega.Omega[..., :n, n:], g)
+    assert np.array_equal(orbit.omega.Omega, mx.omega_matrix(m, v))
+    J2, J3 = (mx.energy_jet(m, x, y, order=k) for k in (2, 3))
+    for part in ("v", "g", "H"):
+        assert np.array_equal(getattr(J2, part), getattr(J3, part))
 
 
 def test_wide_stencil_window_keeps_half_the_steps_per_unit(monkeypatch):

@@ -141,3 +141,89 @@ def test_stack_places_values_and_derivatives_after_the_batch_axes():
     assert (v.shape, g.shape, H.shape) == ((2,), (2, 2), (2, 2, 2))
     np.testing.assert_array_equal(v, [3.0, 2.0])
     np.testing.assert_array_equal(g, [[0.0, 0.0], [0.0, 1.0]])
+
+
+def dense_arithmetic(monkeypatch):
+    """Make every jet unflagged, so that arithmetic computes every term, as
+    without structural zeros."""
+    init, like = Jet.__init__, Jet._like
+
+    def unflagged(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.hz = self.tz = False
+
+    monkeypatch.setattr(Jet, "__init__", unflagged)
+    monkeypatch.setattr(Jet, "_like", lambda self, v, g, H, T, hz=False,
+                        tz=False: like(self, v, g, H, T))
+
+
+def assert_same_bits(flagged, dense):
+    """Equal values and derivatives, the flagged ones broadcast to the
+    dense shapes (array_equal ignores the sign of an exact zero)."""
+    for F, D in zip(flagged, dense, strict=True):
+        assert not (D.hz or D.tz)
+        for name in ("v", "g", "H") + (("T",) if D.T is not None else ()):
+            got, want = getattr(F, name), getattr(D, name)
+            assert np.array_equal(np.broadcast_to(got, np.shape(want)), want)
+
+
+# (H zero, T zero) by construction, for each result of every_operation
+EVERY_OPERATION_FLAGS = [
+    (True, True), (True, True), (True, True), (True, True), (False, True),
+    (True, True), (False, False), (False, False), (True, True), (True, True),
+    (False, False), (True, True), (False, False), (False, False),
+    (False, False), (False, False), (False, False), (False, False),
+    (False, False)]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_flagged_jet_arithmetic_equals_dense_arithmetic(order, batched,
+                                                        monkeypatch):
+    points = np.random.default_rng(8).uniform(0.2, 1.5, size=(7, 2))
+    if not batched:
+        points = points[0]
+    flagged = every_operation(*jet_variables(points, order=order))
+    for J, (hz, tz) in zip(flagged, EVERY_OPERATION_FLAGS, strict=True):
+        assert J.hz == hz
+        assert order == 2 or J.tz == tz
+    with monkeypatch.context() as mp:
+        dense_arithmetic(mp)
+        dense = every_operation(*jet_variables(points, order=order))
+    assert_same_bits(flagged, dense)
+
+
+def test_product_of_two_nonlinear_jets_is_never_flagged():
+    a, b = jet_variables([0.7, 1.3], order=3)
+    for p in ((a * b) * (a * b), nk.exp(a) * nk.sin(b), a.sqrt() * b ** 3,
+              (a * a) * (a * a + b)):
+        assert not (p.hz or p.tz)
+    # a product of two jets with zero H and T keeps a zero T, not a zero H
+    assert ((a * (b - a)).hz, (a * (b - a)).tz) == (False, True)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def test_compose_skips_each_structural_zero_on_its_own(batched, monkeypatch):
+    # a jet whose H is zero but T is not, and one whose T is zero but H is
+    # not: each flag skips only its own terms
+    rng = np.random.default_rng(4)
+    v = rng.uniform(0.5, 1.5, size=(3,)) if batched else 0.8
+    g = rng.normal(size=2)
+    H = rng.normal(size=(2, 2))
+    H = H + H.T
+    T = rng.normal(size=(2, 2, 2))
+    T = T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0)
+
+    def jets():
+        return [Jet(2, 3, v, g=g, T=T), Jet(2, 3, v, g=g, H=H)]
+
+    def results(J):
+        return [J.sqrt(), J.exp(), J.log(), J.sin(), J.cos(), J ** 2.5,
+                1.0 / J, J * J, 3.0 * J - J, -J * J.exp()]
+
+    assert [(J.hz, J.tz) for J in jets()] == [(True, False), (False, True)]
+    flagged = [r for J in jets() for r in results(J)]
+    with monkeypatch.context() as mp:
+        dense_arithmetic(mp)
+        dense = [r for J in jets() for r in results(J)]
+    assert_same_bits(flagged, dense)

@@ -622,13 +622,13 @@ def test_constraint_grad_numeric_matches_closed_form(name):
 def test_submersion_window_takes_49_spray_calls(name, monkeypatch):
     # 400 steps per unit, 12 steps each way: one call at v0, 47 stages for
     # both lanes in lockstep and one at both ends
-    real, calls = mx.spray_data, []
+    real, calls = mx._jet_spray, []
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(mx, "spray_data", spy)
+    monkeypatch.setattr(mx, "_jet_spray", spy)
     scn = rd.submersion_scenario(name)
     rd.submersion_curvature(scn, *scn.default_flag())
     assert rd.reduction_resolution(jb.DEFAULT_RESOLUTION) == 400

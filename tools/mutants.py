@@ -109,8 +109,8 @@ MUTANTS = [
            "tests/test_acceptance.py::"
            "test_criterion_04_oracle_equivalence_conformal"),
     Mutant("omega-check-noop", PKG + "metrics.py",
-           "    g = _fiber_tensor(J, p.x, p.y)\n",
-           "    g = _sym(0.5 * J.H[..., n:, n:])\n",
+           "    return _jet_omega(J, _fiber_tensor(J, p.x, p.y))\n",
+           "    return _jet_omega(J, _sym(0.5 * J.H[..., m.n:, m.n:]))\n",
            "tests/test_metrics.py::"
            "test_omega_rejects_an_indefinite_fundamental_tensor"),
     # -- with_one_form --------------------------------------------------------
@@ -243,6 +243,31 @@ MUTANTS = [
            "np.sum(b * b, -1)",
            "tests/test_metrics.py::"
            "test_randers_validity_names_the_lowest_failing_grid_point"),
+    # -- structural zeros of jets and the one jet at a window's base point ---
+    Mutant("product-keeps-h-zero", PKG + "jets.py",
+           "        return self._like(v, g, H, T, False, tz)\n",
+           "        return self._like(v, g, H, T, a.hz and b.hz, tz)\n",
+           "tests/test_jets.py::"
+           "test_flagged_jet_arithmetic_equals_dense_arithmetic[3-scalar]"),
+    Mutant("compose-reads-t-flag-for-h-term", PKG + "jets.py",
+           "                       None if self.hz\n",
+           "                       None if self.tz\n",
+           "tests/test_jets.py::"
+           "test_compose_skips_each_structural_zero_on_its_own[scalar]"),
+    Mutant("omega-transposed-mixed-block", PKG + "metrics.py",
+           "    dxi_dx = 0.5 * J.H[..., n:, :n]\n",
+           "    dxi_dx = 0.5 * J.H[..., :n, n:]\n",
+           "tests/test_acceptance.py::"
+           "test_criterion_05_wronskian_equals_fundamental_tensor"),
+    Mutant("submersion-g-from-the-lower-block", PKG + "reduction.py",
+           "    g = orbit.omega.Omega[:n, n:]\n",
+           "    g = orbit.omega.Omega[n:, :n]\n",
+           "tests/test_reduction.py::test_hopf_oneill_triple"),
+    Mutant("contact-spray-off-the-base-point", PKG + "reduction.py",
+           "    G0, _ = orbit.spray(0.0)\n",
+           "    G0, _ = orbit.spray(orbit.ts[-1])\n",
+           "tests/test_jacobi.py::"
+           "test_contact_reduce_sphere_identities[sphere-tight]"),
 ]
 
 
