@@ -160,9 +160,9 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     Sphi, SSphi are spray derivatives of phi = 1/(1 + theta) at the
     corresponding unit vector u of the base metric.  For y with F(y) = 1
     that vector is u = y / F0(y), since d_y F0 is 0-homogeneous: the base
-    Legendre covector of u is that of y less theta.  K0 comes from one
-    batched `flag_curvature` call, and phi, Sphi and SSphi exactly from the
-    orbit jets of one `spray_data` call (`_orbit_jets`).
+    Legendre covector of u is that of y less theta.  One fundamental tensor
+    per metric gives g and F = sqrt(g(y, y)), one batched `flag_curvature`
+    call K0, and the orbit jets of one `spray_data` call phi, Sphi, SSphi.
 
     The equivalent form through the Schwarzian of
     f(t) = t + potential(gamma(t)) comes from the same jets, and both must
@@ -177,12 +177,13 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     """
     x = v.x
     _check_smallness(base, form, x)
-    y = v.y / np.asarray(deformed.F_value(x, v.y))[..., None]
-    gF = mx.fundamental_tensor(deformed, mx.PhasePoint(x, y))
+    gF = mx.fundamental_tensor(deformed, v)     # 0-homogeneous in y
+    y = v.y / np.sqrt((v.y[..., None, :] @ gF @ v.y[..., None])[..., 0])
     w = jb._canonical_flag_vector(gF, y, np.asarray(u, dtype=float))
 
-    psi = mx.PhasePoint(x, y / np.asarray(base.F_value(x, y))[..., None])
-    g0 = mx.fundamental_tensor(base, psi)
+    g0 = mx.fundamental_tensor(base, v)
+    psi = mx.PhasePoint(x, y / np.sqrt((y[..., None, :] @ g0 @ y[..., None])
+                                       [..., 0]))
     w_tilde = np.linalg.solve(g0, gF @ w[..., None])[..., 0]
     K0 = jb.flag_curvature(base, psi, w_tilde, resolution=resolution)
 
@@ -301,13 +302,13 @@ def katok_curvature(epsilon: float, flags,
                     resolution: int = jb.DEFAULT_RESOLUTION) -> np.ndarray:
     """Flag curvature of the perturbed sphere at each flag (exactly 1).
 
-    Flags are (x, y, u) triples; y is normalized to unit length in the
-    perturbed metric before the curvature is computed.  All flags go
-    through one batched transport.
+    Flags are (x, y, u) triples; y is scaled to F = 1 by the closed-form
+    norm, which sets only the window's time scale.  All flags go through
+    one batched transport, the only support solve at the flag points.
     """
     metric = katok_metric(epsilon)
     x, y, u = (np.array(a, dtype=float) for a in zip(*flags))
-    y = y / metric.F_value(x, y)[:, None]
+    y /= _zermelo_norm(epsilon, components(x), components(y))[0][:, None]
     return jb.flag_curvature(metric, mx.PhasePoint(x, y), u,
                              resolution=resolution)
 

@@ -383,11 +383,11 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
                    h: float = DEFAULT_FRAME_H):
     """Flag curvature of the flag (v, span[v, u]).
 
-    u is g_F(v)-orthogonalized against v internally, g_F(v) read off the
-    frame window as its t = 0 Wronskian; the value is invariant under
-    scaling of u, adding multiples of v to u, and scaling of v.  At time
-    zero the frame basis is the vertical one, so the coordinates of the
-    flag vector are just its components.
+    K = g(Rw, w) / (g(w, w) g(y, y)), w the part of u g-orthogonal to y and
+    g = g_F(v) the window's t = 0 Wronskian (g(y, y) = F^2, by Euler), so
+    only the window evaluates v.  K is invariant under scaling of u, adding
+    multiples of v to u, and scaling of v.  At time zero the frame basis is
+    the vertical one, so the flag vector's coordinates are its components.
 
     v and u may hold a batch of flags (shape S+(n,)): one frame window
     (`frame_invariants`) serves them all.  Returns a float for a single
@@ -395,14 +395,14 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
     failing flag.
     """
     u = np.asarray(u, dtype=float)
-    F = np.asarray(metric.F_value(v.x, v.y))
     inv = frame_invariants(metric, v, resolution, h)
     # the t = 0 Wronskian is the fundamental tensor, bit for bit
     w = _canonical_flag_vector(inv.W, v.y, u)[..., :, None]    # columns
+    y = v.y[..., :, None]
     K_plane = 0.5 * inv.Schwarzian        # K on span(A) in the frame basis
     num = (K_plane @ w).mT @ inv.W @ w
-    den = w.mT @ inv.W @ w
-    K = num[..., 0, 0] / den[..., 0, 0] / (F * F)
+    den = (w.mT @ inv.W @ w) * (y.mT @ inv.W @ y)
+    K = num[..., 0, 0] / den[..., 0, 0]
     return float(K) if K.ndim == 0 else K
 
 

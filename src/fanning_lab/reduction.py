@@ -376,14 +376,15 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     Requires a unit-speed base point.  ker(dF) is coisotropic with
     annihilator span(S), so the contact part is the reduction of the Jacobi
     curve by it; its curvature block must agree with the corresponding block
-    of the full curve, and K(t) r(t) must vanish.  G and g at v0 are read
-    off the orbit (its t = 0 spray data and the g block of its form), so
+    of the full curve, and K(t) r(t) must vanish.  G, g and F at v0 come
+    from the orbit (its t = 0 spray data, its form, F^2 = g(y, y)), so
     the only energy jet taken here is the order-2 one for dF.
     """
     metric = orbit.metric
     n = metric.n
     v0 = orbit.v0
-    F0 = metric.F_value(v0.x, v0.y)
+    g0 = orbit.omega.Omega[:n, n:]
+    F0 = math.sqrt(v0.y @ g0 @ v0.y)
     if abs(F0 - 1.0) > 1e-9:
         raise NotUnitSpeed(f"contact reduction needs F(v0) = 1, got {F0}")
 
@@ -391,7 +392,6 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     r = (np.concatenate([np.zeros(n), v0.y])
          - t * np.concatenate([v0.y, -2.0 * G0]))
     dF_row = mx.energy_jet(metric, v0.x, v0.y, order=2).g / (2.0 * F0)
-    g0 = orbit.omega.Omega[:n, n:]
     alpha_row = np.concatenate([(g0 @ v0.y[..., None])[..., 0], np.zeros(n)])
 
     sample = jb.jacobi_frame(orbit, t, h=_REDUCTION_H, order=6)
@@ -551,25 +551,25 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
                          ) -> SubmersionResult:
     """Curvature comparison along a horizontal flag of a submersion.
 
-    v must lie in the horizontal cone (checked through the defining equality
-    of norms); w is projected onto the horizontal tangent space orthogonal
-    to v and normalized.  The coisotropic subspace is the tangent space of
-    the horizontal-cone bundle at v, the kernel of the scenario's
-    constraint linearization.  The window runs at
+    v must lie in the horizontal cone (the norms agree to 1e-9 relative)
+    and is scaled to F = 1; w is projected onto the horizontal tangent
+    space orthogonal to v and normalized.  The coisotropic subspace is the
+    tangent space of the horizontal-cone bundle at v, the kernel of the
+    scenario's constraint linearization.  The window runs at
     `reduction_resolution(resolution)`, and g at v is the g block of its
     form.
     """
     total = scenario.total
     n = total.n
     x = np.asarray(v.x, dtype=float)
-    y = np.asarray(v.y, dtype=float) / total.F_value(v.x, v.y)
-    v = mx.PhasePoint(x, y)
-
+    y = np.asarray(v.y, dtype=float)
     F1 = total.F_value(x, y)
     F2 = scenario.base.F_value(x[:2], y[:2])
-    if abs(F1 - F2) > 1e-9:
+    if abs(F1 - F2) > 1e-9 * F1:
         raise HorizontalityViolation(
             f"F1(v) = {F1} but F2(f_* v) = {F2}: v is not horizontal")
+    y = y / F1
+    v = mx.PhasePoint(x, y)
 
     Wbasis = _nullspace(scenario.constraint_grad(x, y))
 

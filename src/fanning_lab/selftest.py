@@ -135,7 +135,7 @@ def run_selftest(seed: int, stencil_h: float):
         B = lambda t: A(t) @ R(t)
         Bd = lambda t: Adot(t) @ R(t) + A(t) @ Rd(t)
         Bdd = lambda t: Addot(t) @ R(t) + 2 * Adot(t) @ Rd(t) + A(t) @ (2 * R2)
-        stc = nk.Stencil(0.0, stencil_h, 4)
+        stc = nk.Stencil(0.0, stencil_h, 6)
         iA = fc.invariants(fc.stencil_triples(A, Adot, Addot, stc))
         iB = fc.invariants(fc.stencil_triples(B, Bd, Bdd, stc))
         worst = max(worst, np.max(np.abs(iA.K - iB.K)),
@@ -170,7 +170,7 @@ def run_selftest(seed: int, stencil_h: float):
         A, Adot, Addot = _graph_curve(rng, 2)
         c = float(rng.uniform(0.5, 2.0))
         t0 = 0.1
-        stc_s = nk.Stencil(c * t0, stencil_h, 4)
+        stc_s = nk.Stencil(c * t0, c * stencil_h, 4)
         inv_s = fc.invariants(fc.stencil_triples(A, Adot, Addot, stc_s), omega)
         B = lambda t: A(c * t)
         Bd = lambda t: c * Adot(c * t)

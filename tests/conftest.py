@@ -75,3 +75,35 @@ def random_symplectic(rng, n, scale=0.3):
     H = J @ S
     I = np.eye(2 * n)
     return np.linalg.solve(I - 0.5 * H, I + 0.5 * H)
+
+
+def point_evaluations(monkeypatch):
+    """Record every `MetricSpec.F_value` and `metrics.fundamental_tensor`
+    call as (function name, metric name, x), except those inside
+    `metrics.conorm`, whose Legendre solve evaluates both at preimages of
+    a covector.  Returns the list the calls go to."""
+    calls, inside = [], []
+    F_value, tensor, conorm = (mx.MetricSpec.F_value, mx.fundamental_tensor,
+                               mx.conorm)
+
+    def in_conorm(*args):
+        inside.append(1)
+        try:
+            return conorm(*args)
+        finally:
+            inside.pop()
+
+    def F_spy(m, x, y):
+        if not inside:
+            calls.append(("F_value", m.name, np.array(x)))
+        return F_value(m, x, y)
+
+    def tensor_spy(m, p):
+        if not inside:
+            calls.append(("fundamental_tensor", m.name, p.x))
+        return tensor(m, p)
+
+    monkeypatch.setattr(mx, "conorm", in_conorm)
+    monkeypatch.setattr(mx.MetricSpec, "F_value", F_spy)
+    monkeypatch.setattr(mx, "fundamental_tensor", tensor_spy)
+    return calls

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import point_evaluations
 from fanning_lab import cli
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
@@ -118,8 +119,9 @@ def test_selftest_reads_its_orbit_at_multiples_of_stencil_h(capsys):
 
 
 def test_invariants_along_orbit_residual_includes_energy_drift(tmp_path):
-    # W - g is 0 by construction at t = 0; F(x_t, y_t) - 1 of the geodesic
-    # samples is the part of the residual that a coarse orbit can fail
+    # the residual is the energy drift |F(x_t, y_t) - 1| of the geodesic
+    # samples, F^2 = y.W.y off each window's Wronskian; a coarse orbit
+    # fails it
     cfg = {"experiment": "invariants-along-orbit", "seed": 3,
            "metric": {"id": "sphere"}, "orbit_time": 1.0,
            "steps_per_unit": 1}
@@ -131,6 +133,27 @@ def test_invariants_along_orbit_residual_includes_energy_drift(tmp_path):
     assert not summary["passed"]
     csv = "invariants-along-orbit.csv"
     assert (tmp_path / "tight" / csv).read_bytes() == (out / csv).read_bytes()
+
+
+def test_invariants_along_orbit_reads_F_off_the_wronskian(tmp_path,
+                                                          monkeypatch):
+    # each sample's t = 0 Wronskian is g there, and F^2 = y.W.y gives the
+    # energy drift: from the orbit on, no F_value or fundamental_tensor
+    # call (the calls before it build the metric and scale the start)
+    calls = point_evaluations(monkeypatch)
+    geodesic = jb.geodesic
+
+    def from_the_orbit_on(*args):
+        calls.clear()
+        return geodesic(*args)
+
+    monkeypatch.setattr(jb, "geodesic", from_the_orbit_on)
+    cfg = {"experiment": "invariants-along-orbit", "seed": 2,
+           "metric": {"id": "randers", "params": {"b": [0.25, 0.05]}}}
+    _, summary, code = run_cfg(cfg, tmp_path)
+    assert code == cli.EXIT_OK
+    assert summary["max_residual"] < 1e-9
+    assert calls == []
 
 
 def test_invariants_along_orbit_columns(tmp_path):

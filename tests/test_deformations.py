@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import spray_field
+from conftest import point_evaluations, spray_field
 from fanning_lab import cli
 from fanning_lab import deformations as df
 from fanning_lab import jacobi as jb
@@ -281,6 +281,22 @@ def test_projective_rhs_spray_calls(monkeypatch, rng):
     assert jacobian_calls.count(True) == 10
 
 
+def test_projective_rhs_reads_F_off_one_tensor_per_metric(monkeypatch, rng):
+    # F^2 = g(y, y), with g 0-homogeneous in y: one fundamental tensor of
+    # the deformed metric, then one of the base, and no F_value call; the
+    # smallness check's conorms are not counted
+    sphere, form = mx.zoo_metric("sphere"), exact_form(0.2)
+    deformed = df.projective_deform(sphere, form)
+    x = rng.uniform(-0.5, 0.5, size=(4, 2))
+    calls = point_evaluations(monkeypatch)
+    df.projective_curvature_rhs(sphere, form, deformed,
+                                pp(x, rng.normal(size=(4, 2))),
+                                rng.normal(size=(4, 2)))
+    assert [call[:2] for call in calls] == [
+        ("fundamental_tensor", deformed.name),
+        ("fundamental_tensor", sphere.name)]
+
+
 @pytest.mark.parametrize("base, form", [
     (mx.zoo_metric("sphere"), exact_form(0.2)),
     (df.katok_metric(0.3), exact_form(0.2)),
@@ -467,6 +483,24 @@ def test_katok_support_solves_take_one_residual_evaluation(monkeypatch, rng,
     assert np.max(np.abs(K - 1.0)) < 1e-3
     assert counts["solves"] > 0
     assert counts["evaluations"] == counts["solves"]
+
+
+def test_katok_curvature_solves_once_at_its_flag_points(monkeypatch, rng):
+    # the closed-form norm scales y, and g and F^2 = g(y, y) come from the
+    # window: its energy jet at v0 is the one support solve there
+    flags = [(rng.uniform(-0.8, 0.8, size=2), rng.normal(size=2),
+              rng.normal(size=2)) for _ in range(8)]
+    x = np.array([f[0] for f in flags])
+    real, at_flags = mx._support_newton, []
+
+    def spy(costar, xs, v, warm):
+        at_flags.append(np.array_equal(xs, x))
+        return real(costar, xs, v, warm)
+
+    monkeypatch.setattr(mx, "_support_newton", spy)
+    K = df.katok_curvature(0.3, flags)
+    assert np.max(np.abs(K - 1.0)) < 1e-3
+    assert at_flags.count(True) == 1
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.3, 0.6, 0.9, 0.99])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import point_evaluations
 from fanning_lab import deformations as df
 from fanning_lab import jacobi as jb
 from fanning_lab import metrics as mx
@@ -222,20 +223,37 @@ def test_flag_curvature_degenerate_flag():
         jb.flag_curvature(m, pp([0.0, 0.0], [1.0, 1.0]), [2.0, 2.0])
 
 
-def test_flag_curvature_representative_invariance(rng):
-    m = mx.zoo_metric("riemannian-conformal", a=0.4, n=3)
-    x = rng.uniform(-0.5, 0.5, size=3)
-    y = rng.normal(size=3)
-    u = rng.normal(size=3)
-    v = pp(x, y)
-    base = jb.flag_curvature(m, v, u)
-    values = [
-        jb.flag_curvature(m, v, 2.7 * u),
-        jb.flag_curvature(m, v, u + 0.8 * y),
-        jb.flag_curvature(m, pp(x, 1.9 * y), u),
-    ]
-    for val in values:
-        assert abs(val - base) < 1e-6 * max(1.0, abs(base))
+# the metric and the radius |x| < r of the flags of each family
+REPRESENTATIVE_FAMILIES = {
+    "sphere": (lambda: mx.zoo_metric("sphere"), 1.5),
+    "hyperbolic": (lambda: mx.zoo_metric("hyperbolic"), 0.8),
+    "conformal-3": (lambda: mx.zoo_metric("riemannian-conformal", a=0.4,
+                                          n=3), 0.5),
+    "randers": (lambda: mx.zoo_metric("randers", b=(0.25, 0.05)), 1.0),
+    "projective-sphere": (lambda: df.projective_deform(
+        mx.zoo_metric("sphere"), df.ambient_coordinate_form(0.2)), 0.5),
+    "katok": (lambda: df.katok_metric(0.3), 0.8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REPRESENTATIVE_FAMILIES))
+def test_flag_curvature_representative_invariance(family):
+    # u -> 2.7 u + 0.8 y leaves the window alone and changes K only by
+    # rounding; y -> lam y rescales the window's time, and K = g(Rw, w) /
+    # (g(w, w) g(y, y)) is 0-homogeneous in y up to the window's error,
+    # which is smallest around unit speed (worst 1.5e-9 relative here)
+    make, radius = REPRESENTATIVE_FAMILIES[family]
+    m = make()
+    flags = sample_flags(np.random.default_rng(7), m.n, 30, radius)
+    x, y, u = (np.array(a) for a in zip(*flags))
+    y = y / m.F_value(x, y)[:, None]
+    K = jb.flag_curvature(m, pp(x, y), u)
+    scale = np.maximum(1.0, np.abs(K))
+    K_u = jb.flag_curvature(m, pp(x, y), 2.7 * u + 0.8 * y)
+    assert np.max(np.abs(K_u - K) / scale) < 1e-12
+    for lam in (0.5, 1.9):
+        K_y = jb.flag_curvature(m, pp(x, lam * y), u)
+        assert np.max(np.abs(K_y - K) / scale) < 1e-7
 
 
 def test_flag_curvature_scaled_sphere():
@@ -317,6 +335,22 @@ def test_flag_curvature_takes_one_energy_jet_per_spray_evaluation(
     K = jb.flag_curvature(mx.zoo_metric("sphere"), pp(x, y), u)
     assert np.shape(K) == batch
     assert len(calls) == 9
+
+
+@pytest.mark.parametrize("family", ["sphere", "katok"])
+def test_flag_curvature_evaluates_its_flags_only_in_the_window(
+        family, monkeypatch):
+    # g is the t = 0 Wronskian and F^2 = g(y, y): no `F_value` or
+    # `fundamental_tensor` call at the flag points, each of which would be
+    # one more energy jet (on katok, one more support solve)
+    make, radius = REPRESENTATIVE_FAMILIES[family]
+    m = make()
+    flags = sample_flags(np.random.default_rng(9), m.n, 4, radius)
+    x, y, u = (np.array(a) for a in zip(*flags))
+    calls = point_evaluations(monkeypatch)
+    K = jb.flag_curvature(m, pp(x, y), u)
+    assert K.shape == (4,) and np.all(np.isfinite(K))
+    assert calls == []
 
 
 # the zoo families, katok and a projective deformation, in every dimension

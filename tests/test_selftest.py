@@ -19,7 +19,6 @@ STENCIL_SENSITIVE = {
     "frame-independence",
     "wronskian-symmetry-of-K",
     "horizontal-wronskian-identity",
-    "reparametrization-equivariance",
     "flag-curvature-round-sphere",
     "oneill-formula-equality",
 }
@@ -51,13 +50,16 @@ def test_pass_fail_pattern_is_seed_robust():
     assert base == other
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 4, 20])
 def test_oneill_formula_equality_passes_at_small_seeds(seed):
     # the reduction suite's graph curves sit on the stencil of width
     # stencil_h, where the O'Neill formula holds to 1e-9; at width 1e-2 its
-    # h^6 truncation error reaches 3.4e-3 at seed 1
-    results = {r.name: r for r in run_selftest(**dict(DEFAULTS, seed=seed))}
-    assert results["oneill-formula-equality"].passed
+    # h^6 truncation error reaches 3.4e-3 at seed 1.  Every other check
+    # passes too: reparametrization-equivariance once both sides read the
+    # same nodes (it failed at seeds 0, 1 and 20), frame-independence on
+    # an order-6 stencil (it failed at seeds 4 and 20)
+    results = run_selftest(**dict(DEFAULTS, seed=seed))
+    assert [r.name for r in results if not r.passed] == []
 
 
 def test_contact_orbit_takes_the_reduction_step(monkeypatch):

@@ -268,6 +268,12 @@ MUTANTS = [
            "    G0, _ = orbit.spray(orbit.ts[-1])\n",
            "tests/test_jacobi.py::"
            "test_contact_reduce_sphere_identities[sphere-tight]"),
+    # -- F^2 = g(y, y) off the tensor a job already holds --------------------
+    Mutant("flag-curvature-without-gyy", PKG + "jacobi.py",
+           "    den = (w.mT @ inv.W @ w) * (y.mT @ inv.W @ y)\n",
+           "    den = w.mT @ inv.W @ w\n",
+           "tests/test_jacobi.py::"
+           "test_flag_curvature_representative_invariance[sphere]"),
 ]
 
 
