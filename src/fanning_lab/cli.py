@@ -107,6 +107,8 @@ _SETTINGS = {
         "orbit_time": (_positive, 1.0),
         "orbit_samples": (_count, 9),
         "x_radius": (_positive, 0.5),
+        # sizes the frame windows only: the geodesic leg takes whole GBS
+        # steps of at most jacobi.GEODESIC_STEP
         "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
         "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
         "tolerance": (_positive, 1e-6),
@@ -250,8 +252,7 @@ def _run_invariants_along_orbit(s):
     # batch index k is named by its time (on the samples, see `jacobi`)
     ts = np.linspace(0.0, s["orbit_time"], s["orbit_samples"])
     with batch_labels(lambda k: f"t={ts[k]:.6g}"):
-        states = jb.geodesic(metric, mx.PhasePoint(x, y), ts,
-                             jb.orbit_resolution(resolution))
+        states = jb.geodesic(metric, mx.PhasePoint(x, y), ts)
         points = mx.PhasePoint(states[:, :n], states[:, n:])
         inv = jb.frame_invariants(metric, points, resolution, h)
     # the flow keeps F = 1, and F^2 = y.W.y with W = g at each sample

@@ -118,16 +118,26 @@ def test_selftest_reads_its_orbit_at_multiples_of_stencil_h(capsys):
     assert capsys.readouterr().out.endswith("29/29 checks passed\n")
 
 
-def test_invariants_along_orbit_residual_includes_energy_drift(tmp_path):
+def test_invariants_along_orbit_residual_includes_energy_drift(
+        tmp_path, monkeypatch):
     # the residual is the energy drift |F(x_t, y_t) - 1| of the geodesic
-    # samples, F^2 = y.W.y off each window's Wronskian; a coarse orbit
-    # fails it
+    # samples, F^2 = y.W.y off each window's Wronskian.  The GBS leg drifts
+    # by about 1e-15, so a known drift is put in: every sample's y scaled
+    # by 1 + 1e-8, which F, homogeneous of degree one, reads as 1e-8
+    geodesic = jb.geodesic
+
+    def drifting(*args):
+        states = geodesic(*args)
+        n = states.shape[-1] // 2
+        states[..., n:] *= 1.0 + 1e-8
+        return states
+
+    monkeypatch.setattr(jb, "geodesic", drifting)
     cfg = {"experiment": "invariants-along-orbit", "seed": 3,
-           "metric": {"id": "sphere"}, "orbit_time": 1.0,
-           "steps_per_unit": 1}
+           "metric": {"id": "sphere"}, "orbit_time": 1.0}
     out, summary, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
-    assert 1e-9 < summary["max_residual"] < 1e-6
+    assert abs(summary["max_residual"] - 1e-8) <= 1e-12
     _, summary, code = run_cfg(dict(cfg, tolerance=1e-9), tmp_path, "tight")
     assert code == cli.EXIT_TOLERANCE
     assert not summary["passed"]
@@ -236,8 +246,7 @@ def test_invariants_along_orbit_rows_are_the_frame_invariants():
     x = cli.sample_in_ball(rng, 2, s["x_radius"])
     y = rng.normal(size=2)
     y = y / metric.F_value(x, y)
-    states = jb.geodesic(metric, mx.PhasePoint(x, y), np.linspace(0, 0.4, 5),
-                         jb.orbit_resolution(jb.DEFAULT_RESOLUTION))
+    states = jb.geodesic(metric, mx.PhasePoint(x, y), np.linspace(0, 0.4, 5))
     inv = jb.frame_invariants(metric,
                               mx.PhasePoint(states[:, :2], states[:, 2:]),
                               jb.DEFAULT_RESOLUTION, jb.DEFAULT_FRAME_H)
@@ -250,9 +259,9 @@ def test_invariants_along_orbit_rows_are_the_frame_invariants():
 def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
                                                      orbit_time):
     # the linearization is carried over the 9-call frame window only; the
-    # orbit between the samples is integrated with the spray alone, at the
-    # orbit resolution: 8 segments of a whole number of RK4 steps each,
-    # four spray-only calls a step
+    # orbit between the samples is integrated with the spray alone: 8
+    # segments of a whole number of GBS steps of at most 0.05 each (1 at
+    # orbit_time 0.1, 2 at 0.6), 17 spray-only calls a step
     jet_spray = mx._jet_spray
     jacobian_calls = []
 
@@ -266,14 +275,13 @@ def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
     assert sum(jacobian_calls) == 9
-    steps = round(orbit_time * jb.orbit_resolution(jb.DEFAULT_RESOLUTION))
-    assert len(jacobian_calls) - 9 == 4 * steps
+    steps = jb._steps(orbit_time / 8 / 0.05)
+    assert len(jacobian_calls) - 9 == 17 * 8 * steps
 
 
 def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
-    # the orbit-comparison sphere job: 8 segments of 0.0375 at the orbit
-    # resolution of 2000 steps per unit (400) are 15 RK4 steps each, four
-    # spray-only calls a step; the frame window takes 9 calls
+    # the orbit-comparison sphere job: 8 segments of 0.0375 take one GBS
+    # step each, 17 spray-only calls a step; the frame window takes 9 calls
     jet_spray = mx._jet_spray
     jacobian_calls = []
 
@@ -287,13 +295,14 @@ def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
            "steps_per_unit": 2000}
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
-    assert jacobian_calls.count(False) == 480
+    assert jacobian_calls.count(False) == 136
     assert jacobian_calls.count(True) == 9
 
 
 @pytest.mark.parametrize("orbit_time, start", [
-    # the geodesic pass between the samples leaves the box
-    (6.0, "numeric failure: orbit left the chart at t=3.03625, "),
+    # the geodesic pass between the samples leaves the box: the GBS step
+    # from t = 3 reads its 4-substep rung at 3.0375
+    (6.0, "numeric failure: orbit left the chart at t=3.0375, "),
     # the last sample is inside, but its frame window leaves the box
     (3.034, "numeric failure: t=3.034: orbit left the chart at x="),
 ], ids=["between-samples", "frame-window"])

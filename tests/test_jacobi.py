@@ -569,6 +569,18 @@ def unit_sphere_great_circle(x0, y0, t):
 GEODESIC_TIMES = [0.4, 0.7, 0.0, 1.1, 0.25]
 
 
+def cli_starts(m, count):
+    """The CLI's orbit start draw (x in the ball of radius 0.5, y scaled to
+    F = 1) for seeds 0 to count - 1, stacked."""
+    starts = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        x = sample_in_ball(rng, m.n, 0.5)
+        y = rng.normal(size=m.n)
+        starts.append((x, y / m.F_value(x, y)))
+    return tuple(np.array(a) for a in zip(*starts))
+
+
 def test_geodesic_great_circle_on_unit_sphere():
     m = mx.zoo_metric("sphere")
     x0 = np.array([0.3, -0.2])
@@ -593,33 +605,42 @@ def test_geodesic_at_the_orbit_resolution_on_unit_sphere(orbit_time,
                                                          state_tol,
                                                          drift_tol):
     # the CLI's start draw for seeds 0-7, sampled as its orbit job samples
-    # them.  The worst start (seed 4) reaches |x| = 1.19 by t = 1, with
-    # state error 1.6e-12 and drift 3.6e-13; at a tenth of the default
-    # resolution the errors are 8.6e-13 at t = 0.3 and 2.5e-11 at t = 1
+    # them.  The worst start (seed 4) reaches |x| = 1.19 by t = 1.  The GBS
+    # leg (one step of 0.0375 per segment at t = 0.3, three of 0.042 at
+    # t = 1) has state error 1.2e-15 and 2.4e-14, drift 2.4e-15 and
+    # 5.2e-15; the RK4 leg it replaced, at 400 steps per unit, had 7.0e-14
+    # and 1.6e-12, and the bounds are that leg's
     m = mx.zoo_metric("sphere")
-    starts = []
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        x = sample_in_ball(rng, 2, 0.5)
-        y = rng.normal(size=2)
-        starts.append((x, y / m.F_value(x, y)))
-    x0, y0 = (np.array(a) for a in zip(*starts))
+    x0, y0 = cli_starts(m, 8)
     ts = np.linspace(0.0, orbit_time, 9)
-    states = jb.geodesic(m, pp(x0, y0), ts,
-                         jb.orbit_resolution(jb.DEFAULT_RESOLUTION))
-    for i, (x, y) in enumerate(starts):
+    states = jb.geodesic(m, pp(x0, y0), ts)
+    for i, (x, y) in enumerate(zip(x0, y0)):
         ref = np.array([unit_sphere_great_circle(x, y, t) for t in ts])
         assert np.max(np.abs(states[:, i] - ref)) <= state_tol
     drift = m.F_value(states[..., :2], states[..., 2:]) - 1.0
     assert np.max(np.abs(drift)) <= drift_tol
 
 
+def test_geodesic_of_constant_randers_is_a_straight_line():
+    # F = |y| + b.y with constant b has the Euclidean straight lines at
+    # constant velocity as geodesics; the orbit-comparison Randers job's
+    # orbit (T = 0.15, 9 samples) for the CLI's starts of seeds 0-7 stays
+    # on them to 2.8e-15
+    m = mx.zoo_metric("randers", b=(0.25, 0.05))
+    x0, y0 = cli_starts(m, 8)
+    ts = np.linspace(0.0, 0.15, 9)
+    states = jb.geodesic(m, pp(x0, y0), ts)
+    ref = np.concatenate([x0 + ts[:, None, None] * y0,
+                          np.broadcast_to(y0, (9,) + y0.shape)], axis=-1)
+    assert np.max(np.abs(states - ref)) <= 1e-14
+
+
 def test_geodesic_unsorted_times_match_single_time_calls():
     m = mx.zoo_metric("randers", b=(0.25, 0.05))
     v0 = pp([0.1, 0.2], [0.6, -0.3])
-    states = jb.geodesic(m, v0, GEODESIC_TIMES, resolution=500)
+    states = jb.geodesic(m, v0, GEODESIC_TIMES)
     for t, z in zip(GEODESIC_TIMES, states):
-        (single,) = jb.geodesic(m, v0, [t], resolution=500)
+        (single,) = jb.geodesic(m, v0, [t])
         assert np.max(np.abs(z - single)) < 1e-13
 
 
@@ -628,35 +649,38 @@ def test_batched_geodesic_equals_per_point_calls(family):
     # geodesic adds only elementwise work to spray_data; spray_data itself
     # rounds a point inside a batch and on its own differently in the last
     # bit for some families (the stacked matrix products), so the states
-    # agree to rounding rather than bit for bit
+    # agree to rounding rather than bit for bit.  A GBS step sums its four
+    # rungs' end states with the Neville weights at H/n = 0 for n = 2, 4,
+    # 6, 8 (-0.0028, 0.356, -2.604, 3.251; sum 1), so a 1e-15 difference
+    # in the rungs can reach sum |w| * 1e-15 = 6.2e-15; sphere reads 1.8e-15
     m, radius = BATCH_FAMILIES[family][0](), BATCH_FAMILIES[family][1]
     flags = sample_flags(np.random.default_rng(31), m.n, 4, 0.5 * radius)
     x, y = (np.array(a) for a in list(zip(*flags))[:2])
     y = y / m.F_value(x, y)[:, None]
-    states = jb.geodesic(m, pp(x, y), GEODESIC_TIMES, resolution=200)
+    states = jb.geodesic(m, pp(x, y), GEODESIC_TIMES)
     assert states.shape == (5, 4, 2 * m.n)
     for i in range(4):
-        single = jb.geodesic(m, pp(x[i], y[i]), GEODESIC_TIMES,
-                             resolution=200)
-        assert np.max(np.abs(states[:, i] - single)) <= 1e-15
+        single = jb.geodesic(m, pp(x[i], y[i]), GEODESIC_TIMES)
+        assert np.max(np.abs(states[:, i] - single)) <= 6.2e-15
 
 
 def test_geodesic_agrees_with_transport_on_the_grid():
-    # the same steps as the transport grid (dt = 1/400): only the
-    # linearization carried along by transport differs
+    # GBS steps against RK4 at 400 steps per unit with the linearization
+    # carried along: the two orbits agree to 8.9e-16
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.1], [0.8, 0.6])
     orbit = jb.transport(m, v0, T=0.5, resolution=400)
     times = [0.5, 0.2, 0.1, 0.35]
-    states = jb.geodesic(m, v0, times, resolution=400)
+    states = jb.geodesic(m, v0, times)
     for t, z in zip(times, states):
         x, y, _ = orbit.state(t)
         assert np.max(np.abs(z - np.concatenate([x, y]))) < 1e-13
 
 
 def test_geodesic_names_the_absolute_time_it_leaves_the_box():
-    # x1(t) = t on the Euclidean plane, box edge 0.503: the first point read
-    # outside is the midpoint stage of the step from t = 0.5; the spy
+    # x1(t) = t on the Euclidean plane, box edge 0.503: the segment from
+    # 0.45 takes GBS steps of 0.05, and the first point read outside is the
+    # first substep of the 2-substep rung of the step from t = 0.5; the spy
     # records every coordinate the metric is read at
     seen = []
 
@@ -666,9 +690,8 @@ def test_geodesic_names_the_absolute_time_it_leaves_the_box():
 
     m = mx.riemannian_metric(g, 2, mx.Box.cube(2, 0.503))
     with pytest.raises(OutOfChart,
-                       match=r"^orbit left the chart at t=0\.505, x="):
-        jb.geodesic(m, pp([0.0, 0.0], [1.0, 0.0]), [0.1, 0.45, 0.8],
-                    resolution=100)
+                       match=r"^orbit left the chart at t=0\.525, x="):
+        jb.geodesic(m, pp([0.0, 0.0], [1.0, 0.0]), [0.1, 0.45, 0.8])
     assert np.max(np.abs(seen)) <= 0.503
 
 
@@ -687,8 +710,13 @@ def test_geodesic_refuses_negative_times_before_any_spray(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("run", ["transport", "geodesic"])
-def test_orbit_into_an_indefinite_region_raises(run):
+@pytest.mark.parametrize("run, x1", [
+    ("transport", r"1\.00"),
+    # the one GBS step of 0.05 first reads the field at its first substep,
+    # t = 0.025
+    ("geodesic", r"1\.015"),
+], ids=["transport", "geodesic"])
+def test_orbit_into_an_indefinite_region_raises(run, x1):
     # g = diag(1, 1 - x1) is positive definite only for x1 < 1; the orbit
     # from x1 = 0.99 along e1 crosses x1 = 1 before t = 0.05, inside the box
     m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0 - x[0]]], 2,
@@ -696,7 +724,7 @@ def test_orbit_into_an_indefinite_region_raises(run):
     v = pp([0.99, 0.0], [1.0, 0.0])
     with pytest.raises(NotPositiveDefinite,
                        match=r"^fundamental tensor not positive definite "
-                             r"at x=\[1\.00"):
+                             r"at x=\[" + x1):
         if run == "transport":
             jb.transport(m, v, T=0.05)
         else:

@@ -138,6 +138,29 @@ def test_rk_fourth_order_convergence():
     assert 14.0 <= ratio <= 18.0
 
 
+def test_gbs_step_is_eighth_order_in_17_evaluations():
+    # the harmonic oscillator to t = 1.6 in 4, 8 and 16 steps: errors
+    # 2.9e-9, 1.1e-11 and 4.3e-14, so halving H divides the error by about
+    # 2^8 = 256; each step reads the field 17 times
+    calls = []
+
+    def field(y):
+        calls.append(1)
+        return np.array([y[1], -y[0]])
+
+    def endpoint_error(steps):
+        y = np.array([1.0, 0.0])
+        for _ in range(steps):
+            y = nk.gbs_step(field, y, 1.6 / steps)
+        return np.linalg.norm(y - [math.cos(1.6), -math.sin(1.6)])
+
+    errors = [endpoint_error(steps) for steps in (4, 8, 16)]
+    assert len(calls) == 17 * (4 + 8 + 16)
+    assert errors[0] < 5e-9
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 200.0 <= coarse / fine <= 300.0
+
+
 def test_rk_detects_blowup():
     with pytest.raises(NonFiniteValue), np.errstate(over="ignore",
                                                     invalid="ignore"):

@@ -274,6 +274,18 @@ MUTANTS = [
            "    den = w.mT @ inv.W @ w\n",
            "tests/test_jacobi.py::"
            "test_flag_curvature_representative_invariance[sphere]"),
+    # -- the geodesic leg's Gragg-Bulirsch-Stoer step ------------------------
+    Mutant("gbs-drops-top-rung", PKG + "numkit.py",
+           "GBS_RUNGS = (2, 4, 6, 8)", "GBS_RUNGS = (2, 4, 6)",
+           "tests/test_jacobi.py::"
+           "test_geodesic_at_the_orbit_resolution_on_unit_sphere"
+           "[1.0-2e-12-5e-13]"),
+    Mutant("gbs-linear-neville-ratio", PKG + "numkit.py",
+           "ratio = (n / GBS_RUNGS[j - k]) ** 2",
+           "ratio = n / GBS_RUNGS[j - k]",
+           "tests/test_jacobi.py::"
+           "test_geodesic_at_the_orbit_resolution_on_unit_sphere"
+           "[1.0-2e-12-5e-13]"),
 ]
 
 
