@@ -7,7 +7,9 @@ codes: 0 success, 1 tolerance violation, 2 config error, 3 numeric failure
 (one line on stderr naming the failing flag, or the failing sample time
 along an orbit, where there is one).  The flags of a curvature-grid, katok
 or projective run go through one frame window (`jacobi.frame_invariants`),
-and so do the sample points of an invariants-along-orbit run.
+and so do the sample points of an invariants-along-orbit run.  No setting
+counts RK4 steps: the code sizes each window from its stencil spacing
+(`stencil_h`, where an experiment takes it).
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ _SETTINGS = {
         "metric": (_metric_spec, {"id": "euclidean"}),
         "samples": (_count, 50),
         "x_radius": (_positive, 1.0),
-        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
         "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
         "tolerance": (_positive, 1e-4),
     },
@@ -107,15 +108,11 @@ _SETTINGS = {
         "orbit_time": (_positive, 1.0),
         "orbit_samples": (_count, 9),
         "x_radius": (_positive, 0.5),
-        # sizes the frame windows only: the geodesic leg takes whole GBS
-        # steps of at most jacobi.GEODESIC_STEP
-        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
         "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
         "tolerance": (_positive, 1e-6),
     },
     "submersion": {
         "scenarios": (_scenarios, rd.list_scenarios()),
-        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
         "tolerance": (_positive, 1e-3),
     },
     "projective": {
@@ -123,14 +120,12 @@ _SETTINGS = {
         "samples": (_count, 10),
         "theta_scale": (_positive, 0.2),
         "x_radius": (_positive, 0.5),
-        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
         "tolerance": (_positive, 1e-3),
     },
     "katok": {
         "epsilons": (_epsilons, [0.1, 0.3]),
         "samples": (_count, 30),
         "x_radius": (_positive, 0.8),
-        "steps_per_unit": (_count, jb.DEFAULT_RESOLUTION),
         "tolerance": (_positive, 1e-3),
     },
     "selftest": {
@@ -224,8 +219,7 @@ def _run_curvature_grid(s):
               + ["K", "oracle_K", "abs_err"])
     xs, ys, us = _stack_flags(sample_flags(rng, n, s["samples"],
                                            s["x_radius"]))
-    Ks = jb.flag_curvature(metric, mx.PhasePoint(xs, ys), us,
-                           resolution=s["steps_per_unit"], h=s["stencil_h"])
+    Ks = jb.flag_curvature(metric, mx.PhasePoint(xs, ys), us, h=s["stencil_h"])
     oracle = err = [None] * len(Ks)
     worst = 0.0
     if metric.family == "riemannian":
@@ -240,7 +234,6 @@ def _run_curvature_grid(s):
 def _run_invariants_along_orbit(s):
     metric = _build_metric(s)
     rng = np.random.default_rng(s["seed"])
-    resolution, h = s["steps_per_unit"], s["stencil_h"]
     n = metric.n
     x = sample_in_ball(rng, n, s["x_radius"])
     y = rng.normal(size=n)
@@ -254,7 +247,7 @@ def _run_invariants_along_orbit(s):
     with batch_labels(lambda k: f"t={ts[k]:.6g}"):
         states = jb.geodesic(metric, mx.PhasePoint(x, y), ts)
         points = mx.PhasePoint(states[:, :n], states[:, n:])
-        inv = jb.frame_invariants(metric, points, resolution, h)
+        inv = jb.frame_invariants(metric, points, s["stencil_h"])
     # the flow keeps F = 1, and F^2 = y.W.y with W = g at each sample
     F = np.sqrt(np.einsum("ki,kij,kj->k", points.y, inv.W, points.y))
     worst = float(np.max(np.abs(F - 1.0)))
@@ -271,8 +264,7 @@ def _run_submersion(s):
     for name in s["scenarios"]:
         scn = rd.submersion_scenario(name)
         v, w = scn.default_flag()
-        res = rd.submersion_curvature(scn, v, w,
-                                      resolution=s["steps_per_unit"])
+        res = rd.submersion_curvature(scn, v, w)
         worst = max(worst, res.residual)
         rows.append([name, res.K_total, res.K_base, res.correction,
                      res.residual])
@@ -281,7 +273,7 @@ def _run_submersion(s):
 
 def _run_projective(s):
     rng = np.random.default_rng(s["seed"])
-    resolution, scale = s["steps_per_unit"], s["theta_scale"]
+    scale = s["theta_scale"]
     metric_id = s["metric"]["id"]
     if metric_id == "sphere":
         form = df.ambient_coordinate_form(scale)
@@ -305,9 +297,8 @@ def _run_projective(s):
     xs, ys, us = _stack_flags(sample_flags(rng, base.n, s["samples"],
                                            s["x_radius"]))
     flags = mx.PhasePoint(xs, ys)
-    Ks = jb.flag_curvature(deformed, flags, us, resolution=resolution)
-    K_formula = df.projective_curvature_rhs(base, form, deformed, flags, us,
-                                            resolution=resolution)
+    Ks = jb.flag_curvature(deformed, flags, us)
+    K_formula = df.projective_curvature_rhs(base, form, deformed, flags, us)
     err = np.abs(Ks - K_formula)
     rows = [[i, *vals] for i, vals in enumerate(zip(Ks, K_formula, err))]
     return header, rows, float(np.max(err)), s["tolerance"]
@@ -321,8 +312,7 @@ def _run_katok(s):
     for eps in s["epsilons"]:
         flags = sample_flags(rng, 2, s["samples"], s["x_radius"])
         with labelled(f"epsilon {eps}"):
-            Ks = df.katok_curvature(float(eps), flags,
-                                    resolution=s["steps_per_unit"])
+            Ks = df.katok_curvature(float(eps), flags)
         for i, K in enumerate(Ks):
             dev = abs(K - 1.0)
             worst = max(worst, dev)

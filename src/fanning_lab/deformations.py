@@ -152,8 +152,7 @@ def _orbit_jets(base: mx.MetricSpec, x, y):
 
 
 def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
-                             deformed: mx.MetricSpec, v: mx.PhasePoint, u,
-                             resolution: int = jb.DEFAULT_RESOLUTION):
+                             deformed: mx.MetricSpec, v: mx.PhasePoint, u):
     """Predicted flag curvature of F0 + theta from unperturbed data.
 
     Returns phi(u)^2 K0(u, plane) - (1/2)[(1/2) Sphi^2 - phi SSphi] where
@@ -185,7 +184,7 @@ def projective_curvature_rhs(base: mx.MetricSpec, form: ClosedOneForm,
     psi = mx.PhasePoint(x, y / np.sqrt((y[..., None, :] @ g0 @ y[..., None])
                                        [..., 0]))
     w_tilde = np.linalg.solve(g0, gF @ w[..., None])[..., 0]
-    K0 = jb.flag_curvature(base, psi, w_tilde, resolution=resolution)
+    K0 = jb.flag_curvature(base, psi, w_tilde)
 
     x3, x2, y2 = _orbit_jets(base, x, psi.y)
     phi = 1.0 / (1.0 + sum(t * q for t, q in zip(form.theta(x2), y2)))
@@ -298,19 +297,19 @@ def katok_zermelo_cross_check(epsilon: float, x, v):
     return _zermelo_norm(epsilon, components(x), components(v))[0]
 
 
-def katok_curvature(epsilon: float, flags,
-                    resolution: int = jb.DEFAULT_RESOLUTION) -> np.ndarray:
+def katok_curvature(epsilon: float, flags) -> np.ndarray:
     """Flag curvature of the perturbed sphere at each flag (exactly 1).
 
     Flags are (x, y, u) triples; y is scaled to F = 1 by the closed-form
     norm, which sets only the window's time scale.  All flags go through
-    one batched transport, the only support solve at the flag points.
+    one batched frame window of the default spacing, sized by
+    `jacobi.frame_invariants`; its transport is the only support solve at
+    the flag points.
     """
     metric = katok_metric(epsilon)
     x, y, u = (np.array(a, dtype=float) for a in zip(*flags))
     y /= _zermelo_norm(epsilon, components(x), components(y))[0][:, None]
-    return jb.flag_curvature(metric, mx.PhasePoint(x, y), u,
-                             resolution=resolution)
+    return jb.flag_curvature(metric, mx.PhasePoint(x, y), u)
 
 
 def _register():

@@ -19,10 +19,11 @@ the two halves of a window as lanes of a last batch axis (`_flow`): one
 `spray_data` call per RK4 stage for all.  One order-3 energy jet at v0
 gives the spray data there and the form, and the t = 0 Wronskian is the
 fundamental tensor at v0 bit for bit, so `flag_curvature` jets its flag
-points once.  A window read at t = 0 (`frame_invariants`) takes one step
-per stencil spacing at the default resolution, and 9 spray evaluations
-(energy jets): one at v0, 3 + 4 for its two steps, one at both ends.  A
-failure names the lowest failing flag, whichever lane fails.
+points once.  A window read at t = 0 (`frame_invariants`) is sized by its
+stencil spacing alone: one step per spacing at h = 1e-3, and 9 spray
+evaluations (energy jets): one at v0, 3 + 4 for its two steps, one at
+both ends.  A failure names the lowest failing flag, whichever lane
+fails.
 
 `geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
 flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
@@ -337,12 +338,12 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
 
 
 def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
-                     resolution: float, h: float) -> fc.FanningInvariants:
+                     h: float) -> fc.FanningInvariants:
     """Fanning invariants at t = 0 of the Jacobi curve of v (one point or
     a batch) from the frame stencil of spacing h, on a window at half of
-    resolution raised to whole steps per h (`frame_resolution`): one step
-    per spacing and 9 spray evaluations at the defaults, 20 steps per
-    spacing and 161 at h = 0.02.  The difference of Adot, about
+    DEFAULT_RESOLUTION raised to whole steps per h (`frame_resolution`):
+    one step per spacing and 9 spray evaluations at h = 1e-3, 20 steps
+    per spacing and 161 at h = 0.02.  The difference of Adot, about
     eps / h^2, not RK4, sets the floor of K's error.  |K - K_ref| over 30
     flags (`cli.sample_flags`, seed 5, |x| < r; katok with unit y,
     conformal against `riemann_oracle`), worst and median:
@@ -355,7 +356,7 @@ def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
         katok(0.3)             0.8  3.5e-10  1.1e-10   4.0e-10  1.2e-10
     """
     orbit = transport(metric, v, T=frame_reach(h),
-                      resolution=frame_resolution(h, resolution / 2))
+                      resolution=frame_resolution(h, DEFAULT_RESOLUTION / 2))
     return jacobi_frame(orbit, 0.0, h=h).invariants
 
 
@@ -376,7 +377,6 @@ def _canonical_flag_vector(g: np.ndarray, y: np.ndarray, u: np.ndarray):
 
 
 def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
-                   resolution: int = DEFAULT_RESOLUTION,
                    h: float = DEFAULT_FRAME_H):
     """Flag curvature of the flag (v, span[v, u]).
 
@@ -392,7 +392,7 @@ def flag_curvature(metric: mx.MetricSpec, v: mx.PhasePoint, u,
     failing flag.
     """
     u = np.asarray(u, dtype=float)
-    inv = frame_invariants(metric, v, resolution, h)
+    inv = frame_invariants(metric, v, h)
     # the t = 0 Wronskian is the fundamental tensor, bit for bit
     w = _canonical_flag_vector(inv.W, v.y, u)[..., :, None]    # columns
     y = v.y[..., :, None]

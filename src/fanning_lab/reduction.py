@@ -31,7 +31,7 @@ shipped scenarios, the trivial product and the Hopf fibrations, all project
 (x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
 horizontal-cone condition, from one jet pass of the metric.  Both read
 7-point stencils of width `_REDUCTION_H`; a window read by one stencil
-alone needs only `reduction_resolution`, a fifth of `steps_per_unit`.
+alone runs at `_REDUCTION_RESOLUTION`, 4 RK4 steps per spacing.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "SubmersionResult",
     "horizontal_part",
     "submersion_curvature",
-    "reduction_resolution",
     "ContactSplit",
     "contact_reduce",
 ]
@@ -74,21 +73,19 @@ __all__ = [
 _SV_REL_TOL = 1e-9   # singular-value threshold for joint nullspaces
 _REDUCTION_H = 1e-2  # width of the 7-point stencils of curve-level reductions
 _GAUGE_BOUND = 1e6   # graph frames grow as the secant of the angle to U_c
-
-
-def reduction_resolution(resolution: float) -> float:
-    """A fifth of resolution in whole steps per `_REDUCTION_H`: 400 steps
-    per unit at the default.  `submersion_curvature` at the default flags:
-
-        steps per unit           2000      400       200
-        spray_data calls          241       49        25
-        hopf K_base error       1.4e-9    1.1e-9    2.0e-9
-        hopf residual          3.5e-10   4.1e-10    1.5e-9
-        hopf-scaled K_base err  4.4e-12   2.8e-12   4.6e-11
-
-    At 400 the Hopf errors sit at the stencil's rounding floor, as at 2000.
-    """
-    return jb.frame_resolution(_REDUCTION_H, resolution / 5)
+# RK4 steps per unit of a window read by one reduction stencil: a fifth of
+# jacobi's default in whole steps per _REDUCTION_H, 400.  submersion_curvature
+# at the default flags, by steps per unit:
+#
+#     steps per unit           2000      400       200
+#     spray_data calls          241       49        25
+#     hopf K_base error       1.4e-9    1.1e-9    2.0e-9
+#     hopf residual          3.5e-10   4.1e-10    1.5e-9
+#     hopf-scaled K_base err  4.4e-12   2.8e-12   4.6e-11
+#
+# At 400 the Hopf errors sit at the stencil's rounding floor, as at 2000.
+_REDUCTION_RESOLUTION = jb.frame_resolution(_REDUCTION_H,
+                                            jb.DEFAULT_RESOLUTION / 5)
 
 
 def _nullspace(M: np.ndarray) -> np.ndarray:
@@ -546,8 +543,7 @@ def horizontal_part(g, fiber, w) -> np.ndarray:
     return w
 
 
-def submersion_curvature(scenario: SubmersionScenario, v, w,
-                         resolution: int = jb.DEFAULT_RESOLUTION
+def submersion_curvature(scenario: SubmersionScenario, v, w
                          ) -> SubmersionResult:
     """Curvature comparison along a horizontal flag of a submersion.
 
@@ -556,8 +552,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
     space orthogonal to v and normalized.  The coisotropic subspace is the
     tangent space of the horizontal-cone bundle at v, the kernel of the
     scenario's constraint linearization.  The window runs at
-    `reduction_resolution(resolution)`, and g at v is the g block of its
-    form.
+    `_REDUCTION_RESOLUTION`, and g at v is the g block of its form.
     """
     total = scenario.total
     n = total.n
@@ -575,7 +570,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w,
 
     h = _REDUCTION_H
     orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
-                         resolution=reduction_resolution(resolution))
+                         resolution=_REDUCTION_RESOLUTION)
     g = orbit.omega.Omega[:n, n:]
     # project w onto the horizontal space, g-orthogonal to v, unit length
     w = horizontal_part(g, np.column_stack([scenario.fiber(list(x)), y]), w)

@@ -260,7 +260,7 @@ def run_selftest(seed: int, stencil_h: float):
     ys = ys / sphere.F_value(xs, ys)
     orbit = jb.transport(sphere, mx.PhasePoint(xs, ys),
                          0.3 + jb.frame_reach(rd._REDUCTION_H, 6),
-                         rd.reduction_resolution(jb.DEFAULT_RESOLUTION))
+                         rd._REDUCTION_RESOLUTION)
     split = rd.contact_reduce(orbit, 0.3)
     check("contact-reduction-kernel", split.kr_residual, 1e-5)
     check("contact-reduction-block", split.block_residual, 1e-5)

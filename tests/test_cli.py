@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,14 +102,26 @@ def test_byte_identical_reruns(tmp_path, cfg):
 ], ids=["curvature-grid", "curvature-grid-h7e-4", "invariants-along-orbit",
         "invariants-along-orbit-h2.5e-3", "submersion", "projective",
         "katok"])
-def test_frame_windows_run_at_any_steps_per_unit(tmp_path, cfg,
+def test_frame_windows_run_at_any_steps_per_unit(tmp_path, capsys, cfg,
                                                  steps_per_unit):
-    # at these resolutions the stencil spacing is no whole number of steps
-    # per unit; each frame window takes a whole number of steps per h
-    _, summary, code = run_cfg(
-        {**cfg, "seed": 1, "steps_per_unit": steps_per_unit}, tmp_path)
+    # 7e-4 and 2.5e-3 are no whole number of steps at half the default
+    # steps per unit; each frame window takes a whole number of steps per
+    # h, and a reduction window a whole number per its 1e-2.  No setting
+    # sizes a window: a config naming `steps_per_unit`, at any value, is
+    # refused with one line before anything runs
+    _, summary, code = run_cfg({**cfg, "seed": 1}, tmp_path)
     assert code == cli.EXIT_OK
     assert summary["passed"] is True
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "seed": 1,
+                                    "steps_per_unit": steps_per_unit,
+                                    "output_dir": str(tmp_path / "old")}))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "'steps_per_unit'" in err
+    assert not (tmp_path / "old").exists()
 
 
 def test_selftest_reads_its_orbit_at_multiples_of_stencil_h(capsys):
@@ -249,7 +262,7 @@ def test_invariants_along_orbit_rows_are_the_frame_invariants():
     states = jb.geodesic(metric, mx.PhasePoint(x, y), np.linspace(0, 0.4, 5))
     inv = jb.frame_invariants(metric,
                               mx.PhasePoint(states[:, :2], states[:, 2:]),
-                              jb.DEFAULT_RESOLUTION, jb.DEFAULT_FRAME_H)
+                              jb.DEFAULT_FRAME_H)
     rows = np.array(rows)
     assert np.array_equal(rows[:, 1:5], inv.Schwarzian.reshape(5, 4))
     assert np.array_equal(rows[:, 5:9], inv.W.reshape(5, 4))
@@ -291,8 +304,7 @@ def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mx, "_jet_spray", counted)
     cfg = {"experiment": "invariants-along-orbit", "seed": 1,
-           "metric": {"id": "sphere"}, "orbit_time": 0.3, "orbit_samples": 9,
-           "steps_per_unit": 2000}
+           "metric": {"id": "sphere"}, "orbit_time": 0.3, "orbit_samples": 9}
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
     assert jacobian_calls.count(False) == 136
@@ -464,6 +476,11 @@ def test_main_rejects_non_numbers(tmp_path, capsys, entries):
       "orbit_samples": 0.5}, "orbit_samples"),
     ({"experiment": "curvature-grid", "samples": 2, "steps_per_unit": 0.5},
      "steps_per_unit"),
+    ({"experiment": "invariants-along-orbit", "steps_per_unit": 2000},
+     "steps_per_unit"),
+    ({"experiment": "submersion", "steps_per_unit": 2000}, "steps_per_unit"),
+    ({"experiment": "projective", "steps_per_unit": 2000}, "steps_per_unit"),
+    ({"experiment": "katok", "steps_per_unit": 2000}, "steps_per_unit"),
     ({"experiment": "curvature-grid", "samples": 2, "x_radius": 10 ** 400},
      "x_radius"),
     ({"experiment": "curvature-grid", "samples": 2, "metric": None},
@@ -473,11 +490,14 @@ def test_main_rejects_non_numbers(tmp_path, capsys, entries):
 ], ids=["katok-stencil_h", "projective-stencil_h", "submersion-stencil_h",
         "selftest-tolerance", "selftest-steps_per_unit", "samples-2.7",
         "samples-0.5", "samples-0", "orbit_samples-0.5", "steps_per_unit-0.5",
+        "invariants-along-orbit-steps_per_unit", "submersion-steps_per_unit",
+        "projective-steps_per_unit", "katok-steps_per_unit",
         "x_radius-beyond-float", "metric-null", "scenarios-unhashable",
         "seed-negative"])
 def test_main_names_the_rejected_setting(tmp_path, capsys, cfg, key):
-    # an experiment accepts only the settings its runner reads, counts are
-    # integers >= 1, and each value is checked before anything runs
+    # an experiment accepts only the settings its runner reads (no setting
+    # counts RK4 steps), counts are integers >= 1, and each value is checked
+    # before anything runs
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(cfg,
                                         output_dir=str(tmp_path / "out"))))
@@ -544,6 +564,28 @@ def test_readme_example_config_is_valid():
     example = example.split("```json\n")[1].split("```")[0]
     cfg = json.loads(example)
     assert cli.validate_config(cfg)["experiment"] == cfg["experiment"]
+
+
+def readme_settings_table():
+    """Experiment -> set of keys, one entry per row of the README table of
+    settings.  A key is a backticked name at the start of the cell or after
+    the closing parenthesis of the previous key's default; the selftest
+    row names its seed as "its `seed`"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| experiment | keys (default) |\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines()[1:]:
+        exp, keys = line.strip("| ").split(" | ")
+        rows[exp.strip("`")] = set(re.findall(r"(?:^|\), |its )`(\w+)`",
+                                              keys))
+    return rows
+
+
+def test_readme_settings_table_lists_each_experiments_keys():
+    # the table and `_SETTINGS` are edited apart: a key added to one only,
+    # or an experiment row missing, fails here
+    rows = readme_settings_table()
+    assert rows == {exp: set(table) for exp, table in cli._SETTINGS.items()}
 
 
 def test_main_names_the_failing_flag(tmp_path, capsys):

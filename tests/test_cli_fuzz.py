@@ -6,8 +6,8 @@ replaced by a fractional, negative, bool, non-finite or wrongly typed value.
 Whatever the draw, a run ends in a documented exit code with at most one
 line on stderr, and exit 1 means a finite residual above a finite
 tolerance.  The keys that set the amount of work (samples, orbit_samples,
-orbit_time, epsilons, scenarios, steps_per_unit) are always present and
-small, so a draw runs in a fraction of a second.  The property suites behind
+orbit_time, epsilons, scenarios) are always present and small, so a draw
+runs in a fraction of a second.  The property suites behind
 the selftest experiment take seconds, so a stub stands in for them here;
 tests/test_selftest.py runs them.
 """
@@ -90,7 +90,6 @@ def metric(*ids):
     return metric_specs(list(ids), False), metric_specs(list(ids), True)
 
 
-STEPS = count(1, 7, 400)
 RADIUS = positive(0.3, 1.0, 1.5)
 STENCIL = positive(1e-3, 1e-2)
 TOLERANCE = positive(1e-30, 1e-3, 1.0, 1e300)
@@ -98,28 +97,26 @@ TOLERANCE = positive(1e-30, 1e-3, 1.0, 1e300)
 # drawn or left out), each mapped to its (valid, invalid) values.
 KEYS = {
     "curvature-grid": (
-        {"samples": count(1, 2), "steps_per_unit": STEPS},
+        {"samples": count(1, 2)},
         {"metric": metric(*METRIC_IDS), "x_radius": RADIUS,
          "stencil_h": STENCIL, "tolerance": TOLERANCE}),
     "invariants-along-orbit": (
-        {"orbit_time": positive(0.01, 0.05), "orbit_samples": count(1, 2, 3),
-         "steps_per_unit": STEPS},
+        {"orbit_time": positive(0.01, 0.05), "orbit_samples": count(1, 2, 3)},
         {"metric": metric(*METRIC_IDS), "x_radius": RADIUS,
          "stencil_h": STENCIL, "tolerance": TOLERANCE}),
     "submersion": (
         {"scenarios": ([["trivial"], ["hopf"], ["hopf-scaled"]],
-                       [[], ["nope"], "hopf", [["hopf"]], None]),
-         "steps_per_unit": STEPS},
+                       [[], ["nope"], "hopf", [["hopf"]], None])},
         {"tolerance": TOLERANCE}),
     "projective": (
-        {"samples": count(1, 2), "steps_per_unit": STEPS},
+        {"samples": count(1, 2)},
         {"metric": metric("sphere", "euclidean"),
          "theta_scale": positive(0.05, 0.2, 0.9), "x_radius": RADIUS,
          "tolerance": TOLERANCE}),
     "katok": (
         {"epsilons": ([[0.0], [0.3], [0.99]],
                       [[1.0], [-0.1], [], [True], [math.nan], 0.3]),
-         "samples": count(1, 2), "steps_per_unit": STEPS},
+         "samples": count(1, 2)},
         {"x_radius": RADIUS, "tolerance": TOLERANCE}),
     "selftest": ({}, {"stencil_h": positive(1e-3, 0.1)}),
 }

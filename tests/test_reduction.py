@@ -402,8 +402,7 @@ def hopf_stencil():
     v, _ = scn.default_flag()
     h = rd._REDUCTION_H
     orbit = jb.transport(scn.total, v, T=jb.frame_reach(h, 6),
-                         resolution=rd.reduction_resolution(
-                             jb.DEFAULT_RESOLUTION))
+                         resolution=rd._REDUCTION_RESOLUTION)
     fs = jb.jacobi_frame(orbit, 0.0, h=h, order=6).frames
     W = rd._nullspace(scn.constraint_grad(v.x, v.y))
     return rd.coisotropic_setup(orbit.omega, W), fs
@@ -631,7 +630,7 @@ def test_submersion_window_takes_49_spray_calls(name, monkeypatch):
     monkeypatch.setattr(mx, "_jet_spray", spy)
     scn = rd.submersion_scenario(name)
     rd.submersion_curvature(scn, *scn.default_flag())
-    assert rd.reduction_resolution(jb.DEFAULT_RESOLUTION) == 400
+    assert rd._REDUCTION_RESOLUTION == 400
     assert len(calls) == 49
 
 

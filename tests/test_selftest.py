@@ -74,7 +74,7 @@ def test_contact_orbit_takes_the_reduction_step(monkeypatch):
 
     monkeypatch.setattr(rd, "contact_reduce", spy)
     run_selftest(**DEFAULTS)
-    dt = 1.0 / rd.reduction_resolution(jb.DEFAULT_RESOLUTION)
+    dt = 1.0 / rd._REDUCTION_RESOLUTION
     reach = jb.frame_reach(rd._REDUCTION_H, 6)
     assert windows == [(pytest.approx(dt, rel=1e-9),
                         pytest.approx(reach, rel=1e-9))]

@@ -216,8 +216,7 @@ MUTANTS = [
            "tests/test_reduction.py::"
            "test_coisotropic_setup_orthonormal_quotient_basis"),
     Mutant("reduction-step-coarse", PKG + "reduction.py",
-           "return jb.frame_resolution(_REDUCTION_H, resolution / 5)",
-           "return jb.frame_resolution(_REDUCTION_H, resolution / 10)",
+           "jb.DEFAULT_RESOLUTION / 5)", "jb.DEFAULT_RESOLUTION / 10)",
            "tests/test_reduction.py::"
            "test_submersion_accuracy_at_the_reduction_step"),
     Mutant("lagrangian-guard-noop", PKG + "reduction.py",
@@ -232,8 +231,8 @@ MUTANTS = [
            "tests/test_jacobi.py::"
            "test_frame_resolution_puts_stencil_nodes_on_the_grid[0.0007-2000-6]"),
     Mutant("frame-window-full-step", PKG + "jacobi.py",
-           "resolution=frame_resolution(h, resolution / 2))",
-           "resolution=frame_resolution(h, resolution))",
+           "resolution=frame_resolution(h, DEFAULT_RESOLUTION / 2))",
+           "resolution=frame_resolution(h, DEFAULT_RESOLUTION))",
            "tests/test_jacobi.py::test_flag_curvature_spray_evaluation_count"),
     Mutant("count-accepts-zero", PKG + "cli.py",
            "_is_integer(v) and v >= 1,", "_is_integer(v) and v >= 0,",
