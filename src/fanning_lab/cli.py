@@ -188,7 +188,7 @@ def _stack_flags(flags):
 def sample_in_ball(rng, n, radius):
     while True:
         x = rng.uniform(-radius, radius, size=n)
-        if np.linalg.norm(x) < radius:
+        if np.linalg.norm(x / radius) < 1.0:
             return x
 
 

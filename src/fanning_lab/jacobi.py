@@ -8,8 +8,8 @@ paired with the pulled-back symplectic form, yield the flag curvature and the
 curvature endomorphism.
 
 One `numkit.rk_integrate` field integrates the stored orbit on one
-symmetric grid over [-T, T], sized by `frame_reach` and `frame_resolution`
-so that every stencil node is a grid node.  The spray and its Jacobian are
+symmetric grid over [-T, T], sized by the spacing h it is read at, so
+that every stencil node is a grid node.  The spray and its Jacobian are
 kept with each grid state, so frames evaluate nothing, and the orbit is
 read only at its grid nodes (`OrbitData`).
 
@@ -19,8 +19,8 @@ the two halves of a window as lanes of a last batch axis (`_flow`): one
 `spray_data` call per RK4 stage for all.  One order-3 energy jet at v0
 gives the spray data there and the form, and the t = 0 Wronskian is the
 fundamental tensor at v0 bit for bit, so `flag_curvature` jets its flag
-points once.  A window read at t = 0 (`frame_invariants`) is sized by its
-stencil spacing alone: one step per spacing at h = 1e-3, and 9 spray
+points once.  A window read at t = 0 (`frame_invariants`) reaches
+`frame_reach(h)`: one step per spacing at h = 1e-3, and 9 spray
 evaluations (energy jets): one at v0, 3 + 4 for its two steps, one at
 both ends.  A failure names the lowest failing flag, whichever lane
 fails.
@@ -68,15 +68,25 @@ __all__ = [
     "christoffel",
     "riemann_oracle",
     "frame_reach",
-    "frame_resolution",
-    "DEFAULT_RESOLUTION",
     "DEFAULT_FRAME_H",
+    "WINDOW_STEP",
     "GEODESIC_STEP",
 ]
 
-DEFAULT_RESOLUTION = 2000      # RK4 steps per unit of t
 DEFAULT_FRAME_H = 1e-3         # half-width of the Jacobi-frame sub-grid
 GEODESIC_STEP = 0.05           # longest GBS step of a `geodesic` pass
+# Longest RK4 step of a `transport` window: one step per spacing at the
+# frame spacing 1e-3, and 4 at the reduction spacing 1e-2.  Measured there,
+# submersion_curvature at the default flags, by window step:
+#
+#     window step               5e-4    2.5e-3      5e-3
+#     spray_data calls           241        49        25
+#     hopf K_base error       1.4e-9    1.1e-9    2.0e-9
+#     hopf residual          3.5e-10   4.1e-10    1.5e-9
+#     hopf-scaled K_base err 4.4e-12   2.8e-12   4.6e-11
+#
+# At 2.5e-3 the Hopf errors sit at the stencil's rounding floor, as at 5e-4.
+WINDOW_STEP = 2.5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +206,7 @@ def _check_chart(metric, x, t=None):
 
 def _steps(span: float) -> int:
     """Whole steps for span, a time span in units of the step (a span
-    times a resolution, or over a step length): the nearest integer when
+    over a step length or a spacing): the nearest integer when
     span is within 1e-9 (relative) of it, else the ceiling, and at least
     one.  A difference of grid times (say from np.linspace) scaled so can
     land just above the count meant."""
@@ -253,18 +263,27 @@ def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times) -> np.ndarray:
 
 
 def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
-              resolution: float = DEFAULT_RESOLUTION) -> OrbitData:
-    """Transport the flow differential over the window [-T, T] from v0.
+              h: float) -> OrbitData:
+    """Transport the flow differential over the window [-T, T] from v0,
+    to be read at multiples of the spacing h.
 
     Deterministic fixed-step RK4 on one symmetric grid of step
-    dt = T / steps, with `_steps` whole steps of T * resolution each way;
-    raises OutOfChart if the orbit leaves the metric's box within the
-    window.  A batch v0 and the two directions are integrated in lockstep
-    (`_flow`), and an error names the lowest failing flag.
+    dt = T / steps: T in whole spacings (`_steps`; raised to the next if
+    not), each of `_steps(h / WINDOW_STEP)` steps, so every multiple of h
+    in the window is a node.  Raises DimensionMismatch for an h that is
+    not positive and finite, OutOfChart if the orbit leaves the metric's
+    box within the window.  A batch v0 and the two directions are
+    integrated in lockstep (`_flow`); an error names the lowest failing
+    flag.
     """
-    if T <= 0.0:
+    if not 0.0 < h < np.inf:
+        raise DimensionMismatch(f"spacing h={h} is not positive and finite")
+    if not T > 0.0:
         raise OutOfChart("transport window must be positive")
-    steps = _steps(T * resolution)
+    spans = _steps(T / h)
+    if not math.isclose(T, spans * h, rel_tol=1e-9):
+        T = spans * h
+    steps = spans * _steps(h / WINDOW_STEP)
     dt = T / steps
     n, m2 = metric.n, 2 * metric.n
     lead = v0.x.shape[:-1]
@@ -292,17 +311,6 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
 def frame_reach(h: float, order: int = 4) -> float:
     """How far `jacobi_frame(orbit, t, h, order)` reads the orbit from t."""
     return nk.Stencil(0.0, h, order).nodes[-1]
-
-
-def frame_resolution(h: float,
-                     resolution: float = DEFAULT_RESOLUTION) -> float:
-    """resolution raised to a whole number of RK4 steps per h (`_steps`).
-
-    A window of half-width a multiple of h transported at this resolution
-    has every multiple of h on its grid, so a frame stencil of spacing h
-    around such a node reads grid nodes only.
-    """
-    return _steps(h * resolution) / h
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +348,14 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
 def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
                      h: float) -> fc.FanningInvariants:
     """Fanning invariants at t = 0 of the Jacobi curve of v (one point or
-    a batch) from the frame stencil of spacing h, on a window at half of
-    DEFAULT_RESOLUTION raised to whole steps per h (`frame_resolution`):
-    one step per spacing and 9 spray evaluations at h = 1e-3, 20 steps
-    per spacing and 161 at h = 0.02.  The difference of Adot, about
-    eps / h^2, not RK4, sets the floor of K's error.  |K - K_ref| over 30
-    flags (`cli.sample_flags`, seed 5, |x| < r; katok with unit y,
-    conformal against `riemann_oracle`), worst and median:
+    a batch) from the frame stencil of spacing h, on a window of
+    `frame_reach(h)` transported at h: one step per spacing and 9 spray
+    evaluations at h = 1e-3, 8 steps per spacing and 65 at h = 0.02, whose
+    worst errors on the flags below match 20 steps per spacing to 3
+    digits.  The difference of Adot, about eps / h^2, not RK4, sets the
+    floor of K's error.  |K - K_ref| over 30 flags (`cli.sample_flags`,
+    seed 5, |x| < r; katok with unit y, conformal against
+    `riemann_oracle`), worst and median:
 
         family                   r    2 steps per h      1 step per h
         sphere                 1.5   4.8e-9  1.1e-10    3.8e-9  8.6e-11
@@ -355,8 +364,7 @@ def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
         conformal n=4, a=0.5   0.8  1.8e-10  4.3e-11   1.7e-10  3.5e-11
         katok(0.3)             0.8  3.5e-10  1.1e-10   4.0e-10  1.2e-10
     """
-    orbit = transport(metric, v, T=frame_reach(h),
-                      resolution=frame_resolution(h, DEFAULT_RESOLUTION / 2))
+    orbit = transport(metric, v, T=frame_reach(h), h=h)
     return jacobi_frame(orbit, 0.0, h=h).invariants
 
 

@@ -101,8 +101,9 @@ class Stencil:
     order: int = 4
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise DimensionMismatch("stencil half-width must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise DimensionMismatch(
+                f"spacing h={self.h} is not positive and finite")
         if self.order not in (4, 6):
             raise DimensionMismatch(f"unsupported stencil order {self.order}")
 

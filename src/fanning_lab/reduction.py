@@ -31,7 +31,8 @@ shipped scenarios, the trivial product and the Hopf fibrations, all project
 (x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
 horizontal-cone condition, from one jet pass of the metric.  Both read
 7-point stencils of width `_REDUCTION_H`; a window read by one stencil
-alone runs at `_REDUCTION_RESOLUTION`, 4 RK4 steps per spacing.
+is transported at that spacing, 4 RK4 steps per spacing
+(`jacobi.WINDOW_STEP`).
 """
 
 from __future__ import annotations
@@ -73,19 +74,6 @@ __all__ = [
 _SV_REL_TOL = 1e-9   # singular-value threshold for joint nullspaces
 _REDUCTION_H = 1e-2  # width of the 7-point stencils of curve-level reductions
 _GAUGE_BOUND = 1e6   # graph frames grow as the secant of the angle to U_c
-# RK4 steps per unit of a window read by one reduction stencil: a fifth of
-# jacobi's default in whole steps per _REDUCTION_H, 400.  submersion_curvature
-# at the default flags, by steps per unit:
-#
-#     steps per unit           2000      400       200
-#     spray_data calls          241       49        25
-#     hopf K_base error       1.4e-9    1.1e-9    2.0e-9
-#     hopf residual          3.5e-10   4.1e-10    1.5e-9
-#     hopf-scaled K_base err  4.4e-12   2.8e-12   4.6e-11
-#
-# At 400 the Hopf errors sit at the stencil's rounding floor, as at 2000.
-_REDUCTION_RESOLUTION = jb.frame_resolution(_REDUCTION_H,
-                                            jb.DEFAULT_RESOLUTION / 5)
 
 
 def _nullspace(M: np.ndarray) -> np.ndarray:
@@ -551,8 +539,8 @@ def submersion_curvature(scenario: SubmersionScenario, v, w
     and is scaled to F = 1; w is projected onto the horizontal tangent
     space orthogonal to v and normalized.  The coisotropic subspace is the
     tangent space of the horizontal-cone bundle at v, the kernel of the
-    scenario's constraint linearization.  The window runs at
-    `_REDUCTION_RESOLUTION`, and g at v is the g block of its form.
+    scenario's constraint linearization.  The window is transported at the
+    stencil spacing, and g at v is the g block of its form.
     """
     total = scenario.total
     n = total.n
@@ -569,8 +557,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w
     Wbasis = _nullspace(scenario.constraint_grad(x, y))
 
     h = _REDUCTION_H
-    orbit = jb.transport(total, v, T=jb.frame_reach(h, 6),
-                         resolution=_REDUCTION_RESOLUTION)
+    orbit = jb.transport(total, v, T=jb.frame_reach(h, 6), h=h)
     g = orbit.omega.Omega[:n, n:]
     # project w onto the horizontal space, g-orthogonal to v, unit length
     w = horizontal_part(g, np.column_stack([scenario.fiber(list(x)), y]), w)

@@ -216,7 +216,7 @@ def run_selftest(seed: int, stencil_h: float):
 
     v0 = mx.PhasePoint(np.array([0.1, 0.2]), np.array([0.5, -0.1]))
     orbit = jb.transport(sphere, v0, T=node(0.5) + jb.frame_reach(stencil_h),
-                         resolution=jb.frame_resolution(stencil_h))
+                         h=stencil_h)
     f0 = sphere.F_value(v0.x, v0.y)
     drift = 0.0
     for t in map(node, (0.2, 0.5, -0.4)):
@@ -260,7 +260,7 @@ def run_selftest(seed: int, stencil_h: float):
     ys = ys / sphere.F_value(xs, ys)
     orbit = jb.transport(sphere, mx.PhasePoint(xs, ys),
                          0.3 + jb.frame_reach(rd._REDUCTION_H, 6),
-                         rd._REDUCTION_RESOLUTION)
+                         rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.3)
     check("contact-reduction-kernel", split.kr_residual, 1e-5)
     check("contact-reduction-block", split.block_residual, 1e-5)

@@ -104,9 +104,9 @@ def test_byte_identical_reruns(tmp_path, cfg):
         "katok"])
 def test_frame_windows_run_at_any_steps_per_unit(tmp_path, capsys, cfg,
                                                  steps_per_unit):
-    # 7e-4 and 2.5e-3 are no whole number of steps at half the default
-    # steps per unit; each frame window takes a whole number of steps per
-    # h, and a reduction window a whole number per its 1e-2.  No setting
+    # 7e-4 and 2.5e-3 are no whole number of window steps; each frame
+    # window takes a whole number of steps per h, and a reduction window a
+    # whole number per its 1e-2.  No setting
     # sizes a window: a config naming `steps_per_unit`, at any value, is
     # refused with one line before anything runs
     _, summary, code = run_cfg({**cfg, "seed": 1}, tmp_path)
@@ -203,7 +203,8 @@ def long_orbit_rows(cfg):
     y = y / metric.F_value(x, y)
     reach = jb.frame_reach(jb.DEFAULT_FRAME_H)
     T = cfg["orbit_time"]
-    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + reach)
+    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + reach,
+                         h=jb.DEFAULT_FRAME_H)
     rows = []
     for t in np.linspace(0.0, T, cfg["orbit_samples"]):
         inv = jb.jacobi_frame(orbit, float(t)).invariants

@@ -90,7 +90,7 @@ def metric(*ids):
     return metric_specs(list(ids), False), metric_specs(list(ids), True)
 
 
-RADIUS = positive(0.3, 1.0, 1.5)
+RADIUS = positive(0.3, 1.0, 1.5, 1e200)
 STENCIL = positive(1e-3, 1e-2)
 TOLERANCE = positive(1e-30, 1e-3, 1.0, 1e300)
 # The keys of each experiment beyond seed and output_dir, as (always drawn,

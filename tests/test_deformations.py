@@ -260,6 +260,21 @@ def test_projective_formula_on_sphere(rng):
         assert abs(K_direct - K_formula) < 1e-3
 
 
+def test_projective_reversal_relation_on_the_sphere():
+    # F0 - theta is the reverse of F0 + theta, whose geodesics run the other
+    # way, so K_{F0 - theta}(x, y, u) = K_{F0 + theta}(x, -y, u): the
+    # backward half of one window against the forward half of the other.
+    # 30 flags, |x| < 0.5: 3.2e-10, while K(y) and K(-y) differ by 0.61
+    sphere = mx.zoo_metric("sphere")
+    plus, minus = (df.projective_deform(sphere, df.ambient_coordinate_form(s))
+                   for s in (0.2, -0.2))
+    flags = cli.sample_flags(np.random.default_rng(5), 2, 30, 0.5)
+    x, y, u = (np.array(a) for a in zip(*flags))
+    K = jb.flag_curvature(minus, pp(x, y), u)
+    assert np.max(np.abs(K - jb.flag_curvature(plus, pp(x, -y), u))) < 1e-8
+    assert np.max(np.abs(K - jb.flag_curvature(minus, pp(x, -y), u))) > 0.1
+
+
 def test_projective_rhs_spray_calls(monkeypatch, rng):
     # a batch of flags takes one default window for K0 (9 calls) and one
     # call that seeds the orbit jets of phi and f; no spray-only geodesic

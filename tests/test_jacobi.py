@@ -24,7 +24,7 @@ def pp(x, y):
 
 def test_transport_euclidean_linear_flow():
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=1.0, resolution=100)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=1.0, h=0.1)
     for t in (-1.0, -0.4, 0.0, 0.3, 1.0):
         _, _, M = orbit.state(t)
         expected = np.block([[np.eye(2), t * np.eye(2)],
@@ -35,32 +35,60 @@ def test_transport_euclidean_linear_flow():
 def test_transport_euclidean_flow_property():
     m = mx.zoo_metric("euclidean")
     v0 = pp([0.1, -0.2], [0.7, 0.2])
-    orbit = jb.transport(m, v0, T=1.0, resolution=50)
+    orbit = jb.transport(m, v0, T=1.0, h=0.1)
     _, _, M_s = orbit.state(0.4)
     _, _, M_ts = orbit.state(0.9)
     x, y, _ = orbit.state(0.4)
-    orbit2 = jb.transport(m, pp(x, y), T=0.6, resolution=50)
+    orbit2 = jb.transport(m, pp(x, y), T=0.6, h=0.1)
     _, _, M_t_at = orbit2.state(0.5)
     assert np.max(np.abs(M_ts - M_t_at @ M_s)) < 1e-12
 
 
 def test_transport_steps_ignore_rounding_errors():
-    # 0.1 + 0.2 lands just above 0.3: at 10 steps per unit the window has
-    # 3 steps each way, not 4
+    # 0.1 + 0.2 lands just above 0.3: at h = 0.1 the window has 3 spacings
+    # each way, not 4, of 40 steps each
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=0.1 + 0.2,
-                         resolution=10)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=0.1 + 0.2, h=0.1)
+    assert len(orbit.ts) == 2 * 3 * 40 + 1
+
+
+def test_transport_keeps_a_whole_window_and_raises_a_partial_one():
+    # T = 0.3 is 3 spacings of 0.1 up to rounding, 40 steps each, and
+    # keeps its bits (3 * 0.1 would not); T = 0.0025 is raised to 3
+    # spacings of 1e-3, so the multiples of h in the window are nodes
+    m = mx.zoo_metric("euclidean")
+    v = pp([0.0, 0.0], [1.0, 0.5])
+    orbit = jb.transport(m, v, T=0.3, h=0.1)
+    assert 0.3 / 120 != 3 * 0.1 / 120
+    assert np.array_equal(orbit.ts, 0.3 / 120 * np.arange(-120, 121))
+    orbit = jb.transport(m, v, T=0.0025, h=1e-3)
     assert len(orbit.ts) == 7
+    for t in (-3e-3, 3e-3):
+        orbit.state(t)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_transport_and_stencil_refuse_a_spacing_that_is_not_positive(h):
+    m = mx.zoo_metric("sphere")
+    v = pp([0.2, -0.1], [0.6, 0.3])
+    message = rf"^spacing h={h} is not positive and finite$"
+    with pytest.raises(DimensionMismatch, match=message):
+        jb.transport(m, v, T=0.01, h=h)
+    with pytest.raises(DimensionMismatch, match=message):
+        nk.Stencil(0.0, h)
+    with pytest.raises(DimensionMismatch, match=message):
+        jb.flag_curvature(m, v, [0.1, 1.0], h=h)
 
 
 def test_orbit_reads_only_its_grid_nodes():
-    # resolution 10 over [-0.3, 0.3]: nodes at multiples of 0.1
+    # h = 1e-3 over [-3e-3, 3e-3]: one step per spacing, nodes at the
+    # multiples of 1e-3
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=0.3, resolution=10)
-    for t in (-0.3, -0.1, 0.0, 0.2, 0.3):
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=3e-3, h=1e-3)
+    for t in (-3e-3, -1e-3, 0.0, 2e-3, 3e-3):
         k = int(np.argmin(np.abs(orbit.ts - t)))
         assert orbit.state(t) is orbit.states[k]
-    for t in (0.05, -0.25, 0.1 + 1e-9, 0.4, -0.5, 2.0):
+    for t in (5e-4, -2.5e-3, 1e-3 + 1e-9, 4e-3, -5e-3, 2.0):
         for read in (orbit.state, orbit.frame_data):
             with pytest.raises(OutOfChart, match=rf"^t={t} is not a node"):
                 read(t)
@@ -70,34 +98,38 @@ def test_orbit_reads_only_its_grid_nodes():
 @pytest.mark.parametrize("resolution", [1, 7, 400, 1500, 2000])
 @pytest.mark.parametrize("h", [1e-3, 7e-4, 2.5e-3, 0.05])
 def test_frame_resolution_puts_stencil_nodes_on_the_grid(h, resolution,
-                                                         order):
-    # windows of half-width a multiple of h plus the stencil's reach, at
-    # frame_resolution: every stencil node around a multiple of h is read
-    # off the grid, at no fewer steps per unit than asked for
-    res = jb.frame_resolution(h, resolution)
-    assert res >= resolution * (1.0 - 1e-9)
-    assert res * h == pytest.approx(round(res * h), rel=1e-12)
+                                                         order, monkeypatch):
+    # windows of half-width a multiple of h plus the stencil's reach,
+    # transported at h with a window step of 1 / resolution: every stencil
+    # node around a multiple of h is read off the grid, at no fewer steps
+    # per unit than the resolution
+    monkeypatch.setattr(jb, "WINDOW_STEP", 1.0 / resolution)
     m = mx.zoo_metric("euclidean")
     for centre in (0, 3):
         T = centre * h + jb.frame_reach(h, order)
-        orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T, res)
+        orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T, h)
+        dt = orbit.ts[1] - orbit.ts[0]
+        assert dt <= (1.0 + 1e-9) / resolution
+        assert h / dt == pytest.approx(round(h / dt), rel=1e-9)
         for t in (-centre * h, centre * h):
             for tn in nk.Stencil(t, h, order).nodes:
                 orbit.state(tn)
             jb.jacobi_frame(orbit, t, h=h, order=order)
 
 
-@pytest.mark.parametrize("s, half_width, T, resolution", [
-    (0.0, 0.5, 1.0, 100),
-    (0.0, 0.5, 0.505, 100),
+@pytest.mark.parametrize("s, half_width, T, h", [
+    (0.0, 0.5, 1.0, 0.01),
+    (0.0, 0.5, 0.505, 0.505 / 51),
     # the last state crosses x1 = 0.2447, no point the metric is read at does
-    (-1.0, 0.2447, 0.25, 8),
+    (-1.0, 0.2447, 0.25, 0.125),
 ], ids=["midway", "last-step", "last-state-only"])
-def test_transport_out_of_chart(s, half_width, T, resolution):
+def test_transport_out_of_chart(s, half_width, T, h, monkeypatch):
     # conformal factor 1 / (1 + s|x|^2)^2: Euclidean for s = 0, a scaled
     # Poincare disk for s = -1; the metric must never be read outside the box
     # one point is read as a batch (its two time directions), so the spy
-    # records every coordinate of a batched read
+    # records every coordinate of a batched read.  One step per spacing:
+    # 100, 51 and 2 steps each way
+    monkeypatch.setattr(jb, "WINDOW_STEP", h)
     seen = []
 
     def g(x):
@@ -107,14 +139,14 @@ def test_transport_out_of_chart(s, half_width, T, resolution):
 
     m = mx.riemannian_metric(g, 2, mx.Box.cube(2, half_width))
     with pytest.raises(OutOfChart):
-        jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=T, resolution=resolution)
+        jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=T, h=h)
     assert np.max(np.abs(seen)) <= half_width
 
 
 def test_transport_symplecticity_drift_sphere():
     m = mx.zoo_metric("sphere")
     v0 = pp([0.1, 0.3], [0.45, -0.1])
-    orbit = jb.transport(m, v0, T=2.0, resolution=2000)
+    orbit = jb.transport(m, v0, T=2.0, h=0.5)
     O0 = orbit.omega.Omega
     worst = 0.0
     for t in (0.5, 1.0, 2.0, -1.5, -2.0):
@@ -127,7 +159,7 @@ def test_transport_symplecticity_drift_sphere():
 def test_transport_energy_conservation():
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.0], [0.8, 0.6])
-    orbit = jb.transport(m, v0, T=1.0, resolution=2000)
+    orbit = jb.transport(m, v0, T=1.0, h=0.25)
     f0 = m.F_value(v0.x, v0.y)
     for t in np.linspace(-1.0, 1.0, 9):
         x, y, _ = orbit.state(float(t))
@@ -139,7 +171,8 @@ def test_transport_energy_conservation():
 def test_jacobi_frame_euclidean_closed_form():
     m = mx.zoo_metric("euclidean")
     # dt = 1e-3, so the grid holds the stencil nodes t +- h, t +- 2h
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.5, resolution=1000)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.5,
+                         h=jb.DEFAULT_FRAME_H)
     for t in (0.0, 0.2, -0.3):
         sample = jb.jacobi_frame(orbit, t)
         expected = np.vstack([-t * np.eye(2), np.eye(2)])
@@ -149,7 +182,8 @@ def test_jacobi_frame_euclidean_closed_form():
 
 def test_jacobi_frame_initial_plane_is_vertical():
     m = mx.zoo_metric("sphere")
-    orbit = jb.transport(m, pp([0.2, 0.1], [0.5, -0.3]), T=0.01)
+    orbit = jb.transport(m, pp([0.2, 0.1], [0.5, -0.3]), T=0.01,
+                         h=jb.DEFAULT_FRAME_H)
     A = jb.jacobi_frame(orbit, 0.0).frames.center.A
     assert np.max(np.abs(A - np.vstack([np.zeros((2, 2)), np.eye(2)]))) < 1e-12
 
@@ -157,7 +191,7 @@ def test_jacobi_frame_initial_plane_is_vertical():
 def test_wronskian_at_zero_equals_fundamental_tensor():
     m = mx.zoo_metric("sphere")
     v0 = pp([0.3, -0.1], [0.7, 0.2])
-    orbit = jb.transport(m, v0, T=0.01)
+    orbit = jb.transport(m, v0, T=0.01, h=jb.DEFAULT_FRAME_H)
     W = jb.jacobi_frame(orbit, 0.0).invariants.W
     g = mx.fundamental_tensor(m, v0)
     assert np.max(np.abs(W - g)) < 1e-8
@@ -169,7 +203,7 @@ def test_wronskian_matches_fundamental_tensor_along_orbit():
     for mid, kw in (("sphere", {}), ("randers", {"b": (0.25, 0.05)})):
         m = mx.zoo_metric(mid, **kw)
         v0 = pp([0.05, 0.1], [0.55, 0.15])
-        orbit = jb.transport(m, v0, T=1.0, resolution=2000)
+        orbit = jb.transport(m, v0, T=1.0, h=jb.DEFAULT_FRAME_H)
         for t in (0.0, 0.33, 0.8):
             inv = jb.jacobi_frame(orbit, t).invariants
             x, y, _ = orbit.state(t)
@@ -379,8 +413,7 @@ def test_window_reads_the_fundamental_tensor_off_its_base_jet(name):
     y = rng.normal(size=(3, m.n))
     v, h, n = pp(x, y), jb.DEFAULT_FRAME_H, m.n
     g = mx.fundamental_tensor(m, v)
-    orbit = jb.transport(m, v, T=jb.frame_reach(h),
-                         resolution=jb.frame_resolution(h))
+    orbit = jb.transport(m, v, T=jb.frame_reach(h), h=h)
     assert np.array_equal(jb.jacobi_frame(orbit, 0.0, h).invariants.W, g)
     assert np.array_equal(orbit.omega.Omega[..., :n, n:], g)
     assert np.array_equal(orbit.omega.Omega, mx.omega_matrix(m, v))
@@ -389,11 +422,11 @@ def test_window_reads_the_fundamental_tensor_off_its_base_jet(name):
         assert np.array_equal(getattr(J2, part), getattr(J3, part))
 
 
-def test_wide_stencil_window_keeps_half_the_steps_per_unit(monkeypatch):
-    # h = 0.02 is 20 steps per spacing at half of the default steps per
-    # unit, not one: 40 steps each way, 1 + 3 + 39 * 4 + 1 calls
+def test_wide_stencil_window_takes_steps_of_the_window_step(monkeypatch):
+    # h = 0.02 is 8 steps of WINDOW_STEP per spacing, not one: 16 steps
+    # each way, 1 + 3 + 15 * 4 + 1 calls
     assert spray_calls_of_flag_curvature(
-        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0], 0.02) == ((), 161)
+        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0], 0.02) == ((), 65)
 
 
 # |K - K_ref| at the default window over 30 seeded flags: the metric, the
@@ -469,7 +502,7 @@ def test_single_window_leaving_backward_names_no_flag():
     m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
                              mx.Box.cube(2, 0.5))
     with pytest.raises(OutOfChart, match=r"^orbit left the chart at x="):
-        jb.transport(m, pp([-0.45, 0.1], [1.0, 0.0]), T=0.1, resolution=100)
+        jb.transport(m, pp([-0.45, 0.1], [1.0, 0.0]), T=0.1, h=0.01)
 
 
 def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
@@ -480,7 +513,7 @@ def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
     x = np.array([[0.0, 0.0], [0.1, 0.2], [-0.45, 0.1], [0.45, 0.1]])
     y = np.tile([1.0, 0.0], (4, 1))
     with pytest.raises(OutOfChart, match=r"^flag 2: orbit left the chart"):
-        jb.transport(m, pp(x, y), T=0.1, resolution=100)
+        jb.transport(m, pp(x, y), T=0.1, h=0.01)
 
 
 def one_direction(m, v0, span, steps):
@@ -510,19 +543,22 @@ def one_direction(m, v0, span, steps):
 @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
 @pytest.mark.parametrize("family", ["hyperbolic", "katok", "randers",
                                     "sphere"])
-def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back):
-    # the window [-W, W], W = max(T, back), against runs of their own over
-    # [0, T] and [0, -back] on its step: each lane agrees with the run of
-    # its direction on every node the run reaches, however long the window
-    # runs on.  spray_data rounds a point inside a batch as on its own for
-    # Randers and katok, so there the lockstep is bit for bit the two runs;
-    # sphere and hyperbolic round the last bit differently at a single point
+def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back,
+                                                     monkeypatch):
+    # the window [-W, W], W = max(T, back), at 100 steps per unit, against
+    # runs of their own over [0, T] and [0, -back] on its step: each lane
+    # agrees with the run of its direction on every node the run reaches,
+    # however long the window runs on.  spray_data rounds a point inside a
+    # batch as on its own for Randers and katok, so there the lockstep is
+    # bit for bit the two runs; sphere and hyperbolic round the last bit
+    # differently at a single point
     m = BATCH_FAMILIES[family][0]()
     rng = np.random.default_rng(3)
     v0 = pp(rng.uniform(-0.3, 0.3, batch + (2,)),
             0.3 * rng.normal(size=batch + (2,)))
     W = max(T, back)
-    orbit = jb.transport(m, v0, W, resolution=100)
+    monkeypatch.setattr(jb, "WINDOW_STEP", 0.01)
+    orbit = jb.transport(m, v0, W, h=0.05)
     steps = jb._steps(W * 100)
     dt = W / steps
     fwd_steps, back_steps = jb._steps(T / dt), jb._steps(back / dt)
@@ -669,7 +705,7 @@ def test_geodesic_agrees_with_transport_on_the_grid():
     # carried along: the two orbits agree to 8.9e-16
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.1], [0.8, 0.6])
-    orbit = jb.transport(m, v0, T=0.5, resolution=400)
+    orbit = jb.transport(m, v0, T=0.5, h=0.05)
     times = [0.5, 0.2, 0.1, 0.35]
     states = jb.geodesic(m, v0, times)
     for t, z in zip(times, states):
@@ -726,7 +762,7 @@ def test_orbit_into_an_indefinite_region_raises(run, x1):
                        match=r"^fundamental tensor not positive definite "
                              r"at x=\[" + x1):
         if run == "transport":
-            jb.transport(m, v, T=0.05)
+            jb.transport(m, v, T=0.05, h=5e-4)
         else:
             jb.geodesic(m, v, [0.05])
 
@@ -831,7 +867,7 @@ def test_flag_curvature_matches_riemann_oracle_conformal(rng):
 def test_flag_curvature_time_invariance_sphere():
     m = mx.zoo_metric("sphere")
     v0 = pp([0.1, 0.2], [0.5, -0.2])
-    orbit = jb.transport(m, v0, T=0.8, resolution=2000)
+    orbit = jb.transport(m, v0, T=0.8, h=0.4)
     vals = []
     for t in (0.0, 0.4, 0.8):
         x, y, _ = orbit.state(t)
@@ -848,7 +884,8 @@ def unit_vector(m, x, y):
 
 def test_contact_reduce_needs_unit_speed():
     m = mx.zoo_metric("sphere")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.05)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.05,
+                         h=rd._REDUCTION_H)
     with pytest.raises(NotUnitSpeed):
         rd.contact_reduce(orbit, 0.0)
 
@@ -857,7 +894,7 @@ def test_contact_reduce_r_at_zero_is_canonical():
     m = mx.zoo_metric("sphere")
     x = np.array([0.2, 0.0])
     y = unit_vector(m, x, [1.0, 0.3])
-    orbit = jb.transport(m, pp(x, y), T=0.08)
+    orbit = jb.transport(m, pp(x, y), T=0.08, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.0)
     assert np.allclose(split.r, np.concatenate([np.zeros(2), y]), atol=1e-12)
 
@@ -866,7 +903,7 @@ def test_contact_reduce_euclidean_exact():
     m = mx.zoo_metric("euclidean")
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
-    orbit = jb.transport(m, pp(x, y), T=0.6, resolution=500)
+    orbit = jb.transport(m, pp(x, y), T=0.6, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.5)
     assert split.kr_residual < 1e-8
     assert split.block_residual < 1e-8
@@ -891,7 +928,7 @@ def test_contact_reduce_sphere_identities(metric_fn, x, y, T, t, tol):
     m = metric_fn()
     x = np.array(x)
     y = unit_vector(m, x, y)
-    orbit = jb.transport(m, pp(x, y), T=T, resolution=2000)
+    orbit = jb.transport(m, pp(x, y), T=T, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, t)
     assert split.K_block.shape == (len(x) - 1, len(x) - 1)
     assert split.kr_residual < tol

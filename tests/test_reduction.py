@@ -401,8 +401,7 @@ def hopf_stencil():
     scn = rd.submersion_scenario("hopf")
     v, _ = scn.default_flag()
     h = rd._REDUCTION_H
-    orbit = jb.transport(scn.total, v, T=jb.frame_reach(h, 6),
-                         resolution=rd._REDUCTION_RESOLUTION)
+    orbit = jb.transport(scn.total, v, T=jb.frame_reach(h, 6), h=h)
     fs = jb.jacobi_frame(orbit, 0.0, h=h, order=6).frames
     W = rd._nullspace(scn.constraint_grad(v.x, v.y))
     return rd.coisotropic_setup(orbit.omega, W), fs
@@ -619,8 +618,8 @@ def test_constraint_grad_numeric_matches_closed_form(name):
 
 @pytest.mark.parametrize("name", ["trivial", "hopf", "hopf-scaled"])
 def test_submersion_window_takes_49_spray_calls(name, monkeypatch):
-    # 400 steps per unit, 12 steps each way: one call at v0, 47 stages for
-    # both lanes in lockstep and one at both ends
+    # 4 steps of WINDOW_STEP per spacing, 12 steps each way: one call at
+    # v0, 47 stages for both lanes in lockstep and one at both ends
     real, calls = mx._jet_spray, []
 
     def spy(*args):
@@ -630,13 +629,14 @@ def test_submersion_window_takes_49_spray_calls(name, monkeypatch):
     monkeypatch.setattr(mx, "_jet_spray", spy)
     scn = rd.submersion_scenario(name)
     rd.submersion_curvature(scn, *scn.default_flag())
-    assert rd._REDUCTION_RESOLUTION == 400
+    assert jb._steps(rd._REDUCTION_H / jb.WINDOW_STEP) == 4
     assert len(calls) == 49
 
 
 def test_submersion_accuracy_at_the_reduction_step():
-    # both bounds hold at 400 steps per unit, the stencil's rounding floor,
-    # and fail at 200 (hopf residual 1.5e-9, hopf-scaled error 4.6e-11)
+    # both bounds hold at the window step 2.5e-3, the stencil's rounding
+    # floor, and fail at 5e-3 (hopf residual 1.5e-9, hopf-scaled error
+    # 4.6e-11)
     scn = rd.submersion_scenario("hopf")
     assert rd.submersion_curvature(scn, *scn.default_flag()).residual <= 1e-9
     scn = rd.submersion_scenario("hopf-scaled")

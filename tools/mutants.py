@@ -215,8 +215,8 @@ MUTANTS = [
            "    U, _, _ = np.linalg.svd(Wbasis,\n",
            "tests/test_reduction.py::"
            "test_coisotropic_setup_orthonormal_quotient_basis"),
-    Mutant("reduction-step-coarse", PKG + "reduction.py",
-           "jb.DEFAULT_RESOLUTION / 5)", "jb.DEFAULT_RESOLUTION / 10)",
+    Mutant("window-step-doubled", PKG + "jacobi.py",
+           "WINDOW_STEP = 2.5e-3\n", "WINDOW_STEP = 5e-3\n",
            "tests/test_reduction.py::"
            "test_submersion_accuracy_at_the_reduction_step"),
     Mutant("lagrangian-guard-noop", PKG + "reduction.py",
@@ -226,14 +226,16 @@ MUTANTS = [
     Mutant("flow-lane-sign", PKG + "jacobi.py",
            "sign = np.array([[1.0], [-1.0]])", "sign = np.array([[1.0], [1.0]])",
            "tests/test_jacobi.py::test_transport_euclidean_linear_flow"),
-    Mutant("frame-resolution-identity", PKG + "jacobi.py",
-           "    return _steps(h * resolution) / h\n", "    return resolution\n",
+    Mutant("window-ignores-the-spacing", PKG + "jacobi.py",
+           "    steps = spans * _steps(h / WINDOW_STEP)\n",
+           "    steps = _steps(T / WINDOW_STEP)\n",
            "tests/test_jacobi.py::"
            "test_frame_resolution_puts_stencil_nodes_on_the_grid[0.0007-2000-6]"),
-    Mutant("frame-window-full-step", PKG + "jacobi.py",
-           "resolution=frame_resolution(h, DEFAULT_RESOLUTION / 2))",
-           "resolution=frame_resolution(h, DEFAULT_RESOLUTION))",
-           "tests/test_jacobi.py::test_flag_curvature_spray_evaluation_count"),
+    Mutant("window-one-step-per-spacing", PKG + "jacobi.py",
+           "    steps = spans * _steps(h / WINDOW_STEP)\n",
+           "    steps = spans\n",
+           "tests/test_jacobi.py::"
+           "test_wide_stencil_window_takes_steps_of_the_window_step"),
     Mutant("count-accepts-zero", PKG + "cli.py",
            "_is_integer(v) and v >= 1,", "_is_integer(v) and v >= 0,",
            "tests/test_cli.py::test_main_names_the_rejected_setting[samples-0]"),
