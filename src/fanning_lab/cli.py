@@ -9,7 +9,7 @@ along an orbit, where there is one).  The flags of a curvature-grid, katok
 or projective run go through one frame window (`jacobi.frame_invariants`),
 and so do the sample points of an invariants-along-orbit run.  No setting
 counts RK4 steps: the code sizes each window from its stencil spacing
-(`stencil_h`, where an experiment takes it).
+(`stencil_h`, where an experiment takes it, in (0, 0.1]).
 """
 
 from __future__ import annotations
@@ -75,6 +75,10 @@ def _check(ok, what, cast=None):
 
 _count = _check(lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
 _positive = _check(lambda v: _is_number(v) and v > 0, "positive", float)
+# past 0.1, the selftest's degraded width, every stencil check fails, and a
+# window's RK4 steps grow with h
+_stencil = _check(lambda v: _is_number(v) and 0 < v <= 0.1, "in (0, 0.1]",
+                  float)
 _seed = _check(lambda v: _is_integer(v) and v >= 0, "an integer >= 0")
 _path = _check(lambda v: isinstance(v, str), "a string")
 _metric_spec = _check(
@@ -100,7 +104,7 @@ _SETTINGS = {
         "metric": (_metric_spec, {"id": "euclidean"}),
         "samples": (_count, 50),
         "x_radius": (_positive, 1.0),
-        "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
+        "stencil_h": (_stencil, jb.DEFAULT_FRAME_H),
         "tolerance": (_positive, 1e-4),
     },
     "invariants-along-orbit": {
@@ -108,7 +112,7 @@ _SETTINGS = {
         "orbit_time": (_positive, 1.0),
         "orbit_samples": (_count, 9),
         "x_radius": (_positive, 0.5),
-        "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
+        "stencil_h": (_stencil, jb.DEFAULT_FRAME_H),
         "tolerance": (_positive, 1e-6),
     },
     "submersion": {
@@ -130,7 +134,7 @@ _SETTINGS = {
     },
     "selftest": {
         "seed": (_seed, 20240811),
-        "stencil_h": (_positive, jb.DEFAULT_FRAME_H),
+        "stencil_h": (_stencil, jb.DEFAULT_FRAME_H),
     },
 }
 

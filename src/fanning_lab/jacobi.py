@@ -19,11 +19,11 @@ the two halves of a window as lanes of a last batch axis (`_flow`): one
 `spray_data` call per RK4 stage for all.  One order-3 energy jet at v0
 gives the spray data there and the form, and the t = 0 Wronskian is the
 fundamental tensor at v0 bit for bit, so `flag_curvature` jets its flag
-points once.  A window read at t = 0 (`frame_invariants`) reaches
-`frame_reach(h)`: one step per spacing at h = 1e-3, and 9 spray
-evaluations (energy jets): one at v0, 3 + 4 for its two steps, one at
-both ends.  A failure names the lowest failing flag, whichever lane
-fails.
+points once.  A window's half-width is a whole number of spacings, its
+reach.  A window read at t = 0 (`frame_invariants`) reaches 2: one step
+per spacing at h = 1e-3, and 9 spray evaluations (energy jets): one at
+v0, 3 + 4 for its two steps, one at both ends.  A failure names the
+lowest failing flag, whichever lane fails.
 
 `geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
 flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +68,12 @@ __all__ = [
     "flag_curvature",
     "christoffel",
     "riemann_oracle",
-    "frame_reach",
     "DEFAULT_FRAME_H",
     "WINDOW_STEP",
     "GEODESIC_STEP",
 ]
 
-DEFAULT_FRAME_H = 1e-3         # half-width of the Jacobi-frame sub-grid
+DEFAULT_FRAME_H = 1e-3         # spacing of the Jacobi-frame stencil
 GEODESIC_STEP = 0.05           # longest GBS step of a `geodesic` pass
 # Longest RK4 step of a `transport` window: one step per spacing at the
 # frame spacing 1e-3, and 4 at the reduction spacing 1e-2.  Measured there,
@@ -97,7 +97,8 @@ WINDOW_STEP = 2.5e-3
 class OrbitData:
     """Geodesic orbit with the transported linearization.
 
-    ts is the symmetric grid of the window [-T, T]; states maps its nodes
+    ts is the symmetric grid of the window [-T, T], T a whole number of
+    the spacings h its frames read it at; states maps its nodes
     to (x, y, M) with M(t) the differential of the time-t flow at v0, and
     sprays to the spray data (G, DS) at each state; omega is the
     symplectic form at v0, the fixed ambient form for every frame along
@@ -109,6 +110,7 @@ class OrbitData:
 
     metric: mx.MetricSpec
     v0: mx.PhasePoint
+    h: float
     ts: np.ndarray
     states: tuple
     sprays: tuple
@@ -127,10 +129,6 @@ class OrbitData:
     def state(self, t: float):
         """State (x, y, M) at the grid node t."""
         return self.states[self._index(t)]
-
-    def spray(self, t: float):
-        """Spray data (G, DS) at the grid node t."""
-        return self.sprays[self._index(t)]
 
     def frame_data(self, t: float):
         """Frame A(t) = M^{-1} Vert and its analytic derivative at the grid
@@ -262,28 +260,28 @@ def geodesic(metric: mx.MetricSpec, v0: mx.PhasePoint, times) -> np.ndarray:
     return out
 
 
-def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
+def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, reach: int,
               h: float) -> OrbitData:
     """Transport the flow differential over the window [-T, T] from v0,
-    to be read at multiples of the spacing h.
+    T = reach * h, to be read at multiples of the spacing h.
 
-    Deterministic fixed-step RK4 on one symmetric grid of step
-    dt = T / steps: T in whole spacings (`_steps`; raised to the next if
-    not), each of `_steps(h / WINDOW_STEP)` steps, so every multiple of h
-    in the window is a node.  Raises DimensionMismatch for an h that is
-    not positive and finite, OutOfChart if the orbit leaves the metric's
-    box within the window.  A batch v0 and the two directions are
-    integrated in lockstep (`_flow`); an error names the lowest failing
-    flag.
+    Deterministic fixed-step RK4 on one symmetric grid,
+    `_steps(h / WINDOW_STEP)` steps per spacing, so every multiple of h
+    in the window is a node; a frame of order k at t reads k // 2
+    spacings past t.  Raises DimensionMismatch, before the metric is
+    read, for a reach that is not an integer >= 1 or an h that is not
+    positive and finite; OutOfChart if the orbit leaves the metric's box
+    within the window.  A batch v0 and the two directions are integrated
+    in lockstep (`_flow`); an error names the lowest failing flag.
     """
     if not 0.0 < h < np.inf:
         raise DimensionMismatch(f"spacing h={h} is not positive and finite")
-    if not T > 0.0:
-        raise OutOfChart("transport window must be positive")
-    spans = _steps(T / h)
-    if not math.isclose(T, spans * h, rel_tol=1e-9):
-        T = spans * h
-    steps = spans * _steps(h / WINDOW_STEP)
+    if (isinstance(reach, bool) or not isinstance(reach, numbers.Integral)
+            or reach < 1):
+        raise DimensionMismatch(
+            f"window reach {reach!r} is not a whole number of spacings >= 1")
+    T = reach * h
+    steps = reach * _steps(h / WINDOW_STEP)
     dt = T / steps
     n, m2 = metric.n, 2 * metric.n
     lead = v0.x.shape[:-1]
@@ -301,16 +299,11 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, T: float,
                 [(G[..., k, :], DS[..., k, :, :]) for G, DS in sprays])
 
     (fwd, fwd_sprays), (bwd, bwd_sprays) = lane(0), lane(1)
-    return OrbitData(metric=metric, v0=v0,
+    return OrbitData(metric=metric, v0=v0, h=h,
                      ts=dt * np.arange(-steps, steps + 1),
                      states=tuple(bwd[::-1] + [start] + fwd),
                      sprays=tuple(bwd_sprays[::-1] + [spray0] + fwd_sprays),
                      omega=fc.SymplecticForm(mx._jet_omega(J0, g0)))
-
-
-def frame_reach(h: float, order: int = 4) -> float:
-    """How far `jacobi_frame(orbit, t, h, order)` reads the orbit from t."""
-    return nk.Stencil(0.0, h, order).nodes[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +318,20 @@ class JacobiCurveSample:
     invariants: fc.FanningInvariants
 
 
-def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
+def jacobi_frame(orbit: OrbitData, t: float,
                  order: int = 4) -> JacobiCurveSample:
-    """Sample the Jacobi curve around t, for every flag of the orbit at once.
+    """Sample the Jacobi curve around t on the stencil of the orbit's
+    spacing, for every flag of the orbit at once.
 
     A and Adot are analytic in the transported data; Addot at each stencil
     node comes from differentiating the Adot samples once (shared nodes,
     off-center weights where needed).  Spray Jacobi curves are fanning;
     NotFanning names the lowest flag whose curve is not.
     """
-    stc = nk.Stencil(t, h, order)
+    stc = nk.Stencil(t, orbit.h, order)
     As, Adots = zip(*(orbit.frame_data(tn) for tn in stc.nodes))
     triples = []
-    for j, w in enumerate(nk.node_weights(h, order)):
+    for j, w in enumerate(nk.node_weights(orbit.h, order)):
         Addot = sum(wk * Ak for wk, Ak in zip(w, Adots))
         triples.append(fc.FrameTriple(As[j], Adots[j], Addot))
     frames = fc.FrameStencil(stc, tuple(triples))
@@ -348,10 +342,10 @@ def jacobi_frame(orbit: OrbitData, t: float, h: float = DEFAULT_FRAME_H,
 def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
                      h: float) -> fc.FanningInvariants:
     """Fanning invariants at t = 0 of the Jacobi curve of v (one point or
-    a batch) from the frame stencil of spacing h, on a window of
-    `frame_reach(h)` transported at h: one step per spacing and 9 spray
-    evaluations at h = 1e-3, 8 steps per spacing and 65 at h = 0.02, whose
-    worst errors on the flags below match 20 steps per spacing to 3
+    a batch) from the frame stencil of spacing h, on a window of reach 2
+    (the order-4 stencil's) transported at h: one step per spacing and 9
+    spray evaluations at h = 1e-3, 8 steps per spacing and 65 at h = 0.02,
+    whose worst errors on the flags below match 20 steps per spacing to 3
     digits.  The difference of Adot, about eps / h^2, not RK4, sets the
     floor of K's error.  |K - K_ref| over 30 flags (`cli.sample_flags`,
     seed 5, |x| < r; katok with unit y, conformal against
@@ -364,8 +358,7 @@ def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
         conformal n=4, a=0.5   0.8  1.8e-10  4.3e-11   1.7e-10  3.5e-11
         katok(0.3)             0.8  3.5e-10  1.1e-10   4.0e-10  1.2e-10
     """
-    orbit = transport(metric, v, T=frame_reach(h), h=h)
-    return jacobi_frame(orbit, 0.0, h=h).invariants
+    return jacobi_frame(transport(metric, v, 2, h), 0.0).invariants
 
 
 # ---------------------------------------------------------------------------

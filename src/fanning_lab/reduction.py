@@ -30,9 +30,9 @@ tangent space of the horizontal-cone bundle of an isometric submersion; the
 shipped scenarios, the trivial product and the Hopf fibrations, all project
 (x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
 horizontal-cone condition, from one jet pass of the metric.  Both read
-7-point stencils of width `_REDUCTION_H`; a window read by one stencil
-is transported at that spacing, 4 RK4 steps per spacing
-(`jacobi.WINDOW_STEP`).
+7-point stencils of spacing `_REDUCTION_H` off windows transported at
+that spacing, 4 RK4 steps per spacing (`jacobi.WINDOW_STEP`); a window
+read by one stencil at t = 0 reaches 3 spacings.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 _SV_REL_TOL = 1e-9   # singular-value threshold for joint nullspaces
-_REDUCTION_H = 1e-2  # width of the 7-point stencils of curve-level reductions
+_REDUCTION_H = 1e-2  # spacing of the 7-point stencils of curve reductions
 _GAUGE_BOUND = 1e6   # graph frames grow as the secant of the angle to U_c
 
 
@@ -361,9 +361,11 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     Requires a unit-speed base point.  ker(dF) is coisotropic with
     annihilator span(S), so the contact part is the reduction of the Jacobi
     curve by it; its curvature block must agree with the corresponding block
-    of the full curve, and K(t) r(t) must vanish.  G, g and F at v0 come
-    from the orbit (its t = 0 spray data, its form, F^2 = g(y, y)), so
-    the only energy jet taken here is the order-2 one for dF.
+    of the full curve, and K(t) r(t) must vanish.  g and F at v0 come
+    from the orbit (its form, F^2 = g(y, y)), dF and G from one order-2
+    energy jet; the frames read the order-6 stencil of the orbit's
+    spacing.  Since A = M^-1 Vert, r's centre-frame coordinates are the
+    y-block of M(t) r; its x-block, zero in the Jacobi plane, is checked.
     """
     metric = orbit.metric
     n = metric.n
@@ -373,25 +375,25 @@ def contact_reduce(orbit: jb.OrbitData, t: float) -> ContactSplit:
     if abs(F0 - 1.0) > 1e-9:
         raise NotUnitSpeed(f"contact reduction needs F(v0) = 1, got {F0}")
 
-    G0, _ = orbit.spray(0.0)
+    J = mx.energy_jet(metric, v0.x, v0.y, order=2)
+    G0, _ = mx._jet_spray(J, g0, v0.y)
     r = (np.concatenate([np.zeros(n), v0.y])
          - t * np.concatenate([v0.y, -2.0 * G0]))
-    dF_row = mx.energy_jet(metric, v0.x, v0.y, order=2).g / (2.0 * F0)
+    dF_row = J.g / (2.0 * F0)
     alpha_row = np.concatenate([(g0 @ v0.y[..., None])[..., 0], np.zeros(n)])
 
-    sample = jb.jacobi_frame(orbit, t, h=_REDUCTION_H, order=6)
+    sample = jb.jacobi_frame(orbit, t, order=6)
     setup = coisotropic_setup(orbit.omega, _nullspace(dF_row))
     reduced = reduce_curve(setup, sample.frames)
     c_idx = reduced.center_index
 
     # coefficients of [contact part | r] in the center frame; beta is known
-    A_c = sample.frames.triples[c_idx].A
-    r_coeff, *_ = np.linalg.lstsq(A_c, r, rcond=None)
+    Mr = orbit.state(t)[2] @ r
     r_norm = np.linalg.norm(r)
-    if np.linalg.norm(A_c @ r_coeff - r) > 1e-6 * max(1.0, r_norm):
+    if np.linalg.norm(Mr[:n]) > 1e-6 * max(1.0, r_norm):
         raise InternalInconsistency(f"C - tS left the Jacobi plane at t={t}")
     beta = reduced.betas[c_idx]
-    adapted = np.column_stack([beta, r_coeff])
+    adapted = np.column_stack([beta, Mr[n:]])
 
     inv = sample.invariants
     K_ad = np.linalg.solve(adapted, 0.5 * inv.Schwarzian @ adapted)
@@ -539,8 +541,8 @@ def submersion_curvature(scenario: SubmersionScenario, v, w
     and is scaled to F = 1; w is projected onto the horizontal tangent
     space orthogonal to v and normalized.  The coisotropic subspace is the
     tangent space of the horizontal-cone bundle at v, the kernel of the
-    scenario's constraint linearization.  The window is transported at the
-    stencil spacing, and g at v is the g block of its form.
+    scenario's constraint linearization.  The window reaches the 3
+    stencil spacings it is read at, and g at v is the g block of its form.
     """
     total = scenario.total
     n = total.n
@@ -556,8 +558,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w
 
     Wbasis = _nullspace(scenario.constraint_grad(x, y))
 
-    h = _REDUCTION_H
-    orbit = jb.transport(total, v, T=jb.frame_reach(h, 6), h=h)
+    orbit = jb.transport(total, v, 3, _REDUCTION_H)
     g = orbit.omega.Omega[:n, n:]
     # project w onto the horizontal space, g-orthogonal to v, unit length
     w = horizontal_part(g, np.column_stack([scenario.fiber(list(x)), y]), w)
@@ -566,7 +567,7 @@ def submersion_curvature(scenario: SubmersionScenario, v, w
         raise HorizontalityViolation("w degenerates after horizontalization")
     w = w / norm
 
-    sample = jb.jacobi_frame(orbit, 0.0, h=h, order=6)
+    sample = jb.jacobi_frame(orbit, 0.0, order=6)
     setup = coisotropic_setup(orbit.omega, Wbasis)
     reduced = reduce_curve(setup, sample.frames)
     oneill = oneill_endomorphism(setup, sample.frames, reduced)

@@ -210,13 +210,13 @@ def run_selftest(seed: int, stencil_h: float):
           max(np.max(np.abs(Omat + Omat.T)), np.max(np.abs(V.T @ Omat @ V))),
           1e-10)
 
-    # the orbit is read at multiples of stencil_h, each a node of the grid
+    # the orbit is read at multiples of stencil_h, each a node of the grid,
+    # and its frames reach 2 spacings past the last one
     def node(t):
         return stencil_h * round(t / stencil_h)
 
     v0 = mx.PhasePoint(np.array([0.1, 0.2]), np.array([0.5, -0.1]))
-    orbit = jb.transport(sphere, v0, T=node(0.5) + jb.frame_reach(stencil_h),
-                         h=stencil_h)
+    orbit = jb.transport(sphere, v0, round(0.5 / stencil_h) + 2, stencil_h)
     f0 = sphere.F_value(v0.x, v0.y)
     drift = 0.0
     for t in map(node, (0.2, 0.5, -0.4)):
@@ -226,7 +226,7 @@ def run_selftest(seed: int, stencil_h: float):
 
     wg = 0.0
     for t in map(node, (0.0, 0.25, 0.5)):
-        inv = jb.jacobi_frame(orbit, t, h=stencil_h).invariants
+        inv = jb.jacobi_frame(orbit, t).invariants
         xx, yy, _ = orbit.state(t)
         g = mx.fundamental_tensor(sphere, mx.PhasePoint(xx, yy))
         wg = max(wg, np.max(np.abs(inv.W - g)))
@@ -258,9 +258,8 @@ def run_selftest(seed: int, stencil_h: float):
     xs = np.array([0.15, -0.1])
     ys = np.array([0.8, 0.25])
     ys = ys / sphere.F_value(xs, ys)
-    orbit = jb.transport(sphere, mx.PhasePoint(xs, ys),
-                         0.3 + jb.frame_reach(rd._REDUCTION_H, 6),
-                         rd._REDUCTION_H)
+    # read at t = 0.3, 30 spacings, by an order-6 stencil: 3 more
+    orbit = jb.transport(sphere, mx.PhasePoint(xs, ys), 33, rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.3)
     check("contact-reduction-kernel", split.kr_residual, 1e-5)
     check("contact-reduction-block", split.block_residual, 1e-5)

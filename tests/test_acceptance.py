@@ -97,7 +97,8 @@ def test_criterion_05_wronskian_equals_fundamental_tensor():
         x0 = np.array([0.05, 0.1])
         y0 = np.array([0.6, 0.15])
         y0 = y0 / metric.F_value(x0, y0)
-        orbit = jb.transport(metric, pp(x0, y0), T=2.01, h=jb.DEFAULT_FRAME_H)
+        orbit = jb.transport(metric, pp(x0, y0), reach=2010,
+                             h=jb.DEFAULT_FRAME_H)
         for t in np.linspace(0.0, 2.0, 9):
             inv = jb.jacobi_frame(orbit, float(t)).invariants
             xx, yy, _ = orbit.state(float(t))
@@ -175,7 +176,8 @@ def test_criterion_08_contact_reduction():
         x0 = np.array([0.15, -0.1])
         y0 = np.array([0.8, 0.25])
         y0 = y0 / metric.F_value(x0, y0)
-        orbit = jb.transport(metric, pp(x0, y0), T=1.15, h=rd._REDUCTION_H)
+        orbit = jb.transport(metric, pp(x0, y0), reach=115,
+                             h=rd._REDUCTION_H)
         for t in (0.3, 0.7, 1.1):
             split = rd.contact_reduce(orbit, t)
             worst = max(worst, split.kr_residual, split.block_residual)

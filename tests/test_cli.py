@@ -194,17 +194,15 @@ def test_invariants_along_orbit_columns(tmp_path):
 
 def long_orbit_rows(cfg):
     """Rows of the orbit experiment read off one long transported orbit:
-    the orbit from the start point over [-(T + reach), T + reach], with
-    the Jacobi frame taken at each sample time."""
+    the orbit from the start point over T plus the frame's 2 spacings
+    each way, with the Jacobi frame taken at each sample time."""
     metric = cli._build_metric(cfg)
     rng = np.random.default_rng(cfg["seed"])
     x = cli.sample_in_ball(rng, metric.n, 0.5)
     y = rng.normal(size=metric.n)
     y = y / metric.F_value(x, y)
-    reach = jb.frame_reach(jb.DEFAULT_FRAME_H)
-    T = cfg["orbit_time"]
-    orbit = jb.transport(metric, mx.PhasePoint(x, y), T + reach,
-                         h=jb.DEFAULT_FRAME_H)
+    h, T = jb.DEFAULT_FRAME_H, cfg["orbit_time"]
+    orbit = jb.transport(metric, mx.PhasePoint(x, y), round(T / h) + 2, h)
     rows = []
     for t in np.linspace(0.0, T, cfg["orbit_samples"]):
         inv = jb.jacobi_frame(orbit, float(t)).invariants
@@ -220,7 +218,8 @@ def long_orbit_rows(cfg):
 ], ids=["sphere", "randers"])
 def test_invariants_along_orbit_batched_window(tmp_path, monkeypatch, metric):
     # the sample points go through one batched transport over the frame
-    # window [-reach, reach], and the rows agree with reading a long orbit
+    # window of 2 spacings each way, and the rows agree with reading a
+    # long orbit
     cfg = {"experiment": "invariants-along-orbit", "seed": 5,
            "metric": metric, "orbit_time": 0.2, "orbit_samples": 3}
     transport = jb.transport
@@ -234,9 +233,9 @@ def test_invariants_along_orbit_batched_window(tmp_path, monkeypatch, metric):
     out, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
     (orbit,) = orbits
-    reach = jb.frame_reach(jb.DEFAULT_FRAME_H)
-    assert orbit.v0.x.shape == (3, 2)
-    assert orbit.ts[0] == -reach and orbit.ts[-1] == reach
+    h = jb.DEFAULT_FRAME_H
+    assert orbit.v0.x.shape == (3, 2) and orbit.h == h
+    assert orbit.ts[0] == -2 * h and orbit.ts[-1] == 2 * h
     monkeypatch.setattr(jb, "transport", transport)
 
     rows = np.loadtxt(out / "invariants-along-orbit.csv", delimiter=",",
@@ -514,7 +513,10 @@ def test_main_names_the_rejected_setting(tmp_path, capsys, cfg, key):
     (["--seed", "-1"], "seed"),
     (["--stencil-h", "-1"], "stencil_h"),
     (["--stencil-h", "nan"], "stencil_h"),
-], ids=["seed-negative", "stencil_h-negative", "stencil_h-nan"])
+    (["--stencil-h", "0.5"], "stencil_h"),
+    (["--stencil-h", "1e300"], "stencil_h"),
+], ids=["seed-negative", "stencil_h-negative", "stencil_h-nan",
+        "stencil_h-0.5", "stencil_h-1e300"])
 def test_selftest_command_checks_its_settings(capsys, monkeypatch, args, key):
     # the selftest subcommand checks its flags against the settings table
     # before any suite runs
@@ -527,6 +529,28 @@ def test_selftest_command_checks_its_settings(capsys, monkeypatch, args, key):
     assert len(err.strip().splitlines()) == 1
     assert repr(key) in err
     assert runs == []
+
+
+def test_stencil_h_past_the_degraded_width_exits_2_at_once(tmp_path, capsys,
+                                                           monkeypatch):
+    # a window's RK4 steps grow with stencil_h (1e300 asked for about
+    # 8e302), so a width past 0.1, the selftest's degraded one, is a
+    # config error before anything is transported
+    s = cli.validate_config({"experiment": "curvature-grid", "stencil_h": 0.1})
+    assert s["stencil_h"] == 0.1
+    calls = []
+    monkeypatch.setattr(jb, "transport",
+                        lambda *args, **kwargs: calls.append(1))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "curvature-grid", "metric": {"id": "sphere"},
+        "samples": 2, "stencil_h": 1e300,
+        "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: config key 'stencil_h' must be in (0, 0.1], "
+        "got 1e+300\n")
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_selftest_summary_names_the_seed_it_ran_with(tmp_path, monkeypatch):

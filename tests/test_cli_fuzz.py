@@ -90,8 +90,14 @@ def metric(*ids):
     return metric_specs(list(ids), False), metric_specs(list(ids), True)
 
 
+def stencil(*valid):
+    """(valid, invalid) values of stencil_h, positive and at most 0.1."""
+    valid, invalid = positive(*valid)
+    return valid, invalid + [0.5, 1e300]
+
+
 RADIUS = positive(0.3, 1.0, 1.5, 1e200)
-STENCIL = positive(1e-3, 1e-2)
+STENCIL = stencil(1e-3, 1e-2)
 TOLERANCE = positive(1e-30, 1e-3, 1.0, 1e300)
 # The keys of each experiment beyond seed and output_dir, as (always drawn,
 # drawn or left out), each mapped to its (valid, invalid) values.
@@ -118,7 +124,7 @@ KEYS = {
                       [[1.0], [-0.1], [], [True], [math.nan], 0.3]),
          "samples": count(1, 2)},
         {"x_radius": RADIUS, "tolerance": TOLERANCE}),
-    "selftest": ({}, {"stencil_h": positive(1e-3, 0.1)}),
+    "selftest": ({}, {"stencil_h": stencil(1e-3, 0.1)}),
 }
 SEED = [0, 1, 2 ** 40, -1], [1.5, "1"] + WRONG_TYPE[:3] + NON_FINITE
 

@@ -24,7 +24,7 @@ def pp(x, y):
 
 def test_transport_euclidean_linear_flow():
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=1.0, h=0.1)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=10, h=0.1)
     for t in (-1.0, -0.4, 0.0, 0.3, 1.0):
         _, _, M = orbit.state(t)
         expected = np.block([[np.eye(2), t * np.eye(2)],
@@ -35,36 +35,54 @@ def test_transport_euclidean_linear_flow():
 def test_transport_euclidean_flow_property():
     m = mx.zoo_metric("euclidean")
     v0 = pp([0.1, -0.2], [0.7, 0.2])
-    orbit = jb.transport(m, v0, T=1.0, h=0.1)
+    orbit = jb.transport(m, v0, reach=10, h=0.1)
     _, _, M_s = orbit.state(0.4)
     _, _, M_ts = orbit.state(0.9)
     x, y, _ = orbit.state(0.4)
-    orbit2 = jb.transport(m, pp(x, y), T=0.6, h=0.1)
+    orbit2 = jb.transport(m, pp(x, y), reach=6, h=0.1)
     _, _, M_t_at = orbit2.state(0.5)
     assert np.max(np.abs(M_ts - M_t_at @ M_s)) < 1e-12
 
 
-def test_transport_steps_ignore_rounding_errors():
-    # 0.1 + 0.2 lands just above 0.3: at h = 0.1 the window has 3 spacings
-    # each way, not 4, of 40 steps each
+def test_transport_grid_is_reach_spacings_of_whole_steps():
+    # reach 3 at h = 0.1: T = 3 * 0.1, 40 steps of WINDOW_STEP per
+    # spacing, so the grid is T / 120 times -120 .. 120 and the orbit
+    # records its spacing
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=0.1 + 0.2, h=0.1)
-    assert len(orbit.ts) == 2 * 3 * 40 + 1
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=3, h=0.1)
+    assert orbit.h == 0.1
+    assert np.array_equal(orbit.ts, 3 * 0.1 / 120 * np.arange(-120, 121))
 
 
-def test_transport_keeps_a_whole_window_and_raises_a_partial_one():
-    # T = 0.3 is 3 spacings of 0.1 up to rounding, 40 steps each, and
-    # keeps its bits (3 * 0.1 would not); T = 0.0025 is raised to 3
-    # spacings of 1e-3, so the multiples of h in the window are nodes
+def test_transport_window_ends_at_reach_spacings():
+    # reach 3 at h = 1e-3 is one step per spacing: the multiples of h up
+    # to 3h are nodes, and 4h lies outside the window
     m = mx.zoo_metric("euclidean")
-    v = pp([0.0, 0.0], [1.0, 0.5])
-    orbit = jb.transport(m, v, T=0.3, h=0.1)
-    assert 0.3 / 120 != 3 * 0.1 / 120
-    assert np.array_equal(orbit.ts, 0.3 / 120 * np.arange(-120, 121))
-    orbit = jb.transport(m, v, T=0.0025, h=1e-3)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=3, h=1e-3)
     assert len(orbit.ts) == 7
-    for t in (-3e-3, 3e-3):
-        orbit.state(t)
+    for k in range(-3, 4):
+        assert orbit.state(k * 1e-3) is orbit.states[k + 3]
+    for t in (-4e-3, 4e-3):
+        with pytest.raises(OutOfChart, match=rf"^t={t} is not a node"):
+            orbit.state(t)
+
+
+@pytest.mark.parametrize("reach", [0, -1, 2.5, True, math.nan, 2.0, "2"])
+def test_transport_refuses_a_reach_that_is_not_a_whole_number(reach):
+    # the half-width counts spacings: anything but an integer >= 1 is
+    # refused before the metric is read anywhere
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return [[1.0, 0.0], [0.0, 1.0]]
+
+    m = mx.riemannian_metric(g, 2, mx.Box.cube(2, 1.0))
+    seen.clear()
+    with pytest.raises(DimensionMismatch,
+                       match=r"^window reach .* is not a whole number"):
+        jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach, h=0.1)
+    assert seen == []
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, -math.inf])
@@ -73,7 +91,7 @@ def test_transport_and_stencil_refuse_a_spacing_that_is_not_positive(h):
     v = pp([0.2, -0.1], [0.6, 0.3])
     message = rf"^spacing h={h} is not positive and finite$"
     with pytest.raises(DimensionMismatch, match=message):
-        jb.transport(m, v, T=0.01, h=h)
+        jb.transport(m, v, reach=10, h=h)
     with pytest.raises(DimensionMismatch, match=message):
         nk.Stencil(0.0, h)
     with pytest.raises(DimensionMismatch, match=message):
@@ -84,7 +102,7 @@ def test_orbit_reads_only_its_grid_nodes():
     # h = 1e-3 over [-3e-3, 3e-3]: one step per spacing, nodes at the
     # multiples of 1e-3
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T=3e-3, h=1e-3)
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=3, h=1e-3)
     for t in (-3e-3, -1e-3, 0.0, 2e-3, 3e-3):
         k = int(np.argmin(np.abs(orbit.ts - t)))
         assert orbit.state(t) is orbit.states[k]
@@ -99,31 +117,31 @@ def test_orbit_reads_only_its_grid_nodes():
 @pytest.mark.parametrize("h", [1e-3, 7e-4, 2.5e-3, 0.05])
 def test_frame_resolution_puts_stencil_nodes_on_the_grid(h, resolution,
                                                          order, monkeypatch):
-    # windows of half-width a multiple of h plus the stencil's reach,
-    # transported at h with a window step of 1 / resolution: every stencil
-    # node around a multiple of h is read off the grid, at no fewer steps
-    # per unit than the resolution
+    # windows reaching order // 2 spacings past a centre, transported at h
+    # with a window step of 1 / resolution: every stencil node around a
+    # multiple of h is read off the grid, at no fewer steps per unit than
+    # the resolution
     monkeypatch.setattr(jb, "WINDOW_STEP", 1.0 / resolution)
     m = mx.zoo_metric("euclidean")
     for centre in (0, 3):
-        T = centre * h + jb.frame_reach(h, order)
-        orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), T, h)
+        orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]),
+                             centre + order // 2, h)
         dt = orbit.ts[1] - orbit.ts[0]
         assert dt <= (1.0 + 1e-9) / resolution
         assert h / dt == pytest.approx(round(h / dt), rel=1e-9)
         for t in (-centre * h, centre * h):
             for tn in nk.Stencil(t, h, order).nodes:
                 orbit.state(tn)
-            jb.jacobi_frame(orbit, t, h=h, order=order)
+            jb.jacobi_frame(orbit, t, order=order)
 
 
-@pytest.mark.parametrize("s, half_width, T, h", [
-    (0.0, 0.5, 1.0, 0.01),
-    (0.0, 0.5, 0.505, 0.505 / 51),
+@pytest.mark.parametrize("s, half_width, reach, h", [
+    (0.0, 0.5, 100, 0.01),
+    (0.0, 0.5, 51, 0.505 / 51),
     # the last state crosses x1 = 0.2447, no point the metric is read at does
-    (-1.0, 0.2447, 0.25, 0.125),
+    (-1.0, 0.2447, 2, 0.125),
 ], ids=["midway", "last-step", "last-state-only"])
-def test_transport_out_of_chart(s, half_width, T, h, monkeypatch):
+def test_transport_out_of_chart(s, half_width, reach, h, monkeypatch):
     # conformal factor 1 / (1 + s|x|^2)^2: Euclidean for s = 0, a scaled
     # Poincare disk for s = -1; the metric must never be read outside the box
     # one point is read as a batch (its two time directions), so the spy
@@ -139,14 +157,14 @@ def test_transport_out_of_chart(s, half_width, T, h, monkeypatch):
 
     m = mx.riemannian_metric(g, 2, mx.Box.cube(2, half_width))
     with pytest.raises(OutOfChart):
-        jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=T, h=h)
+        jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), reach, h)
     assert np.max(np.abs(seen)) <= half_width
 
 
 def test_transport_symplecticity_drift_sphere():
     m = mx.zoo_metric("sphere")
     v0 = pp([0.1, 0.3], [0.45, -0.1])
-    orbit = jb.transport(m, v0, T=2.0, h=0.5)
+    orbit = jb.transport(m, v0, reach=4, h=0.5)
     O0 = orbit.omega.Omega
     worst = 0.0
     for t in (0.5, 1.0, 2.0, -1.5, -2.0):
@@ -159,7 +177,7 @@ def test_transport_symplecticity_drift_sphere():
 def test_transport_energy_conservation():
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.0], [0.8, 0.6])
-    orbit = jb.transport(m, v0, T=1.0, h=0.25)
+    orbit = jb.transport(m, v0, reach=4, h=0.25)
     f0 = m.F_value(v0.x, v0.y)
     for t in np.linspace(-1.0, 1.0, 9):
         x, y, _ = orbit.state(float(t))
@@ -171,7 +189,7 @@ def test_transport_energy_conservation():
 def test_jacobi_frame_euclidean_closed_form():
     m = mx.zoo_metric("euclidean")
     # dt = 1e-3, so the grid holds the stencil nodes t +- h, t +- 2h
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.5,
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), reach=500,
                          h=jb.DEFAULT_FRAME_H)
     for t in (0.0, 0.2, -0.3):
         sample = jb.jacobi_frame(orbit, t)
@@ -182,7 +200,7 @@ def test_jacobi_frame_euclidean_closed_form():
 
 def test_jacobi_frame_initial_plane_is_vertical():
     m = mx.zoo_metric("sphere")
-    orbit = jb.transport(m, pp([0.2, 0.1], [0.5, -0.3]), T=0.01,
+    orbit = jb.transport(m, pp([0.2, 0.1], [0.5, -0.3]), reach=10,
                          h=jb.DEFAULT_FRAME_H)
     A = jb.jacobi_frame(orbit, 0.0).frames.center.A
     assert np.max(np.abs(A - np.vstack([np.zeros((2, 2)), np.eye(2)]))) < 1e-12
@@ -191,7 +209,7 @@ def test_jacobi_frame_initial_plane_is_vertical():
 def test_wronskian_at_zero_equals_fundamental_tensor():
     m = mx.zoo_metric("sphere")
     v0 = pp([0.3, -0.1], [0.7, 0.2])
-    orbit = jb.transport(m, v0, T=0.01, h=jb.DEFAULT_FRAME_H)
+    orbit = jb.transport(m, v0, reach=10, h=jb.DEFAULT_FRAME_H)
     W = jb.jacobi_frame(orbit, 0.0).invariants.W
     g = mx.fundamental_tensor(m, v0)
     assert np.max(np.abs(W - g)) < 1e-8
@@ -203,7 +221,7 @@ def test_wronskian_matches_fundamental_tensor_along_orbit():
     for mid, kw in (("sphere", {}), ("randers", {"b": (0.25, 0.05)})):
         m = mx.zoo_metric(mid, **kw)
         v0 = pp([0.05, 0.1], [0.55, 0.15])
-        orbit = jb.transport(m, v0, T=1.0, h=jb.DEFAULT_FRAME_H)
+        orbit = jb.transport(m, v0, reach=1000, h=jb.DEFAULT_FRAME_H)
         for t in (0.0, 0.33, 0.8):
             inv = jb.jacobi_frame(orbit, t).invariants
             x, y, _ = orbit.state(t)
@@ -310,8 +328,8 @@ def test_flag_curvature_default_window_is_frame_reach(monkeypatch):
     monkeypatch.setattr(jb, "transport", spy)
     K = jb.flag_curvature(m, v, u)
     (orbit,) = orbits
-    reach = jb.frame_reach(h)
-    assert orbit.ts[0] == -reach and orbit.ts[-1] == reach
+    assert orbit.h == h
+    assert orbit.ts[0] == -2 * h and orbit.ts[-1] == 2 * h
     for t in nk.Stencil(0.0, h).nodes:
         idx = int(np.argmin(np.abs(orbit.ts - t)))
         assert orbit.state(t) is orbit.states[idx]
@@ -413,8 +431,8 @@ def test_window_reads_the_fundamental_tensor_off_its_base_jet(name):
     y = rng.normal(size=(3, m.n))
     v, h, n = pp(x, y), jb.DEFAULT_FRAME_H, m.n
     g = mx.fundamental_tensor(m, v)
-    orbit = jb.transport(m, v, T=jb.frame_reach(h), h=h)
-    assert np.array_equal(jb.jacobi_frame(orbit, 0.0, h).invariants.W, g)
+    orbit = jb.transport(m, v, reach=2, h=h)
+    assert np.array_equal(jb.jacobi_frame(orbit, 0.0).invariants.W, g)
     assert np.array_equal(orbit.omega.Omega[..., :n, n:], g)
     assert np.array_equal(orbit.omega.Omega, mx.omega_matrix(m, v))
     J2, J3 = (mx.energy_jet(m, x, y, order=k) for k in (2, 3))
@@ -502,7 +520,7 @@ def test_single_window_leaving_backward_names_no_flag():
     m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
                              mx.Box.cube(2, 0.5))
     with pytest.raises(OutOfChart, match=r"^orbit left the chart at x="):
-        jb.transport(m, pp([-0.45, 0.1], [1.0, 0.0]), T=0.1, h=0.01)
+        jb.transport(m, pp([-0.45, 0.1], [1.0, 0.0]), reach=10, h=0.01)
 
 
 def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
@@ -513,7 +531,7 @@ def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
     x = np.array([[0.0, 0.0], [0.1, 0.2], [-0.45, 0.1], [0.45, 0.1]])
     y = np.tile([1.0, 0.0], (4, 1))
     with pytest.raises(OutOfChart, match=r"^flag 2: orbit left the chart"):
-        jb.transport(m, pp(x, y), T=0.1, h=0.01)
+        jb.transport(m, pp(x, y), reach=10, h=0.01)
 
 
 def one_direction(m, v0, span, steps):
@@ -538,20 +556,20 @@ def one_direction(m, v0, span, steps):
     return zs, sprays[::4] + [end]
 
 
-@pytest.mark.parametrize("T, back", [(0.3, 0.3), (1.15, 0.05), (0.05, 0.3)],
+@pytest.mark.parametrize("T, back", [(6, 6), (23, 1), (1, 6)],
                          ids=["back=T", "back<T", "back>T"])
 @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
 @pytest.mark.parametrize("family", ["hyperbolic", "katok", "randers",
                                     "sphere"])
 def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back,
                                                      monkeypatch):
-    # the window [-W, W], W = max(T, back), at 100 steps per unit, against
-    # runs of their own over [0, T] and [0, -back] on its step: each lane
-    # agrees with the run of its direction on every node the run reaches,
-    # however long the window runs on.  spray_data rounds a point inside a
-    # batch as on its own for Randers and katok, so there the lockstep is
-    # bit for bit the two runs; sphere and hyperbolic round the last bit
-    # differently at a single point
+    # the window of W = max(T, back) spacings of 0.05 each way, at 100
+    # steps per unit, against runs of their own over T and back spacings
+    # on its step: each lane agrees with the run of its direction on every
+    # node the run reaches, however long the window runs on.  spray_data
+    # rounds a point inside a batch as on its own for Randers and katok, so
+    # there the lockstep is bit for bit the two runs; sphere and hyperbolic
+    # round the last bit differently at a single point
     m = BATCH_FAMILIES[family][0]()
     rng = np.random.default_rng(3)
     v0 = pp(rng.uniform(-0.3, 0.3, batch + (2,)),
@@ -559,9 +577,9 @@ def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back,
     W = max(T, back)
     monkeypatch.setattr(jb, "WINDOW_STEP", 0.01)
     orbit = jb.transport(m, v0, W, h=0.05)
-    steps = jb._steps(W * 100)
-    dt = W / steps
-    fwd_steps, back_steps = jb._steps(T / dt), jb._steps(back / dt)
+    steps = 5 * W
+    dt = W * 0.05 / steps
+    fwd_steps, back_steps = 5 * T, 5 * back
     fwd, fwd_sprays = one_direction(m, v0, dt * fwd_steps, fwd_steps)
     bwd, bwd_sprays = one_direction(m, v0, -dt * back_steps, back_steps)
     zs, sprays = bwd[:0:-1] + fwd, bwd_sprays[:0:-1] + fwd_sprays
@@ -705,7 +723,7 @@ def test_geodesic_agrees_with_transport_on_the_grid():
     # carried along: the two orbits agree to 8.9e-16
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.1], [0.8, 0.6])
-    orbit = jb.transport(m, v0, T=0.5, h=0.05)
+    orbit = jb.transport(m, v0, reach=10, h=0.05)
     times = [0.5, 0.2, 0.1, 0.35]
     states = jb.geodesic(m, v0, times)
     for t, z in zip(times, states):
@@ -762,7 +780,7 @@ def test_orbit_into_an_indefinite_region_raises(run, x1):
                        match=r"^fundamental tensor not positive definite "
                              r"at x=\[" + x1):
         if run == "transport":
-            jb.transport(m, v, T=0.05, h=5e-4)
+            jb.transport(m, v, reach=100, h=5e-4)
         else:
             jb.geodesic(m, v, [0.05])
 
@@ -867,7 +885,7 @@ def test_flag_curvature_matches_riemann_oracle_conformal(rng):
 def test_flag_curvature_time_invariance_sphere():
     m = mx.zoo_metric("sphere")
     v0 = pp([0.1, 0.2], [0.5, -0.2])
-    orbit = jb.transport(m, v0, T=0.8, h=0.4)
+    orbit = jb.transport(m, v0, reach=2, h=0.4)
     vals = []
     for t in (0.0, 0.4, 0.8):
         x, y, _ = orbit.state(t)
@@ -884,7 +902,7 @@ def unit_vector(m, x, y):
 
 def test_contact_reduce_needs_unit_speed():
     m = mx.zoo_metric("sphere")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), T=0.05,
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), reach=5,
                          h=rd._REDUCTION_H)
     with pytest.raises(NotUnitSpeed):
         rd.contact_reduce(orbit, 0.0)
@@ -894,7 +912,7 @@ def test_contact_reduce_r_at_zero_is_canonical():
     m = mx.zoo_metric("sphere")
     x = np.array([0.2, 0.0])
     y = unit_vector(m, x, [1.0, 0.3])
-    orbit = jb.transport(m, pp(x, y), T=0.08, h=rd._REDUCTION_H)
+    orbit = jb.transport(m, pp(x, y), reach=8, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.0)
     assert np.allclose(split.r, np.concatenate([np.zeros(2), y]), atol=1e-12)
 
@@ -903,32 +921,32 @@ def test_contact_reduce_euclidean_exact():
     m = mx.zoo_metric("euclidean")
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
-    orbit = jb.transport(m, pp(x, y), T=0.6, h=rd._REDUCTION_H)
+    orbit = jb.transport(m, pp(x, y), reach=60, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.5)
     assert split.kr_residual < 1e-8
     assert split.block_residual < 1e-8
     assert split.alpha_residual < 1e-10
 
 
-@pytest.mark.parametrize("metric_fn, x, y, T, t, tol", [
+@pytest.mark.parametrize("metric_fn, x, y, reach, t, tol", [
     # the original case: loose kernel and block bounds
     (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
-     0.45, 0.3, 1e-5),
+     45, 0.3, 1e-5),
     (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
-     0.75, 0.7, 1e-10),
+     75, 0.7, 1e-10),
     (lambda: df.katok_metric(0.3), [0.15, -0.1], [0.8, 0.25],
-     0.35, 0.3, 1e-10),
+     35, 0.3, 1e-10),
     # three dimensions: the contact part is a 2-plane
     (lambda: mx.zoo_metric("riemannian-conformal", n=3), [0.1, -0.2, 0.15],
-     [0.6, 0.3, -0.5], 0.45, 0.4, 1e-10),
+     [0.6, 0.3, -0.5], 45, 0.4, 1e-10),
     (lambda: mx.zoo_metric("randers"), [0.1, -0.2], [0.6, 0.7],
-     0.45, 0.4, 1e-10),
+     45, 0.4, 1e-10),
 ], ids=["sphere", "sphere-tight", "katok", "conformal-3d", "randers"])
-def test_contact_reduce_sphere_identities(metric_fn, x, y, T, t, tol):
+def test_contact_reduce_sphere_identities(metric_fn, x, y, reach, t, tol):
     m = metric_fn()
     x = np.array(x)
     y = unit_vector(m, x, y)
-    orbit = jb.transport(m, pp(x, y), T=T, h=rd._REDUCTION_H)
+    orbit = jb.transport(m, pp(x, y), reach, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, t)
     assert split.K_block.shape == (len(x) - 1, len(x) - 1)
     assert split.kr_residual < tol

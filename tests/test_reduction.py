@@ -400,9 +400,8 @@ def hopf_stencil():
     as `submersion_curvature` builds them."""
     scn = rd.submersion_scenario("hopf")
     v, _ = scn.default_flag()
-    h = rd._REDUCTION_H
-    orbit = jb.transport(scn.total, v, T=jb.frame_reach(h, 6), h=h)
-    fs = jb.jacobi_frame(orbit, 0.0, h=h, order=6).frames
+    orbit = jb.transport(scn.total, v, reach=3, h=rd._REDUCTION_H)
+    fs = jb.jacobi_frame(orbit, 0.0, order=6).frames
     W = rd._nullspace(scn.constraint_grad(v.x, v.y))
     return rd.coisotropic_setup(orbit.omega, W), fs
 

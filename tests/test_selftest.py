@@ -63,21 +63,21 @@ def test_oneill_formula_equality_passes_at_small_seeds(seed):
 
 
 def test_contact_orbit_takes_the_reduction_step(monkeypatch):
-    # the contact check reads one stencil of width 1e-2, so its orbit runs
-    # at the reduction step, not the frame step, and only as far as that
-    # stencil reaches past the time read
+    # the contact check reads one order-6 stencil of spacing 1e-2, so its
+    # orbit runs at the reduction spacing and step, not the frame ones,
+    # and only the stencil's 3 spacings past the time read
     real, windows = rd.contact_reduce, []
 
     def spy(orbit, t):
-        windows.append((orbit.ts[1] - orbit.ts[0], orbit.ts[-1] - t))
+        windows.append((orbit.h, orbit.ts[1] - orbit.ts[0],
+                        orbit.ts[-1] - t))
         return real(orbit, t)
 
     monkeypatch.setattr(rd, "contact_reduce", spy)
     run_selftest(**DEFAULTS)
-    dt = jb.WINDOW_STEP
-    reach = jb.frame_reach(rd._REDUCTION_H, 6)
-    assert windows == [(pytest.approx(dt, rel=1e-9),
-                        pytest.approx(reach, rel=1e-9))]
+    h = rd._REDUCTION_H
+    assert windows == [(h, pytest.approx(jb.WINDOW_STEP, rel=1e-9),
+                        pytest.approx(3 * h, rel=1e-9))]
 
 
 def fail_first_oneill_call(monkeypatch):

@@ -79,7 +79,7 @@ def test_tracer_counts_a_flag_and_an_orbit_read():
     tracer = load_tracer().Tracer(package_modules())
     with tracer:
         jb.flag_curvature(m, v, [0.1, 1.0])
-        orbit = jb.transport(m, v, T=0.01, h=jb.DEFAULT_FRAME_H)
+        orbit = jb.transport(m, v, reach=10, h=jb.DEFAULT_FRAME_H)
         orbit.state(0.005)
     assert jb.transport is transport
     out = tracer.summary(rows=1)

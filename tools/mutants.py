@@ -227,13 +227,13 @@ MUTANTS = [
            "sign = np.array([[1.0], [-1.0]])", "sign = np.array([[1.0], [1.0]])",
            "tests/test_jacobi.py::test_transport_euclidean_linear_flow"),
     Mutant("window-ignores-the-spacing", PKG + "jacobi.py",
-           "    steps = spans * _steps(h / WINDOW_STEP)\n",
+           "    steps = reach * _steps(h / WINDOW_STEP)\n",
            "    steps = _steps(T / WINDOW_STEP)\n",
            "tests/test_jacobi.py::"
            "test_frame_resolution_puts_stencil_nodes_on_the_grid[0.0007-2000-6]"),
     Mutant("window-one-step-per-spacing", PKG + "jacobi.py",
-           "    steps = spans * _steps(h / WINDOW_STEP)\n",
-           "    steps = spans\n",
+           "    steps = reach * _steps(h / WINDOW_STEP)\n",
+           "    steps = reach\n",
            "tests/test_jacobi.py::"
            "test_wide_stencil_window_takes_steps_of_the_window_step"),
     Mutant("count-accepts-zero", PKG + "cli.py",
@@ -265,8 +265,13 @@ MUTANTS = [
            "    g = orbit.omega.Omega[n:, :n]\n",
            "tests/test_reduction.py::test_hopf_oneill_triple"),
     Mutant("contact-spray-off-the-base-point", PKG + "reduction.py",
-           "    G0, _ = orbit.spray(0.0)\n",
-           "    G0, _ = orbit.spray(orbit.ts[-1])\n",
+           "    G0, _ = mx._jet_spray(J, g0, v0.y)\n",
+           "    G0, _ = orbit.sprays[-1]\n",
+           "tests/test_jacobi.py::"
+           "test_contact_reduce_sphere_identities[sphere-tight]"),
+    Mutant("contact-r-coordinates-transposed", PKG + "reduction.py",
+           "    Mr = orbit.state(t)[2] @ r\n",
+           "    Mr = orbit.state(t)[2].T @ r\n",
            "tests/test_jacobi.py::"
            "test_contact_reduce_sphere_identities[sphere-tight]"),
     # -- F^2 = g(y, y) off the tensor a job already holds --------------------
