@@ -9,7 +9,7 @@ along an orbit, where there is one).  The flags of a curvature-grid, katok
 or projective run go through one frame window (`jacobi.frame_invariants`),
 and so do the sample points of an invariants-along-orbit run.  No setting
 counts RK4 steps: the code sizes each window from its stencil spacing
-(`stencil_h`, where an experiment takes it, in (0, 0.1]).
+(`stencil_h`, where an experiment takes it, in [1e-4, 0.1]).
 """
 
 from __future__ import annotations
@@ -76,9 +76,11 @@ def _check(ok, what, cast=None):
 _count = _check(lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
 _positive = _check(lambda v: _is_number(v) and v > 0, "positive", float)
 # past 0.1, the selftest's degraded width, every stencil check fails, and a
-# window's RK4 steps grow with h
-_stencil = _check(lambda v: _is_number(v) and 0 < v <= 0.1, "in (0, 0.1]",
-                  float)
+# window's RK4 steps grow with h; at 1e-4 the stencil's rounding floor,
+# about eps / h^2, already fails a selftest check, and below it the
+# selftest's orbit of 0.5 / h spacings grows without bound
+_stencil = _check(lambda v: _is_number(v) and 1e-4 <= v <= 0.1,
+                  "in [1e-4, 0.1]", float)
 _seed = _check(lambda v: _is_integer(v) and v >= 0, "an integer >= 0")
 _path = _check(lambda v: isinstance(v, str), "a string")
 _metric_spec = _check(

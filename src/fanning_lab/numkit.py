@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, raise_at
+from .errors import DimensionMismatch, NonFiniteValue, lanes, raise_at
 from .jets import ELEMENTWISE, Jet, jet_variables
 
 __all__ = [
@@ -209,18 +209,31 @@ def gbs_step(field, y: np.ndarray, H: float) -> np.ndarray:
     in even powers of H/n (Gragg, SIAM J. Numer. Anal. 2, 1965).
     Aitken-Neville extrapolation of the end states to H/n = 0, in (H/n)^2,
     gives order 2k for k rungs (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.9): order 8 for 1 + 1 + 3 + 5 + 7 = 17 field evaluations, since
-    every rung starts from the one field(y).  Leading axes of y are a batch,
-    as for `rk_integrate`.
+    II.9).  Every rung starts from the one field(y), and after it the rungs
+    no longer depend on each other, so they run in lockstep, as the
+    parallel rows of the tableau of HNW II.9: lanes on a last batch axis,
+    in rung order, and substep k reads the field once on the lanes of the
+    rungs with more than k substeps.  A step makes 8 field calls, on y and
+    then on 4, 3, 3, 2, 2, 1 and 1 lanes, for order 8.  Leading axes of y
+    are a batch, as for `rk_integrate`, and the field must accept the
+    extra lane axis; inside `errors.lanes`, a failure names the entry of
+    the batch, whichever rung fails.
     """
+    y = np.asarray(y, dtype=float)
     f0 = field(y)
+    rungs = np.array(GBS_RUNGS)
+    h = (H / rungs)[:, None]
+    prev = np.repeat(y[..., None, :], len(rungs), axis=-2)
+    cur = prev + h * f0[..., None, :]
+    with lanes():
+        for k in range(1, rungs[-1]):
+            a = np.count_nonzero(rungs <= k)    # rungs a: are still running
+            step = (2.0 * h[a:]) * field(cur[..., a:, :])
+            prev[..., a:, :], cur[..., a:, :] = (cur[..., a:, :],
+                                                 prev[..., a:, :] + step)
     above = []                  # the Neville tableau's previous row
     for j, n in enumerate(GBS_RUNGS):
-        h = H / n
-        prev, cur = y, y + h * f0
-        for _ in range(n - 1):
-            prev, cur = cur, prev + (2.0 * h) * field(cur)
-        row = [cur]
+        row = [cur[..., j, :]]
         for k in range(1, j + 1):
             ratio = (n / GBS_RUNGS[j - k]) ** 2
             row.append(row[-1] + (row[-1] - above[k - 1]) / (ratio - 1.0))

@@ -274,7 +274,7 @@ def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
     # the linearization is carried over the 9-call frame window only; the
     # orbit between the samples is integrated with the spray alone: 8
     # segments of a whole number of GBS steps of at most 0.05 each (1 at
-    # orbit_time 0.1, 2 at 0.6), 17 spray-only calls a step
+    # orbit_time 0.1, 2 at 0.6), 8 spray-only calls a step
     jet_spray = mx._jet_spray
     jacobian_calls = []
 
@@ -289,12 +289,12 @@ def test_invariants_along_orbit_jacobian_spray_calls(tmp_path, monkeypatch,
     assert code == cli.EXIT_OK
     assert sum(jacobian_calls) == 9
     steps = jb._steps(orbit_time / 8 / 0.05)
-    assert len(jacobian_calls) - 9 == 17 * 8 * steps
+    assert len(jacobian_calls) - 9 == 8 * 8 * steps
 
 
 def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
     # the orbit-comparison sphere job: 8 segments of 0.0375 take one GBS
-    # step each, 17 spray-only calls a step; the frame window takes 9 calls
+    # step each, 8 spray-only calls a step; the frame window takes 9 calls
     jet_spray = mx._jet_spray
     jacobian_calls = []
 
@@ -307,7 +307,7 @@ def test_invariants_along_orbit_geodesic_steps(tmp_path, monkeypatch):
            "metric": {"id": "sphere"}, "orbit_time": 0.3, "orbit_samples": 9}
     _, _, code = run_cfg(cfg, tmp_path)
     assert code == cli.EXIT_OK
-    assert jacobian_calls.count(False) == 136
+    assert jacobian_calls.count(False) == 64
     assert jacobian_calls.count(True) == 9
 
 
@@ -548,9 +548,39 @@ def test_stencil_h_past_the_degraded_width_exits_2_at_once(tmp_path, capsys,
         "output_dir": str(tmp_path / "out")}))
     assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: config key 'stencil_h' must be in (0, 0.1], "
+        "config error: config key 'stencil_h' must be in [1e-4, 0.1], "
         "got 1e+300\n")
     assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", ["1e-300", "5e-324", "9e-5"])
+def test_stencil_h_below_its_rounding_floor_exits_2_at_once(tmp_path, capsys,
+                                                            monkeypatch,
+                                                            width):
+    # the selftest's orbit spans 0.5 / stencil_h spacings (1e-300 would ask
+    # for about 5e299 RK4 steps), and at 1e-4 the stencil's rounding floor
+    # eps / h^2 already fails a selftest check: below it, a config error
+    # before any spray
+    jets = []
+    energy_jet = mx.energy_jet
+
+    def counted(*args, **kwargs):
+        jets.append(1)
+        return energy_jet(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "energy_jet", counted)
+    assert cli.main(["selftest", "--stencil-h", width]) == cli.EXIT_CONFIG
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "invariants-along-orbit", "stencil_h": float(width),
+        "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_CONFIG
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2
+    for err in errs:
+        assert err.startswith("config error: config key 'stencil_h' must be "
+                              "in [1e-4, 0.1], got ")
+    assert jets == [] and not (tmp_path / "out").exists()
 
 
 def test_selftest_summary_names_the_seed_it_ran_with(tmp_path, monkeypatch):

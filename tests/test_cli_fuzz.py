@@ -91,9 +91,9 @@ def metric(*ids):
 
 
 def stencil(*valid):
-    """(valid, invalid) values of stencil_h, positive and at most 0.1."""
-    valid, invalid = positive(*valid)
-    return valid, invalid + [0.5, 1e300]
+    """(valid, invalid) values of stencil_h, in [1e-4, 0.1]."""
+    _, invalid = positive()
+    return valid, invalid + [0.5, 1e300, 1e-300, 5e-324]
 
 
 RADIUS = positive(0.3, 1.0, 1.5, 1e200)

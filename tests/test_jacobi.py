@@ -749,6 +749,27 @@ def test_geodesic_names_the_absolute_time_it_leaves_the_box():
     assert np.max(np.abs(seen)) <= 0.503
 
 
+@pytest.mark.parametrize("error, g, box, x0, y0, times, start", [
+    # the first start moves at half speed and stays inside until t = 1.006;
+    # the second leaves at the same substep as the single orbit above
+    (OutOfChart, lambda x: [[1.0, 0.0], [0.0, 1.0]], 0.503,
+     [[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]], [0.1, 0.45, 0.8],
+     r"^flag 1: orbit left the chart at t=0\.525, x="),
+    # the first start stays in x1 < 1 to t = 0.05; the second crosses x1 = 1
+    (NotPositiveDefinite, lambda x: [[1.0, 0.0], [0.0, 1.0 - x[0]]], 3.0,
+     [[0.0, 0.0], [0.99, 0.0]], [[1.0, 0.0], [1.0, 0.0]], [0.05],
+     r"^flag 1: fundamental tensor not positive definite at x=\[1\.015"),
+], ids=["out-of-chart", "indefinite"])
+def test_batched_geodesic_names_the_failing_flag(error, g, box, x0, y0,
+                                                 times, start):
+    # the rungs of a GBS step run as lanes of a last batch axis; a failure
+    # names the flag, not a (flag, lane) pair, at the time and point the
+    # lowest failing rung reads
+    m = mx.riemannian_metric(g, 2, mx.Box.cube(2, box))
+    with pytest.raises(error, match=start):
+        jb.geodesic(m, pp(x0, y0), times)
+
+
 def test_geodesic_refuses_negative_times_before_any_spray(monkeypatch):
     calls = []
     spray_data = mx.spray_data

@@ -292,6 +292,10 @@ MUTANTS = [
            "tests/test_jacobi.py::"
            "test_geodesic_at_the_orbit_resolution_on_unit_sphere"
            "[1.0-2e-12-5e-13]"),
+    # a finished rung left running one substep too many in the lockstep
+    Mutant("gbs-rung-one-substep-long", PKG + "numkit.py",
+           "np.count_nonzero(rungs <= k)", "np.count_nonzero(rungs < k)",
+           "tests/test_numkit.py::test_gbs_step_is_eighth_order_in_8_calls"),
 ]
 
 
