@@ -5,9 +5,10 @@ callers (and the CLI) can distinguish bad input, degenerate geometry and
 genuine arithmetic blow-ups.  A failure inside a batch of flags names the
 failing flag ("flag 3: ..."), the lowest one when several fail at once, so
 the message is the same on every rerun; `batch_labels` names the entries
-of a batch otherwise (by their sample time, say), and `lanes` marks a last
-batch axis whose entries are lanes of one flag (the two time directions of
-a transport window), which the label leaves out.
+of a batch otherwise (by their sample time, say), and each `lanes` block
+marks one more trailing batch axis whose entries are lanes of one flag
+(the two time directions of a transport window, and inside them the rungs
+of an extrapolation step), which the label leaves out.
 """
 
 from contextlib import contextmanager
@@ -90,16 +91,15 @@ class ConfigError(FanningLabError):
 
 
 _BATCH_LABEL = ContextVar("batch_label", default=lambda i: f"flag {i}")
-_LANES = ContextVar("lanes", default=False)
+_LANES = ContextVar("lanes", default=0)
 
 
 def flag_label(i):
     """'flag 3' for batch index (3,) or 3, or what `batch_labels` names it;
-    None for () (a single point).  Within `lanes` the last axis of an index
-    tuple is the lane, and is left out."""
+    None for () (a single point).  Within k nested `lanes` blocks the last
+    k axes of an index tuple are lanes, and are left out."""
     if isinstance(i, tuple):
-        if _LANES.get():
-            i = i[:-1]
+        i = i[:len(i) - _LANES.get()]
         if not i:
             return None
         i = i[0] if len(i) == 1 else i
@@ -119,10 +119,11 @@ def batch_labels(label):
 
 @contextmanager
 def lanes():
-    """Within the block the last batch axis holds lanes of one entry: a
-    failure names the entry whichever of its lanes fails, and a single
-    point run in several lanes still gets no label."""
-    token = _LANES.set(True)
+    """Within the block one more trailing batch axis holds lanes of one
+    entry: a failure names the entry whichever of its lanes fails, and a
+    single point run in several lanes still gets no label.  Blocks nest,
+    each adding a lane axis after those of the enclosing one."""
+    token = _LANES.set(_LANES.get() + 1)
     try:
         yield
     finally:

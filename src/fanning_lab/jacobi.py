@@ -7,23 +7,29 @@ n-planes in the fixed tangent space at the base point; its fanning invariants,
 paired with the pulled-back symplectic form, yield the flag curvature and the
 curvature endomorphism.
 
-One `numkit.rk_integrate` field integrates the stored orbit on one
-symmetric grid over [-T, T], sized by the spacing h it is read at, so
-that every stencil node is a grid node.  The spray and its Jacobian are
-kept with each grid state, so frames evaluate nothing, and the orbit is
-read only at its grid nodes (`OrbitData`).
+The stored orbit is integrated on one symmetric grid over [-T, T],
+sized by the spacing h it is read at: each spacing takes whole RK4 steps
+of at most WINDOW_STEP or whole Gragg-Bulirsch-Stoer steps of at most
+GEODESIC_STEP, whichever make fewer spray calls, so that every stencil
+node is a grid node.  The spray and its Jacobian are kept with each grid
+state, where they are the first field value of the step that leaves it,
+so frames evaluate nothing, and the orbit is read only at its grid nodes
+(`OrbitData`).
 
 `transport` and `flag_curvature` take a batch of phase points (x, y of
 shape S+(n,); a single point is S = ()) and integrate them in lockstep,
-the two halves of a window as lanes of a last batch axis (`_flow`): one
-`spray_data` call per RK4 stage for all.  One order-3 energy jet at v0
-gives the spray data there and the form, and the t = 0 Wronskian is the
-fundamental tensor at v0 bit for bit, so `flag_curvature` jets its flag
-points once.  A window's half-width is a whole number of spacings, its
-reach.  A window read at t = 0 (`frame_invariants`) reaches 2: one step
-per spacing at h = 1e-3, and 9 spray evaluations (energy jets): one at
-v0, 3 + 4 for its two steps, one at both ends.  A failure names the
-lowest failing flag, whichever lane fails.
+the two halves of a window as lanes of a batch axis after the batch's
+own (`_flow`), and the rungs of a GBS step as lanes after those: one
+`spray_data` call per RK4 stage or GBS substep for all.  One order-3
+energy jet at v0 gives the spray data there and the form, and the t = 0
+Wronskian is the fundamental tensor at v0 bit for bit, so
+`flag_curvature` jets its flag points once.  A window's half-width is a
+whole number of spacings, its reach.  A window read at t = 0
+(`frame_invariants`) reaches 2: one RK4 step per spacing at h = 1e-3,
+and 9 spray evaluations (energy jets): one at v0 and 4 for each step,
+the last at the node it reaches.  A reduction window reaches 3 at
+h = 1e-2 in one GBS step per spacing: 1 + 3 * 8 = 25 evaluations.  A
+failure names the lowest failing flag, whichever lane fails.
 
 `geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
 flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
@@ -45,7 +51,6 @@ live in `reduction`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -75,18 +80,24 @@ __all__ = [
 ]
 
 DEFAULT_FRAME_H = 1e-3         # spacing of the Jacobi-frame stencil
-GEODESIC_STEP = 0.05           # longest GBS step of a `geodesic` pass
-# Longest RK4 step of a `transport` window: one step per spacing at the
-# frame spacing 1e-3, and 4 at the reduction spacing 1e-2.  Measured there,
-# submersion_curvature at the default flags, by window step:
+GEODESIC_STEP = 0.05           # longest GBS step of a pass or a window
+# Longest RK4 step of a `transport` window.  A spacing h takes
+# k = _steps(h / WINDOW_STEP) RK4 steps (4 spray calls each) or
+# m = _steps(h / GEODESIC_STEP) GBS steps (8 each), GBS when 8m < 4k: one
+# RK4 step per spacing at the frame spacing 1e-3, one GBS step at the
+# reduction spacing 1e-2.  Measured there, submersion_curvature at the
+# default flags, by window stepper and step:
 #
-#     window step               5e-4    2.5e-3      5e-3
-#     spray_data calls           241        49        25
-#     hopf K_base error       1.4e-9    1.1e-9    2.0e-9
-#     hopf residual          3.5e-10   4.1e-10    1.5e-9
-#     hopf-scaled K_base err 4.4e-12   2.8e-12   4.6e-11
+#     stepper                 RK4       RK4       RK4       RK4       GBS
+#     step                 2.5e-4      5e-4    2.5e-3      5e-3      1e-2
+#     spray_data calls        481       241        49        25        25
+#     hopf K_base error   1.36e-9   1.36e-9   1.13e-9   2.02e-9   1.36e-9
+#     hopf residual      3.46e-10  3.46e-10  4.15e-10   1.45e-9  3.45e-10
+#     hopf-scaled K_base  4.8e-12   4.4e-12   2.8e-12   4.6e-11   4.5e-12
 #
-# At 2.5e-3 the Hopf errors sit at the stencil's rounding floor, as at 5e-4.
+# The GBS step lands on the converged RK4 values, the stencil's rounding
+# floor; the RK4 step of 2.5e-3 lands lower, its truncation error partly
+# cancelling the rounding, and 5e-3 lies past the floor.
 WINDOW_STEP = 2.5e-3
 
 
@@ -150,46 +161,52 @@ def _spray(metric, x, y):
     return mx.spray_data(metric, x, y)
 
 
-def _flow(metric, state, T, steps, spray):
-    """RK4 from one state (x, y, M) over [0, T] and [0, -T], steps steps
-    each, as two lanes on a last batch axis: lane 0 forward, lane 1
-    backward with the negated field and the positive step, which rounds
-    as a run of its own with the negative step would.
+def _flow(metric, state, spray, step, dt, steps):
+    """Whole steps of `step` (`numkit.rk4_step` or `numkit.gbs_step`), of
+    dt each, from one state (x, y, M) forward and backward, `steps` each
+    way, as two lanes on a batch axis after the batch's own: lane 0
+    forward, lane 1 backward with the negated field and the positive
+    step, which rounds as a run of its own with the negative step would.
 
-    spray is the spray data at the start, already evaluated by the
-    caller.  Returns the states on the grid after the start and the spray
-    data (G, DS) at each of them, all with the lane axis.  Raises
-    OutOfChart, naming the flag of a batch whichever lane fails, for a
-    state outside the box before the metric is read there.
+    A node's spray data is the first field value of the step that leaves
+    it: spray, already evaluated by the caller, starts the first step,
+    and the spray data read after each step starts the next.  Returns
+    the states on the grid after the start and the spray data (G, DS) at
+    each of them, all with the lane axis.  Raises OutOfChart, naming the
+    flag of a batch whichever lane fails, for a state outside the box
+    before the metric is read there.
     """
     n = metric.n
     x, y, M = state
-    sign = np.array([[1.0], [-1.0]])
-    sprays = []
-    evals = itertools.count(1)
+    lead = x.shape[:-1]
+    sign = np.array([1.0, -1.0])
 
     def rate(z, G, DS):
+        # the direction lanes follow the batch axes, and the rung lanes of
+        # a GBS step follow them
+        s = sign.reshape((2,) + (1,) * (z.ndim - len(lead) - 1))
         M = z[..., 2 * n:].reshape(z.shape[:-1] + (2 * n, 2 * n))
-        return np.concatenate([z[..., n:2 * n], -2.0 * G,
-                               (DS @ M).reshape(z.shape[:-1] + (-1,))],
-                              axis=-1)
+        return s * np.concatenate([z[..., n:2 * n], -2.0 * G,
+                                   (DS @ M).reshape(z.shape[:-1] + (-1,))],
+                                  axis=-1)
 
     def field(z):
-        G, DS = _spray(metric, z[..., :n], z[..., n:2 * n])
-        # rk4_step evaluates three stages in the first step (the caller
-        # passes the first) and four in each later one, the grid state's
-        # first
-        if next(evals) % 4 == 0:
-            sprays.append((G, DS))
-        return sign * rate(z, G, DS)
+        return rate(z, *_spray(metric, z[..., :n], z[..., n:2 * n]))
 
-    z0 = np.concatenate([x, y, M.reshape(x.shape[:-1] + (-1,))], axis=-1)
-    k1 = sign * rate(z0, *spray)[..., None, :]
-    z0 = np.broadcast_to(z0[..., None, :], k1.shape)
+    z = np.concatenate([x, y, M.reshape(lead + (-1,))], axis=-1)
+    # the start and its spray data, on both direction lanes
+    z, *node = (np.broadcast_to(np.expand_dims(a, len(lead)),
+                                lead + (2,) + a.shape[len(lead):])
+                for a in (z, *spray))
+    zs, sprays = [], []
     with lanes():
-        zs = [z for _, z in nk.rk_integrate(field, z0, 0.0, T, steps,
-                                            k1=k1)[1:]]
-        sprays.append(_spray(metric, zs[-1][..., :n], zs[-1][..., n:2 * n]))
+        for k in range(1, steps + 1):
+            z = step(field, z, dt, rate(z, *node))
+            raise_at(NonFiniteValue, ~np.isfinite(z).all(axis=-1),
+                     lambda i: f"integration blew up at t={k * dt}")
+            node = _spray(metric, z[..., :n], z[..., n:2 * n])
+            zs.append(z)
+            sprays.append(node)
     return zs, sprays
 
 
@@ -267,14 +284,16 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, reach: int,
     """Transport the flow differential over the window [-T, T] from v0,
     T = reach * h, to be read at multiples of the spacing h.
 
-    Deterministic fixed-step RK4 on one symmetric grid,
-    `_steps(h / WINDOW_STEP)` steps per spacing, so every multiple of h
-    in the window is a node; a frame of order k at t reads k // 2
-    spacings past t.  Raises DimensionMismatch, before the metric is
-    read, for a reach that is not an integer >= 1 or an h that is not
-    positive and finite; OutOfChart if the orbit leaves the metric's box
-    within the window.  A batch v0 and the two directions are integrated
-    in lockstep (`_flow`); an error names the lowest failing flag.
+    Deterministic fixed steps on one symmetric grid: each spacing takes
+    `_steps(h / WINDOW_STEP)` RK4 steps or `_steps(h / GEODESIC_STEP)`
+    GBS steps (`numkit.gbs_step`), whichever make fewer spray calls (4 an
+    RK4 step, 8 a GBS step), so every multiple of h in the window is a
+    node; a frame of order k at t reads k // 2 spacings past t.  Raises
+    DimensionMismatch, before the metric is read, for a reach that is not
+    an integer >= 1 or an h that is not positive and finite; OutOfChart
+    if the orbit leaves the metric's box within the window.  A batch v0
+    and the two directions are integrated in lockstep (`_flow`); an error
+    names the lowest failing flag, whichever direction or rung fails.
     """
     if not 0.0 < h < np.inf:
         raise DimensionMismatch(f"spacing h={h} is not positive and finite")
@@ -283,7 +302,10 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, reach: int,
         raise DimensionMismatch(
             f"window reach {reach!r} is not a whole number of spacings >= 1")
     T = reach * h
-    steps = reach * _steps(h / WINDOW_STEP)
+    # the stepper that makes fewer spray calls per spacing (WINDOW_STEP)
+    k, m = _steps(h / WINDOW_STEP), _steps(h / GEODESIC_STEP)
+    step, per = (nk.gbs_step, m) if 8 * m < 4 * k else (nk.rk4_step, k)
+    steps = reach * per
     dt = T / steps
     n, m2 = metric.n, 2 * metric.n
     lead = v0.x.shape[:-1]
@@ -293,7 +315,7 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, reach: int,
     J0 = mx.energy_jet(metric, v0.x, v0.y)
     g0 = mx._fiber_tensor(J0, v0.x, v0.y)
     spray0 = mx._jet_spray(J0, g0, v0.y)
-    zs, sprays = _flow(metric, start, T, steps, spray0)
+    zs, sprays = _flow(metric, start, spray0, step, dt, steps)
 
     def lane(k):
         return ([(z[..., k, :n], z[..., k, n:m2],
@@ -345,13 +367,13 @@ def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
                      h: float) -> fc.FanningInvariants:
     """Fanning invariants at t = 0 of the Jacobi curve of v (one point or
     a batch) from the frame stencil of spacing h, on a window of reach 2
-    (the order-4 stencil's) transported at h: one step per spacing and 9
-    spray evaluations at h = 1e-3, 8 steps per spacing and 65 at h = 0.02,
-    whose worst errors on the flags below match 20 steps per spacing to 3
-    digits.  The difference of Adot, about eps / h^2, not RK4, sets the
-    floor of K's error.  |K - K_ref| over 30 flags (`cli.sample_flags`,
-    seed 5, |x| < r; katok with unit y, conformal against
-    `riemann_oracle`), worst and median:
+    (the order-4 stencil's) transported at h: one RK4 step per spacing and
+    9 spray evaluations at h = 1e-3, one GBS step per spacing and 17 at
+    h = 0.02, whose worst and median errors on the flags below match 20
+    RK4 steps per spacing to 3 digits.  The difference of Adot, about
+    eps / h^2, not the steps, sets the floor of K's error.  |K - K_ref|
+    over 30 flags (`cli.sample_flags`, seed 5, |x| < r; katok with unit y,
+    conformal against `riemann_oracle`), worst and median:
 
         family                   r    2 steps per h      1 step per h
         sphere                 1.5   4.8e-9  1.1e-10    3.8e-9  8.6e-11

@@ -1,6 +1,7 @@
 """Numerical substrate: generic smooth functions, finite-difference
-stencils, the package's only RK4 loop (`rk_integrate`), one
-Gragg-Bulirsch-Stoer extrapolation step (`gbs_step`) and fiber Hessians.
+stencils, one RK4 step (`rk4_step`) and a loop of them (`rk_integrate`),
+one Gragg-Bulirsch-Stoer extrapolation step (`gbs_step`) and fiber
+Hessians.
 
 Exact derivatives come from the truncated Taylor scalars of `jets`; the
 smooth functions below dispatch on the argument type so one evaluator
@@ -201,7 +202,7 @@ def rk4_step(field, y: np.ndarray, h: float, k1=None) -> np.ndarray:
 GBS_RUNGS = (2, 4, 6, 8)   # midpoint substeps of the rungs of `gbs_step`
 
 
-def gbs_step(field, y: np.ndarray, H: float) -> np.ndarray:
+def gbs_step(field, y: np.ndarray, H: float, f0=None) -> np.ndarray:
     """One Gragg-Bulirsch-Stoer step of length H for an autonomous field.
 
     Each rung runs the modified midpoint rule over H with n substeps, n in
@@ -214,13 +215,15 @@ def gbs_step(field, y: np.ndarray, H: float) -> np.ndarray:
     parallel rows of the tableau of HNW II.9: lanes on a last batch axis,
     in rung order, and substep k reads the field once on the lanes of the
     rungs with more than k substeps.  A step makes 8 field calls, on y and
-    then on 4, 3, 3, 2, 2, 1 and 1 lanes, for order 8.  Leading axes of y
-    are a batch, as for `rk_integrate`, and the field must accept the
+    then on 4, 3, 3, 2, 2, 1 and 1 lanes, for order 8; f0, when given, is
+    field(y) and saves the first, as k1 does for `rk4_step`.  Leading axes
+    of y are a batch, as for `rk_integrate`, and the field must accept the
     extra lane axis; inside `errors.lanes`, a failure names the entry of
     the batch, whichever rung fails.
     """
     y = np.asarray(y, dtype=float)
-    f0 = field(y)
+    if f0 is None:
+        f0 = field(y)
     rungs = np.array(GBS_RUNGS)
     h = (H / rungs)[:, None]
     prev = np.repeat(y[..., None, :], len(rungs), axis=-2)
@@ -241,14 +244,13 @@ def gbs_step(field, y: np.ndarray, H: float) -> np.ndarray:
     return above[-1]
 
 
-def rk_integrate(field, y0, t0: float, t1: float, steps: int, k1=None):
+def rk_integrate(field, y0, t0: float, t1: float, steps: int):
     """Integrate dy/dt = field(y) on [t0, t1] with `steps` RK4 steps.
 
     Returns the list of (t, y) samples on the uniform grid, endpoints
-    included.  Deterministic for fixed inputs.  k1, when given, is field(y0)
-    and saves that evaluation.  Leading axes of y0 are a batch of
-    independent states, integrated in lockstep (the field must accept the
-    batch); the state axis is the last one.
+    included.  Deterministic for fixed inputs.  Leading axes of y0 are a
+    batch of independent states, integrated in lockstep (the field must
+    accept the batch); the state axis is the last one.
     """
     if steps < 1:
         raise DimensionMismatch("steps must be >= 1")
@@ -256,7 +258,7 @@ def rk_integrate(field, y0, t0: float, t1: float, steps: int, k1=None):
     h = (t1 - t0) / steps
     out = [(t0, y.copy())]
     for k in range(steps):
-        y = rk4_step(field, y, h, k1 if k == 0 else None)
+        y = rk4_step(field, y, h)
         t = t0 + (k + 1) * h
         raise_at(NonFiniteValue, ~np.isfinite(y).all(axis=-1),
                  lambda i: f"integration blew up at t={t}")

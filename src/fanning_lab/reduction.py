@@ -31,8 +31,9 @@ shipped scenarios, the trivial product and the Hopf fibrations, all project
 (x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
 horizontal-cone condition, from one jet pass of the metric.  Both read
 7-point stencils of spacing `_REDUCTION_H` off windows transported at
-that spacing, 4 RK4 steps per spacing (`jacobi.WINDOW_STEP`); a window
-read by one stencil at t = 0 reaches 3 spacings.
+that spacing, one Gragg-Bulirsch-Stoer step per spacing (8 spray calls,
+where 4 RK4 steps of `jacobi.WINDOW_STEP` would make 16); a window read
+by one stencil at t = 0 reaches 3 spacings, 25 spray evaluations.
 """
 
 from __future__ import annotations

@@ -91,13 +91,13 @@ def metric(*ids):
 
 
 def stencil(*valid):
-    """(valid, invalid) values of stencil_h, in [1e-4, 0.1]."""
+    """(valid, invalid) values of stencil_h, in [6e-4, 0.1]."""
     _, invalid = positive()
-    return valid, invalid + [0.5, 1e300, 1e-300, 5e-324]
+    return valid, invalid + [0.5, 1e300, 1e-300, 5e-324, 1e-4, 5.5e-4]
 
 
 RADIUS = positive(0.3, 1.0, 1.5, 1e200)
-STENCIL = stencil(1e-3, 1e-2)
+STENCIL = stencil(6e-4, 1e-3, 1e-2)
 TOLERANCE = positive(1e-30, 1e-3, 1.0, 1e300)
 # The keys of each experiment beyond seed and output_dir, as (always drawn,
 # drawn or left out), each mapped to its (valid, invalid) values.

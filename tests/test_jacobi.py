@@ -13,7 +13,8 @@ from fanning_lab import numkit as nk
 from fanning_lab import reduction as rd
 from fanning_lab.cli import sample_flags, sample_in_ball
 from fanning_lab.errors import (DegenerateFlag, DimensionMismatch,
-                                NotPositiveDefinite, NotUnitSpeed, OutOfChart)
+                                NotPositiveDefinite, NotUnitSpeed, OutOfChart,
+                                flag_label, lanes)
 
 
 def pp(x, y):
@@ -44,14 +45,20 @@ def test_transport_euclidean_flow_property():
     assert np.max(np.abs(M_ts - M_t_at @ M_s)) < 1e-12
 
 
-def test_transport_grid_is_reach_spacings_of_whole_steps():
-    # reach 3 at h = 0.1: T = 3 * 0.1, 40 steps of WINDOW_STEP per
-    # spacing, so the grid is T / 120 times -120 .. 120 and the orbit
-    # records its spacing
+def test_transport_grid_is_reach_spacings_of_whole_steps(monkeypatch):
+    # reach 3 at h = 0.1: T = 3 * 0.1, in 2 GBS steps of GEODESIC_STEP
+    # per spacing (16 spray calls) rather than 40 RK4 steps of WINDOW_STEP
+    # (160), so the grid is T / 6 times -6 .. 6; with GBS steps as short
+    # as RK4 ones, RK4 makes fewer calls, and the grid is T / 120 times
+    # -120 .. 120.  The orbit records its spacing
     m = mx.zoo_metric("euclidean")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=3, h=0.1)
-    assert orbit.h == 0.1
-    assert np.array_equal(orbit.ts, 3 * 0.1 / 120 * np.arange(-120, 121))
+    for per in (2, 40):
+        if per == 40:
+            monkeypatch.setattr(jb, "GEODESIC_STEP", jb.WINDOW_STEP)
+        orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=3, h=0.1)
+        assert orbit.h == 0.1
+        assert np.array_equal(orbit.ts, 3 * 0.1 / (3 * per)
+                              * np.arange(-3 * per, 3 * per + 1))
 
 
 def test_transport_window_ends_at_reach_spacings():
@@ -118,16 +125,20 @@ def test_orbit_reads_only_its_grid_nodes():
 def test_frame_resolution_puts_stencil_nodes_on_the_grid(h, resolution,
                                                          order, monkeypatch):
     # windows reaching order // 2 spacings past a centre, transported at h
-    # with a window step of 1 / resolution: every stencil node around a
+    # with an RK4 step of 1 / resolution: every stencil node around a
     # multiple of h is read off the grid, at no fewer steps per unit than
-    # the resolution
+    # the stepper the window takes: 1 / resolution for RK4, GEODESIC_STEP
+    # when GBS steps (8 calls) make fewer calls than RK4 ones (4)
     monkeypatch.setattr(jb, "WINDOW_STEP", 1.0 / resolution)
+    gbs = (8 * jb._steps(h / jb.GEODESIC_STEP)
+           < 4 * jb._steps(h * resolution))
+    step = jb.GEODESIC_STEP if gbs else 1.0 / resolution
     m = mx.zoo_metric("euclidean")
     for centre in (0, 3):
         orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]),
                              centre + order // 2, h)
         dt = orbit.ts[1] - orbit.ts[0]
-        assert dt <= (1.0 + 1e-9) / resolution
+        assert dt <= (1.0 + 1e-9) * step
         assert h / dt == pytest.approx(round(h / dt), rel=1e-9)
         for t in (-centre * h, centre * h):
             for tn in nk.Stencil(t, h, order).nodes:
@@ -352,9 +363,9 @@ def spray_calls_of_flag_curvature(monkeypatch, x, y, u, h):
 
 def test_flag_curvature_spray_evaluation_count(monkeypatch):
     # one RK4 step per stencil spacing, and the two directions of the
-    # window run in lockstep: one call at v0, 3 + 4 for the two steps, and
-    # one at both window ends completes the stored spray data (9); the 5
-    # stencil frames read it
+    # window run in lockstep: one call at v0, and for each of the two
+    # steps 3 stages and the spray data at the node it reaches, which is
+    # the next step's first stage (9); the 5 stencil frames read it
     assert spray_calls_of_flag_curvature(
         monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0],
         jb.DEFAULT_FRAME_H) == ((), 9)
@@ -441,8 +452,14 @@ def test_window_reads_the_fundamental_tensor_off_its_base_jet(name):
 
 
 def test_wide_stencil_window_takes_steps_of_the_window_step(monkeypatch):
-    # h = 0.02 is 8 steps of WINDOW_STEP per spacing, not one: 16 steps
-    # each way, 1 + 3 + 15 * 4 + 1 calls
+    # h = 0.02 is one GBS step of at most GEODESIC_STEP per spacing, 8
+    # calls, fewer than 8 RK4 steps of WINDOW_STEP, 32 calls: 2 steps each
+    # way, 1 + 2 * 8 calls.  With GBS steps as short as RK4 ones, the RK4
+    # steps of WINDOW_STEP are the cheaper: 16 steps each way, 1 + 16 * 4
+    # calls.  Neither is one RK4 step per spacing (9 calls)
+    assert spray_calls_of_flag_curvature(
+        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0], 0.02) == ((), 17)
+    monkeypatch.setattr(jb, "GEODESIC_STEP", jb.WINDOW_STEP)
     assert spray_calls_of_flag_curvature(
         monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0], 0.02) == ((), 65)
 
@@ -516,7 +533,8 @@ def test_batched_transport_names_the_flag_that_leaves_the_box():
 
 def test_single_window_leaving_backward_names_no_flag():
     # the orbit crosses x1 = -0.5 at t = -0.05; a single point runs its two
-    # directions as a batch of two, and still gets no flag label
+    # directions, and inside them the rungs of each GBS step (h = 0.01), as
+    # lanes, and still gets no flag label
     m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
                              mx.Box.cube(2, 0.5))
     with pytest.raises(OutOfChart, match=r"^orbit left the chart at x="):
@@ -524,8 +542,8 @@ def test_single_window_leaving_backward_names_no_flag():
 
 
 def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
-    # flag 2 crosses x1 = -0.5 going backward at the same RK4 stage as
-    # flag 3 crosses x1 = 0.5 going forward
+    # flag 2 crosses x1 = -0.5 going backward at the same GBS substep as
+    # flag 3 crosses x1 = 0.5 going forward (h = 0.01 takes GBS steps)
     m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
                              mx.Box.cube(2, 0.5))
     x = np.array([[0.0, 0.0], [0.1, 0.2], [-0.45, 0.1], [0.45, 0.1]])
@@ -534,54 +552,81 @@ def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
         jb.transport(m, pp(x, y), reach=10, h=0.01)
 
 
-def one_direction(m, v0, span, steps):
+def test_nested_lanes_leave_out_one_axis_each():
+    # a GBS window indexes (flag, direction, rung): each `lanes` block
+    # leaves one more trailing axis out of the label
+    assert flag_label((3, 1)) == "flag (3, 1)"
+    with lanes():
+        assert flag_label((3, 1)) == "flag 3"
+        with lanes():
+            assert flag_label((3, 1, 2)) == "flag 3"
+            assert flag_label((1, 2)) is None
+        assert flag_label((1,)) is None
+
+
+def one_direction(m, v0, span, steps, step):
     """The states (x, y, M) and spray data of one direction of a transport
-    window, integrated on its own: RK4 from (v0, I) over [0, span], the
-    spray data stored at each step's first stage and at the end."""
+    window, integrated on its own: `steps` steps of `step` (`rk4_step` or
+    `gbs_step`) from (v0, I) over [0, span], the spray data read at each
+    node and passed to the step that leaves it."""
     n = m.n
     sprays = []
 
     def field(z):
-        sprays.append(mx.spray_data(m, z[..., :n], z[..., n:2 * n]))
-        G, DS = sprays[-1]
+        G, DS = mx.spray_data(m, z[..., :n], z[..., n:2 * n])
         M = z[..., 2 * n:].reshape(z.shape[:-1] + (2 * n, 2 * n))
         return np.concatenate([z[..., n:2 * n], -2.0 * G,
                                (DS @ M).reshape(z.shape[:-1] + (-1,))], -1)
 
     lead = v0.x.shape[:-1]
     eye = np.broadcast_to(np.eye(2 * n), lead + (2 * n, 2 * n))
-    z0 = np.concatenate([v0.x, v0.y, eye.reshape(lead + (-1,))], -1)
-    zs = [z for _, z in nk.rk_integrate(field, z0, 0.0, span, steps)]
-    end = mx.spray_data(m, zs[-1][..., :n], zs[-1][..., n:2 * n])
-    return zs, sprays[::4] + [end]
+    zs = [np.concatenate([v0.x, v0.y, eye.reshape(lead + (-1,))], -1)]
+    for _ in range(steps + 1):
+        z = zs[-1]
+        sprays.append(mx.spray_data(m, z[..., :n], z[..., n:2 * n]))
+        if len(zs) <= steps:
+            zs.append(step(field, z, span / steps, field(z)))
+    return zs, sprays
 
 
-@pytest.mark.parametrize("T, back", [(6, 6), (23, 1), (1, 6)],
-                         ids=["back=T", "back<T", "back>T"])
+# RK4 windows take 5 steps of WINDOW_STEP per spacing (a GBS step as short
+# as an RK4 one is never the cheaper), GBS windows 2 of GEODESIC_STEP
+STEPPERS = {"rk4": (nk.rk4_step, 5, 0.01), "gbs": (nk.gbs_step, 2, 0.025)}
+
+
+@pytest.mark.parametrize("stepper, T, back", [
+    ("rk4", 6, 6), ("rk4", 23, 1), ("rk4", 1, 6),
+    ("gbs", 6, 6), ("gbs", 23, 1), ("gbs", 1, 6),
+], ids=["back=T", "back<T", "back>T", "gbs-back=T", "gbs-back<T",
+        "gbs-back>T"])
 @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
 @pytest.mark.parametrize("family", ["hyperbolic", "katok", "randers",
                                     "sphere"])
-def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back,
-                                                     monkeypatch):
-    # the window of W = max(T, back) spacings of 0.05 each way, at 100
-    # steps per unit, against runs of their own over T and back spacings
-    # on its step: each lane agrees with the run of its direction on every
-    # node the run reaches, however long the window runs on.  spray_data
-    # rounds a point inside a batch as on its own for Randers and katok, so
-    # there the lockstep is bit for bit the two runs; sphere and hyperbolic
-    # round the last bit differently at a single point
+def test_lockstep_transport_equals_per_direction_runs(family, batch, stepper,
+                                                     T, back, monkeypatch):
+    # the window of W = max(T, back) spacings of 0.05 each way, at `per`
+    # steps per spacing of the stepper, against runs of their own over T
+    # and back spacings on its step: each lane agrees with the run of its
+    # direction on every node the run reaches, however long the window
+    # runs on.  spray_data rounds a point inside a batch as on its own for
+    # Randers and katok, so there the lockstep is bit for bit the two runs;
+    # sphere and hyperbolic round the last bit differently at a single
+    # point
+    step, per, geodesic_step = STEPPERS[stepper]
     m = BATCH_FAMILIES[family][0]()
     rng = np.random.default_rng(3)
     v0 = pp(rng.uniform(-0.3, 0.3, batch + (2,)),
             0.3 * rng.normal(size=batch + (2,)))
     W = max(T, back)
     monkeypatch.setattr(jb, "WINDOW_STEP", 0.01)
+    monkeypatch.setattr(jb, "GEODESIC_STEP", geodesic_step)
     orbit = jb.transport(m, v0, W, h=0.05)
-    steps = 5 * W
+    steps = per * W
     dt = W * 0.05 / steps
-    fwd_steps, back_steps = 5 * T, 5 * back
-    fwd, fwd_sprays = one_direction(m, v0, dt * fwd_steps, fwd_steps)
-    bwd, bwd_sprays = one_direction(m, v0, -dt * back_steps, back_steps)
+    fwd_steps, back_steps = per * T, per * back
+    fwd, fwd_sprays = one_direction(m, v0, dt * fwd_steps, fwd_steps, step)
+    bwd, bwd_sprays = one_direction(m, v0, -dt * back_steps, back_steps,
+                                    step)
     zs, sprays = bwd[:0:-1] + fwd, bwd_sprays[:0:-1] + fwd_sprays
     assert len(orbit.states) == len(orbit.ts) == 2 * steps + 1
     nodes = slice(steps - back_steps, steps + fwd_steps + 1)
@@ -595,6 +640,40 @@ def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back,
             if exact:
                 assert np.array_equal(a, b)
             assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def sphere_flag_points():
+    x, y, _ = zip(*sample_flags(np.random.default_rng(5), 2, 30, 1.5))
+    return mx.zoo_metric("sphere"), pp(x, y)
+
+
+REDUCTION_WINDOWS = {
+    "hopf": lambda: (rd.submersion_scenario("hopf").total,
+                     rd.submersion_scenario("hopf").default_flag()[0]),
+    "sphere": sphere_flag_points,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_WINDOWS))
+def test_reduction_window_gbs_matches_a_fine_rk4_window(name, monkeypatch):
+    # the reach-3 window at the reduction spacing 1e-2 takes one GBS step
+    # per spacing; at every node its states and spray data (G, DS) match an
+    # RK4 window of 40 steps of 2.5e-4 per spacing to 2.2e-15 (hopf) and
+    # 1.7e-14 (30 sphere flags, |x| < 1.5), about as close as 80 RK4 steps
+    # per spacing come (2.2e-15, 1.4e-14).  4 RK4 steps per spacing miss
+    # it by 1.2e-13 and 6.0e-11
+    m, v = REDUCTION_WINDOWS[name]()
+    h = rd._REDUCTION_H
+    gbs = jb.transport(m, v, 3, h)
+    monkeypatch.setattr(jb, "WINDOW_STEP", 2.5e-4)
+    monkeypatch.setattr(jb, "GEODESIC_STEP", 2.5e-4)
+    rk4 = jb.transport(m, v, 3, h)
+    assert len(gbs.ts) == 7 and len(rk4.ts) == 2 * 3 * 40 + 1
+    for k in range(-3, 4):
+        i, j = gbs._index(k * h), rk4._index(k * h)
+        for a, b in zip(gbs.states[i] + gbs.sprays[i],
+                        rk4.states[j] + rk4.sprays[j], strict=True):
+            assert np.max(np.abs(a - b)) <= 5e-14
 
 
 # -- geodesic -------------------------------------------------------------------
@@ -718,14 +797,17 @@ def test_batched_geodesic_equals_per_point_calls(family):
         assert np.max(np.abs(states[:, i] - single)) <= 6.2e-15
 
 
-def test_geodesic_agrees_with_transport_on_the_grid():
+def test_geodesic_agrees_with_transport_on_the_grid(monkeypatch):
     # GBS steps against RK4 at 400 steps per unit with the linearization
-    # carried along: the two orbits agree to 8.9e-16
+    # carried along (a window's GBS steps as short as its RK4 ones, so it
+    # takes RK4): the two orbits agree to 8.9e-16
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.1], [0.8, 0.6])
-    orbit = jb.transport(m, v0, reach=10, h=0.05)
     times = [0.5, 0.2, 0.1, 0.35]
     states = jb.geodesic(m, v0, times)
+    monkeypatch.setattr(jb, "GEODESIC_STEP", jb.WINDOW_STEP)
+    orbit = jb.transport(m, v0, reach=10, h=0.05)
+    assert orbit.ts[1] - orbit.ts[0] == pytest.approx(jb.WINDOW_STEP)
     for t, z in zip(times, states):
         x, y, _ = orbit.state(t)
         assert np.max(np.abs(z - np.concatenate([x, y]))) < 1e-13

@@ -616,9 +616,12 @@ def test_constraint_grad_numeric_matches_closed_form(name):
 
 
 @pytest.mark.parametrize("name", ["trivial", "hopf", "hopf-scaled"])
-def test_submersion_window_takes_49_spray_calls(name, monkeypatch):
-    # 4 steps of WINDOW_STEP per spacing, 12 steps each way: one call at
-    # v0, 47 stages for both lanes in lockstep and one at both ends
+def test_submersion_window_takes_25_spray_calls(name, monkeypatch):
+    # a spacing takes k RK4 steps of WINDOW_STEP (4 calls each) or m GBS
+    # steps of GEODESIC_STEP (8 calls each), whichever makes fewer calls:
+    # m = 1 GBS step against k = 4 RK4 steps.  The window reaches 3
+    # spacings: one call at v0, and 8 per step for both lanes in lockstep,
+    # the last the spray data at the node the step reaches
     real, calls = mx._jet_spray, []
 
     def spy(*args):
@@ -628,14 +631,16 @@ def test_submersion_window_takes_49_spray_calls(name, monkeypatch):
     monkeypatch.setattr(mx, "_jet_spray", spy)
     scn = rd.submersion_scenario(name)
     rd.submersion_curvature(scn, *scn.default_flag())
-    assert jb._steps(rd._REDUCTION_H / jb.WINDOW_STEP) == 4
-    assert len(calls) == 49
+    k = jb._steps(rd._REDUCTION_H / jb.WINDOW_STEP)
+    m = jb._steps(rd._REDUCTION_H / jb.GEODESIC_STEP)
+    assert (k, m) == (4, 1) and 8 * m < 4 * k
+    assert len(calls) == 1 + 3 * 8 * m == 25
 
 
 def test_submersion_accuracy_at_the_reduction_step():
-    # both bounds hold at the window step 2.5e-3, the stencil's rounding
-    # floor, and fail at 5e-3 (hopf residual 1.5e-9, hopf-scaled error
-    # 4.6e-11)
+    # both bounds hold at one GBS step per spacing (hopf residual 3.5e-10,
+    # hopf-scaled error 4.5e-12, the stencil's rounding floor), and fail
+    # with 2 RK4 steps of 5e-3 per spacing (1.5e-9 and 4.6e-11)
     scn = rd.submersion_scenario("hopf")
     assert rd.submersion_curvature(scn, *scn.default_flag()).residual <= 1e-9
     scn = rd.submersion_scenario("hopf-scaled")

@@ -224,18 +224,24 @@ MUTANTS = [
            "tests/test_reduction.py::test_reduce_curve_refuses_a_lagrangian_w"),
     # -- transport lanes, frame windows, settings, Randers validity -----------
     Mutant("flow-lane-sign", PKG + "jacobi.py",
-           "sign = np.array([[1.0], [-1.0]])", "sign = np.array([[1.0], [1.0]])",
+           "sign = np.array([1.0, -1.0])", "sign = np.array([1.0, 1.0])",
            "tests/test_jacobi.py::test_transport_euclidean_linear_flow"),
     Mutant("window-ignores-the-spacing", PKG + "jacobi.py",
-           "    steps = reach * _steps(h / WINDOW_STEP)\n",
+           "    steps = reach * per\n",
            "    steps = _steps(T / WINDOW_STEP)\n",
            "tests/test_jacobi.py::"
            "test_frame_resolution_puts_stencil_nodes_on_the_grid[0.0007-2000-6]"),
     Mutant("window-one-step-per-spacing", PKG + "jacobi.py",
-           "    steps = reach * _steps(h / WINDOW_STEP)\n",
+           "    steps = reach * per\n",
            "    steps = reach\n",
            "tests/test_jacobi.py::"
            "test_wide_stencil_window_takes_steps_of_the_window_step"),
+    # every window on RK4: the accuracy bounds all hold, and only the pins
+    # of the GBS windows notice
+    Mutant("window-keeps-rk4", PKG + "jacobi.py",
+           "if 8 * m < 4 * k else", "if False else",
+           "tests/test_jacobi.py::"
+           "test_reduction_window_gbs_matches_a_fine_rk4_window[sphere]"),
     Mutant("count-accepts-zero", PKG + "cli.py",
            "_is_integer(v) and v >= 1,", "_is_integer(v) and v >= 0,",
            "tests/test_cli.py::test_main_names_the_rejected_setting[samples-0]"),
