@@ -7,8 +7,8 @@ failing flag ("flag 3: ..."), the lowest one when several fail at once, so
 the message is the same on every rerun; `batch_labels` names the entries
 of a batch otherwise (by their sample time, say), and each `lanes` block
 marks one more trailing batch axis whose entries are lanes of one flag
-(the two time directions of a transport window, and inside them the rungs
-of an extrapolation step), which the label leaves out.
+(the two time directions of a transport window, the rungs of an
+extrapolation step), which the label leaves out.
 """
 
 from contextlib import contextmanager
@@ -120,9 +120,11 @@ def batch_labels(label):
 @contextmanager
 def lanes():
     """Within the block one more trailing batch axis holds lanes of one
-    entry: a failure names the entry whichever of its lanes fails, and a
-    single point run in several lanes still gets no label.  Blocks nest,
-    each adding a lane axis after those of the enclosing one."""
+    entry (the two directions of a `transport` window, the rungs of a
+    `gbs_step` in a `geodesic` pass): a failure names the entry whichever
+    of its lanes fails, and a single point run in several lanes still
+    gets no label.  Blocks nest, each adding a lane axis after those of
+    the enclosing one."""
     token = _LANES.set(_LANES.get() + 1)
     try:
         yield

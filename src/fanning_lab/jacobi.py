@@ -9,27 +9,24 @@ curvature endomorphism.
 
 The stored orbit is integrated on one symmetric grid over [-T, T],
 sized by the spacing h it is read at: each spacing takes whole RK4 steps
-of at most WINDOW_STEP or whole Gragg-Bulirsch-Stoer steps of at most
-GEODESIC_STEP, whichever make fewer spray calls, so that every stencil
-node is a grid node.  The spray and its Jacobian are kept with each grid
-state, where they are the first field value of the step that leaves it,
-so frames evaluate nothing, and the orbit is read only at its grid nodes
-(`OrbitData`).
+of at most WINDOW_STEP, so that every stencil node is a grid node.  The
+spray and its Jacobian are kept with each grid state, where they are the
+first stage of the step that leaves it, so frames evaluate nothing, and
+the orbit is read only at its grid nodes (`OrbitData`).
 
 `transport` and `flag_curvature` take a batch of phase points (x, y of
 shape S+(n,); a single point is S = ()) and integrate them in lockstep,
-the two halves of a window as lanes of a batch axis after the batch's
-own (`_flow`), and the rungs of a GBS step as lanes after those: one
-`spray_data` call per RK4 stage or GBS substep for all.  One order-3
-energy jet at v0 gives the spray data there and the form, and the t = 0
-Wronskian is the fundamental tensor at v0 bit for bit, so
-`flag_curvature` jets its flag points once.  A window's half-width is a
-whole number of spacings, its reach.  A window read at t = 0
-(`frame_invariants`) reaches 2: one RK4 step per spacing at h = 1e-3,
-and 9 spray evaluations (energy jets): one at v0 and 4 for each step,
-the last at the node it reaches.  A reduction window reaches 3 at
-h = 1e-2 in one GBS step per spacing: 1 + 3 * 8 = 25 evaluations.  A
-failure names the lowest failing flag, whichever lane fails.
+the two halves of a window as lanes of a last batch axis (`_flow`): one
+`spray_data` call per RK4 stage for all.  One order-3 energy jet at v0
+gives the spray data there and the form, and the t = 0 Wronskian is the
+fundamental tensor at v0 bit for bit, so `flag_curvature` jets its flag
+points once.  A window's half-width is a whole number of spacings, its
+reach.  Frames at h = 1e-3 and reductions at h = 2.5e-3 both take one
+RK4 step per spacing: one spray evaluation (energy jet) at v0 and 4 for
+each step, the last at the node it reaches, so a frame window read at
+t = 0 (`frame_invariants`, reach 2) makes 9 and a reduction window
+(reach 3) 13.  A failure names the lowest failing flag, whichever lane
+fails.
 
 `geodesic` integrates (x, y) alone, with the spray and no Jacobian.  The
 flow maps Jacobi curves to Jacobi curves symplectically, so the invariants
@@ -80,24 +77,10 @@ __all__ = [
 ]
 
 DEFAULT_FRAME_H = 1e-3         # spacing of the Jacobi-frame stencil
-GEODESIC_STEP = 0.05           # longest GBS step of a pass or a window
-# Longest RK4 step of a `transport` window.  A spacing h takes
-# k = _steps(h / WINDOW_STEP) RK4 steps (4 spray calls each) or
-# m = _steps(h / GEODESIC_STEP) GBS steps (8 each), GBS when 8m < 4k: one
-# RK4 step per spacing at the frame spacing 1e-3, one GBS step at the
-# reduction spacing 1e-2.  Measured there, submersion_curvature at the
-# default flags, by window stepper and step:
-#
-#     stepper                 RK4       RK4       RK4       RK4       GBS
-#     step                 2.5e-4      5e-4    2.5e-3      5e-3      1e-2
-#     spray_data calls        481       241        49        25        25
-#     hopf K_base error   1.36e-9   1.36e-9   1.13e-9   2.02e-9   1.36e-9
-#     hopf residual      3.46e-10  3.46e-10  4.15e-10   1.45e-9  3.45e-10
-#     hopf-scaled K_base  4.8e-12   4.4e-12   2.8e-12   4.6e-11   4.5e-12
-#
-# The GBS step lands on the converged RK4 values, the stencil's rounding
-# floor; the RK4 step of 2.5e-3 lands lower, its truncation error partly
-# cancelling the rounding, and 5e-3 lies past the floor.
+GEODESIC_STEP = 0.05           # longest GBS step of a `geodesic` pass
+# Longest RK4 step of a `transport` window: one step per spacing at the
+# frame spacing 1e-3 and at the reduction spacing 2.5e-3, where the step
+# and the spacing are one (`reduction._REDUCTION_H`).
 WINDOW_STEP = 2.5e-3
 
 
@@ -161,34 +144,30 @@ def _spray(metric, x, y):
     return mx.spray_data(metric, x, y)
 
 
-def _flow(metric, state, spray, step, dt, steps):
-    """Whole steps of `step` (`numkit.rk4_step` or `numkit.gbs_step`), of
-    dt each, from one state (x, y, M) forward and backward, `steps` each
-    way, as two lanes on a batch axis after the batch's own: lane 0
-    forward, lane 1 backward with the negated field and the positive
-    step, which rounds as a run of its own with the negative step would.
+def _flow(metric, state, spray, dt, steps):
+    """RK4 steps of dt from one state (x, y, M) forward and backward,
+    `steps` each way, as two lanes on a last batch axis: lane 0 forward,
+    lane 1 backward with the negated field and the positive step, which
+    rounds as a run of its own with the negative step would.
 
-    A node's spray data is the first field value of the step that leaves
-    it: spray, already evaluated by the caller, starts the first step,
-    and the spray data read after each step starts the next.  Returns
-    the states on the grid after the start and the spray data (G, DS) at
-    each of them, all with the lane axis.  Raises OutOfChart, naming the
-    flag of a batch whichever lane fails, for a state outside the box
-    before the metric is read there.
+    A node's spray data is the first stage of the step that leaves it:
+    spray, already evaluated by the caller, starts the first step, and
+    the spray data read after each step starts the next.  Returns the
+    states on the grid after the start and the spray data (G, DS) at each
+    of them, all with the lane axis.  Raises OutOfChart, naming the flag
+    of a batch whichever lane fails, for a state outside the box before
+    the metric is read there.
     """
     n = metric.n
     x, y, M = state
     lead = x.shape[:-1]
-    sign = np.array([1.0, -1.0])
+    sign = np.array([[1.0], [-1.0]])
 
     def rate(z, G, DS):
-        # the direction lanes follow the batch axes, and the rung lanes of
-        # a GBS step follow them
-        s = sign.reshape((2,) + (1,) * (z.ndim - len(lead) - 1))
         M = z[..., 2 * n:].reshape(z.shape[:-1] + (2 * n, 2 * n))
-        return s * np.concatenate([z[..., n:2 * n], -2.0 * G,
-                                   (DS @ M).reshape(z.shape[:-1] + (-1,))],
-                                  axis=-1)
+        return sign * np.concatenate([z[..., n:2 * n], -2.0 * G,
+                                      (DS @ M).reshape(z.shape[:-1] + (-1,))],
+                                     axis=-1)
 
     def field(z):
         return rate(z, *_spray(metric, z[..., :n], z[..., n:2 * n]))
@@ -201,7 +180,7 @@ def _flow(metric, state, spray, step, dt, steps):
     zs, sprays = [], []
     with lanes():
         for k in range(1, steps + 1):
-            z = step(field, z, dt, rate(z, *node))
+            z = nk.rk4_step(field, z, dt, rate(z, *node))
             raise_at(NonFiniteValue, ~np.isfinite(z).all(axis=-1),
                      lambda i: f"integration blew up at t={k * dt}")
             node = _spray(metric, z[..., :n], z[..., n:2 * n])
@@ -284,16 +263,15 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, reach: int,
     """Transport the flow differential over the window [-T, T] from v0,
     T = reach * h, to be read at multiples of the spacing h.
 
-    Deterministic fixed steps on one symmetric grid: each spacing takes
-    `_steps(h / WINDOW_STEP)` RK4 steps or `_steps(h / GEODESIC_STEP)`
-    GBS steps (`numkit.gbs_step`), whichever make fewer spray calls (4 an
-    RK4 step, 8 a GBS step), so every multiple of h in the window is a
-    node; a frame of order k at t reads k // 2 spacings past t.  Raises
-    DimensionMismatch, before the metric is read, for a reach that is not
-    an integer >= 1 or an h that is not positive and finite; OutOfChart
-    if the orbit leaves the metric's box within the window.  A batch v0
-    and the two directions are integrated in lockstep (`_flow`); an error
-    names the lowest failing flag, whichever direction or rung fails.
+    Deterministic fixed-step RK4 on one symmetric grid,
+    `_steps(h / WINDOW_STEP)` steps per spacing, so every multiple of h
+    in the window is a node; a frame of order k at t reads k // 2
+    spacings past t.  Raises DimensionMismatch, before the metric is
+    read, for a reach that is not an integer >= 1 or an h that is not
+    positive and finite; OutOfChart if the orbit leaves the metric's box
+    within the window.  A batch v0 and the two directions are integrated
+    in lockstep (`_flow`); an error names the lowest failing flag,
+    whichever direction fails.
     """
     if not 0.0 < h < np.inf:
         raise DimensionMismatch(f"spacing h={h} is not positive and finite")
@@ -301,12 +279,8 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, reach: int,
             or reach < 1):
         raise DimensionMismatch(
             f"window reach {reach!r} is not a whole number of spacings >= 1")
-    T = reach * h
-    # the stepper that makes fewer spray calls per spacing (WINDOW_STEP)
-    k, m = _steps(h / WINDOW_STEP), _steps(h / GEODESIC_STEP)
-    step, per = (nk.gbs_step, m) if 8 * m < 4 * k else (nk.rk4_step, k)
-    steps = reach * per
-    dt = T / steps
+    steps = reach * _steps(h / WINDOW_STEP)
+    dt = reach * h / steps
     n, m2 = metric.n, 2 * metric.n
     lead = v0.x.shape[:-1]
     start = (v0.x, v0.y, np.broadcast_to(np.eye(m2), lead + (m2, m2)))
@@ -315,7 +289,7 @@ def transport(metric: mx.MetricSpec, v0: mx.PhasePoint, reach: int,
     J0 = mx.energy_jet(metric, v0.x, v0.y)
     g0 = mx._fiber_tensor(J0, v0.x, v0.y)
     spray0 = mx._jet_spray(J0, g0, v0.y)
-    zs, sprays = _flow(metric, start, spray0, step, dt, steps)
+    zs, sprays = _flow(metric, start, spray0, dt, steps)
 
     def lane(k):
         return ([(z[..., k, :n], z[..., k, n:m2],
@@ -349,14 +323,16 @@ def jacobi_frame(orbit: OrbitData, t: float,
 
     A and Adot are analytic in the transported data; Addot at each stencil
     node comes from differentiating the Adot samples once (shared nodes,
-    off-center weights where needed).  Spray Jacobi curves are fanning;
-    NotFanning names the lowest flag whose curve is not.
+    off-center weights where needed), as the weighted differences from
+    the node's own sample, so a constant Adot gives exactly 0.  Spray
+    Jacobi curves are fanning; NotFanning names the lowest flag whose
+    curve is not.
     """
     stc = nk.Stencil(t, orbit.h, order)
     As, Adots = zip(*(orbit.frame_data(tn) for tn in stc.nodes))
     triples = []
     for j, w in enumerate(nk.node_weights(orbit.h, order)):
-        Addot = sum(wk * Ak for wk, Ak in zip(w, Adots))
+        Addot = sum(wk * (Ak - Adots[j]) for wk, Ak in zip(w, Adots))
         triples.append(fc.FrameTriple(As[j], Adots[j], Addot))
     frames = fc.FrameStencil(stc, tuple(triples))
     return JacobiCurveSample(frames=frames,
@@ -367,20 +343,22 @@ def frame_invariants(metric: mx.MetricSpec, v: mx.PhasePoint,
                      h: float) -> fc.FanningInvariants:
     """Fanning invariants at t = 0 of the Jacobi curve of v (one point or
     a batch) from the frame stencil of spacing h, on a window of reach 2
-    (the order-4 stencil's) transported at h: one RK4 step per spacing and
-    9 spray evaluations at h = 1e-3, one GBS step per spacing and 17 at
+    (the order-4 stencil's) transported at h, one RK4 step per spacing
+    and 9 spray evaluations at h = 1e-3, 8 steps per spacing and 65 at
     h = 0.02, whose worst and median errors on the flags below match 20
-    RK4 steps per spacing to 3 digits.  The difference of Adot, about
-    eps / h^2, not the steps, sets the floor of K's error.  |K - K_ref|
-    over 30 flags (`cli.sample_flags`, seed 5, |x| < r; katok with unit y,
-    conformal against `riemann_oracle`), worst and median:
+    steps per spacing to 2 digits.  The difference of Adot, about
+    eps / h^2, not the steps, sets the floor of K's error; a constant
+    Adot (the flat metrics, and the Randers metric of a constant b) gives
+    K = 0 exactly.  |K - K_ref| over 30 flags (`cli.sample_flags`, seed
+    5, |x| < r; katok with unit y, conformal against `riemann_oracle`),
+    worst and median:
 
         family                   r    2 steps per h      1 step per h
-        sphere                 1.5   4.8e-9  1.1e-10    3.8e-9  8.6e-11
-        hyperbolic             0.8   6.6e-8  2.3e-10    6.2e-8  2.3e-10
-        randers (0.25, 0.05)   1.0   2.1e-9  1.0e-10    2.1e-9  1.0e-10
-        conformal n=4, a=0.5   0.8  1.8e-10  4.3e-11   1.7e-10  3.5e-11
-        katok(0.3)             0.8  3.5e-10  1.1e-10   4.0e-10  1.2e-10
+        sphere                 1.5   8.8e-9  4.9e-11    8.3e-9  1.1e-10
+        hyperbolic             0.8   6.5e-8  1.6e-10    6.2e-8  1.7e-10
+        randers (0.25, 0.05)   1.0        0        0         0        0
+        conformal n=4, a=0.5   0.8  6.1e-11  5.1e-12   6.3e-11  6.0e-12
+        katok(0.3)             0.8  2.2e-10  1.0e-10   3.2e-10  8.6e-11
     """
     return jacobi_frame(transport(metric, v, 2, h), 0.0).invariants
 

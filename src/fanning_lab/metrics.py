@@ -613,10 +613,6 @@ def _dual_energy_jet(costar, warm_start, n, x, y, order):
         e3[..., :n, :, :] = -(
             np.einsum("...rp,...jrs,...sq->...jpq", U, T[..., :n, :, :], U)
             + np.einsum("...jb,...bpq->...jpq", Hxxi, Xi2))
-        # mean over the six permutations of the last three axes
-        s01, s12 = e3.swapaxes(-3, -2), e3.swapaxes(-2, -1)
-        e3 = (e3 + s01.swapaxes(-2, -1) + s12.swapaxes(-3, -2) + s12 + s01
-              + e3.swapaxes(-3, -1)) / 6.0
 
     return Jet(m2, order, 2.0 * e0, g=2.0 * e1, H=2.0 * e2,
                T=None if e3 is None else 2.0 * e3)

@@ -165,17 +165,19 @@ def node_weights(h: float, order: int) -> np.ndarray:
 
 def central_derivative(samples, stencil: Stencil) -> np.ndarray:
     """First t-derivative at the stencil center from matrix samples at its
-    nodes, with the center row of `node_weights`.
+    nodes, with the center row of `node_weights`, as the weighted
+    differences from the center sample: a constant sequence gives exactly
+    0, whatever the rounding of the weights' sum.
 
     Truncation error is O(h^order); samples must match the node count.
     """
     if len(samples) != len(stencil.offsets):
         raise DimensionMismatch(
             f"expected {len(stencil.offsets)} samples, got {len(samples)}")
-    w = node_weights(stencil.h, stencil.order)[stencil.order // 2]
-    out = w[0] * np.asarray(samples[0], dtype=float)
-    for wk, s in zip(w[1:], samples[1:]):
-        out = out + wk * np.asarray(s, dtype=float)
+    c = stencil.order // 2
+    w = node_weights(stencil.h, stencil.order)[c]
+    samples = [np.asarray(s, dtype=float) for s in samples]
+    out = sum(wk * (s - samples[c]) for wk, s in zip(w, samples))
     if not np.all(np.isfinite(out)):
         raise NonFiniteValue("finite-difference combination is not finite")
     return out
@@ -202,7 +204,7 @@ def rk4_step(field, y: np.ndarray, h: float, k1=None) -> np.ndarray:
 GBS_RUNGS = (2, 4, 6, 8)   # midpoint substeps of the rungs of `gbs_step`
 
 
-def gbs_step(field, y: np.ndarray, H: float, f0=None) -> np.ndarray:
+def gbs_step(field, y: np.ndarray, H: float) -> np.ndarray:
     """One Gragg-Bulirsch-Stoer step of length H for an autonomous field.
 
     Each rung runs the modified midpoint rule over H with n substeps, n in
@@ -215,15 +217,13 @@ def gbs_step(field, y: np.ndarray, H: float, f0=None) -> np.ndarray:
     parallel rows of the tableau of HNW II.9: lanes on a last batch axis,
     in rung order, and substep k reads the field once on the lanes of the
     rungs with more than k substeps.  A step makes 8 field calls, on y and
-    then on 4, 3, 3, 2, 2, 1 and 1 lanes, for order 8; f0, when given, is
-    field(y) and saves the first, as k1 does for `rk4_step`.  Leading axes
-    of y are a batch, as for `rk_integrate`, and the field must accept the
+    then on 4, 3, 3, 2, 2, 1 and 1 lanes, for order 8.  Leading axes of y
+    are a batch, as for `rk_integrate`, and the field must accept the
     extra lane axis; inside `errors.lanes`, a failure names the entry of
     the batch, whichever rung fails.
     """
     y = np.asarray(y, dtype=float)
-    if f0 is None:
-        f0 = field(y)
+    f0 = field(y)
     rungs = np.array(GBS_RUNGS)
     h = (H / rungs)[:, None]
     prev = np.repeat(y[..., None, :], len(rungs), axis=-2)

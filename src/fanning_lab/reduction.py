@@ -31,9 +31,8 @@ shipped scenarios, the trivial product and the Hopf fibrations, all project
 (x1, x2, x3) -> (x1, x2), and W is the kernel of the linearized
 horizontal-cone condition, from one jet pass of the metric.  Both read
 7-point stencils of spacing `_REDUCTION_H` off windows transported at
-that spacing, one Gragg-Bulirsch-Stoer step per spacing (8 spray calls,
-where 4 RK4 steps of `jacobi.WINDOW_STEP` would make 16); a window read
-by one stencil at t = 0 reaches 3 spacings, 25 spray evaluations.
+that spacing, one RK4 step of `jacobi.WINDOW_STEP` per spacing; a window
+read by one stencil at t = 0 reaches 3 spacings, 13 spray evaluations.
 """
 
 from __future__ import annotations
@@ -73,7 +72,24 @@ __all__ = [
 ]
 
 _SV_REL_TOL = 1e-9   # singular-value threshold for joint nullspaces
-_REDUCTION_H = 1e-2  # spacing of the 7-point stencils of curve reductions
+# Spacing of the 7-point stencils of curve reductions: one RK4 step of
+# `jacobi.WINDOW_STEP` each.  Measured, submersion_curvature at the
+# default flags, and the worst |K_base error| or residual over 20 seeded
+# horizontal flags per Hopf scenario (within 0.5 of suggested_x), by
+# spacing:
+#
+#     spacing               1.25e-3    2.5e-3      5e-3      1e-2
+#     RK4 steps per spacing       1         1         2         4
+#     spray_data calls           13        13        25        49
+#     hopf K_base error     3.5e-12   1.8e-10   1.9e-10   1.1e-9
+#     hopf residual         4.4e-12   6.9e-11   7.5e-11   4.2e-10
+#     hopf-scaled K_base    2.3e-11   7.9e-13   2.0e-12   2.5e-12
+#     random flags, worst   3.3e-10   4.9e-9    5.1e-9    4.2e-7
+#
+# The stencil's h^6 truncation dominates at 1e-2 (the random-flag error
+# falls 82-fold to 5e-3, 2^6 = 64), and its rounding floor, about
+# eps / h^2, lifts the hopf-scaled error past 1e-11 at 1.25e-3.
+_REDUCTION_H = jb.WINDOW_STEP
 _GAUGE_BOUND = 1e6   # graph frames grow as the secant of the angle to U_c
 
 

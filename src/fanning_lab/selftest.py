@@ -258,8 +258,8 @@ def run_selftest(seed: int, stencil_h: float):
     xs = np.array([0.15, -0.1])
     ys = np.array([0.8, 0.25])
     ys = ys / sphere.F_value(xs, ys)
-    # read at t = 0.3, 30 spacings, by an order-6 stencil: 3 more
-    orbit = jb.transport(sphere, mx.PhasePoint(xs, ys), 33, rd._REDUCTION_H)
+    # read at t = 0.3, 120 spacings, by an order-6 stencil: 3 more
+    orbit = jb.transport(sphere, mx.PhasePoint(xs, ys), 123, rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.3)
     check("contact-reduction-kernel", split.kr_residual, 1e-5)
     check("contact-reduction-block", split.block_residual, 1e-5)

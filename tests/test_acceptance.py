@@ -176,7 +176,7 @@ def test_criterion_08_contact_reduction():
         x0 = np.array([0.15, -0.1])
         y0 = np.array([0.8, 0.25])
         y0 = y0 / metric.F_value(x0, y0)
-        orbit = jb.transport(metric, pp(x0, y0), reach=115,
+        orbit = jb.transport(metric, pp(x0, y0), reach=460,
                              h=rd._REDUCTION_H)
         for t in (0.3, 0.7, 1.1):
             split = rd.contact_reduce(orbit, t)

@@ -558,9 +558,8 @@ def test_stencil_h_below_its_rounding_floor_exits_2_at_once(tmp_path, capsys,
                                                             monkeypatch,
                                                             width):
     # the selftest's orbit spans 0.5 / stencil_h spacings (1e-300 would ask
-    # for about 5e299 RK4 steps), and below 6e-4 the stencil's rounding
-    # floor eps / h^2 fails a selftest check at some seed in 0-29 (5.5e-4
-    # at seeds 2 and 24): below it, a config error before any spray
+    # for about 5e299 RK4 steps), and its run time grows as the width
+    # falls: below 6e-4, a config error before any spray
     jets = []
     energy_jet = mx.energy_jet
 

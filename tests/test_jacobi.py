@@ -45,20 +45,14 @@ def test_transport_euclidean_flow_property():
     assert np.max(np.abs(M_ts - M_t_at @ M_s)) < 1e-12
 
 
-def test_transport_grid_is_reach_spacings_of_whole_steps(monkeypatch):
-    # reach 3 at h = 0.1: T = 3 * 0.1, in 2 GBS steps of GEODESIC_STEP
-    # per spacing (16 spray calls) rather than 40 RK4 steps of WINDOW_STEP
-    # (160), so the grid is T / 6 times -6 .. 6; with GBS steps as short
-    # as RK4 ones, RK4 makes fewer calls, and the grid is T / 120 times
-    # -120 .. 120.  The orbit records its spacing
+def test_transport_grid_is_reach_spacings_of_whole_steps():
+    # reach 3 at h = 0.1: T = 3 * 0.1, 40 RK4 steps of WINDOW_STEP per
+    # spacing, so the grid is T / 120 times -120 .. 120 and the orbit
+    # records its spacing
     m = mx.zoo_metric("euclidean")
-    for per in (2, 40):
-        if per == 40:
-            monkeypatch.setattr(jb, "GEODESIC_STEP", jb.WINDOW_STEP)
-        orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=3, h=0.1)
-        assert orbit.h == 0.1
-        assert np.array_equal(orbit.ts, 3 * 0.1 / (3 * per)
-                              * np.arange(-3 * per, 3 * per + 1))
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]), reach=3, h=0.1)
+    assert orbit.h == 0.1
+    assert np.array_equal(orbit.ts, 3 * 0.1 / 120 * np.arange(-120, 121))
 
 
 def test_transport_window_ends_at_reach_spacings():
@@ -125,20 +119,16 @@ def test_orbit_reads_only_its_grid_nodes():
 def test_frame_resolution_puts_stencil_nodes_on_the_grid(h, resolution,
                                                          order, monkeypatch):
     # windows reaching order // 2 spacings past a centre, transported at h
-    # with an RK4 step of 1 / resolution: every stencil node around a
+    # with a window step of 1 / resolution: every stencil node around a
     # multiple of h is read off the grid, at no fewer steps per unit than
-    # the stepper the window takes: 1 / resolution for RK4, GEODESIC_STEP
-    # when GBS steps (8 calls) make fewer calls than RK4 ones (4)
+    # the resolution
     monkeypatch.setattr(jb, "WINDOW_STEP", 1.0 / resolution)
-    gbs = (8 * jb._steps(h / jb.GEODESIC_STEP)
-           < 4 * jb._steps(h * resolution))
-    step = jb.GEODESIC_STEP if gbs else 1.0 / resolution
     m = mx.zoo_metric("euclidean")
     for centre in (0, 3):
         orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.5]),
                              centre + order // 2, h)
         dt = orbit.ts[1] - orbit.ts[0]
-        assert dt <= (1.0 + 1e-9) * step
+        assert dt <= (1.0 + 1e-9) / resolution
         assert h / dt == pytest.approx(round(h / dt), rel=1e-9)
         for t in (-centre * h, centre * h):
             for tn in nk.Stencil(t, h, order).nodes:
@@ -250,6 +240,45 @@ def test_flag_curvature_euclidean_zero(rng):
         u = rng.normal(size=2)
         K = jb.flag_curvature(m, pp(x, y), u)
         assert abs(K) < 1e-8
+
+
+# the flags of the selftest's flat-curvature check at seeds 2 and 24, as
+# (x, y, u)
+SELFTEST_FLAT_FLAGS = [
+    ([0.3003241277755553, -0.5227630602841782],
+     [0.1579041657291662, -0.41936457209511757],
+     [-1.0574242166772603, 0.6017661589705272]),
+    ([-0.6765118212639156, 0.8642948087871227],
+     [1.2609835038667203, -0.36195277501923173],
+     [-0.6465143725591912, 0.1992960659293527]),
+    ([-0.3808269010215437, -0.24955700532346703],
+     [0.13995585012127032, -0.026890793244402588],
+     [0.3112146214841731, 0.6287430128574454]),
+    ([0.29717795301538996, -0.24129761709190123],
+     [-0.1189067949643067, -0.06616615944467767],
+     [-0.01788023026928696, -1.130696918560894]),
+    ([0.4363374583735182, 0.8945101581481238],
+     [1.0573530056065965, -0.7543479860510308],
+     [1.072542159181354, 0.23334825643876697]),
+    ([-0.8556244297852749, -0.7521649459670978],
+     [0.5778638686623686, -0.6662331855637295],
+     [-0.5625907287677133, -1.563173432016074]),
+]
+
+
+@pytest.mark.parametrize("h", [6e-4, 8e-4, 9e-4, 1e-3])
+def test_flat_flag_curvature_is_exactly_zero_at_every_width(h):
+    # Adot is constant on the flat metric, and the stencil differentiates
+    # it by weighted differences from each node's own sample, so Addot and
+    # K are exactly 0 whatever the rounding of the weights' sums.  Summed
+    # from the samples alone, K read -2.35e-8 at 8e-4 (seed 24), past the
+    # selftest's 1e-8
+    x, y, u = (np.array(a) for a in zip(*SELFTEST_FLAT_FLAGS))
+    m = mx.zoo_metric("euclidean")
+    assert np.array_equal(jb.flag_curvature(m, pp(x, y), u, h=h),
+                          np.zeros(len(x)))
+    for f in SELFTEST_FLAT_FLAGS:
+        assert jb.flag_curvature(m, pp(*f[:2]), f[2], h=h) == 0.0
 
 
 def test_flag_curvature_sphere_plus_one(rng):
@@ -452,21 +481,16 @@ def test_window_reads_the_fundamental_tensor_off_its_base_jet(name):
 
 
 def test_wide_stencil_window_takes_steps_of_the_window_step(monkeypatch):
-    # h = 0.02 is one GBS step of at most GEODESIC_STEP per spacing, 8
-    # calls, fewer than 8 RK4 steps of WINDOW_STEP, 32 calls: 2 steps each
-    # way, 1 + 2 * 8 calls.  With GBS steps as short as RK4 ones, the RK4
-    # steps of WINDOW_STEP are the cheaper: 16 steps each way, 1 + 16 * 4
-    # calls.  Neither is one RK4 step per spacing (9 calls)
-    assert spray_calls_of_flag_curvature(
-        monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0], 0.02) == ((), 17)
-    monkeypatch.setattr(jb, "GEODESIC_STEP", jb.WINDOW_STEP)
+    # h = 0.02 is 8 RK4 steps of WINDOW_STEP per spacing, not one: 16
+    # steps each way, 1 + 16 * 4 calls
     assert spray_calls_of_flag_curvature(
         monkeypatch, [0.2, -0.1], [0.6, 0.3], [0.1, 1.0], 0.02) == ((), 65)
 
 
 # |K - K_ref| at the default window over 30 seeded flags: the metric, the
-# radius |x| < r, K_ref (None for `riemann_oracle`) and the bound, 2.5x to
-# 6x the worst error measured (the `frame_invariants` table)
+# radius |x| < r, K_ref (None for `riemann_oracle`) and the bound, 1.2x
+# (sphere) to 16x the worst error measured (the `frame_invariants` table;
+# randers reads 0)
 WINDOW_ACCURACY = {
     "sphere": (lambda: mx.zoo_metric("sphere"), 1.5, 1.0, 1e-8),
     "hyperbolic": (lambda: mx.zoo_metric("hyperbolic"), 0.8, -1.0, 2e-7),
@@ -533,8 +557,7 @@ def test_batched_transport_names_the_flag_that_leaves_the_box():
 
 def test_single_window_leaving_backward_names_no_flag():
     # the orbit crosses x1 = -0.5 at t = -0.05; a single point runs its two
-    # directions, and inside them the rungs of each GBS step (h = 0.01), as
-    # lanes, and still gets no flag label
+    # directions as lanes, and still gets no flag label
     m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
                              mx.Box.cube(2, 0.5))
     with pytest.raises(OutOfChart, match=r"^orbit left the chart at x="):
@@ -542,8 +565,8 @@ def test_single_window_leaving_backward_names_no_flag():
 
 
 def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
-    # flag 2 crosses x1 = -0.5 going backward at the same GBS substep as
-    # flag 3 crosses x1 = 0.5 going forward (h = 0.01 takes GBS steps)
+    # flag 2 crosses x1 = -0.5 going backward at the same RK4 stage as
+    # flag 3 crosses x1 = 0.5 going forward
     m = mx.riemannian_metric(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2,
                              mx.Box.cube(2, 0.5))
     x = np.array([[0.0, 0.0], [0.1, 0.2], [-0.45, 0.1], [0.45, 0.1]])
@@ -553,8 +576,8 @@ def test_lockstep_names_the_lowest_flag_whichever_direction_fails():
 
 
 def test_nested_lanes_leave_out_one_axis_each():
-    # a GBS window indexes (flag, direction, rung): each `lanes` block
-    # leaves one more trailing axis out of the label
+    # each nested `lanes` block leaves one more trailing axis out of the
+    # label
     assert flag_label((3, 1)) == "flag (3, 1)"
     with lanes():
         assert flag_label((3, 1)) == "flag 3"
@@ -564,11 +587,11 @@ def test_nested_lanes_leave_out_one_axis_each():
         assert flag_label((1,)) is None
 
 
-def one_direction(m, v0, span, steps, step):
+def one_direction(m, v0, span, steps):
     """The states (x, y, M) and spray data of one direction of a transport
-    window, integrated on its own: `steps` steps of `step` (`rk4_step` or
-    `gbs_step`) from (v0, I) over [0, span], the spray data read at each
-    node and passed to the step that leaves it."""
+    window, integrated on its own: `steps` RK4 steps from (v0, I) over
+    [0, span], the spray data read at each node and passed to the step
+    that leaves it as its first stage."""
     n = m.n
     sprays = []
 
@@ -585,48 +608,36 @@ def one_direction(m, v0, span, steps, step):
         z = zs[-1]
         sprays.append(mx.spray_data(m, z[..., :n], z[..., n:2 * n]))
         if len(zs) <= steps:
-            zs.append(step(field, z, span / steps, field(z)))
+            zs.append(nk.rk4_step(field, z, span / steps, field(z)))
     return zs, sprays
 
 
-# RK4 windows take 5 steps of WINDOW_STEP per spacing (a GBS step as short
-# as an RK4 one is never the cheaper), GBS windows 2 of GEODESIC_STEP
-STEPPERS = {"rk4": (nk.rk4_step, 5, 0.01), "gbs": (nk.gbs_step, 2, 0.025)}
-
-
-@pytest.mark.parametrize("stepper, T, back", [
-    ("rk4", 6, 6), ("rk4", 23, 1), ("rk4", 1, 6),
-    ("gbs", 6, 6), ("gbs", 23, 1), ("gbs", 1, 6),
-], ids=["back=T", "back<T", "back>T", "gbs-back=T", "gbs-back<T",
-        "gbs-back>T"])
+@pytest.mark.parametrize("T, back", [(6, 6), (23, 1), (1, 6)],
+                         ids=["back=T", "back<T", "back>T"])
 @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batch"])
 @pytest.mark.parametrize("family", ["hyperbolic", "katok", "randers",
                                     "sphere"])
-def test_lockstep_transport_equals_per_direction_runs(family, batch, stepper,
-                                                     T, back, monkeypatch):
-    # the window of W = max(T, back) spacings of 0.05 each way, at `per`
-    # steps per spacing of the stepper, against runs of their own over T
-    # and back spacings on its step: each lane agrees with the run of its
-    # direction on every node the run reaches, however long the window
-    # runs on.  spray_data rounds a point inside a batch as on its own for
-    # Randers and katok, so there the lockstep is bit for bit the two runs;
-    # sphere and hyperbolic round the last bit differently at a single
-    # point
-    step, per, geodesic_step = STEPPERS[stepper]
+def test_lockstep_transport_equals_per_direction_runs(family, batch, T, back,
+                                                     monkeypatch):
+    # the window of W = max(T, back) spacings of 0.05 each way, at 5 RK4
+    # steps per spacing, against runs of their own over T and back
+    # spacings on its step: each lane agrees with the run of its direction
+    # on every node the run reaches, however long the window runs on.
+    # spray_data rounds a point inside a batch as on its own for Randers
+    # and katok, so there the lockstep is bit for bit the two runs; sphere
+    # and hyperbolic round the last bit differently at a single point
     m = BATCH_FAMILIES[family][0]()
     rng = np.random.default_rng(3)
     v0 = pp(rng.uniform(-0.3, 0.3, batch + (2,)),
             0.3 * rng.normal(size=batch + (2,)))
     W = max(T, back)
     monkeypatch.setattr(jb, "WINDOW_STEP", 0.01)
-    monkeypatch.setattr(jb, "GEODESIC_STEP", geodesic_step)
     orbit = jb.transport(m, v0, W, h=0.05)
-    steps = per * W
+    steps = 5 * W
     dt = W * 0.05 / steps
-    fwd_steps, back_steps = per * T, per * back
-    fwd, fwd_sprays = one_direction(m, v0, dt * fwd_steps, fwd_steps, step)
-    bwd, bwd_sprays = one_direction(m, v0, -dt * back_steps, back_steps,
-                                    step)
+    fwd_steps, back_steps = 5 * T, 5 * back
+    fwd, fwd_sprays = one_direction(m, v0, dt * fwd_steps, fwd_steps)
+    bwd, bwd_sprays = one_direction(m, v0, -dt * back_steps, back_steps)
     zs, sprays = bwd[:0:-1] + fwd, bwd_sprays[:0:-1] + fwd_sprays
     assert len(orbit.states) == len(orbit.ts) == 2 * steps + 1
     nodes = slice(steps - back_steps, steps + fwd_steps + 1)
@@ -640,40 +651,6 @@ def test_lockstep_transport_equals_per_direction_runs(family, batch, stepper,
             if exact:
                 assert np.array_equal(a, b)
             assert np.max(np.abs(a - b)) <= 1e-13
-
-
-def sphere_flag_points():
-    x, y, _ = zip(*sample_flags(np.random.default_rng(5), 2, 30, 1.5))
-    return mx.zoo_metric("sphere"), pp(x, y)
-
-
-REDUCTION_WINDOWS = {
-    "hopf": lambda: (rd.submersion_scenario("hopf").total,
-                     rd.submersion_scenario("hopf").default_flag()[0]),
-    "sphere": sphere_flag_points,
-}
-
-
-@pytest.mark.parametrize("name", sorted(REDUCTION_WINDOWS))
-def test_reduction_window_gbs_matches_a_fine_rk4_window(name, monkeypatch):
-    # the reach-3 window at the reduction spacing 1e-2 takes one GBS step
-    # per spacing; at every node its states and spray data (G, DS) match an
-    # RK4 window of 40 steps of 2.5e-4 per spacing to 2.2e-15 (hopf) and
-    # 1.7e-14 (30 sphere flags, |x| < 1.5), about as close as 80 RK4 steps
-    # per spacing come (2.2e-15, 1.4e-14).  4 RK4 steps per spacing miss
-    # it by 1.2e-13 and 6.0e-11
-    m, v = REDUCTION_WINDOWS[name]()
-    h = rd._REDUCTION_H
-    gbs = jb.transport(m, v, 3, h)
-    monkeypatch.setattr(jb, "WINDOW_STEP", 2.5e-4)
-    monkeypatch.setattr(jb, "GEODESIC_STEP", 2.5e-4)
-    rk4 = jb.transport(m, v, 3, h)
-    assert len(gbs.ts) == 7 and len(rk4.ts) == 2 * 3 * 40 + 1
-    for k in range(-3, 4):
-        i, j = gbs._index(k * h), rk4._index(k * h)
-        for a, b in zip(gbs.states[i] + gbs.sprays[i],
-                        rk4.states[j] + rk4.sprays[j], strict=True):
-            assert np.max(np.abs(a - b)) <= 5e-14
 
 
 # -- geodesic -------------------------------------------------------------------
@@ -797,17 +774,14 @@ def test_batched_geodesic_equals_per_point_calls(family):
         assert np.max(np.abs(states[:, i] - single)) <= 6.2e-15
 
 
-def test_geodesic_agrees_with_transport_on_the_grid(monkeypatch):
+def test_geodesic_agrees_with_transport_on_the_grid():
     # GBS steps against RK4 at 400 steps per unit with the linearization
-    # carried along (a window's GBS steps as short as its RK4 ones, so it
-    # takes RK4): the two orbits agree to 8.9e-16
+    # carried along: the two orbits agree to 8.9e-16
     m = mx.zoo_metric("randers", b=(0.2, -0.1))
     v0 = pp([0.0, 0.1], [0.8, 0.6])
+    orbit = jb.transport(m, v0, reach=10, h=0.05)
     times = [0.5, 0.2, 0.1, 0.35]
     states = jb.geodesic(m, v0, times)
-    monkeypatch.setattr(jb, "GEODESIC_STEP", jb.WINDOW_STEP)
-    orbit = jb.transport(m, v0, reach=10, h=0.05)
-    assert orbit.ts[1] - orbit.ts[0] == pytest.approx(jb.WINDOW_STEP)
     for t, z in zip(times, states):
         x, y, _ = orbit.state(t)
         assert np.max(np.abs(z - np.concatenate([x, y]))) < 1e-13
@@ -1005,7 +979,7 @@ def unit_vector(m, x, y):
 
 def test_contact_reduce_needs_unit_speed():
     m = mx.zoo_metric("sphere")
-    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), reach=5,
+    orbit = jb.transport(m, pp([0.0, 0.0], [1.0, 0.0]), reach=20,
                          h=rd._REDUCTION_H)
     with pytest.raises(NotUnitSpeed):
         rd.contact_reduce(orbit, 0.0)
@@ -1015,7 +989,7 @@ def test_contact_reduce_r_at_zero_is_canonical():
     m = mx.zoo_metric("sphere")
     x = np.array([0.2, 0.0])
     y = unit_vector(m, x, [1.0, 0.3])
-    orbit = jb.transport(m, pp(x, y), reach=8, h=rd._REDUCTION_H)
+    orbit = jb.transport(m, pp(x, y), reach=32, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.0)
     assert np.allclose(split.r, np.concatenate([np.zeros(2), y]), atol=1e-12)
 
@@ -1024,7 +998,7 @@ def test_contact_reduce_euclidean_exact():
     m = mx.zoo_metric("euclidean")
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 0.0])
-    orbit = jb.transport(m, pp(x, y), reach=60, h=rd._REDUCTION_H)
+    orbit = jb.transport(m, pp(x, y), reach=240, h=rd._REDUCTION_H)
     split = rd.contact_reduce(orbit, 0.5)
     assert split.kr_residual < 1e-8
     assert split.block_residual < 1e-8
@@ -1034,16 +1008,16 @@ def test_contact_reduce_euclidean_exact():
 @pytest.mark.parametrize("metric_fn, x, y, reach, t, tol", [
     # the original case: loose kernel and block bounds
     (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
-     45, 0.3, 1e-5),
+     180, 0.3, 1e-5),
     (lambda: mx.zoo_metric("sphere"), [0.15, -0.1], [0.8, 0.25],
-     75, 0.7, 1e-10),
+     300, 0.7, 1e-10),
     (lambda: df.katok_metric(0.3), [0.15, -0.1], [0.8, 0.25],
-     35, 0.3, 1e-10),
+     140, 0.3, 1e-10),
     # three dimensions: the contact part is a 2-plane
     (lambda: mx.zoo_metric("riemannian-conformal", n=3), [0.1, -0.2, 0.15],
-     [0.6, 0.3, -0.5], 45, 0.4, 1e-10),
+     [0.6, 0.3, -0.5], 180, 0.4, 1e-10),
     (lambda: mx.zoo_metric("randers"), [0.1, -0.2], [0.6, 0.7],
-     45, 0.4, 1e-10),
+     180, 0.4, 1e-10),
 ], ids=["sphere", "sphere-tight", "katok", "conformal-3d", "randers"])
 def test_contact_reduce_sphere_identities(metric_fn, x, y, reach, t, tol):
     m = metric_fn()

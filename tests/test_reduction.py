@@ -616,12 +616,10 @@ def test_constraint_grad_numeric_matches_closed_form(name):
 
 
 @pytest.mark.parametrize("name", ["trivial", "hopf", "hopf-scaled"])
-def test_submersion_window_takes_25_spray_calls(name, monkeypatch):
-    # a spacing takes k RK4 steps of WINDOW_STEP (4 calls each) or m GBS
-    # steps of GEODESIC_STEP (8 calls each), whichever makes fewer calls:
-    # m = 1 GBS step against k = 4 RK4 steps.  The window reaches 3
-    # spacings: one call at v0, and 8 per step for both lanes in lockstep,
-    # the last the spray data at the node the step reaches
+def test_submersion_window_takes_13_spray_calls(name, monkeypatch):
+    # the reduction spacing is one RK4 step of WINDOW_STEP, and the window
+    # reaches 3 spacings: one call at v0, and 4 per step for both lanes in
+    # lockstep, the last the spray data at the node the step reaches
     real, calls = mx._jet_spray, []
 
     def spy(*args):
@@ -631,21 +629,37 @@ def test_submersion_window_takes_25_spray_calls(name, monkeypatch):
     monkeypatch.setattr(mx, "_jet_spray", spy)
     scn = rd.submersion_scenario(name)
     rd.submersion_curvature(scn, *scn.default_flag())
-    k = jb._steps(rd._REDUCTION_H / jb.WINDOW_STEP)
-    m = jb._steps(rd._REDUCTION_H / jb.GEODESIC_STEP)
-    assert (k, m) == (4, 1) and 8 * m < 4 * k
-    assert len(calls) == 1 + 3 * 8 * m == 25
+    assert jb._steps(rd._REDUCTION_H / jb.WINDOW_STEP) == 1
+    assert len(calls) == 1 + 3 * 4 == 13
 
 
 def test_submersion_accuracy_at_the_reduction_step():
-    # both bounds hold at one GBS step per spacing (hopf residual 3.5e-10,
-    # hopf-scaled error 4.5e-12, the stencil's rounding floor), and fail
-    # with 2 RK4 steps of 5e-3 per spacing (1.5e-9 and 4.6e-11)
+    # both bounds hold at the reduction spacing 2.5e-3 (hopf residual
+    # 6.9e-11, hopf-scaled error 7.9e-13), and fail with a window step and
+    # spacing of 5e-3 (1.1e-9 and 4.5e-11)
     scn = rd.submersion_scenario("hopf")
     assert rd.submersion_curvature(scn, *scn.default_flag()).residual <= 1e-9
     scn = rd.submersion_scenario("hopf-scaled")
     res = rd.submersion_curvature(scn, *scn.default_flag())
     assert abs(res.K_base - 1.0) <= 1e-11
+
+
+def test_submersion_accuracy_on_random_horizontal_flags():
+    # 20 seeded horizontal flags per Hopf scenario, within 0.5 of
+    # suggested_x in each coordinate: the worst |K_base - exact| and
+    # residual are 4.9e-9 at the reduction spacing 2.5e-3, and 4.2e-7
+    # when the stencil is read at 1e-2 (4 RK4 steps per spacing)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for name, K_base in (("hopf", 4.0), ("hopf-scaled", 1.0)):
+        scn = rd.submersion_scenario(name)
+        for _ in range(20):
+            x = scn.suggested_x + rng.uniform(-0.5, 0.5, size=3)
+            y = horizontal_vector(scn, x, rng.normal(size=3))
+            res = rd.submersion_curvature(scn, mx.PhasePoint(x, y),
+                                          rng.normal(size=3))
+            worst = max(worst, abs(res.K_base - K_base), res.residual)
+    assert worst <= 2e-8
 
 
 def test_submersion_rejects_non_horizontal():

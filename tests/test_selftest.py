@@ -63,10 +63,10 @@ def test_oneill_formula_equality_passes_at_small_seeds(seed):
 
 
 def test_contact_orbit_takes_the_reduction_step(monkeypatch):
-    # the contact check reads one order-6 stencil of spacing 1e-2, so its
-    # orbit runs at the reduction spacing and step, not the frame ones,
-    # and only the stencil's 3 spacings past the time read: one GBS step
-    # per spacing, which makes fewer calls than 4 RK4 steps of WINDOW_STEP
+    # the contact check reads one order-6 stencil of the reduction spacing
+    # 2.5e-3, so its orbit runs at that spacing, one RK4 step of
+    # WINDOW_STEP per spacing, not at the frame ones, and only the
+    # stencil's 3 spacings past the time read
     real, windows = rd.contact_reduce, []
 
     def spy(orbit, t):
@@ -77,9 +77,7 @@ def test_contact_orbit_takes_the_reduction_step(monkeypatch):
     monkeypatch.setattr(rd, "contact_reduce", spy)
     run_selftest(**DEFAULTS)
     h = rd._REDUCTION_H
-    m = jb._steps(h / jb.GEODESIC_STEP)
-    assert 8 * m < 4 * jb._steps(h / jb.WINDOW_STEP)
-    assert windows == [(h, pytest.approx(h / m, rel=1e-9),
+    assert windows == [(h, pytest.approx(jb.WINDOW_STEP, rel=1e-9),
                         pytest.approx(3 * h, rel=1e-9))]
 
 

@@ -224,24 +224,32 @@ MUTANTS = [
            "tests/test_reduction.py::test_reduce_curve_refuses_a_lagrangian_w"),
     # -- transport lanes, frame windows, settings, Randers validity -----------
     Mutant("flow-lane-sign", PKG + "jacobi.py",
-           "sign = np.array([1.0, -1.0])", "sign = np.array([1.0, 1.0])",
+           "sign = np.array([[1.0], [-1.0]])",
+           "sign = np.array([[1.0], [1.0]])",
            "tests/test_jacobi.py::test_transport_euclidean_linear_flow"),
     Mutant("window-ignores-the-spacing", PKG + "jacobi.py",
-           "    steps = reach * per\n",
-           "    steps = _steps(T / WINDOW_STEP)\n",
+           "    steps = reach * _steps(h / WINDOW_STEP)\n",
+           "    steps = _steps(reach * h / WINDOW_STEP)\n",
            "tests/test_jacobi.py::"
            "test_frame_resolution_puts_stencil_nodes_on_the_grid[0.0007-2000-6]"),
     Mutant("window-one-step-per-spacing", PKG + "jacobi.py",
-           "    steps = reach * per\n",
+           "    steps = reach * _steps(h / WINDOW_STEP)\n",
            "    steps = reach\n",
            "tests/test_jacobi.py::"
            "test_wide_stencil_window_takes_steps_of_the_window_step"),
-    # every window on RK4: the accuracy bounds all hold, and only the pins
-    # of the GBS windows notice
-    Mutant("window-keeps-rk4", PKG + "jacobi.py",
-           "if 8 * m < 4 * k else", "if False else",
+    # Addot summed from the samples alone: the rounding of the weights'
+    # sums leaves a flat metric a curvature of eps / h^2
+    Mutant("frame-stencil-drops-the-node", PKG + "jacobi.py",
+           "Addot = sum(wk * (Ak - Adots[j]) for wk, Ak in zip(w, Adots))",
+           "Addot = sum(wk * Ak for wk, Ak in zip(w, Adots))",
            "tests/test_jacobi.py::"
-           "test_reduction_window_gbs_matches_a_fine_rk4_window[sphere]"),
+           "test_flat_flag_curvature_is_exactly_zero_at_every_width[0.0008]"),
+    # reductions read at 1e-2 (4 RK4 steps per spacing): the default flags
+    # hold their bounds, random horizontal flags do not
+    Mutant("reduction-stencil-at-1e-2", PKG + "reduction.py",
+           "_REDUCTION_H = jb.WINDOW_STEP\n", "_REDUCTION_H = 1e-2\n",
+           "tests/test_reduction.py::"
+           "test_submersion_accuracy_on_random_horizontal_flags"),
     Mutant("count-accepts-zero", PKG + "cli.py",
            "_is_integer(v) and v >= 1,", "_is_integer(v) and v >= 0,",
            "tests/test_cli.py::test_main_names_the_rejected_setting[samples-0]"),
